@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Tuple, Union
 
 from .enclosure import Approx, interval_divide, log_enclosure
 from .errors import ContractViolationError, DegenerateDataError
-from .polynomials import UniPoly, product
+from .polynomials import UniPoly
 from .profilefit import (
     Estimates,
     FitReport,
@@ -61,38 +62,65 @@ class BasisPolys:
     gBm: UniPoly
 
 
+def _int_linear_product(sizes) -> list:
+    """Integer coefficients of prod (1 + n theta) over the given sizes."""
+    out = [1]
+    for n in sizes:
+        out = [a + n * b for a, b in zip(out + [0], [0] + out)]
+    return out
+
+
+def _int_square(cs: list) -> list:
+    """Integer coefficients of the square of an integer polynomial."""
+    out = [0] * (2 * len(cs) - 1)
+    for i, a in enumerate(cs):
+        for j, b in enumerate(cs):
+            out[i + j] += a * b
+    return out
+
+
+def _combine(weights, polys) -> UniPoly:
+    """sum_i w_i polys_i for rational weights and integer coefficient
+    lists, over the weights' common denominator."""
+    den = lcm(*(w.denominator for w in weights))
+    acc = [0] * len(polys[0])
+    for w, cs in zip(weights, polys):
+        wi = w.numerator * (den // w.denominator)
+        if wi:
+            for k, c in enumerate(cs):
+                acc[k] += wi * c
+    return UniPoly((Fraction(c, den) for c in acc), VAR)
+
+
 def basis_polynomials(stats: OneWayStats) -> BasisPolys:
-    lin = [UniPoly.linear(1, n, VAR) for n in stats.sizes]
-    d = product(lin, VAR)
-    d1 = product((l for l, m in zip(lin, stats.mults) if m == 1), VAR)
-    d2 = product((l for l, m in zip(lin, stats.mults) if m >= 2), VAR)
-    off = [product((l for j, l in enumerate(lin) if j != i), VAR)
-           for i in range(stats.M)]
-
-    def f(weights) -> UniPoly:
-        acc = UniPoly.zero(VAR)
-        for i, w in enumerate(weights):
-            acc = acc + off[i] * w
-        return acc
-
-    def g(weights) -> UniPoly:
-        acc = UniPoly.zero(VAR)
-        for i, w in enumerate(weights):
-            acc = acc + off[i] * off[i] * w
-        return acc
+    d = _int_linear_product(stats.sizes)
+    # prod_{j != i} (1 + n_j theta) = d / (1 + n_i theta), dividing from
+    # the constant term: o_k = d_k - n_i o_(k-1)
+    off = []
+    for n_i in stats.sizes:
+        o, prev = [], 0
+        for c in d[:-1]:
+            prev = c - n_i * prev
+            o.append(prev)
+        off.append(o)
+    off2 = [_int_square(o) for o in off]
 
     m, n, Y, B = stats.mults, stats.sizes, stats.means, stats.betweenSS
     M = stats.M
     return BasisPolys(
-        d=d, d1=d1, d2=d2,
-        f1=f([Fraction(m[i] * n[i]) for i in range(M)]),
-        fY=f([m[i] * n[i] * Y[i] for i in range(M)]),
-        fY2=f([m[i] * n[i] * Y[i] ** 2 for i in range(M)]),
-        fBm=f([n[i] * B[i] for i in range(M)]),
-        g1=g([Fraction(m[i] * n[i] ** 2) for i in range(M)]),
-        gY=g([m[i] * n[i] ** 2 * Y[i] for i in range(M)]),
-        gY2=g([m[i] * n[i] ** 2 * Y[i] ** 2 for i in range(M)]),
-        gBm=g([n[i] ** 2 * B[i] for i in range(M)]),
+        d=UniPoly(d, VAR),
+        d1=UniPoly(_int_linear_product(
+            s for s, k in zip(n, m) if k == 1), VAR),
+        d2=UniPoly(_int_linear_product(
+            s for s, k in zip(n, m) if k >= 2), VAR),
+        f1=_combine([m[i] * n[i] for i in range(M)], off),
+        fY=_combine([m[i] * n[i] * Y[i] for i in range(M)], off),
+        fY2=_combine([m[i] * n[i] * Y[i] ** 2 for i in range(M)], off),
+        fBm=_combine([n[i] * B[i] for i in range(M)], off),
+        g1=_combine([m[i] * n[i] ** 2 for i in range(M)], off2),
+        gY=_combine([m[i] * n[i] ** 2 * Y[i] for i in range(M)], off2),
+        gY2=_combine([m[i] * n[i] ** 2 * Y[i] ** 2 for i in range(M)], off2),
+        gBm=_combine([n[i] ** 2 * B[i] for i in range(M)], off2),
     )
 
 
@@ -143,7 +171,8 @@ def _require_generic(stats: OneWayStats):
             "assumes residual variation")
 
 
-def ml_equation(stats: OneWayStats) -> ProfileEquation:
+def ml_equation(stats: OneWayStats,
+                basis: Optional[BasisPolys] = None) -> ProfileEquation:
     """Cancelled stationarity numerator of the profile criterion.
 
     The raw identity is
@@ -153,10 +182,12 @@ def ml_equation(stats: OneWayStats) -> ProfileEquation:
 
     so the numerator's sign equals the derivative's sign on [0, inf).
     The singleton factor d1 always divides the numerator; the expected
-    cancelled degree is 3M + M2 - 3.
+    cancelled degree is 3M + M2 - 3. A caller that already holds
+    basis_polynomials(stats) passes it as basis.
     """
     _require_generic(stats)
-    basis = basis_polynomials(stats)
+    if basis is None:
+        basis = basis_polynomials(stats)
     bracket = bracket_poly(stats, basis)
     raw = h_poly(basis) * Fraction(stats.N) - basis.f1 * basis.f1 * bracket
     lin = [UniPoly.linear(1, n, VAR) for n in stats.sizes]
@@ -167,7 +198,8 @@ def ml_equation(stats: OneWayStats) -> ProfileEquation:
         method_tag="ML", base_sign=1)
 
 
-def reml_equation(stats: OneWayStats) -> ProfileEquation:
+def reml_equation(stats: OneWayStats,
+                  basis: Optional[BasisPolys] = None) -> ProfileEquation:
     """Cancelled stationarity numerator of the restricted criterion.
 
     The raw identity is exact:
@@ -176,10 +208,12 @@ def reml_equation(stats: OneWayStats) -> ProfileEquation:
 
     The square d1^2 of the singleton factor divides the numerator (d1
     divides both g1 - f1^2 and bracket); expected cancelled degree
-    2M + 2M2 - 3.
+    2M + 2M2 - 3. A caller that already holds basis_polynomials(stats)
+    passes it as basis.
     """
     _require_generic(stats)
-    basis = basis_polynomials(stats)
+    if basis is None:
+        basis = basis_polynomials(stats)
     bracket = bracket_poly(stats, basis)
     raw = ((basis.g1 - basis.f1 * basis.f1) * bracket
            + h_poly(basis) * Fraction(stats.N - 1))
@@ -346,8 +380,8 @@ def _loglik_at(stats: OneWayStats, theta, method: str, prec: int) -> Approx:
 
 def _fit(stats: OneWayStats, method: str,
          refine_width: Fraction) -> FitReport:
-    eq = ml_equation(stats) if method == "ML" else reml_equation(stats)
     basis = basis_polynomials(stats)
+    eq = (ml_equation if method == "ML" else reml_equation)(stats, basis)
     bracket = bracket_poly(stats, basis)
 
     def loglik_fn(lo, hi, prec):

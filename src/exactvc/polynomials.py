@@ -2,9 +2,18 @@
 
 Everything in this module is pure: polynomials are immutable value objects
 with `fractions.Fraction` coefficients, and no floating point is used
-anywhere. The polynomial gcd uses primitive pseudo-remainder sequences over
-integer-primitive representatives, which keeps the integer coefficients from
-exploding on the large inputs produced by the likelihood-equation builders.
+anywhere.
+
+`poly_gcd` proves coprimality cheaply and computes nontrivial gcds exactly.
+Both inputs are reduced to primitive integer polynomials and then mod the
+prime 2^61 - 1. When the prime divides neither leading coefficient, the gcd
+over Q reduces to a divisor of the gcd mod p of the same degree, so a gcd
+mod p of degree 0 proves the inputs coprime over Q (Brown 1971). In every
+other case (a shared factor mod p, or a leading coefficient divisible by
+p) the gcd comes from an exact primitive pseudo-remainder sequence, which
+keeps the integer coefficients from exploding on the large inputs of the
+likelihood-equation builders. `squarefree_part` inherits the same proof:
+p is squarefree when gcd(p, p') mod p has degree 0.
 """
 
 from __future__ import annotations
@@ -351,25 +360,37 @@ def _int_pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list:
     return _int_trim(a[:db])
 
 
-def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Greatest common divisor in primitive normal form.
+# Modulus of the coprimality test: the Mersenne prime 2^61 - 1.
+_PRIME = (1 << 61) - 1
 
-    Args:
-        p, q: polynomials, not both zero.
 
-    Returns:
-        The gcd with coprime integer coefficients and positive leading
-        coefficient; divides both inputs exactly.
+def _gcd_degree_mod(a: Sequence[int], b: Sequence[int], m: int) -> int:
+    """Degree of gcd(a mod m, b mod m) over the field Z/m, m prime.
+
+    Both leading coefficients must be nonzero mod m.
     """
-    if p.is_zero() and q.is_zero():
-        raise UndefinedInputError("gcd(0, 0) is undefined")
-    var = p.var if not p.is_zero() else q.var
-    if p.is_zero():
-        return q.primitive()
-    if q.is_zero():
-        return p.primitive()
-    a = _int_primitive(p.primitive().integer_coeffs())
-    b = _int_primitive(q.primitive().integer_coeffs())
+    a = [v % m for v in a]
+    b = [v % m for v in b]
+    while b:
+        inv = pow(b[-1], -1, m)
+        db = len(b) - 1
+        while len(a) > db:
+            c = a[-1] * inv % m
+            if c:
+                off = len(a) - 1 - db
+                for j in range(db):
+                    a[off + j] = (a[off + j] - c * b[j]) % m
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _int_prs_gcd(a: Sequence[int], b: Sequence[int]) -> list:
+    """Exact gcd of nonzero integer polynomials by a primitive
+    pseudo-remainder sequence; primitive with positive leading entry."""
+    a, b = _int_primitive(a), _int_primitive(b)
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -379,7 +400,34 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
         a, b = b, r
     if a[-1] < 0:
         a = [-v for v in a]
-    return UniPoly(a, var)
+    return a
+
+
+def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Greatest common divisor in primitive normal form.
+
+    Args:
+        p, q: polynomials, not both zero.
+
+    Returns:
+        The gcd with coprime integer coefficients and positive leading
+        coefficient; divides both inputs exactly. Coprime inputs are
+        recognised by a gcd mod 2^61 - 1 of degree 0; the exact remainder
+        sequence runs only when that test cannot decide.
+    """
+    if p.is_zero() and q.is_zero():
+        raise UndefinedInputError("gcd(0, 0) is undefined")
+    var = p.var if not p.is_zero() else q.var
+    if p.is_zero():
+        return q.primitive()
+    if q.is_zero():
+        return p.primitive()
+    a = p.primitive().integer_coeffs()
+    b = q.primitive().integer_coeffs()
+    if (a[-1] % _PRIME and b[-1] % _PRIME
+            and _gcd_degree_mod(a, b, _PRIME) == 0):
+        return UniPoly.constant(1, var)
+    return UniPoly(_int_prs_gcd(a, b), var)
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:

@@ -137,8 +137,11 @@ def build_profile_equation(raw_numerator: UniPoly,
     remaining: List[Tuple[UniPoly, int]] = []
     for piece, mult in den_factors:
         left = mult
-        while left > 0 and piece.divides(num):
-            num = num.exact_divide(piece)
+        while left > 0:
+            quot, rem = num.divmod(piece)
+            if not rem.is_zero():
+                break
+            num = quot
             left -= 1
         if left:
             remaining.append((piece, left))
@@ -313,8 +316,8 @@ def fit_profile(eq: ProfileEquation, loglik_fn: LoglikFn,
     if refine_width <= 0:
         raise ValueError("refine_width must be positive")
     num = eq.numerator
-    ivs = isolate_real_roots(num, domain="nonnegative", max_width=refine_width)
-    n_all = len(isolate_real_roots(num, domain="all"))
+    ivs, n_negative = isolate_real_roots(
+        num, domain="nonnegative", max_width=refine_width, count_negative=True)
     labels = classify_stationary_points(eq, ivs)
 
     candidates: List[_Candidate] = []
@@ -355,4 +358,4 @@ def fit_profile(eq: ProfileEquation, loglik_fn: LoglikFn,
         sign_changes=descartes_sign_changes(num),
         tie=tie,
         tie_candidates=tuple(c.theta_pair() for c in tie_set) if tie else (),
-        negative_roots=n_all - len(ivs))
+        negative_roots=n_negative)

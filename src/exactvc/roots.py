@@ -1,15 +1,30 @@
 """Certified real-root isolation for exact rational polynomials.
 
-Roots are certified by Sturm sign-variation counts, never by numeric
-eigenvalues, so an interval returned here is a proof: the squarefree part
-of the input has exactly one real root inside it. Refinement bisects on
-the certified sign change and therefore preserves the certificate.
+Every routine works on the primitive squarefree integer part q of its
+input (`polynomials.squarefree_part`, which certifies squarefreeness by a
+gcd mod a prime). Roots are isolated by Descartes bisection with integer
+Taylor shifts, the Vincent-Collins-Akritas method (Collins & Akritas 1976;
+Rouillier & Zimmermann 2004), never by numeric eigenvalues.
+
+The certificate is Descartes' rule of signs on a Moebius-mapped interval.
+For an interval (a, b), let V be the number of sign variations in the
+coefficients of (1 + x)^n q((a + b x)/(1 + x)). V bounds the number of
+roots of q in (a, b) from above and has the same parity, so V = 0 proves
+that (a, b) holds no root and V = 1 proves that it holds exactly one.
+An interval returned here carries that proof: its endpoints are not
+roots, q changes sign across it, and it holds exactly one root.
+Refinement bisects on the sign change and so keeps the certificate.
+
+`sturm_chain` and `count_roots_between` are an independent root counter
+kept for cross-checks; isolation and refinement do not use them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 from typing import List, Sequence, Tuple
 
 from .errors import ContractViolationError, UndefinedInputError
@@ -126,99 +141,259 @@ class RootInterval:
             raise ValueError("endpoint signs must be -1 or +1")
 
 
-def _split_points(a: Fraction, b: Fraction):
-    """Candidate split points strictly inside (a, b), all distinct."""
-    gap = b - a
-    yield a + gap / 2
-    k = 2
-    while True:
-        yield a + gap / 2 + gap / (2 ** k)
-        yield a + gap / 2 - gap / (2 ** k)
-        k += 1
-
-
 def _bisect_to_width(q_int, lo: Fraction, hi: Fraction,
                      width: Fraction) -> Tuple[Fraction, Fraction]:
     """Shrink a sign-change interval below the target width.
 
     Precondition: q(lo) and q(hi) are nonzero with opposite signs, and
     exactly one root of q lies between them; both stay true on return.
+
+    The endpoints are kept as integer numerators a, b over one shared
+    denominator d * 2^s, and the sign at the midpoint (a + b) / (d * 2^(s+1))
+    comes from an integer-only homogeneous Horner sum, so no Fraction is
+    normalised inside the loop.
     """
-    s_lo = _sign_at(q_int, lo)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        s_mid = _sign_at(q_int, mid)
+    d = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    # w[j] = q_(n-j) * d^j, so q(m / (d 2^s)) * (d 2^s)^n is
+    # sum_j w[j] * m^(n-j) * 2^(s j)
+    w = []
+    dp = 1
+    for c in reversed(q_int):
+        w.append(c * dp)
+        dp *= d
+
+    def sign_at(m: int, s: int) -> int:
+        acc = 0
+        for j, c in enumerate(w):
+            acc = acc * m + (c << (s * j))
+        return (acc > 0) - (acc < 0)
+
+    wn, wd = width.numerator, width.denominator
+    s = 0
+    s_lo = sign_at(a, 0)
+    while (b - a) * wd > wn * (d << s):
+        m = a + b
+        a, b, s = a << 1, b << 1, s + 1
+        s_mid = sign_at(m, s)
         if s_mid == 0:
             # landed exactly on the root: return a tight straddle
+            den = d << s
+            lo, mid, hi = Fraction(a, den), Fraction(m, den), Fraction(b, den)
             delta = min(width / 2, (hi - mid) / 2, (mid - lo) / 2)
             return mid - delta, mid + delta
         if s_mid == s_lo:
-            lo = mid
+            a = m
         else:
-            hi = mid
-    return lo, hi
+            b = m
+    return Fraction(a, d << s), Fraction(b, d << s)
 
 
-def _isolate_on(chain, q_int, a: Fraction, b: Fraction, out: list):
-    """Recursive bisection; invariant: q(a) != 0, q(b) != 0."""
-    n = count_roots_between(chain, a, b)
-    if n == 0:
-        return
-    if n == 1:
-        out.append((a, b))
-        return
-    for mid in _split_points(a, b):
-        if _sign_at(q_int, mid) != 0:
-            break
-    _isolate_on(chain, q_int, a, mid, out)
-    _isolate_on(chain, q_int, mid, b, out)
+# ----------------------------------------------------------------------
+# Descartes bisection
+# ----------------------------------------------------------------------
+
+def _descartes_01(cs: Sequence[int]) -> int:
+    """Descartes bound, capped at 2, on the roots of p in (0, 1).
+
+    Counts the sign variations of (1 + x)^n p(1/(1 + x)). Its coefficients,
+    highest first, come from n prefix-sum passes over the ascending
+    coefficients of p (a Taylor shift by 1 of the reversed polynomial).
+    Each pass fixes one more trailing entry for good, so the count stops
+    as soon as the fixed entries show two variations.
+    """
+    d = list(cs)
+    v = prev = 0
+    for k in range(len(d), 0, -1):
+        d[:k] = accumulate(d[:k])
+        c = d[k - 1]
+        if c:
+            if prev and (c > 0) != (prev > 0):
+                v += 1
+                if v > 1:
+                    return v
+            prev = c
+    return v
+
+
+def _taylor_shift1(cs: Sequence[int]) -> list:
+    """Ascending coefficients of p(x + 1), by n prefix-sum passes."""
+    d = list(reversed(cs))
+    for k in range(len(d), 1, -1):
+        d[:k] = accumulate(d[:k])
+    d.reverse()
+    return d
+
+
+def _unit_roots(cs: Sequence[int]) -> List[Tuple[int, int, int]]:
+    """Roots in (0, 1) of a squarefree integer polynomial, as (lo, hi, j)
+    for the interval (lo / 2^j, hi / 2^j); lo == hi marks an exact root.
+
+    Vincent-Collins-Akritas bisection: a node is the polynomial
+    2^(nj) p((x + c) / 2^j) on (0, 1); its halves are 2^n node(x / 2) and
+    that polynomial shifted by 1. A node is a leaf when its Descartes
+    count is 0, or 1 with neither endpoint a root; a split point that is a
+    root is reported exactly.
+    """
+    n = len(cs) - 1
+    out = []
+    todo = [(list(cs), 0, 0)]
+    while todo:
+        p, c, j = todo.pop()
+        v = _descartes_01(p)
+        if v == 0:
+            continue
+        if v == 1 and p[0] and sum(p):
+            out.append((c, c + 1, j))
+            continue
+        left = [a << (n - i) for i, a in enumerate(p)]
+        right = _taylor_shift1(left)
+        if right[0] == 0:
+            out.append((2 * c + 1, 2 * c + 1, j + 1))
+        todo.append((right, 2 * c + 1, j + 1))
+        todo.append((left, 2 * c, j + 1))
+    return out
+
+
+def _dyadic(m: int, e: int) -> Fraction:
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def _positive_roots(q_int: Sequence[int]) -> List[Tuple[Fraction, Fraction]]:
+    """Sorted isolating items for the positive roots of a squarefree
+    integer polynomial; (m, m) is an exact root m.
+
+    Positive roots lie below 2 max |a_(n-i) / a_n|^(1/i) over the
+    coefficients of sign opposite to a_n (Kioustelidis' bound), taken here
+    as a power of 2, 2^k, so q(2^k x) has its positive roots in (0, 1).
+    """
+    n = len(q_int) - 1
+    lc = q_int[-1]
+    k = None
+    for i in range(1, n + 1):
+        c = q_int[n - i]
+        if c and (c > 0) != (lc > 0):
+            # ceil((bits(c) - bits(lc) + 1) / i) bounds log2 |c / lc|^(1/i)
+            e = -((lc.bit_length() - c.bit_length() - 1) // i)
+            k = e if k is None else max(k, e)
+    if k is None:
+        return []
+    k += 1
+    if k >= 0:
+        scaled = [c << (k * i) for i, c in enumerate(q_int)]
+    else:
+        scaled = [c << (-k * (n - i)) for i, c in enumerate(q_int)]
+    return sorted((_dyadic(lo, k - j), _dyadic(hi, k - j))
+                  for lo, hi, j in _unit_roots(scaled))
+
+
+def _brackets(items: List[Tuple[Fraction, Fraction]],
+              floor) -> List[Tuple[Fraction, Fraction]]:
+    """Isolating intervals with non-root endpoints for sorted items.
+
+    An exact root m becomes the interval between the midpoints to its
+    neighbours: the items beside it, else floor on the left (m - 1 when
+    floor is None) and m + 1 on the right. Every real root is an item, so
+    the gaps between items hold none and the midpoints are not roots.
+    """
+    out = []
+    for i, (lo, hi) in enumerate(items):
+        if lo == hi:
+            left = (items[i - 1][1] if i else
+                    lo - 1 if floor is None else floor)
+            right = items[i + 1][0] if i + 1 < len(items) else hi + 1
+            lo, hi = (left + lo) / 2, (hi + right) / 2
+        out.append((lo, hi))
+    return out
+
+
+def _on_interval(q_int: Sequence[int], a: Fraction, b: Fraction) -> list:
+    """Integer coefficients of a positive multiple of q(a + (b - a) x)."""
+    d = lcm(a.denominator, b.denominator)
+    c0 = a.numerator * (d // a.denominator)
+    c1 = b.numerator * (d // b.denominator) - c0
+    acc = [q_int[-1]]
+    dp = 1
+    for c in reversed(q_int[:-1]):
+        dp *= d
+        acc = [x * c0 + y * c1 for x, y in zip(acc + [0], [0] + acc)]
+        acc[0] += c * dp
+    return acc
+
+
+def _roots_between(q_int: Sequence[int], a: Fraction, b: Fraction) -> int:
+    """Roots of a squarefree q in (a, b), counted up to 2.
+
+    Descartes counts on (a, b), bisected while a count is above 1; a split
+    point that is a root counts as one.
+    """
+    count = 0
+    todo = [(a, b)]
+    while todo and count < 2:
+        a, b = todo.pop()
+        v = _descartes_01(_on_interval(q_int, a, b))
+        if v < 2:
+            count += v
+            continue
+        m = (a + b) / 2
+        count += _sign_at(q_int, m) == 0
+        todo += [(a, m), (m, b)]
+    return count
 
 
 def isolate_real_roots(p: UniPoly, domain: str = "all",
-                       max_width: Fraction = Fraction(1, 4)) -> List[RootInterval]:
+                       max_width: Fraction = Fraction(1, 4),
+                       count_negative: bool = False):
     """Isolate the distinct real roots of p in the requested domain.
 
     Args:
         p: nonzero polynomial; reduced to its squarefree part internally.
         domain: "all" for the whole line, "nonnegative" for [0, inf).
         max_width: each returned interval is tightened below this width.
+        count_negative: also return the number of distinct negative
+            roots, isolated in the same pass but not refined.
 
     Returns:
-        Disjoint RootIntervals, one per distinct root, sorted by position.
-        A root exactly at 0 (only possible in the nonnegative domain when
-        the constant term vanishes) is reported as a degenerate point
-        interval at 0.
+        Disjoint RootIntervals, one per distinct root, sorted by position;
+        with count_negative, the pair (intervals, negative root count).
+        A root exactly at 0 is a degenerate point interval at 0 in the
+        nonnegative domain; every other interval, including one around a
+        dyadic root hit by a split point or a root at 0 in the whole-line
+        domain, has nonzero endpoint signs.
     """
     if p.is_zero():
         raise UndefinedInputError("cannot isolate roots of the zero polynomial")
     if domain not in ("all", "nonnegative"):
         raise ValueError(f"unknown domain {domain!r}")
-    q = squarefree_part(p)
-    deg = q.degree
-    if deg == 0:
-        return []
+    q_int = squarefree_part(p).integer_coeffs()
+    deg = len(q_int) - 1
+    positive = negative = []
+    if deg > 0:
+        positive = _positive_roots(q_int)
+        if domain == "all" or count_negative:
+            reflected = [-c if i % 2 else c for i, c in enumerate(q_int)]
+            negative = [(-hi, -lo)
+                        for lo, hi in reversed(_positive_roots(reflected))]
+    zero = [(Fraction(0), Fraction(0))] if deg > 0 and q_int[0] == 0 else []
+
     results: List[RootInterval] = []
-
-    if domain == "nonnegative" and q(Fraction(0)) == 0:
-        # simple root at the origin: record it exactly, divide it out
-        q = q.exact_divide(UniPoly.variable(q.var)).primitive()
-        s_right = sign(q(Fraction(0)))
-        # theta * q(theta) just right of 0 has the sign of q(0)
-        results.append(RootInterval(
-            Fraction(0), Fraction(0), deg, -s_right, s_right))
-        if q.degree == 0:
-            return results
-
-    chain = sturm_chain(q)
-    q_int = chain[0]
-    bound = cauchy_bound(q)
-    lo = Fraction(0) if domain == "nonnegative" else -bound
-    raw: List[Tuple[Fraction, Fraction]] = []
-    _isolate_on(chain, q_int, lo, bound, raw)
-    for a, b in sorted(raw):
-        a, b = _bisect_to_width(q_int, a, b, Fraction(max_width))
+    if domain == "nonnegative":
+        if zero:
+            # theta * q(theta)/theta just right of 0 has the sign of q'(0)
+            s_right = 1 if q_int[1] > 0 else -1
+            results.append(RootInterval(
+                Fraction(0), Fraction(0), deg, -s_right, s_right))
+        brackets = _brackets(positive, Fraction(0))
+    else:
+        brackets = _brackets(negative + zero + positive, None)
+    width = Fraction(max_width)
+    for a, b in brackets:
+        a, b = _bisect_to_width(q_int, a, b, width)
         results.append(RootInterval(
             a, b, deg, _sign_at(q_int, a), _sign_at(q_int, b)))
+    if count_negative:
+        return results, len(negative)
     return results
 
 
@@ -242,8 +417,7 @@ def refine_interval(p: UniPoly, iv: RootInterval,
     width = Fraction(width)
     if width <= 0:
         raise ValueError("target width must be positive")
-    q = squarefree_part(p)
-    q_int = _int_primitive(q.primitive().integer_coeffs())
+    q_int = squarefree_part(p).integer_coeffs()
 
     if iv.is_point():
         if _sign_at(q_int, iv.lo) != 0:
@@ -251,9 +425,8 @@ def refine_interval(p: UniPoly, iv: RootInterval,
                 "point interval does not sit on a root of the polynomial")
         return iv
 
-    chain = sturm_chain(q)
     if (_sign_at(q_int, iv.lo) == 0 or _sign_at(q_int, iv.hi) == 0
-            or count_roots_between(chain, iv.lo, iv.hi) != 1):
+            or _roots_between(q_int, iv.lo, iv.hi) != 1):
         raise ContractViolationError(
             "interval is not a certified isolation for this polynomial")
 

@@ -7,7 +7,10 @@ import pytest
 
 from exactvc.errors import DivisibilityError, UndefinedInputError
 from exactvc.polynomials import (
+    _PRIME,
     UniPoly,
+    _gcd_degree_mod,
+    _int_prs_gcd,
     descartes_sign_changes,
     poly_gcd,
     product,
@@ -172,6 +175,83 @@ def test_squarefree_part_strips_multiplicities():
 
 def test_squarefree_part_constant():
     assert squarefree_part(UniPoly.constant(5, "x")).degree == 0
+
+
+# ----------------------------------------------------------------------
+# Modular coprimality proof and its exact fallback
+# ----------------------------------------------------------------------
+
+def _ints(p):
+    return p.primitive().integer_coeffs()
+
+
+def prs_gcd(p, q):
+    """The exact primitive-PRS answer, bypassing the modular test."""
+    return UniPoly(_int_prs_gcd(_ints(p), _ints(q)), p.var)
+
+
+def test_modular_test_decides_coprime_pairs():
+    rng = random.Random(61)
+    for _ in range(40):
+        p, q = rand_poly(rng, max_deg=8), rand_poly(rng, max_deg=8)
+        if p.degree < 1 or q.degree < 1:
+            continue
+        g = prs_gcd(p, q)
+        if g.degree == 0:
+            assert _gcd_degree_mod(_ints(p), _ints(q), _PRIME) == 0
+        assert poly_gcd(p, q) == g
+
+
+def test_gcd_falls_back_when_inputs_share_a_factor_mod_p():
+    x = UniPoly.variable("x")
+    c = x * x + 3
+    pairs = [
+        (x, x - _PRIME),                                  # coprime over Q
+        ((x - 1) * (x + 2), (x - 1 - _PRIME) * (x + 2 + 5 * _PRIME)),
+        (x * c, (x - _PRIME) * c),                        # gcd c over Q
+        (3 * x + 1, x + (2 * _PRIME + 1) // 3),           # 3x + 1 mod p
+    ]
+    for p, q in pairs:
+        assert _gcd_degree_mod(_ints(p), _ints(q), _PRIME) > 0
+        g = poly_gcd(p, q)
+        assert g == prs_gcd(p, q)
+        assert g.divides(p) and g.divides(q)
+    assert poly_gcd(x, x - _PRIME) == UniPoly.constant(1, "x")
+    assert poly_gcd(x * c, (x - _PRIME) * c) == c.primitive()
+
+
+def test_gcd_falls_back_when_prime_divides_a_leading_coefficient():
+    x = UniPoly.variable("x")
+    big = _PRIME * x + 1
+    cases = [
+        (big, x + 2, UniPoly.constant(1, "x")),
+        (big * (x - 3), (x - 3) * (x + 5), (x - 3).primitive()),
+        (x + 5, big * (x + 5) * (x * x + 1), (x + 5).primitive()),
+        (big * (x * x - 2), (2 * _PRIME * x + 7) * (x * x - 2),
+         (x * x - 2).primitive()),
+    ]
+    for p, q, expected in cases:
+        assert _ints(p)[-1] % _PRIME == 0 or _ints(q)[-1] % _PRIME == 0
+        assert poly_gcd(p, q) == prs_gcd(p, q) == expected
+
+
+def test_squarefree_part_of_non_squarefree_product():
+    x = UniPoly.variable("x")
+    rng = random.Random(62)
+    for _ in range(15):
+        p = UniPoly([rng.randrange(-9, 10) for _ in range(4)] + [1], "x")
+        q = UniPoly([rng.randrange(-9, 10) for _ in range(3)] + [2], "x")
+        f = p * q * q
+        d = f.derivative()
+        # gcd(f, f') carries q, so the modular test cannot decide
+        assert _gcd_degree_mod(_ints(f), _ints(d), _PRIME) > 0
+        assert poly_gcd(f, d) == prs_gcd(f, d)
+        sf = squarefree_part(f)
+        assert sf == (f.exact_divide(prs_gcd(f, d))).primitive()
+        assert squarefree_part(sf) == sf
+    # a repeated root next to a root that only meets it mod p
+    f = (x - 1) ** 2 * (x - 1 - _PRIME)
+    assert squarefree_part(f) == ((x - 1) * (x - 1 - _PRIME)).primitive()
 
 
 def test_descartes_sign_changes():

@@ -1,4 +1,12 @@
-"""Unit tests for Sturm-certified root isolation and refinement."""
+"""Tests for Descartes-certified root isolation and refinement.
+
+Isolation and refinement certify with Descartes counts on Moebius-mapped
+intervals: 0 or 1 sign variation proves 0 or 1 root in the interval. They
+work on the squarefree part, whose squarefreeness is proven when gcd(p, p')
+mod a prime dividing neither leading coefficient has degree 0. These tests
+check the results against two independent oracles: the Sturm counter kept
+in `roots` and, when sympy is installed, sympy's `Poly.intervals`.
+"""
 
 import random
 from fractions import Fraction
@@ -6,16 +14,26 @@ from fractions import Fraction
 import pytest
 
 from exactvc.errors import ContractViolationError, UndefinedInputError
-from exactvc.polynomials import UniPoly, descartes_sign_changes, product
+from exactvc.oneway import ml_equation, reml_equation
+from exactvc.polynomials import (
+    UniPoly,
+    descartes_sign_changes,
+    product,
+    squarefree_part,
+)
 from exactvc.roots import (
     RootInterval,
+    _descartes_01,
+    _on_interval,
     cauchy_bound,
     count_roots_between,
     isolate_real_roots,
     poly_range,
     refine_interval,
+    sign,
     sturm_chain,
 )
+from exactvc.stats import OneWayStats
 
 
 def poly_with_roots(roots, var="x"):
@@ -162,3 +180,160 @@ def test_poly_range_point_interval_exact():
     p = UniPoly([1, -3, 2], "x")
     v = p(Fraction(7, 3))
     assert poly_range(p, Fraction(7, 3), Fraction(7, 3)) == (v, v)
+
+
+# ----------------------------------------------------------------------
+# Differential isolation against sympy and the Sturm counter
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def _frac(r) -> Fraction:
+    return Fraction(int(r.p), int(r.q))
+
+
+def _inside(iv: RootInterval, a: Fraction, b: Fraction) -> bool:
+    """[a, b], which holds one root, lies in iv (a point iv must equal it)."""
+    if iv.is_point():
+        return a == b == iv.lo
+    return iv.lo < a and b < iv.hi
+
+
+def assert_matches_oracles(sympy, p: UniPoly):
+    """Both domains of isolate_real_roots against sympy and Sturm counts."""
+    q = squarefree_part(p)
+    chain = sturm_chain(q)
+    x = sympy.Symbol("x")
+    sp = sympy.Poly([int(c) for c in reversed(q.integer_coeffs())], x)
+    oracle = []                          # (lo, hi) as sympy Rationals
+    for (a, b), _ in sp.intervals():
+        assert not (a < 0 < b)
+        oracle.append((a, b))
+
+    def in_domain(a, b, domain):
+        return domain == "all" or a >= 0 and b >= 0
+
+    for domain in ("all", "nonnegative"):
+        ivs = isolate_real_roots(p, domain=domain)
+        expected = [ab for ab in oracle if in_domain(*ab, domain)]
+        assert len(ivs) == len(expected), (domain, ivs, expected)
+        for a, b in zip(ivs, ivs[1:]):
+            assert a.hi <= b.lo and a.lo < b.lo
+        for iv in ivs:
+            if domain == "nonnegative":
+                assert iv.lo >= 0
+            if iv.is_point():
+                assert domain == "nonnegative" and iv.lo == 0 == q(0)
+                assert iv.sign_left == -iv.sign_right
+                continue
+            assert iv.sign_left == sign(q(iv.lo)) != 0
+            assert iv.sign_right == sign(q(iv.hi)) == -iv.sign_left
+            assert count_roots_between(chain, iv.lo, iv.hi) == 1
+        # every sympy root lies in exactly one of our intervals
+        for a, b in expected:
+            eps = min((iv.width() for iv in ivs if not iv.is_point()),
+                      default=Fraction(1)) / 4
+            for _ in range(40):
+                fa, fb = _frac(a), _frac(b)
+                if any(_inside(iv, fa, fb) for iv in ivs):
+                    break
+                a, b = sp.refine_root(
+                    a, b, eps=sympy.Rational(eps.numerator, eps.denominator),
+                    fast=True)
+                eps /= 16
+            assert sum(_inside(iv, fa, fb) for iv in ivs) == 1, (fa, fb)
+    bound = cauchy_bound(q)
+    assert count_roots_between(chain, -bound, bound) == len(oracle)
+    ivs, negative = isolate_real_roots(p, domain="nonnegative",
+                                       count_negative=True)
+    assert ivs == isolate_real_roots(p, domain="nonnegative")
+    assert negative == sum(1 for a, _ in oracle if a < 0)
+
+
+def test_differential_random_integer_polynomials(sympy):
+    rng = random.Random(404)
+    for deg in range(1, 41):
+        bits = rng.choice((4, 16, 64))
+        cs = [rng.randrange(-2 ** bits, 2 ** bits + 1) for _ in range(deg + 1)]
+        cs[-1] = cs[-1] or 1
+        assert_matches_oracles(sympy, UniPoly(cs, "x"))
+    # Mignotte polynomials x^n - 2 (a x - 1)^2: two roots closer than
+    # a^(-n/2), which bisection must separate
+    for n, a in ((5, 10), (9, 30), (16, 100)):
+        x = UniPoly.variable("x")
+        assert_matches_oracles(sympy, x ** n - 2 * (a * x - 1) ** 2)
+
+
+def test_differential_dyadic_roots_and_root_at_zero(sympy):
+    # roots on the bisection grid k/2^j are hit exactly by split points
+    rng = random.Random(405)
+    x = UniPoly.variable("x")
+    for _ in range(25):
+        roots = {Fraction(rng.randrange(-64, 65), 2 ** rng.randrange(0, 7))
+                 for _ in range(rng.randrange(1, 9))}
+        roots.add(Fraction(0))
+        extra = UniPoly([rng.randrange(1, 9), rng.randrange(-3, 4), 1], "x")
+        assert_matches_oracles(sympy, poly_with_roots(sorted(roots), "x") * extra)
+    for roots in ([0, 1], [0, Fraction(1, 2), 1, 2, 4], [Fraction(-1, 2), 0],
+                  [Fraction(k, 8) for k in range(-8, 9)]):
+        assert_matches_oracles(sympy, poly_with_roots(roots, "x"))
+    # a lone root at 0, and 0 next to a tiny root
+    assert_matches_oracles(sympy, x)
+    assert_matches_oracles(sympy, x * (x * 2 ** 40 - 1) * (x * x + 1))
+
+
+def test_differential_repeated_factors(sympy):
+    rng = random.Random(406)
+    x = UniPoly.variable("x")
+    for _ in range(15):
+        p = UniPoly.constant(1, "x")
+        for _ in range(rng.randrange(1, 5)):
+            factor = UniPoly([rng.randrange(-20, 21) for _ in range(3)], "x")
+            if factor.degree < 1:
+                factor = x - rng.randrange(-5, 6)
+            p = p * factor ** rng.randrange(1, 4)
+        assert_matches_oracles(sympy, p * x ** rng.randrange(0, 3))
+
+
+def _ladder_stats(rng: random.Random, M: int) -> OneWayStats:
+    mults = tuple(1 + (i % 2) for i in range(M))
+    return OneWayStats(
+        tuple(range(2, M + 2)), mults,
+        tuple(Fraction(rng.randrange(-5000, 5000), 100) for _ in range(M)),
+        tuple(Fraction(rng.randrange(100, 50000), 100) if m >= 2
+              else Fraction(0) for m in mults),
+        Fraction(rng.randrange(10000, 100000), 100))
+
+
+def test_differential_profile_numerators(sympy):
+    rng = random.Random(407)
+    for M in range(6, 13):
+        stats = _ladder_stats(rng, M)
+        for build in (ml_equation, reml_equation):
+            assert_matches_oracles(sympy, build(stats).numerator)
+
+
+def test_refine_interval_matches_sturm_on_dyadic_split():
+    # the certificate must see both roots beside a dyadic split point
+    p = poly_with_roots([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+    with pytest.raises(ContractViolationError):
+        refine_interval(p, RootInterval(Fraction(1, 8), Fraction(5, 8),
+                                        3, -1, 1), Fraction(1, 100))
+    iv = refine_interval(p, RootInterval(Fraction(3, 8), Fraction(5, 8),
+                                         3, 1, -1), Fraction(1, 100))
+    assert iv.lo < Fraction(1, 2) < iv.hi and iv.width() <= Fraction(1, 100)
+
+
+def test_refine_interval_subdivides_an_inconclusive_count():
+    # one real root at 1/3 under a complex pair at 1/2 +- i/10: the
+    # Descartes count on (0, 1) is 3, so certification must bisect
+    x = UniPoly.variable("x")
+    p = (3 * x - 1) * (x * x - x + Fraction(26, 100))
+    q = p.primitive().integer_coeffs()
+    assert _descartes_01(_on_interval(q, Fraction(0), Fraction(1))) > 1
+    iv = refine_interval(p, RootInterval(Fraction(0), Fraction(1), 3, -1, 1),
+                         Fraction(1, 1000))
+    assert iv.lo < Fraction(1, 3) < iv.hi and iv.width() <= Fraction(1, 1000)
