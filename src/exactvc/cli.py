@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
@@ -35,26 +34,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MODEL = 3
 EXIT_DIAGNOSTIC = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the fit commands."""
-
-    command: str
-    method: str = "both"
-    input_path: Optional[str] = None
-    input_kind: Optional[str] = None        # csv-long | stats-json
-    refine_width: Fraction = Fraction(1, 10 ** 12)
-    emit_poly: bool = False
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.refine_width <= 0:
-            raise InputError("refine width must be positive")
-        if self.emit_poly and self.method == "both":
-            raise InputError(
-                "--emit-poly requires a single method, not both")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,49 +96,43 @@ def build_parser() -> argparse.ArgumentParser:
 # fit-oneway
 # ----------------------------------------------------------------------
 
-def _parse_refine_width(text: str) -> Fraction:
-    return xio.parse_rational(text)
-
-
 def _methods(method: str) -> List[str]:
     return ["ML", "REML"] if method == "both" else [method]
 
 
 def _run_fit_oneway(args) -> int:
-    cfg = RunConfig(
-        command="fit-oneway", method=args.method,
-        input_path=args.csv or args.stats,
-        input_kind="csv-long" if args.csv else "stats-json",
-        refine_width=_parse_refine_width(args.refine_width),
-        emit_poly=args.emit_poly)
-    if cfg.input_kind == "stats-json":
-        subject = xio.load_oneway_stats_json(cfg.input_path)
+    width = xio.parse_rational(args.refine_width)
+    if width <= 0:
+        raise InputError("refine width must be positive")
+    if args.emit_poly and args.method == "both":
+        raise InputError("--emit-poly requires a single method, not both")
+    if not args.csv:
+        subject = xio.load_oneway_stats_json(args.stats)
     else:
-        kind = xio.detect_csv_kind(cfg.input_path)
+        kind = xio.detect_csv_kind(args.csv)
         if kind == "oneway":
-            subject = xio.load_oneway_csv(cfg.input_path)
+            subject = xio.load_oneway_csv(args.csv)
         elif kind == "covariates":
             subject = xio.load_covariates_csv(
-                cfg.input_path, add_intercept=args.add_intercept)
+                args.csv, add_intercept=args.add_intercept)
         else:
-            raise InputError(
-                f"{cfg.input_path}: two-way CSV given to fit-oneway")
+            raise InputError(f"{args.csv}: two-way CSV given to fit-oneway")
     module = oneway if isinstance(subject, OneWayStats) else cov
     fits = {}
-    for m in _methods(cfg.method):
+    for m in _methods(args.method):
         fitter = module.ml_fit if m == "ML" else module.reml_fit
-        fits[m] = fitter(subject, refine_width=cfg.refine_width)
-    if cfg.emit_poly:
-        only = fits[_methods(cfg.method)[0]]
+        fits[m] = fitter(subject, refine_width=width)
+    if args.emit_poly:
+        only = fits[_methods(args.method)[0]]
         sys.stdout.write(xio.emit_poly_text(only.equation.numerator))
-    elif cfg.method == "both":
+    elif args.method == "both":
         sys.stdout.write(xio.dumps({
             "ml": xio.oneway_report(fits["ML"], "ML"),
             "reml": xio.oneway_report(fits["REML"], "REML"),
         }))
     else:
         sys.stdout.write(xio.dumps(
-            xio.oneway_report(fits[cfg.method], cfg.method)))
+            xio.oneway_report(fits[args.method], args.method)))
     return EXIT_DIAGNOSTIC if any(f.tie for f in fits.values()) else EXIT_OK
 
 
@@ -168,19 +141,15 @@ def _run_fit_oneway(args) -> int:
 # ----------------------------------------------------------------------
 
 def _run_fit_twoway(args) -> int:
-    cfg = RunConfig(
-        command="fit-twoway", method="ML",
-        input_path=args.csv or args.stats,
-        input_kind="csv-long" if args.csv else "stats-json",
-        refine_width=_parse_refine_width(args.refine_width),
-        emit_poly=args.emit_poly)
-    if cfg.input_kind == "stats-json":
-        stats = xio.load_twoway_stats_json(cfg.input_path)
+    width = xio.parse_rational(args.refine_width)
+    if width <= 0:
+        raise InputError("refine width must be positive")
+    if not args.csv:
+        stats = xio.load_twoway_stats_json(args.stats)
     else:
-        stats = xio.load_twoway_csv(cfg.input_path)
-    rep = fit_twoway(stats, model=args.model,
-                     refine_width=cfg.refine_width)
-    if cfg.emit_poly:
+        stats = xio.load_twoway_csv(args.csv)
+    rep = fit_twoway(stats, model=args.model, refine_width=width)
+    if args.emit_poly:
         sys.stdout.write(xio.emit_poly_text(rep.quartic))
     else:
         sys.stdout.write(xio.dumps(xio.twoway_report(rep)))

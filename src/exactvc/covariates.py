@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .enclosure import Approx, interval_divide, log_enclosure
 from .errors import (
-    ContractViolationError,
     DegenerateDesignError,
     InputError,
     ModelAssumptionError,
@@ -33,9 +32,11 @@ from .profilefit import (
     FitReport,
     ProfileEquation,
     build_profile_equation,
+    certified_estimates,
+    enclose_at,
     fit_profile,
 )
-from .roots import RootInterval, cauchy_bound, poly_range, refine_interval, sign
+from .roots import RootInterval, cauchy_bound, poly_range, sign
 
 VAR = "theta"
 
@@ -332,88 +333,79 @@ def conjecture_bound(design: DesignProblem, method: str) -> Optional[int]:
 # Values at a given theta
 # ----------------------------------------------------------------------
 
-def _theta_pair(theta) -> Tuple[Fraction, Fraction]:
-    if isinstance(theta, RootInterval):
-        return theta.lo, theta.hi
-    t = Fraction(theta)
-    return t, t
+def _objective(design: DesignProblem, method: str,
+               prof: Optional[GlsProfile] = None):
+    """(loglik, values) of one method's objective over theta intervals.
 
+    loglik(lo, hi, prec) encloses
 
-def _loglik_enclosure_x(design: DesignProblem, prof: GlsProfile,
-                        lo: Fraction, hi: Fraction, method: str,
-                        prec: int) -> Optional[Approx]:
-    """Objective enclosure over a theta interval; None asks for refinement.
+        ML:    N log kappa_hat - sum_g log(1 + n_g theta) - N
+        REML:  (N-p) log kappa_hat - sum_g log(1 + n_g theta)
+               - log G + p sum_i log(1 + n_i theta) - (N-p)
 
-    ML:    N log kappa_hat - sum_g log(1 + n_g theta) - N
-    REML:  (N-p) log kappa_hat - sum_g log(1 + n_g theta)
-           - log G + p sum_i log(1 + n_i theta) - (N-p)
-    with kappa_hat = weight * D / P.
+    with kappa_hat = weight * D / P, and values(lo, hi) encloses
+    (None, kappa, beta) with beta the Cramer numerators over G. Either
+    returns None when its interval step degenerates, or when P or G is
+    not positive.
     """
-    if lo < 0:
-        raise ValueError("theta must be nonnegative")
+    if method not in ("ML", "REML"):
+        raise ValueError("method must be ML or REML")
+    if prof is None:
+        prof = gls_profile(design)
     weight = design.N if method == "ML" else design.N - design.p
     P, D = prof.rss_pair()
-    kap = interval_divide(poly_range(D, lo, hi), poly_range(P, lo, hi))
-    if kap is None or kap.lo <= 0:
-        return None
-    kap = kap.scale(weight)
-    lk = log_enclosure(kap.lo, kap.hi, prec)
-    if lk is None:
-        return None
-    total = lk.scale(weight) - Approx.exact(weight)
+    G = prof.gram_det
+    kd_weighted = D * Fraction(weight)
     sizes, mults = design.size_classes()
-    for n, m in zip(sizes, mults):
-        le = log_enclosure(1 + n * lo, 1 + n * hi, prec)
-        total = total - le.scale(m)
-    if method == "REML":
-        glo, ghi = poly_range(prof.gram_det, lo, hi)
-        lg = log_enclosure(glo, ghi, prec)
-        if lg is None:
+
+    def loglik(lo: Fraction, hi: Fraction, prec: int) -> Optional[Approx]:
+        if lo < 0:
+            raise ValueError("theta must be nonnegative")
+        kap = interval_divide(poly_range(D, lo, hi), poly_range(P, lo, hi))
+        if kap is None or kap.lo <= 0:
             return None
-        total = total - lg
-        for n in sizes:
+        kap = kap.scale(weight)
+        lk = log_enclosure(kap.lo, kap.hi, prec)
+        if lk is None:
+            return None
+        total = lk.scale(weight) - Approx.exact(weight)
+        for n, m in zip(sizes, mults):
             le = log_enclosure(1 + n * lo, 1 + n * hi, prec)
-            total = total + le.scale(design.p)
-    return total
+            total = total - le.scale(m)
+        if method == "REML":
+            glo, ghi = poly_range(G, lo, hi)
+            lg = log_enclosure(glo, ghi, prec)
+            if lg is None:
+                return None
+            total = total - lg
+            for n in sizes:
+                le = log_enclosure(1 + n * lo, 1 + n * hi, prec)
+                total = total + le.scale(design.p)
+        return total
+
+    def values(lo: Fraction, hi: Fraction):
+        prange, grange = poly_range(P, lo, hi), poly_range(G, lo, hi)
+        if prange[0] <= 0 or grange[0] <= 0:
+            return None
+        kappa = interval_divide(poly_range(kd_weighted, lo, hi), prange)
+        beta = tuple(interval_divide(poly_range(cj, lo, hi), grange)
+                     for cj in prof.cramer)
+        return None if kappa.lo <= 0 else (None, kappa, beta)
+
+    return loglik, values
 
 
-def _estimates_x(design: DesignProblem, prof: GlsProfile, theta,
-                 method: str, prec: int,
-                 refine_against: Optional[UniPoly] = None) -> Estimates:
-    weight = Fraction(design.N if method == "ML"
-                      else design.N - design.p)
-    P, D = prof.rss_pair()
-    kd = D * weight
-    for _ in range(80):
-        lo, hi = _theta_pair(theta)
-        if lo == hi:
-            pv, gv = P(lo), prof.gram_det(lo)
-            if pv <= 0 or gv <= 0:
-                raise ContractViolationError(
-                    "rss pieces not positive at theta; inconsistent design")
-            kappa = Approx.exact(kd(lo) / pv)
-            beta = tuple(Approx.exact(cj(lo) / gv) for cj in prof.cramer)
-        else:
-            kappa = interval_divide(poly_range(kd, lo, hi),
-                                    poly_range(P, lo, hi))
-            grange = poly_range(prof.gram_det, lo, hi)
-            beta = tuple(interval_divide(poly_range(cj, lo, hi), grange)
-                         for cj in prof.cramer)
-        loglik = _loglik_enclosure_x(design, prof, lo, hi, method, prec)
-        if (kappa is not None and kappa.lo > 0 and loglik is not None
-                and all(bj is not None for bj in beta)):
-            omega = kappa.reciprocal()
-            tau = Approx(lo, hi) * omega
-            return Estimates(theta=theta, mu=None, kappa=kappa, omega=omega,
-                             tau=tau, loglik=loglik, beta=beta)
-        if not isinstance(theta, RootInterval) or theta.is_point():
-            raise ContractViolationError(
-                "value enclosure failed at an exact theta")
-        if refine_against is None:
-            refine_against = (ml_equation(design, prof) if method == "ML"
-                              else reml_equation(design, prof)).numerator
-        theta = refine_interval(refine_against, theta, theta.width() / 32)
-    raise ContractViolationError("value enclosures did not converge")
+def _at(design: DesignProblem, theta, method: str):
+    """(poly, loglik, values) for evaluating one method at theta; poly is
+    the equation an isolating interval is narrowed against, None for an
+    exact theta."""
+    prof = gls_profile(design)
+    loglik, values = _objective(design, method, prof)
+    poly = None
+    if isinstance(theta, RootInterval):
+        poly = (ml_equation if method == "ML"
+                else reml_equation)(design, prof).numerator
+    return poly, loglik, values
 
 
 def estimates_at(design: DesignProblem,
@@ -425,42 +417,17 @@ def estimates_at(design: DesignProblem,
     weight * D / P with the method's weight; mu is None since the mean
     is carried by the design.
     """
-    if method not in ("ML", "REML"):
-        raise ValueError("method must be ML or REML")
-    if not isinstance(theta, RootInterval):
-        theta = Fraction(theta)
-        if theta < 0:
-            raise ValueError("theta must be nonnegative")
-    return _estimates_x(design, gls_profile(design), theta, method, prec)
+    return certified_estimates(theta, *_at(design, theta, method), prec)
 
 
 def profile_loglik(design: DesignProblem, theta, prec: int = 256) -> Approx:
-    return _loglik_at_x(design, theta, "ML", prec)
+    poly, loglik, _ = _at(design, theta, "ML")
+    return enclose_at(lambda lo, hi: loglik(lo, hi, prec), theta, poly)[1]
 
 
 def restricted_loglik(design: DesignProblem, theta, prec: int = 256) -> Approx:
-    return _loglik_at_x(design, theta, "REML", prec)
-
-
-def _loglik_at_x(design: DesignProblem, theta, method: str,
-                 prec: int) -> Approx:
-    prof = gls_profile(design)
-    refine_against = None
-    for _ in range(80):
-        lo, hi = _theta_pair(theta)
-        if lo < 0:
-            raise ValueError("theta must be nonnegative")
-        out = _loglik_enclosure_x(design, prof, lo, hi, method, prec)
-        if out is not None:
-            return out
-        if not isinstance(theta, RootInterval) or theta.is_point():
-            raise ContractViolationError(
-                "objective enclosure failed at an exact theta")
-        if refine_against is None:
-            refine_against = (ml_equation(design, prof) if method == "ML"
-                              else reml_equation(design, prof)).numerator
-        theta = refine_interval(refine_against, theta, theta.width() / 32)
-    raise ContractViolationError("objective enclosure did not converge")
+    poly, loglik, _ = _at(design, theta, "REML")
+    return enclose_at(lambda lo, hi: loglik(lo, hi, prec), theta, poly)[1]
 
 
 # ----------------------------------------------------------------------
@@ -470,17 +437,8 @@ def _loglik_at_x(design: DesignProblem, theta, method: str,
 def _fit_x(design: DesignProblem, method: str,
            refine_width: Fraction) -> FitReport:
     prof = gls_profile(design)
-    eq = (ml_equation(design, prof) if method == "ML"
-          else reml_equation(design, prof))
-
-    def loglik_fn(lo, hi, prec):
-        return _loglik_enclosure_x(design, prof, lo, hi, method, prec)
-
-    def estimates_fn(theta, prec):
-        return _estimates_x(design, prof, theta, method, prec,
-                            refine_against=eq.numerator)
-
-    return fit_profile(eq, loglik_fn, estimates_fn, refine_width)
+    eq = (ml_equation if method == "ML" else reml_equation)(design, prof)
+    return fit_profile(eq, *_objective(design, method, prof), refine_width)
 
 
 def ml_fit(design: DesignProblem,

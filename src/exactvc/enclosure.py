@@ -8,7 +8,6 @@ true enclosure and comparisons between disjoint enclosures are certified.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -44,20 +43,6 @@ class Approx:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def value(self) -> float:
-        return float(self.midpoint())
-
-    @property
-    def error_bound(self) -> float:
-        """Float upper bound on |value - true|, rounded away from zero."""
-        mid = self.midpoint()
-        err = self.width() / 2 + abs(Fraction(float(mid)) - mid)
-        f = float(err)
-        while Fraction(f) < err:
-            f = math.nextafter(f, math.inf)
-        return f
-
     # -- interval arithmetic -------------------------------------------------
 
     def __add__(self, other: "Approx") -> "Approx":
@@ -88,12 +73,6 @@ class Approx:
     def contains(self, v) -> bool:
         v = Fraction(v)
         return self.lo <= v <= self.hi
-
-    def strictly_above(self, other: "Approx") -> bool:
-        return self.lo > other.hi
-
-    def overlaps(self, other: "Approx") -> bool:
-        return not (self.lo > other.hi or self.hi < other.lo)
 
 
 def _mpf_to_fraction(x) -> Fraction:

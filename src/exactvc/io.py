@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from fractions import Fraction
 from typing import Dict, List, Optional, Union
 
 from .covariates import DesignProblem
 from .enclosure import Approx
 from .errors import InputError
-from .polynomials import UniPoly, rat, rat_str
+from .polynomials import UniPoly, descartes_sign_changes, rat
 from .profilefit import FitReport
 from .roots import RootInterval
 from .stats import GroupedData, OneWayStats, summarize
@@ -27,6 +28,8 @@ from .twoway import TwoWayFitReport, TwoWayStats, twoway_stats
 
 def parse_rational(value) -> Fraction:
     """Exact rational from "p/q", integer, or decimal-literal input."""
+    if isinstance(value, bool):
+        raise InputError(f"not a rational number: {value!r}")
     if isinstance(value, float):
         raise InputError(
             f"refusing inexact float {value!r}; write it as a string "
@@ -57,6 +60,11 @@ def _read_rows(path: str):
     return rows[0], rows[1:]
 
 
+def _is_covariates_header(header: List[str]) -> bool:
+    return (len(header) >= 3 and header[0] == "group" and header[1] == "y"
+            and all(h == f"x{i}" for i, h in enumerate(header[2:], 1)))
+
+
 def detect_csv_kind(path: str) -> str:
     """Classify a CSV by its header: oneway, covariates, or twoway."""
     header, _ = _read_rows(path)
@@ -64,8 +72,7 @@ def detect_csv_kind(path: str) -> str:
         return "oneway"
     if header == TWOWAY_HEADER:
         return "twoway"
-    if (len(header) >= 3 and header[0] == "group" and header[1] == "y"
-            and all(h == f"x{i}" for i, h in enumerate(header[2:], 1))):
+    if _is_covariates_header(header):
         return "covariates"
     raise InputError(
         f"{path}: unrecognized header {header}; expected "
@@ -88,7 +95,7 @@ def load_oneway_csv(path: str) -> OneWayStats:
 def load_covariates_csv(path: str, add_intercept: bool = False) -> DesignProblem:
     """Long-format "group,y,x1,...,xp" rows; groups pooled by label."""
     header, body = _read_rows(path)
-    if detect_csv_kind(path) != "covariates":
+    if not _is_covariates_header(header):
         raise InputError(f"{path}: header must be group,y,x1,...")
     width = len(header)
     by_group: Dict[str, List[List[Fraction]]] = {}
@@ -152,11 +159,30 @@ def _load_json(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an over-long integer
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object")
     return doc
+
+
+def _count(value, path: str, key: str) -> int:
+    """A JSON integer or a string of decimal digits; bool, float and
+    fraction inputs are refused rather than truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", value):
+        try:
+            return int(value)
+        except ValueError:      # past the interpreter's digit limit
+            pass
+    raise InputError(f"{path}: {key} must hold integers, got {value!r}")
+
+
+def _array(doc: dict, path: str, key: str) -> list:
+    if not isinstance(doc[key], list):
+        raise InputError(f"{path}: {key} must be a JSON array")
+    return doc[key]
 
 
 def load_oneway_stats_json(path: str) -> OneWayStats:
@@ -167,10 +193,10 @@ def load_oneway_stats_json(path: str) -> OneWayStats:
             f"{path}: keys must be exactly {sorted(required)}, "
             f"got {sorted(doc)}")
     return OneWayStats(
-        tuple(int(n) for n in doc["sizes"]),
-        tuple(int(m) for m in doc["mults"]),
-        tuple(parse_rational(v) for v in doc["means"]),
-        tuple(parse_rational(v) for v in doc["betweenSS"]),
+        tuple(_count(n, path, "sizes") for n in _array(doc, path, "sizes")),
+        tuple(_count(m, path, "mults") for m in _array(doc, path, "mults")),
+        tuple(parse_rational(v) for v in _array(doc, path, "means")),
+        tuple(parse_rational(v) for v in _array(doc, path, "betweenSS")),
         parse_rational(doc["withinSS"]))
 
 
@@ -182,7 +208,7 @@ def load_twoway_stats_json(path: str) -> TwoWayStats:
             f"{path}: keys must be exactly {sorted(required)}, "
             f"got {sorted(doc)}")
     return TwoWayStats(
-        int(doc["r"]), int(doc["q"]), int(doc["n"]),
+        *(_count(doc[k], path, k) for k in ("r", "q", "n")),
         parse_rational(doc["SSA"]), parse_rational(doc["SSB"]),
         parse_rational(doc["SSAB"]), parse_rational(doc["SSE"]))
 
@@ -210,15 +236,15 @@ def ser_approx(a: Optional[Approx]):
     if a is None:
         return None
     if a.is_exact:
-        return rat_str(a.lo)
+        return str(a.lo)
     return float_with_bound(a.midpoint(), a.width() / 2)
 
 
 def ser_theta(t: Union[RootInterval, Fraction]):
     if isinstance(t, Fraction):
-        return rat_str(t)
+        return str(t)
     if t.is_point():
-        return rat_str(t.lo)
+        return str(t.lo)
     return float_with_bound(t.midpoint(), t.width() / 2)
 
 
@@ -238,7 +264,7 @@ def oneway_report(rep: FitReport, method: str) -> dict:
             "sign_changes": rep.sign_changes,
         },
         "roots": [
-            {"lo": rat_str(iv.lo), "hi": rat_str(iv.hi), "class": label}
+            {"lo": str(iv.lo), "hi": str(iv.hi), "class": label}
             for iv, label in rep.stationary_points
         ],
         "global": {
@@ -269,12 +295,11 @@ def _ser_solution(sol) -> dict:
 
 
 def twoway_report(rep: TwoWayFitReport) -> dict:
-    from .polynomials import descartes_sign_changes
     quartic = rep.quartic.primitive()
     out = {
         "model": rep.model,
-        "mu": None if rep.mu is None else rat_str(rep.mu),
-        "omega_hat": None if rep.omega_hat is None else rat_str(rep.omega_hat),
+        "mu": None if rep.mu is None else str(rep.mu),
+        "omega_hat": None if rep.omega_hat is None else str(rep.omega_hat),
         "equation": {
             "coeffs": quartic.integer_coeffs(),
             "variable": quartic.var,

@@ -15,19 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Union
 
 from .enclosure import Approx, interval_divide, log_enclosure
-from .errors import ContractViolationError, DegenerateDataError
+from .errors import DegenerateDataError
 from .polynomials import UniPoly
 from .profilefit import (
     Estimates,
     FitReport,
     ProfileEquation,
     build_profile_equation,
+    certified_estimates,
+    enclose_at,
     fit_profile,
 )
-from .roots import RootInterval, poly_range, refine_interval
+from .roots import RootInterval, poly_range
 from .stats import OneWayStats, ml_degree, reml_degree
 
 VAR = "theta"
@@ -234,85 +236,76 @@ def reml_equation(stats: OneWayStats,
 # Values at a given theta
 # ----------------------------------------------------------------------
 
-def _theta_pair(theta) -> Tuple[Fraction, Fraction]:
-    if isinstance(theta, RootInterval):
-        return theta.lo, theta.hi
-    t = Fraction(theta)
-    return t, t
+def _objective(stats: OneWayStats, method: str,
+               basis: Optional[BasisPolys] = None):
+    """(loglik, values) of one method's objective over theta intervals.
 
+    loglik(lo, hi, prec) encloses
 
-def _loglik_enclosure(stats: OneWayStats, basis: BasisPolys,
-                      bracket: UniPoly, lo: Fraction, hi: Fraction,
-                      method: str, prec: int) -> Optional[Approx]:
-    """Objective enclosure over a theta interval; None asks for refinement.
+        ML:    N log kappa_hat - sum m_i log(1+n_i theta) - N
+        REML:  (N-1) log kappa_hat - sum m_i log(1+n_i theta)
+               - log(f1/d) - (N-1)
 
-    ML:    N log kappa_hat - sum m_i log(1+n_i theta) - N
-    REML:  (N-1) log kappa_hat - sum m_i log(1+n_i theta)
-           - log(f1/d) - (N-1)
+    and values(lo, hi) encloses (mu, kappa, None) with mu = fY/f1 and
+    kappa = weight*f1*d/bracket. Either returns None when its interval
+    step degenerates, or when f1 or the bracket is not positive.
     """
-    if lo < 0:
-        raise ValueError("theta must be nonnegative")
+    if method not in ("ML", "REML"):
+        raise ValueError("method must be ML or REML")
+    if basis is None:
+        basis = basis_polynomials(stats)
+    bracket = bracket_poly(stats, basis)
     weight = stats.N if method == "ML" else stats.N - 1
     kd = basis.f1 * basis.d
-    kap = interval_divide(poly_range(kd, lo, hi), poly_range(bracket, lo, hi))
-    if kap is None or kap.lo <= 0:
-        return None
-    kap = kap.scale(weight)
-    lk = log_enclosure(kap.lo, kap.hi, prec)
-    if lk is None:
-        return None
-    total = lk.scale(weight) - Approx.exact(weight)
-    for n, m in zip(stats.sizes, stats.mults):
-        le = log_enclosure(1 + n * lo, 1 + n * hi, prec)
-        total = total - le.scale(m)
-    if method == "REML":
-        r1 = interval_divide(poly_range(basis.f1, lo, hi),
-                             poly_range(basis.d, lo, hi))
-        if r1 is None or r1.lo <= 0:
+    kd_weighted = kd * Fraction(weight)
+
+    def loglik(lo: Fraction, hi: Fraction, prec: int) -> Optional[Approx]:
+        if lo < 0:
+            raise ValueError("theta must be nonnegative")
+        kap = interval_divide(poly_range(kd, lo, hi),
+                              poly_range(bracket, lo, hi))
+        if kap is None or kap.lo <= 0:
             return None
-        lr = log_enclosure(r1.lo, r1.hi, prec)
-        total = total - lr
-    return total
+        kap = kap.scale(weight)
+        lk = log_enclosure(kap.lo, kap.hi, prec)
+        if lk is None:
+            return None
+        total = lk.scale(weight) - Approx.exact(weight)
+        for n, m in zip(stats.sizes, stats.mults):
+            le = log_enclosure(1 + n * lo, 1 + n * hi, prec)
+            total = total - le.scale(m)
+        if method == "REML":
+            r1 = interval_divide(poly_range(basis.f1, lo, hi),
+                                 poly_range(basis.d, lo, hi))
+            if r1 is None or r1.lo <= 0:
+                return None
+            lr = log_enclosure(r1.lo, r1.hi, prec)
+            total = total - lr
+        return total
+
+    def values(lo: Fraction, hi: Fraction):
+        br = poly_range(bracket, lo, hi)
+        mu = interval_divide(poly_range(basis.fY, lo, hi),
+                             poly_range(basis.f1, lo, hi))
+        if mu is None or br[0] <= 0:
+            return None
+        kappa = interval_divide(poly_range(kd_weighted, lo, hi), br)
+        return None if kappa.lo <= 0 else (mu, kappa, None)
+
+    return loglik, values
 
 
-def _estimates(stats: OneWayStats, basis: BasisPolys, bracket: UniPoly,
-               theta, method: str, prec: int,
-               refine_against: Optional[UniPoly] = None) -> Estimates:
-    """Estimates at theta; refines interval thetas when enclosures degenerate."""
-    weight = Fraction(stats.N if method == "ML" else stats.N - 1)
-    kd = basis.f1 * basis.d * weight
-    for _ in range(80):
-        lo, hi = _theta_pair(theta)
-        if lo == hi:
-            f1v = basis.f1(lo)
-            brv = bracket(lo)
-            if f1v == 0 or brv <= 0:
-                raise ContractViolationError(
-                    "kappa denominator not positive at theta; "
-                    "inconsistent statistics")
-            mu = Approx.exact(basis.fY(lo) / f1v)
-            kappa = Approx.exact(kd(lo) / brv)
-        else:
-            mu = interval_divide(poly_range(basis.fY, lo, hi),
-                                 poly_range(basis.f1, lo, hi))
-            kappa = interval_divide(poly_range(kd, lo, hi),
-                                    poly_range(bracket, lo, hi))
-        loglik = _loglik_enclosure(stats, basis, bracket, lo, hi, method, prec)
-        if (mu is not None and kappa is not None and kappa.lo > 0
-                and loglik is not None):
-            omega = kappa.reciprocal()
-            tau = Approx(lo, hi) * omega
-            return Estimates(theta=theta, mu=mu, kappa=kappa,
-                             omega=omega, tau=tau, loglik=loglik)
-        # enclosure too loose: certified refinement against the equation
-        if not isinstance(theta, RootInterval) or theta.is_point():
-            raise ContractViolationError(
-                "value enclosure failed at an exact theta")
-        if refine_against is None:
-            refine_against = (ml_equation(stats) if method == "ML"
-                              else reml_equation(stats)).numerator
-        theta = refine_interval(refine_against, theta, theta.width() / 32)
-    raise ContractViolationError("value enclosures did not converge")
+def _at(stats: OneWayStats, theta, method: str):
+    """(poly, loglik, values) for evaluating one method at theta; poly is
+    the equation an isolating interval is narrowed against, None for an
+    exact theta."""
+    basis = basis_polynomials(stats)
+    loglik, values = _objective(stats, method, basis)
+    poly = None
+    if isinstance(theta, RootInterval):
+        poly = (ml_equation if method == "ML"
+                else reml_equation)(stats, basis).numerator
+    return poly, loglik, values
 
 
 def estimates_at(stats: OneWayStats,
@@ -331,47 +324,20 @@ def estimates_at(stats: OneWayStats,
         Estimates with mu = fY/f1, kappa = weight*f1*d/bracket, omega the
         reciprocal, tau = theta*omega, each as a certified enclosure.
     """
-    if method not in ("ML", "REML"):
-        raise ValueError("method must be ML or REML")
-    if not isinstance(theta, RootInterval):
-        theta = Fraction(theta)
-        if theta < 0:
-            raise ValueError("theta must be nonnegative")
-    basis = basis_polynomials(stats)
-    bracket = bracket_poly(stats, basis)
-    return _estimates(stats, basis, bracket, theta, method, prec)
+    return certified_estimates(theta, *_at(stats, theta, method), prec)
 
 
 def profile_loglik(stats: OneWayStats, theta, prec: int = 256) -> Approx:
     """Profile objective N log kappa_hat - sum m_i log(1+n_i theta) - N."""
-    return _loglik_at(stats, theta, "ML", prec)
+    poly, loglik, _ = _at(stats, theta, "ML")
+    return enclose_at(lambda lo, hi: loglik(lo, hi, prec), theta, poly)[1]
 
 
 def restricted_loglik(stats: OneWayStats, theta, prec: int = 256) -> Approx:
     """Restricted profile objective with the N-1 weighting and the extra
     -log(f1/d) term."""
-    return _loglik_at(stats, theta, "REML", prec)
-
-
-def _loglik_at(stats: OneWayStats, theta, method: str, prec: int) -> Approx:
-    basis = basis_polynomials(stats)
-    bracket = bracket_poly(stats, basis)
-    refine_against = None
-    for _ in range(80):
-        lo, hi = _theta_pair(theta)
-        if lo < 0:
-            raise ValueError("theta must be nonnegative")
-        out = _loglik_enclosure(stats, basis, bracket, lo, hi, method, prec)
-        if out is not None:
-            return out
-        if not isinstance(theta, RootInterval) or theta.is_point():
-            raise ContractViolationError(
-                "objective enclosure failed at an exact theta")
-        if refine_against is None:
-            refine_against = (ml_equation(stats) if method == "ML"
-                              else reml_equation(stats)).numerator
-        theta = refine_interval(refine_against, theta, theta.width() / 32)
-    raise ContractViolationError("objective enclosure did not converge")
+    poly, loglik, _ = _at(stats, theta, "REML")
+    return enclose_at(lambda lo, hi: loglik(lo, hi, prec), theta, poly)[1]
 
 
 # ----------------------------------------------------------------------
@@ -382,16 +348,7 @@ def _fit(stats: OneWayStats, method: str,
          refine_width: Fraction) -> FitReport:
     basis = basis_polynomials(stats)
     eq = (ml_equation if method == "ML" else reml_equation)(stats, basis)
-    bracket = bracket_poly(stats, basis)
-
-    def loglik_fn(lo, hi, prec):
-        return _loglik_enclosure(stats, basis, bracket, lo, hi, method, prec)
-
-    def estimates_fn(theta, prec):
-        return _estimates(stats, basis, bracket, theta, method, prec,
-                          refine_against=eq.numerator)
-
-    return fit_profile(eq, loglik_fn, estimates_fn, refine_width)
+    return fit_profile(eq, *_objective(stats, method, basis), refine_width)
 
 
 def ml_fit(stats: OneWayStats,

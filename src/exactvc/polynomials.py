@@ -24,8 +24,6 @@ from typing import Iterable, Sequence
 
 from .errors import DivisibilityError, UndefinedInputError
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -35,13 +33,8 @@ def rat(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
-        raise TypeError("refusing to coerce float to Rational; pass a string")
+        raise TypeError("refusing to coerce float to Fraction; pass a string")
     return Fraction(value)
-
-
-def rat_str(value: Fraction) -> str:
-    """Serialize a Rational as 'p/q' or 'p' when q = 1."""
-    return str(value)
 
 
 # ----------------------------------------------------------------------
@@ -215,9 +208,6 @@ class UniPoly:
             acc = acc * inner + UniPoly.constant(c, inner.var)
         return acc
 
-    def with_var(self, var: str) -> "UniPoly":
-        return UniPoly(self.coeffs, var)
-
     # -- division ----------------------------------------------------------
 
     def divmod(self, divisor: "UniPoly"):
@@ -277,12 +267,6 @@ class UniPoly:
             g = -g
         return UniPoly((Fraction(v, g) for v in ints), self.var)
 
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        lc = self.leading_coeff()
-        return UniPoly((c / lc for c in self.coeffs), self.var)
-
     def integer_coeffs(self) -> list:
         """Coefficient list as Python ints; requires integer coefficients."""
         out = []
@@ -291,25 +275,6 @@ class UniPoly:
                 raise ValueError("polynomial does not have integer coefficients")
             out.append(c.numerator)
         return out
-
-    def content_and_primitive_int(self):
-        """Split a nonzero polynomial as content * primitive integer part.
-
-        Returns (content: Fraction, prim: list[int]) with the primitive part
-        having gcd 1 and positive leading entry; content carries the sign.
-        """
-        if self.is_zero():
-            raise UndefinedInputError("zero polynomial has no primitive part")
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = int_gcd(g, v)
-        if ints[-1] < 0:
-            g = -g
-        return Fraction(g, den_lcm), [v // g for v in ints]
 
 
 # ----------------------------------------------------------------------

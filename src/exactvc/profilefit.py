@@ -12,13 +12,13 @@ that are refined until the comparison is decisive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .enclosure import Approx
 from .errors import ContractViolationError
-from .polynomials import UniPoly, descartes_sign_changes, poly_gcd, product
+from .polynomials import UniPoly, descartes_sign_changes, poly_gcd
 from .roots import RootInterval, cauchy_bound, isolate_real_roots, refine_interval, sign
 
 LOCAL_MAX = "local_max"
@@ -74,9 +74,7 @@ class Estimates:
     beta: Optional[Tuple[Approx, ...]] = None
 
     def theta_enclosure(self) -> Tuple[Fraction, Fraction]:
-        if isinstance(self.theta, RootInterval):
-            return self.theta.lo, self.theta.hi
-        return self.theta, self.theta
+        return theta_pair(self.theta)
 
 
 @dataclass(frozen=True)
@@ -216,96 +214,133 @@ def classify_stationary_points(eq: ProfileEquation,
 
 
 # ----------------------------------------------------------------------
-# Global selection
+# Certified selection
 # ----------------------------------------------------------------------
 
+Theta = Union[RootInterval, Fraction]
+# (theta_lo, theta_hi, prec) -> objective enclosure over the interval
 LoglikFn = Callable[[Fraction, Fraction, int], Optional[Approx]]
-EstimatesFn = Callable[[Union[RootInterval, Fraction], int], Estimates]
+# (theta_lo, theta_hi) -> (mu, kappa, beta) enclosures
+ValuesFn = Callable[[Fraction, Fraction], Optional[tuple]]
+
+# An isolating interval is narrowed 32x per failed enclosure, at most this
+# many times.
+_MAX_RETRIES = 80
 
 
-@dataclass
-class _Candidate:
-    theta: Union[RootInterval, Fraction]
-    iv_index: Optional[int]          # index into the stationary list, if interior
-    enclosure: Optional[Approx] = field(default=None)
-
-    def sort_key(self) -> Fraction:
-        if isinstance(self.theta, RootInterval):
-            return self.theta.lo
-        return self.theta
-
-    def theta_pair(self) -> Tuple[Fraction, Fraction]:
-        if isinstance(self.theta, RootInterval):
-            return self.theta.lo, self.theta.hi
-        return self.theta, self.theta
+def theta_pair(theta: Theta) -> Tuple[Fraction, Fraction]:
+    """(lo, hi) of an isolating interval, or (t, t) for an exact theta."""
+    if isinstance(theta, RootInterval):
+        return theta.lo, theta.hi
+    t = Fraction(theta)
+    return t, t
 
 
-def _enclose(cand: _Candidate, eq: ProfileEquation, loglik_fn: LoglikFn,
-             prec: int) -> Approx:
-    """Objective enclosure for a candidate, refining theta on demand."""
-    while True:
-        lo, hi = cand.theta_pair()
-        encl = loglik_fn(lo, hi, prec)
-        if encl is not None:
-            return encl
-        if not isinstance(cand.theta, RootInterval):
-            raise ContractViolationError(
-                "objective enclosure failed at an exact theta")
-        cand.theta = refine_interval(eq.numerator, cand.theta,
-                                     cand.theta.width() / 32)
+def enclose_at(fn: Callable, theta: Theta, poly: Optional[UniPoly]):
+    """(theta, fn(lo, hi)), narrowing theta while fn returns None.
 
-
-def _rank_candidates(eq: ProfileEquation, cands: List[_Candidate],
-                     loglik_fn: LoglikFn):
-    """Pick the candidate with the greatest objective value, certified.
-
-    Returns (winner, tie, tie_set). Enclosures are refined until the
-    winner's lower bound clears every rival's upper bound, or the effort
-    cap is reached, in which case tie is True and tie_set lists the
-    unresolved contenders.
+    fn returns None when its rational-interval step degenerates; an
+    isolating interval is then refined 32x against poly, the polynomial it
+    isolates a root of. An exact theta cannot be narrowed, so a None there
+    is a broken contract, as is a None after _MAX_RETRIES refinements.
     """
-    if len(cands) == 1:
-        cands[0].enclosure = _enclose(cands[0], eq, loglik_fn, 192)
-        return cands[0], False, []
+    for _ in range(_MAX_RETRIES):
+        out = fn(*theta_pair(theta))
+        if out is not None:
+            return theta, out
+        if not isinstance(theta, RootInterval) or theta.is_point():
+            raise ContractViolationError(
+                "enclosure failed at an exact theta")
+        theta = refine_interval(poly, theta, theta.width() / 32)
+    raise ContractViolationError("enclosures did not converge")
+
+
+def _leader(thetas: Sequence[Theta], encl: Sequence[Approx]):
+    """Index with the greatest lower bound (lowest left endpoint on equal
+    bounds), and every index whose enclosure reaches that bound."""
+    best = max(range(len(thetas)),
+               key=lambda i: (encl[i].lo, -theta_pair(thetas[i])[0]))
+    return best, [i for i, e in enumerate(encl)
+                  if i == best or e.hi >= encl[best].lo]
+
+
+def certified_argmax(thetas: Sequence[Theta], poly: UniPoly,
+                     loglik: LoglikFn):
+    """Certify which theta carries the greatest objective value.
+
+    Each round encloses the objective at every theta, at a log precision
+    of 192 bits plus 96 per round. The leader wins once its lower bound
+    clears every rival's upper bound. Otherwise every isolating interval
+    still overlapping the leader is refined 32x, down to _TIE_WIDTH_CAP.
+    After _MAX_RANK_ROUNDS rounds, or once nothing is left to refine and
+    the precision is past 1200 bits, the overlap is reported as a tie.
+
+    Args:
+        thetas: isolating intervals of roots of poly, or exact rationals.
+        poly: the polynomial the intervals isolate roots of.
+        loglik: (theta_lo, theta_hi, prec) -> objective enclosure, or None
+            when theta must be narrowed first.
+
+    Returns:
+        (thetas, enclosures, winner, tie): the refined thetas, their last
+        enclosures, the leader's index, and the indices still overlapping
+        the leader (empty when the winner is certified).
+    """
+    thetas = list(thetas)
+    encl: List[Approx] = [None] * len(thetas)
     prec = 192
-    for round_no in range(_MAX_RANK_ROUNDS):
-        for c in cands:
-            c.enclosure = _enclose(c, eq, loglik_fn, prec)
-        best = max(cands, key=lambda c: (c.enclosure.lo, -c.sort_key()))
-        rivals = [c for c in cands if c is not best]
-        if all(best.enclosure.lo > r.enclosure.hi for r in rivals):
-            return best, False, []
-        # shrink every contender still overlapping the leader
-        contenders = [best] + [r for r in rivals
-                               if r.enclosure.hi >= best.enclosure.lo]
-        hit_cap = True
-        for c in contenders:
-            if isinstance(c.theta, RootInterval) and not c.theta.is_point():
-                w = c.theta.width()
-                if w > _TIE_WIDTH_CAP:
-                    c.theta = refine_interval(
-                        eq.numerator, c.theta, max(w / 32, _TIE_WIDTH_CAP))
-                    hit_cap = False
+    for _ in range(_MAX_RANK_ROUNDS):
+        for i, theta in enumerate(thetas):
+            thetas[i], encl[i] = enclose_at(
+                lambda lo, hi: loglik(lo, hi, prec), theta, poly)
+        best, tied = _leader(thetas, encl)
+        if tied == [best]:
+            return thetas, encl, best, []
+        stuck = True
+        for i in tied:
+            theta = thetas[i]
+            if (isinstance(theta, RootInterval) and not theta.is_point()
+                    and theta.width() > _TIE_WIDTH_CAP):
+                thetas[i] = refine_interval(
+                    poly, theta, max(theta.width() / 32, _TIE_WIDTH_CAP))
+                stuck = False
         prec += 96
-        if hit_cap and prec > 1200:
+        if stuck and prec > 1200:
             break
-    best = max(cands, key=lambda c: (c.enclosure.lo, -c.sort_key()))
-    tie_set = [c for c in cands
-               if c is best or c.enclosure.hi >= best.enclosure.lo]
-    return best, True, tie_set
+    best, tied = _leader(thetas, encl)
+    return thetas, encl, best, tied
 
 
-def fit_profile(eq: ProfileEquation, loglik_fn: LoglikFn,
-                estimates_fn: EstimatesFn,
+def certified_estimates(theta: Theta, poly: Optional[UniPoly],
+                        loglik: LoglikFn, values: ValuesFn,
+                        prec: int = 256) -> Estimates:
+    """Estimates at theta, narrowing an isolating interval against poly
+    until the objective and every value have a certified enclosure."""
+    if not isinstance(theta, RootInterval):
+        theta = Fraction(theta)
+
+    def both(lo, hi):
+        ll, vals = loglik(lo, hi, prec), values(lo, hi)
+        return None if ll is None or vals is None else (ll, vals)
+
+    theta, (ll, (mu, kappa, beta)) = enclose_at(both, theta, poly)
+    omega = kappa.reciprocal()
+    return Estimates(theta=theta, mu=mu, kappa=kappa, omega=omega,
+                     tau=Approx(*theta_pair(theta)) * omega, loglik=ll,
+                     beta=beta)
+
+
+def fit_profile(eq: ProfileEquation, loglik: LoglikFn, values: ValuesFn,
                 refine_width: Fraction = Fraction(1, 10 ** 12)) -> FitReport:
     """Shared fitting driver: isolate, classify, select, estimate.
 
     Args:
         eq: cancelled and oriented profile equation.
-        loglik_fn: (theta_lo, theta_hi, prec) -> objective enclosure, or
+        loglik: (theta_lo, theta_hi, prec) -> objective enclosure, or
             None when the rational-interval step degenerates and a
             narrower theta interval is needed.
-        estimates_fn: (theta, prec) -> Estimates at the winning theta.
+        values: (theta_lo, theta_hi) -> (mu, kappa, beta) enclosures, or
+            None likewise.
         refine_width: width to which reported root intervals are refined.
 
     Returns:
@@ -320,42 +355,33 @@ def fit_profile(eq: ProfileEquation, loglik_fn: LoglikFn,
         num, domain="nonnegative", max_width=refine_width, count_negative=True)
     labels = classify_stationary_points(eq, ivs)
 
-    candidates: List[_Candidate] = []
-    for i, (iv, label) in enumerate(zip(ivs, labels)):
-        if label != LOCAL_MAX:
-            continue
-        if iv.is_point():
-            candidates.append(_Candidate(theta=iv.lo, iv_index=i))
-        else:
-            candidates.append(_Candidate(theta=iv, iv_index=i))
+    # candidates: every local maximum (an exact root as its rational) and,
+    # when the objective is nonincreasing from the boundary, theta = 0
+    slots = [i for i, label in enumerate(labels) if label == LOCAL_MAX]
+    thetas: List[Theta] = [ivs[i].lo if ivs[i].is_point() else ivs[i]
+                           for i in slots]
     s_at_zero = sign(num(Fraction(0)))
-    boundary_candidate = None
     if s_at_zero != 0 and eq.orientation * s_at_zero < 0:
-        # objective nonincreasing from the boundary: theta = 0 competes
-        boundary_candidate = _Candidate(theta=Fraction(0), iv_index=None)
-        candidates.append(boundary_candidate)
-    if not candidates:
+        thetas.append(Fraction(0))
+    if not thetas:
         raise ContractViolationError(
             "no maximum candidate found; orientation contract broken")
 
-    winner, tie, tie_set = _rank_candidates(eq, candidates, loglik_fn)
+    thetas, _, best, tied = certified_argmax(thetas, num, loglik)
 
     # fold ranking-driven refinements back into the reported intervals
     ivs = list(ivs)
-    for c in candidates:
-        if c.iv_index is not None and isinstance(c.theta, RootInterval):
-            ivs[c.iv_index] = c.theta
+    for i, theta in zip(slots, thetas):
+        if isinstance(theta, RootInterval):
+            ivs[i] = theta
 
-    final_prec = 256
-    estimates = estimates_fn(winner.theta, final_prec)
-    boundary_is_max = (not isinstance(winner.theta, RootInterval)
-                       and winner.theta == 0)
+    winner = thetas[best]
     return FitReport(
         equation=eq,
         stationary_points=tuple(zip(ivs, labels)),
-        boundary_is_max=boundary_is_max,
-        global_estimates=estimates,
+        boundary_is_max=not isinstance(winner, RootInterval) and winner == 0,
+        global_estimates=certified_estimates(winner, num, loglik, values),
         sign_changes=descartes_sign_changes(num),
-        tie=tie,
-        tie_candidates=tuple(c.theta_pair() for c in tie_set) if tie else (),
+        tie=bool(tied),
+        tie_candidates=tuple(theta_pair(thetas[i]) for i in tied),
         negative_roots=n_negative)

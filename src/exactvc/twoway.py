@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .enclosure import Approx, interval_divide, log_enclosure
 from .errors import (
-    ContractViolationError,
     DegenerateDataError,
     InputError,
     ModelAssumptionError,
@@ -36,13 +36,11 @@ from .errors import (
 )
 from .multipoly import MultiPoly, resultant_eliminate
 from .polynomials import UniPoly, rat, squarefree_part
+from .profilefit import _MAX_RANK_ROUNDS, _TIE_WIDTH_CAP, certified_argmax
 from .roots import RootInterval, isolate_real_roots, poly_range, refine_interval
 
 VAR = "omega"
 SYSTEM_VARS = ("omega", "tau1", "tau2")
-
-_TIE_WIDTH_CAP = Fraction(1, 10 ** 40)
-_MAX_RANK_ROUNDS = 40
 
 
 # ----------------------------------------------------------------------
@@ -270,8 +268,11 @@ def _unify(mp: MultiPoly) -> UniPoly:
 
 
 def _strip_factor(p: UniPoly, factor: UniPoly) -> UniPoly:
-    while p.degree >= factor.degree and factor.divides(p):
-        p = p.exact_divide(factor)
+    while p.degree >= factor.degree:
+        quot, rem = p.divmod(factor)
+        if not rem.is_zero():
+            break
+        p = quot
     return p
 
 
@@ -389,25 +390,11 @@ def _linear_relation(r01: MultiPoly, r02: MultiPoly,
 
 def _relation_from_value(t: UniPoly) -> TauRelation:
     """Normalize tau = t(omega) to coprime integers u*tau + v = 0."""
-    denoms = [c.denominator for c in t.coeffs] or [1]
-    scale = 1
-    for dnm in denoms:
-        scale = scale * dnm // _gcd(scale, dnm)
-    u = scale
-    v = t * Fraction(-scale)
-    ints = [int(c) for c in v.coeffs]
-    g = u
-    for c in ints:
-        g = _gcd(g, abs(c))
-    u //= g
-    v = UniPoly([c // g for c in ints], VAR)
-    return TauRelation(tau_coeff=u, omega_part=v)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
+    u = lcm(*(c.denominator for c in t.coeffs))
+    ints = [int(c) for c in (t * Fraction(-u)).coeffs]
+    g = gcd(u, *ints)
+    return TauRelation(tau_coeff=u // g,
+                       omega_part=UniPoly([c // g for c in ints], VAR))
 
 
 def eliminate_to_quartic(system: TwoWaySystem) -> TwoWayFitReport:
@@ -459,28 +446,16 @@ def eliminate_to_quartic(system: TwoWaySystem) -> TwoWayFitReport:
 Pair = Tuple[Fraction, Fraction]
 
 
-def _pair_mul(x: Pair, y: Pair) -> Pair:
-    vals = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
-    return min(vals), max(vals)
-
-
-def _pair_pow(x: Pair, k: int) -> Pair:
-    out = (Fraction(1), Fraction(1))
-    for _ in range(k):
-        out = _pair_mul(out, x)
-    return out
-
-
 def multi_range(mp: MultiPoly, bounds: Dict[str, Pair]) -> Pair:
     """Rigorous range enclosure of a sparse polynomial over a box."""
-    lo = hi = Fraction(0)
+    total = Approx.exact(0)
     for mono, coef in mp.terms.items():
-        term = (coef, coef)
+        term = Approx.exact(coef)
         for var, exp in zip(mp.vars, mono):
-            if exp:
-                term = _pair_mul(term, _pair_pow(bounds[var], exp))
-        lo, hi = lo + term[0], hi + term[1]
-    return lo, hi
+            for _ in range(exp):
+                term = term * Approx(*bounds[var])
+        total = total + term
+    return total.lo, total.hi
 
 
 def solution_residuals(system: TwoWaySystem,
@@ -499,13 +474,11 @@ def solution_residuals(system: TwoWaySystem,
 # ----------------------------------------------------------------------
 
 def _tau_box(t_poly: UniPoly, iv: RootInterval) -> Approx:
-    if iv.is_point():
-        return Approx.exact(t_poly(iv.lo))
     return Approx(*poly_range(t_poly, iv.lo, iv.hi))
 
 
-def _loglik_box(system: TwoWaySystem, iv: RootInterval, t1: UniPoly,
-                t2: UniPoly, prec: int) -> Optional[Approx]:
+def _loglik_box(system: TwoWaySystem, lo: Fraction, hi: Fraction,
+                t1: UniPoly, t2: UniPoly, prec: int) -> Optional[Approx]:
     """Twice the profile log-likelihood (up to an additive constant).
 
     -[(r-1)log a + (q-1)log b + weight*log v + log c]
@@ -515,9 +488,9 @@ def _loglik_box(system: TwoWaySystem, iv: RootInterval, t1: UniPoly,
     """
     stats = system.stats
     r, q, n = stats.r, stats.q, stats.n
-    v = (iv.lo, iv.hi)
-    tau1 = _tau_box(t1, iv)
-    tau2 = _tau_box(t2, iv)
+    v = (lo, hi)
+    tau1 = Approx(*poly_range(t1, lo, hi))
+    tau2 = Approx(*poly_range(t2, lo, hi))
     a = (v[0] + q * n * tau1.lo, v[1] + q * n * tau1.hi)
     b = (v[0] + r * n * tau2.lo, v[1] + r * n * tau2.hi)
     c = (a[0] + r * n * tau2.lo, a[1] + r * n * tau2.hi)
@@ -571,8 +544,8 @@ def _build_solution(system: TwoWaySystem, iv: RootInterval, poly: UniPoly,
     decisions.append(dec)
     for tp in (t1, t2):
         dec, iv = _decide_nonneg(
-            lambda j, tp=tp: poly_range(tp, j.lo, j.hi) if not j.is_point()
-            else (tp(j.lo), tp(j.lo)), iv, poly, strict=False)
+            lambda j, tp=tp: poly_range(tp, j.lo, j.hi), iv, poly,
+            strict=False)
         decisions.append(dec)
     tau12 = None
     if system.model == "interaction":
@@ -604,44 +577,13 @@ def _rank_feasible(system: TwoWaySystem, sols: List[TwoWaySolution],
     idxs = [i for i, s in enumerate(sols) if s.feasible]
     if not idxs:
         return sols, None, False
-    prec = 192
-    encl: Dict[int, Approx] = {}
-    for _ in range(_MAX_RANK_ROUNDS):
-        stuck = True
-        for i in idxs:
-            e = _loglik_box(system, sols[i].var_value, t1, t2, prec)
-            while e is None:
-                iv = sols[i].var_value
-                if iv.is_point():
-                    raise ContractViolationError(
-                        "objective enclosure failed at an exact root")
-                iv = refine_interval(poly, iv, iv.width() / 32)
-                sols[i] = replace(sols[i], var_value=iv,
-                                  tau1=_tau_box(t1, iv), tau2=_tau_box(t2, iv))
-                e = _loglik_box(system, iv, t1, t2, prec)
-            encl[i] = e
-        best = max(idxs, key=lambda i: (encl[i].lo, -sols[i].var_value.lo))
-        rivals = [i for i in idxs if i != best]
-        if all(encl[best].lo > encl[i].hi for i in rivals):
-            sols[best] = replace(sols[best], loglik=encl[best])
-            for i in rivals:
-                sols[i] = replace(sols[i], loglik=encl[i])
-            return sols, best, False
-        for i in [best] + [i for i in rivals if encl[i].hi >= encl[best].lo]:
-            iv = sols[i].var_value
-            if not iv.is_point() and iv.width() > _TIE_WIDTH_CAP:
-                iv = refine_interval(poly, iv,
-                                     max(iv.width() / 32, _TIE_WIDTH_CAP))
-                sols[i] = replace(sols[i], var_value=iv,
-                                  tau1=_tau_box(t1, iv), tau2=_tau_box(t2, iv))
-                stuck = False
-        prec += 96
-        if stuck and prec > 1200:
-            break
-    for i in idxs:
-        sols[i] = replace(sols[i], loglik=encl[i])
-    best = max(idxs, key=lambda i: (encl[i].lo, -sols[i].var_value.lo))
-    return sols, best, True
+    ivs, encl, best, tied = certified_argmax(
+        [sols[i].var_value for i in idxs], poly,
+        lambda lo, hi, prec: _loglik_box(system, lo, hi, t1, t2, prec))
+    for i, iv, e in zip(idxs, ivs, encl):
+        sols[i] = replace(sols[i], var_value=iv, tau1=_tau_box(t1, iv),
+                          tau2=_tau_box(t2, iv), loglik=e)
+    return sols, idxs[best], bool(tied)
 
 
 def fit_twoway(stats: TwoWayStats, model: str = "additive",

@@ -76,6 +76,8 @@ def test_load_covariates_csv(tmp_path):
     assert d.y == (F(1), F(2), F(3), F(1))
     assert d.x[0] == (F(1), F(2))
     assert d.p == 2
+    with pytest.raises(InputError):
+        load_covariates_csv(write(tmp_path, "ow.csv", "group,value\nA,1\n"))
 
 
 def test_load_twoway_csv_matches_direct_stats(tmp_path):
@@ -101,6 +103,33 @@ def test_stats_json_loaders(tmp_path):
     bad = write(tmp_path, "bad.json", json.dumps({"sizes": [2]}))
     with pytest.raises(InputError):
         load_oneway_stats_json(bad)
+    # counts must be JSON integers or integer strings, vectors JSON arrays
+    with open(fixture_path("trimodal.json")) as fh:
+        one = json.load(fh)
+    as_strings = write(tmp_path, "str.json", json.dumps(
+        dict(one, sizes=[str(n) for n in one["sizes"]])))
+    assert load_oneway_stats_json(as_strings) == s
+    for change in ({"sizes": ["a", 3, 10, 20, 50]}, {"sizes": 5},
+                   {"sizes": [2.5, 5, 10, 20, 50]},
+                   {"sizes": ["2/1", 5, 10, 20, 50]},
+                   {"sizes": [True, 5, 10, 20, 50]},
+                   {"mults": [1, True, 1, 1, 1]},
+                   {"mults": [1, 1.0, 1, 1, 1]}, {"means": "12"},
+                   {"betweenSS": {"0": 0}}, {"withinSS": True}):
+        path = write(tmp_path, "one.json", json.dumps(dict(one, **change)))
+        with pytest.raises(InputError):
+            load_oneway_stats_json(path)
+    huge = write(tmp_path, "huge.json", json.dumps(one).replace(
+        '"mults": [1,', '"mults": [' + "9" * 5000 + ","))
+    with pytest.raises(InputError):        # past int()'s digit limit
+        load_oneway_stats_json(huge)
+    with open(fixture_path("penicillin.json")) as fh:
+        two = json.load(fh)
+    for change in ({"r": "x"}, {"r": 24.0}, {"q": True}, {"n": "1/1"},
+                   {"r": [24]}):
+        path = write(tmp_path, "two.json", json.dumps(dict(two, **change)))
+        with pytest.raises(InputError):
+            load_twoway_stats_json(path)
 
 
 def test_float_with_bound_covers_enclosure():

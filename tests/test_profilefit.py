@@ -1,0 +1,90 @@
+"""The shared certified-argmax engine: wins, ties and enclosure retries."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from exactvc.enclosure import Approx
+from exactvc.errors import ContractViolationError
+from exactvc.polynomials import UniPoly
+from exactvc.profilefit import (
+    _MAX_RETRIES,
+    _TIE_WIDTH_CAP,
+    certified_argmax,
+    enclose_at,
+    theta_pair,
+)
+from exactvc.roots import isolate_real_roots
+
+# (x - 1)(x - 3): two isolated roots, both exact dyadic rationals
+POLY = UniPoly([3, -4, 1], "x")
+
+
+def roots():
+    ivs = isolate_real_roots(POLY, domain="all")
+    assert len(ivs) == 2 and not any(iv.is_point() for iv in ivs)
+    return ivs
+
+
+def test_separated_objective_certifies_a_winner():
+    thetas, encl, best, tied = certified_argmax(
+        roots(), POLY, lambda lo, hi, prec: Approx(lo, hi))
+    assert tied == []
+    assert thetas[best].lo <= 3 <= thetas[best].hi
+    assert encl[best].lo > encl[1 - best].hi
+
+
+def test_overlapping_objective_is_a_tie_at_the_width_cap():
+    thetas, encl, best, tied = certified_argmax(
+        roots(), POLY, lambda lo, hi, prec: Approx(F(0), F(1)))
+    assert tied == [0, 1]
+    # equal bounds break toward the lowest left endpoint
+    assert best == 0 and thetas[0].lo <= 1 <= thetas[0].hi
+    for iv, root in zip(thetas, (1, 3)):
+        assert iv.lo <= root <= iv.hi
+        assert 0 < iv.width() <= _TIE_WIDTH_CAP
+
+
+def test_exact_thetas_rank_without_refinement():
+    thetas, _, best, tied = certified_argmax(
+        [F(0), F(5, 2)], POLY, lambda lo, hi, prec: Approx(-lo, -lo))
+    assert thetas == [F(0), F(5, 2)] and best == 0 and tied == []
+
+
+def test_enclosure_failure_raises_at_an_exact_theta_at_once():
+    calls = []
+
+    def never(lo, hi):
+        calls.append((lo, hi))
+        return None
+
+    with pytest.raises(ContractViolationError):
+        enclose_at(never, F(1), POLY)
+    assert calls == [(F(1), F(1))]
+
+
+def test_enclosure_failure_raises_after_the_retry_cap():
+    calls = []
+
+    def never(lo, hi):
+        calls.append(hi - lo)
+        return None
+
+    with pytest.raises(ContractViolationError):
+        enclose_at(never, roots()[1], POLY)
+    assert len(calls) == _MAX_RETRIES
+    # every retry narrowed the interval
+    assert all(b < a for a, b in zip(calls, calls[1:]))
+
+
+def test_enclose_at_returns_the_narrowed_theta():
+    iv = roots()[1]
+
+    def narrow_enough(lo, hi):
+        return "ok" if hi - lo < iv.width() / 1000 else None
+
+    theta, out = enclose_at(narrow_enough, iv, POLY)
+    assert out == "ok" and theta.lo <= 3 <= theta.hi
+    assert theta.width() < iv.width() / 1000
+    assert theta_pair(theta) == (theta.lo, theta.hi)
+    assert theta_pair(2) == (F(2), F(2))
