@@ -6,10 +6,10 @@ I - theta/(1 + n theta) J, so clearing by d = prod(1 + n_i theta) turns
 the normal equations into a linear system with polynomial entries. Two
 determinants then carry the whole profile: G = det(d X' K X) and the
 bordered determinant P with the response attached, giving the profiled
-residual sum of squares as P / (d G). The stationarity numerators built
-from P and G feed the same oriented-equation machinery as the plain
-one-way fit; no closed-form degree law is known here, so the expected
-degree is left open and observed degrees are reported as data.
+residual sum of squares as P / (d G). They form the profilefit record
+that the plain one-way fit, the design X = 1, also builds, so one profile
+objective serves both fits; no closed-form degree law is known here, so
+the expected degree is left open and observed degrees are reported as data.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .enclosure import Approx, interval_divide, log_enclosure
+from .enclosure import Approx
 from .errors import (
     DegenerateDesignError,
     InputError,
@@ -31,12 +31,13 @@ from .profilefit import (
     Estimates,
     FitReport,
     ProfileEquation,
+    ProfilePolys,
     build_profile_equation,
-    certified_estimates,
-    enclose_at,
-    fit_profile,
+    profile_estimates,
+    profile_fit,
+    profile_value,
 )
-from .roots import RootInterval, cauchy_bound, poly_range, sign
+from .roots import RootInterval, cauchy_bound, sign
 
 VAR = "theta"
 
@@ -132,33 +133,11 @@ class DesignProblem:
         return _column_rank(augmented) == self.p
 
 
-@dataclass(frozen=True)
-class GlsProfile:
-    """Cleared generalized least squares pieces as polynomials in theta.
-
-    gram is A = d X'KX entrywise, moment is b = d X'KY, square is
-    c = d Y'KY. gram_det G stays positive on [0, inf); beta_hat_j equals
-    cramer[j] / G, and the profiled residual sum of squares is
-    P / (d G) with P the bordered determinant c G - b' adj(A) b.
-    """
-
-    design: DesignProblem
-    d: UniPoly
-    gram: Tuple[Tuple[UniPoly, ...], ...]
-    moment: Tuple[UniPoly, ...]
-    square: UniPoly
-    gram_det: UniPoly
-    cramer: Tuple[UniPoly, ...]
-    p_poly: UniPoly
-
-    def rss_pair(self) -> Tuple[UniPoly, UniPoly]:
-        """(P, D) with rss(theta) = P/D and D = d * G."""
-        return self.p_poly, self.d * self.gram_det
-
-
-def gls_profile(design: DesignProblem) -> GlsProfile:
-    """Assemble the cleared normal equations and their determinants."""
-    sizes, _ = design.size_classes()
+def gls_profile(design: DesignProblem) -> ProfilePolys:
+    """Assemble the cleared normal equations A = d X'KX, b = d X'KY and
+    c = d Y'KY, and their determinants: G = det A, the Cramer numerators
+    of beta_hat, and the bordered determinant P = c G - b' adj(A) b."""
+    sizes, mults = design.size_classes()
     lin = {n: UniPoly.linear(1, n, VAR) for n in sizes}
     d = product((lin[n] for n in sizes), VAR)
     t = UniPoly.variable(VAR)
@@ -198,21 +177,19 @@ def gls_profile(design: DesignProblem) -> GlsProfile:
         cramer.append(bareiss_determinant(cols, zero, one))
     bordered = [list(A[i]) + [b[i]] for i in range(p)] + [list(b) + [c]]
     P = bareiss_determinant(bordered, zero, one)
-    return GlsProfile(design=design, d=d, gram=tuple(tuple(r) for r in A),
-                      moment=tuple(b), square=c, gram_det=G,
-                      cramer=tuple(cramer), p_poly=P)
+    return ProfilePolys(N=design.N, p=p, sizes=sizes, mults=mults, d=d,
+                        gram_det=G, p_poly=P, cramer=tuple(cramer))
 
 
-def _f1_poly(design: DesignProblem, d: UniPoly) -> UniPoly:
+def _f1_poly(prof: ProfilePolys) -> UniPoly:
     """d * sum over groups of n_g/(1 + n_g theta)."""
-    sizes, mults = design.size_classes()
     acc = UniPoly.zero(VAR)
-    for n, m in zip(sizes, mults):
-        acc = acc + d.exact_divide(UniPoly.linear(1, n, VAR)) * Fraction(m * n)
+    for n, m in zip(prof.sizes, prof.mults):
+        acc = acc + prof.d.exact_divide(UniPoly.linear(1, n, VAR)) * (m * n)
     return acc
 
 
-def _require_varying_rss(prof: GlsProfile) -> UniPoly:
+def _require_varying_rss(prof: ProfilePolys) -> UniPoly:
     """The numerator of rss', rejecting designs where rss is constant."""
     P, D = prof.rss_pair()
     if P.is_zero():
@@ -226,9 +203,10 @@ def _require_varying_rss(prof: GlsProfile) -> UniPoly:
     return S
 
 
-def _require_decay(design: DesignProblem, prof: GlsProfile, raw: UniPoly,
+def _require_decay(design: DesignProblem, prof: ProfilePolys, raw: UniPoly,
                    method: str):
-    """Reject designs whose criterion does not fall off for large theta.
+    """Reject designs whose criterion is constant in theta (a zero raw
+    numerator) or does not fall off for large theta.
 
     The criterion behaves like growth * log(theta) at infinity, with
     growth computable exactly from degrees: rss ~ theta^(deg P - deg D)
@@ -238,6 +216,10 @@ def _require_decay(design: DesignProblem, prof: GlsProfile, raw: UniPoly,
     the supremum sits at the large-theta limit. Either way no finite
     maximizer can be certified.
     """
+    if raw.is_zero():
+        raise DegenerateDesignError(
+            "criterion is constant in theta; the variance ratio is not "
+            "identified")
     P, D = prof.rss_pair()
     drop = D.degree - P.degree
     if method == "ML":
@@ -263,7 +245,7 @@ def _require_decay(design: DesignProblem, prof: GlsProfile, raw: UniPoly,
 # ----------------------------------------------------------------------
 
 def ml_equation(design: DesignProblem,
-                prof: Optional[GlsProfile] = None) -> ProfileEquation:
+                prof: Optional[ProfilePolys] = None) -> ProfileEquation:
     """Cancelled stationarity numerator of the covariate profile criterion.
 
     With rss = P/D the derivative identity is
@@ -276,11 +258,9 @@ def ml_equation(design: DesignProblem,
     prof = prof or gls_profile(design)
     S = _require_varying_rss(prof)
     P, D = prof.rss_pair()
-    f1 = _f1_poly(design, prof.d)
-    raw = S * prof.d * Fraction(design.N) + P * D * f1
+    raw = S * prof.d * Fraction(design.N) + P * D * _f1_poly(prof)
     _require_decay(design, prof, raw, "ML")
-    sizes, _ = design.size_classes()
-    den_factors = ([(UniPoly.linear(1, n, VAR), 2) for n in sizes]
+    den_factors = ([(UniPoly.linear(1, n, VAR), 2) for n in prof.sizes]
                    + [(prof.gram_det, 1), (prof.p_poly, 1)])
     return build_profile_equation(
         raw, den_factors, Fraction(1),
@@ -288,7 +268,7 @@ def ml_equation(design: DesignProblem,
 
 
 def reml_equation(design: DesignProblem,
-                  prof: Optional[GlsProfile] = None) -> ProfileEquation:
+                  prof: Optional[ProfilePolys] = None) -> ProfileEquation:
     """Cancelled stationarity numerator of the restricted criterion.
 
     The restricted objective subtracts log det(X'KX) = log G - p log d,
@@ -302,14 +282,12 @@ def reml_equation(design: DesignProblem,
     S = _require_varying_rss(prof)
     P, D = prof.rss_pair()
     d, G = prof.d, prof.gram_det
-    f1 = _f1_poly(design, d)
     w = Fraction(design.N - design.p)
     raw = (S * d * G * w
-           + P * D * (f1 * G + G.derivative() * d
+           + P * D * (_f1_poly(prof) * G + G.derivative() * d
                       - d.derivative() * G * Fraction(design.p)))
     _require_decay(design, prof, raw, "REML")
-    sizes, _ = design.size_classes()
-    den_factors = ([(UniPoly.linear(1, n, VAR), 2) for n in sizes]
+    den_factors = ([(UniPoly.linear(1, n, VAR), 2) for n in prof.sizes]
                    + [(G, 2), (prof.p_poly, 1)])
     return build_profile_equation(
         raw, den_factors, Fraction(1),
@@ -330,82 +308,14 @@ def conjecture_bound(design: DesignProblem, method: str) -> Optional[int]:
 
 
 # ----------------------------------------------------------------------
-# Values at a given theta
+# Values and fits
 # ----------------------------------------------------------------------
 
-def _objective(design: DesignProblem, method: str,
-               prof: Optional[GlsProfile] = None):
-    """(loglik, values) of one method's objective over theta intervals.
-
-    loglik(lo, hi, prec) encloses
-
-        ML:    N log kappa_hat - sum_g log(1 + n_g theta) - N
-        REML:  (N-p) log kappa_hat - sum_g log(1 + n_g theta)
-               - log G + p sum_i log(1 + n_i theta) - (N-p)
-
-    with kappa_hat = weight * D / P, and values(lo, hi) encloses
-    (None, kappa, beta) with beta the Cramer numerators over G. Either
-    returns None when its interval step degenerates, or when P or G is
-    not positive.
-    """
-    if method not in ("ML", "REML"):
-        raise ValueError("method must be ML or REML")
-    if prof is None:
-        prof = gls_profile(design)
-    weight = design.N if method == "ML" else design.N - design.p
-    P, D = prof.rss_pair()
-    G = prof.gram_det
-    kd_weighted = D * Fraction(weight)
-    sizes, mults = design.size_classes()
-
-    def loglik(lo: Fraction, hi: Fraction, prec: int) -> Optional[Approx]:
-        if lo < 0:
-            raise ValueError("theta must be nonnegative")
-        kap = interval_divide(poly_range(D, lo, hi), poly_range(P, lo, hi))
-        if kap is None or kap.lo <= 0:
-            return None
-        kap = kap.scale(weight)
-        lk = log_enclosure(kap.lo, kap.hi, prec)
-        if lk is None:
-            return None
-        total = lk.scale(weight) - Approx.exact(weight)
-        for n, m in zip(sizes, mults):
-            le = log_enclosure(1 + n * lo, 1 + n * hi, prec)
-            total = total - le.scale(m)
-        if method == "REML":
-            glo, ghi = poly_range(G, lo, hi)
-            lg = log_enclosure(glo, ghi, prec)
-            if lg is None:
-                return None
-            total = total - lg
-            for n in sizes:
-                le = log_enclosure(1 + n * lo, 1 + n * hi, prec)
-                total = total + le.scale(design.p)
-        return total
-
-    def values(lo: Fraction, hi: Fraction):
-        prange, grange = poly_range(P, lo, hi), poly_range(G, lo, hi)
-        if prange[0] <= 0 or grange[0] <= 0:
-            return None
-        kappa = interval_divide(poly_range(kd_weighted, lo, hi), prange)
-        beta = tuple(interval_divide(poly_range(cj, lo, hi), grange)
-                     for cj in prof.cramer)
-        return None if kappa.lo <= 0 else (None, kappa, beta)
-
-    return loglik, values
-
-
-def _at(design: DesignProblem, theta, method: str):
-    """(poly, loglik, values) for evaluating one method at theta; poly is
-    the equation an isolating interval is narrowed against, None for an
-    exact theta."""
+def _model(design: DesignProblem):
+    """(record, method -> equation), sharing one GLS profile."""
     prof = gls_profile(design)
-    loglik, values = _objective(design, method, prof)
-    poly = None
-    if isinstance(theta, RootInterval):
-        poly = (ml_equation if method == "ML"
-                else reml_equation)(design, prof).numerator
-    return poly, loglik, values
+    return prof, lambda method: (
+        ml_equation if method == "ML" else reml_equation)(design, prof)
 
 
 def estimates_at(design: DesignProblem,
@@ -417,37 +327,24 @@ def estimates_at(design: DesignProblem,
     weight * D / P with the method's weight; mu is None since the mean
     is carried by the design.
     """
-    return certified_estimates(theta, *_at(design, theta, method), prec)
+    return profile_estimates(*_model(design), theta, method, prec)
 
 
 def profile_loglik(design: DesignProblem, theta, prec: int = 256) -> Approx:
-    poly, loglik, _ = _at(design, theta, "ML")
-    return enclose_at(lambda lo, hi: loglik(lo, hi, prec), theta, poly)[1]
+    return profile_value(*_model(design), theta, "ML", prec)
 
 
 def restricted_loglik(design: DesignProblem, theta, prec: int = 256) -> Approx:
-    poly, loglik, _ = _at(design, theta, "REML")
-    return enclose_at(lambda lo, hi: loglik(lo, hi, prec), theta, poly)[1]
-
-
-# ----------------------------------------------------------------------
-# Fits
-# ----------------------------------------------------------------------
-
-def _fit_x(design: DesignProblem, method: str,
-           refine_width: Fraction) -> FitReport:
-    prof = gls_profile(design)
-    eq = (ml_equation if method == "ML" else reml_equation)(design, prof)
-    return fit_profile(eq, *_objective(design, method, prof), refine_width)
+    return profile_value(*_model(design), theta, "REML", prec)
 
 
 def ml_fit(design: DesignProblem,
            refine_width: Fraction = Fraction(1, 10 ** 12)) -> FitReport:
     """Global covariate profile optimum with certified classification."""
-    return _fit_x(design, "ML", Fraction(refine_width))
+    return profile_fit(*_model(design), "ML", refine_width)
 
 
 def reml_fit(design: DesignProblem,
              refine_width: Fraction = Fraction(1, 10 ** 12)) -> FitReport:
     """Global restricted optimum with certified classification."""
-    return _fit_x(design, "REML", Fraction(refine_width))
+    return profile_fit(*_model(design), "REML", refine_width)

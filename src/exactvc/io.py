@@ -26,16 +26,34 @@ from .stats import GroupedData, OneWayStats, summarize
 from .twoway import TwoWayFitReport, TwoWayStats, twoway_stats
 
 
+# Longer literals and JSON integers, or larger decimal exponents, are refused
+# before Fraction builds them: "1e3000000" is a 3-million-digit integer.
+MAX_LITERAL_CHARS = 1000
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][+-]?([0-9_]+)")
+_MAX_INT = 10 ** MAX_LITERAL_CHARS
+
+
 def parse_rational(value) -> Fraction:
-    """Exact rational from "p/q", integer, or decimal-literal input."""
+    """Exact rational from "p/q", integer, or decimal-literal input; a
+    literal past MAX_LITERAL_CHARS or MAX_DECIMAL_EXPONENT is refused."""
     if isinstance(value, bool):
         raise InputError(f"not a rational number: {value!r}")
     if isinstance(value, float):
         raise InputError(
             f"refusing inexact float {value!r}; write it as a string "
             "literal such as \"1.25\" or \"5/4\"")
+    if isinstance(value, str):
+        value = value.strip()
+        too_large = len(value) > MAX_LITERAL_CHARS or any(
+            int(e.replace("_", "") or 0) > MAX_DECIMAL_EXPONENT
+            for e in _EXPONENT.findall(value))
+    else:
+        too_large = isinstance(value, int) and abs(value) >= _MAX_INT
+    if too_large:
+        raise InputError(f"numeric literal too large: {str(value)[:40]!r}")
     try:
-        return rat(str(value).strip() if isinstance(value, str) else value)
+        return rat(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise InputError(f"not a rational number: {value!r}") from exc
 
@@ -167,16 +185,14 @@ def _load_json(path: str) -> dict:
 
 
 def _count(value, path: str, key: str) -> int:
-    """A JSON integer or a string of decimal digits; bool, float and
-    fraction inputs are refused rather than truncated."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    """A JSON integer or decimal-digit string under MAX_LITERAL_CHARS
+    digits; bool, float and fraction inputs are refused, not truncated."""
+    if (isinstance(value, str) and len(value) <= MAX_LITERAL_CHARS
+            and re.fullmatch(r"\s*[+-]?[0-9]+\s*", value)):
+        value = int(value)
+    if type(value) is int and abs(value) < _MAX_INT:
         return value
-    if isinstance(value, str) and re.fullmatch(r"\s*[+-]?[0-9]+\s*", value):
-        try:
-            return int(value)
-        except ValueError:      # past the interpreter's digit limit
-            pass
-    raise InputError(f"{path}: {key} must hold integers, got {value!r}")
+    raise InputError(f"{path}: {key} must hold integers, got {value!r:.60}")
 
 
 def _array(doc: dict, path: str, key: str) -> list:
@@ -217,6 +233,17 @@ def load_twoway_stats_json(path: str) -> TwoWayStats:
 # Value serialization
 # ----------------------------------------------------------------------
 
+_TOO_LARGE = "a reported value is too large to print; rescale the input"
+
+
+def _text(value) -> str:
+    """str(value); InputError past the interpreter's int-to-str limit."""
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise InputError(_TOO_LARGE) from exc
+
+
 def _outward_float(bound: Fraction) -> float:
     f = float(bound)
     while Fraction(f) < bound:
@@ -227,24 +254,27 @@ def _outward_float(bound: Fraction) -> float:
 def float_with_bound(mid: Fraction, half: Fraction) -> dict:
     """Float midpoint plus an error bound covering both the enclosure
     half-width and the float rounding itself."""
-    value = float(mid)
-    err = half + abs(mid - Fraction(value))
-    return {"value": value, "error_bound": _outward_float(err)}
+    try:
+        value = float(mid)
+        bound = _outward_float(half + abs(mid - Fraction(value)))
+    except OverflowError as exc:
+        raise InputError(_TOO_LARGE) from exc
+    return {"value": value, "error_bound": bound}
 
 
 def ser_approx(a: Optional[Approx]):
     if a is None:
         return None
     if a.is_exact:
-        return str(a.lo)
+        return _text(a.lo)
     return float_with_bound(a.midpoint(), a.width() / 2)
 
 
 def ser_theta(t: Union[RootInterval, Fraction]):
     if isinstance(t, Fraction):
-        return str(t)
+        return _text(t)
     if t.is_point():
-        return str(t.lo)
+        return _text(t.lo)
     return float_with_bound(t.midpoint(), t.width() / 2)
 
 
@@ -264,7 +294,7 @@ def oneway_report(rep: FitReport, method: str) -> dict:
             "sign_changes": rep.sign_changes,
         },
         "roots": [
-            {"lo": str(iv.lo), "hi": str(iv.hi), "class": label}
+            {"lo": _text(iv.lo), "hi": _text(iv.hi), "class": label}
             for iv, label in rep.stationary_points
         ],
         "global": {
@@ -298,8 +328,8 @@ def twoway_report(rep: TwoWayFitReport) -> dict:
     quartic = rep.quartic.primitive()
     out = {
         "model": rep.model,
-        "mu": None if rep.mu is None else str(rep.mu),
-        "omega_hat": None if rep.omega_hat is None else str(rep.omega_hat),
+        "mu": None if rep.mu is None else _text(rep.mu),
+        "omega_hat": None if rep.omega_hat is None else _text(rep.omega_hat),
         "equation": {
             "coeffs": quartic.integer_coeffs(),
             "variable": quartic.var,
@@ -332,10 +362,13 @@ def error_report(kind: str, message: str) -> dict:
 
 def dumps(obj) -> str:
     """Deterministic JSON: sorted keys, fixed separators, one trailing
-    newline. Arbitrary-size ints serialize exactly."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    newline. Ints past the interpreter's digit limit raise InputError."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    except ValueError as exc:
+        raise InputError(_TOO_LARGE) from exc
 
 
 def emit_poly_text(p: UniPoly) -> str:
     """Primitive integer coefficients, lowest degree first, one per line."""
-    return "".join(f"{c}\n" for c in p.primitive().integer_coeffs())
+    return "".join(_text(c) + "\n" for c in p.primitive().integer_coeffs())

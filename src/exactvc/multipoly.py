@@ -10,7 +10,6 @@ ever leaving exact rational arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import DivisibilityError, UndefinedInputError
@@ -63,11 +62,6 @@ class MultiPoly:
         mono = tuple(1 if v == name else 0 for v in vs)
         return cls(vs, {mono: Fraction(1)})
 
-    @classmethod
-    def from_unipoly(cls, p: UniPoly, name: str = None) -> "MultiPoly":
-        name = name or p.var
-        return cls((name,), {(k,): c for k, c in enumerate(p.coeffs)})
-
     # -- structure -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -80,11 +74,6 @@ class MultiPoly:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()), Fraction(0))
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
 
     def degree_in(self, var: str) -> int:
         if var not in self.vars:
@@ -200,22 +189,7 @@ class MultiPoly:
             parts.append("*".join(factors))
         return "MultiPoly(" + " + ".join(parts) + ")"
 
-    # -- calculus and substitution ----------------------------------------------
-
-    def derivative(self, var: str) -> "MultiPoly":
-        if var not in self.vars:
-            return MultiPoly(self.vars, {})
-        i = self.vars.index(var)
-        terms = {}
-        for mono, c in self.terms.items():
-            e = mono[i]
-            if e == 0:
-                continue
-            new = list(mono)
-            new[i] = e - 1
-            new = tuple(new)
-            terms[new] = terms.get(new, Fraction(0)) + c * e
-        return MultiPoly(self.vars, terms)
+    # -- substitution -----------------------------------------------------------
 
     def substitute(self, assignment: Dict[str, "Fraction | int | str"]) -> "MultiPoly":
         """Replace some variables by rational values; exact throughout."""
@@ -272,26 +246,11 @@ class MultiPoly:
             return UniPoly(coeffs, var)
         return UniPoly.constant(self.constant_value(), var)
 
-    # -- normal form and division ------------------------------------------------
+    # -- division ---------------------------------------------------------------
 
     def _lex_leading(self) -> Tuple[Monomial, Fraction]:
         mono = max(self.terms)
         return mono, self.terms[mono]
-
-    def primitive(self) -> "MultiPoly":
-        """Coprime integer coefficients, lex-leading coefficient positive."""
-        if not self.terms:
-            return self
-        den_lcm = 1
-        for c in self.terms.values():
-            den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-        g = 0
-        for c in self.terms.values():
-            g = int_gcd(g, int(c * den_lcm))
-        scale = Fraction(den_lcm, g)
-        if self._lex_leading()[1] < 0:
-            scale = -scale
-        return self * scale
 
     def exact_divide(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact quotient under lex division; DivisibilityError if inexact."""
@@ -319,15 +278,6 @@ class MultiPoly:
                 else:
                     rem[key] = new
         return MultiPoly(a.vars, quot)
-
-    def divides(self, other: "MultiPoly") -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        try:
-            other.exact_divide(self)
-            return True
-        except DivisibilityError:
-            return False
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,10 @@ families of basis polynomials and handed to the shared profilefit
 machinery. The restricted objective differs only in its N-1 weights and an
 extra log term, and its numerator carries a guaranteed square factor from
 the singleton size classes.
+
+The plain layout is the covariate model with design X = 1: gls_profile
+hands profilefit the record a covariate design gives, so one profile
+objective serves both fits.
 """
 
 from __future__ import annotations
@@ -17,19 +21,20 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
-from .enclosure import Approx, interval_divide, log_enclosure
+from .enclosure import Approx
 from .errors import DegenerateDataError
 from .polynomials import UniPoly
 from .profilefit import (
     Estimates,
     FitReport,
     ProfileEquation,
+    ProfilePolys,
     build_profile_equation,
-    certified_estimates,
-    enclose_at,
-    fit_profile,
+    profile_estimates,
+    profile_fit,
+    profile_value,
 )
-from .roots import RootInterval, poly_range
+from .roots import RootInterval
 from .stats import OneWayStats, ml_degree, reml_degree
 
 VAR = "theta"
@@ -49,6 +54,9 @@ class BasisPolys:
 
     with a ranging over 1, the class means, their squares, and the
     between-group sums of squares divided by the multiplicities.
+
+    bracket = W f1 d + fY2 f1 - fY^2 + f1 fBm = d f1 rss(mu_hat), with W
+    the within-group SS, is positive on [0, inf) by Cauchy-Schwarz.
     """
 
     d: UniPoly
@@ -62,6 +70,7 @@ class BasisPolys:
     gY: UniPoly
     gY2: UniPoly
     gBm: UniPoly
+    bracket: UniPoly
 
 
 def _int_linear_product(sizes) -> list:
@@ -109,32 +118,24 @@ def basis_polynomials(stats: OneWayStats) -> BasisPolys:
 
     m, n, Y, B = stats.mults, stats.sizes, stats.means, stats.betweenSS
     M = stats.M
+    d = UniPoly(d, VAR)
+    f1 = _combine([m[i] * n[i] for i in range(M)], off)
+    fY = _combine([m[i] * n[i] * Y[i] for i in range(M)], off)
+    fY2 = _combine([m[i] * n[i] * Y[i] ** 2 for i in range(M)], off)
+    fBm = _combine([n[i] * B[i] for i in range(M)], off)
     return BasisPolys(
-        d=UniPoly(d, VAR),
+        d=d,
         d1=UniPoly(_int_linear_product(
             s for s, k in zip(n, m) if k == 1), VAR),
         d2=UniPoly(_int_linear_product(
             s for s, k in zip(n, m) if k >= 2), VAR),
-        f1=_combine([m[i] * n[i] for i in range(M)], off),
-        fY=_combine([m[i] * n[i] * Y[i] for i in range(M)], off),
-        fY2=_combine([m[i] * n[i] * Y[i] ** 2 for i in range(M)], off),
-        fBm=_combine([n[i] * B[i] for i in range(M)], off),
+        f1=f1, fY=fY, fY2=fY2, fBm=fBm,
         g1=_combine([m[i] * n[i] ** 2 for i in range(M)], off2),
         gY=_combine([m[i] * n[i] ** 2 * Y[i] for i in range(M)], off2),
         gY2=_combine([m[i] * n[i] ** 2 * Y[i] ** 2 for i in range(M)], off2),
         gBm=_combine([n[i] ** 2 * B[i] for i in range(M)], off2),
+        bracket=f1 * d * stats.withinSS + fY2 * f1 - fY * fY + f1 * fBm,
     )
-
-
-def bracket_poly(stats: OneWayStats, basis: BasisPolys) -> UniPoly:
-    """The cleared profile sum of squares: d * f1 * (rss at mu_hat(theta)).
-
-    Equals W f1 d + fY2 f1 - fY^2 + f1 fBm; strictly positive on
-    [0, inf) by Cauchy-Schwarz, which makes kappa_hat well defined there.
-    """
-    b = basis
-    return (b.f1 * b.d * stats.withinSS + b.fY2 * b.f1
-            - b.fY * b.fY + b.f1 * b.fBm)
 
 
 def h_poly(basis: BasisPolys) -> UniPoly:
@@ -143,23 +144,6 @@ def h_poly(basis: BasisPolys) -> UniPoly:
     b = basis
     return (b.f1 * b.f1 * b.gY2 - 2 * b.fY * b.f1 * b.gY
             + b.fY * b.fY * b.g1 + b.f1 * b.f1 * b.gBm)
-
-
-@dataclass(frozen=True)
-class RemlObjective:
-    """Restricted-criterion ingredients: kappa_hat as a rational function."""
-
-    stats: OneWayStats
-    kappa_num: UniPoly      # (N-1) * f1 * d
-    kappa_den: UniPoly      # the bracket polynomial
-
-
-def reml_objective(stats: OneWayStats) -> RemlObjective:
-    basis = basis_polynomials(stats)
-    return RemlObjective(
-        stats=stats,
-        kappa_num=basis.f1 * basis.d * Fraction(stats.N - 1),
-        kappa_den=bracket_poly(stats, basis))
 
 
 # ----------------------------------------------------------------------
@@ -190,8 +174,8 @@ def ml_equation(stats: OneWayStats,
     _require_generic(stats)
     if basis is None:
         basis = basis_polynomials(stats)
-    bracket = bracket_poly(stats, basis)
-    raw = h_poly(basis) * Fraction(stats.N) - basis.f1 * basis.f1 * bracket
+    raw = (h_poly(basis) * Fraction(stats.N)
+           - basis.f1 * basis.f1 * basis.bracket)
     lin = [UniPoly.linear(1, n, VAR) for n in stats.sizes]
     den_factors = [(l, 2) for l in lin] + [(basis.f1, 2)]
     return build_profile_equation(
@@ -216,13 +200,12 @@ def reml_equation(stats: OneWayStats,
     _require_generic(stats)
     if basis is None:
         basis = basis_polynomials(stats)
-    bracket = bracket_poly(stats, basis)
-    raw = ((basis.g1 - basis.f1 * basis.f1) * bracket
+    raw = ((basis.g1 - basis.f1 * basis.f1) * basis.bracket
            + h_poly(basis) * Fraction(stats.N - 1))
     lin = [UniPoly.linear(1, n, VAR) for n in stats.sizes]
     # bracket itself carries one copy of d1, so split it out to expose the
     # full square in the denominator's factor list
-    bracket_core = bracket.exact_divide(basis.d1)
+    bracket_core = basis.bracket.exact_divide(basis.d1)
     den_factors = ([(l, 2) for l, m in zip(lin, stats.mults) if m == 1]
                    + [(l, 1) for l, m in zip(lin, stats.mults) if m >= 2]
                    + [(basis.f1, 1), (bracket_core, 1)])
@@ -233,79 +216,22 @@ def reml_equation(stats: OneWayStats,
 
 
 # ----------------------------------------------------------------------
-# Values at a given theta
+# The profile record, values and fits
 # ----------------------------------------------------------------------
 
-def _objective(stats: OneWayStats, method: str,
-               basis: Optional[BasisPolys] = None):
-    """(loglik, values) of one method's objective over theta intervals.
-
-    loglik(lo, hi, prec) encloses
-
-        ML:    N log kappa_hat - sum m_i log(1+n_i theta) - N
-        REML:  (N-1) log kappa_hat - sum m_i log(1+n_i theta)
-               - log(f1/d) - (N-1)
-
-    and values(lo, hi) encloses (mu, kappa, None) with mu = fY/f1 and
-    kappa = weight*f1*d/bracket. Either returns None when its interval
-    step degenerates, or when f1 or the bracket is not positive.
-    """
-    if method not in ("ML", "REML"):
-        raise ValueError("method must be ML or REML")
-    if basis is None:
-        basis = basis_polynomials(stats)
-    bracket = bracket_poly(stats, basis)
-    weight = stats.N if method == "ML" else stats.N - 1
-    kd = basis.f1 * basis.d
-    kd_weighted = kd * Fraction(weight)
-
-    def loglik(lo: Fraction, hi: Fraction, prec: int) -> Optional[Approx]:
-        if lo < 0:
-            raise ValueError("theta must be nonnegative")
-        kap = interval_divide(poly_range(kd, lo, hi),
-                              poly_range(bracket, lo, hi))
-        if kap is None or kap.lo <= 0:
-            return None
-        kap = kap.scale(weight)
-        lk = log_enclosure(kap.lo, kap.hi, prec)
-        if lk is None:
-            return None
-        total = lk.scale(weight) - Approx.exact(weight)
-        for n, m in zip(stats.sizes, stats.mults):
-            le = log_enclosure(1 + n * lo, 1 + n * hi, prec)
-            total = total - le.scale(m)
-        if method == "REML":
-            r1 = interval_divide(poly_range(basis.f1, lo, hi),
-                                 poly_range(basis.d, lo, hi))
-            if r1 is None or r1.lo <= 0:
-                return None
-            lr = log_enclosure(r1.lo, r1.hi, prec)
-            total = total - lr
-        return total
-
-    def values(lo: Fraction, hi: Fraction):
-        br = poly_range(bracket, lo, hi)
-        mu = interval_divide(poly_range(basis.fY, lo, hi),
-                             poly_range(basis.f1, lo, hi))
-        if mu is None or br[0] <= 0:
-            return None
-        kappa = interval_divide(poly_range(kd_weighted, lo, hi), br)
-        return None if kappa.lo <= 0 else (mu, kappa, None)
-
-    return loglik, values
+def gls_profile(stats: OneWayStats) -> ProfilePolys:
+    """The X = 1 profile record: G = f1, P = the bracket, mu = fY/f1."""
+    return _model(stats)[0]
 
 
-def _at(stats: OneWayStats, theta, method: str):
-    """(poly, loglik, values) for evaluating one method at theta; poly is
-    the equation an isolating interval is narrowed against, None for an
-    exact theta."""
+def _model(stats: OneWayStats):
+    """(record, method -> equation), sharing one basis."""
     basis = basis_polynomials(stats)
-    loglik, values = _objective(stats, method, basis)
-    poly = None
-    if isinstance(theta, RootInterval):
-        poly = (ml_equation if method == "ML"
-                else reml_equation)(stats, basis).numerator
-    return poly, loglik, values
+    prof = ProfilePolys(N=stats.N, p=1, sizes=stats.sizes, mults=stats.mults,
+                        d=basis.d, gram_det=basis.f1, p_poly=basis.bracket,
+                        cramer=(basis.fY,), mean=True)
+    return prof, lambda method: (
+        ml_equation if method == "ML" else reml_equation)(stats, basis)
 
 
 def estimates_at(stats: OneWayStats,
@@ -324,40 +250,27 @@ def estimates_at(stats: OneWayStats,
         Estimates with mu = fY/f1, kappa = weight*f1*d/bracket, omega the
         reciprocal, tau = theta*omega, each as a certified enclosure.
     """
-    return certified_estimates(theta, *_at(stats, theta, method), prec)
+    return profile_estimates(*_model(stats), theta, method, prec)
 
 
 def profile_loglik(stats: OneWayStats, theta, prec: int = 256) -> Approx:
     """Profile objective N log kappa_hat - sum m_i log(1+n_i theta) - N."""
-    poly, loglik, _ = _at(stats, theta, "ML")
-    return enclose_at(lambda lo, hi: loglik(lo, hi, prec), theta, poly)[1]
+    return profile_value(*_model(stats), theta, "ML", prec)
 
 
 def restricted_loglik(stats: OneWayStats, theta, prec: int = 256) -> Approx:
     """Restricted profile objective with the N-1 weighting and the extra
     -log(f1/d) term."""
-    poly, loglik, _ = _at(stats, theta, "REML")
-    return enclose_at(lambda lo, hi: loglik(lo, hi, prec), theta, poly)[1]
-
-
-# ----------------------------------------------------------------------
-# Fits
-# ----------------------------------------------------------------------
-
-def _fit(stats: OneWayStats, method: str,
-         refine_width: Fraction) -> FitReport:
-    basis = basis_polynomials(stats)
-    eq = (ml_equation if method == "ML" else reml_equation)(stats, basis)
-    return fit_profile(eq, *_objective(stats, method, basis), refine_width)
+    return profile_value(*_model(stats), theta, "REML", prec)
 
 
 def ml_fit(stats: OneWayStats,
            refine_width: Fraction = Fraction(1, 10 ** 12)) -> FitReport:
     """Global profile-criterion optimum with certified classification."""
-    return _fit(stats, "ML", Fraction(refine_width))
+    return profile_fit(*_model(stats), "ML", refine_width)
 
 
 def reml_fit(stats: OneWayStats,
              refine_width: Fraction = Fraction(1, 10 ** 12)) -> FitReport:
     """Global restricted-criterion optimum with certified classification."""
-    return _fit(stats, "REML", Fraction(refine_width))
+    return profile_fit(*_model(stats), "REML", refine_width)

@@ -8,6 +8,9 @@ known denominator factorization, a single global orientation sign is fixed
 by evaluation, roots are isolated and classified by exact derivative signs,
 and the global optimum is chosen by comparing rigorous objective enclosures
 that are refined until the comparison is decisive.
+
+The objective is defined here once for both one-way fits: a ProfilePolys
+record of the design X (the plain layout is X = 1) is all it needs.
 """
 
 from __future__ import annotations
@@ -16,10 +19,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .enclosure import Approx
+from .enclosure import Approx, interval_divide, log_enclosure
 from .errors import ContractViolationError
 from .polynomials import UniPoly, descartes_sign_changes, poly_gcd
-from .roots import RootInterval, cauchy_bound, isolate_real_roots, refine_interval, sign
+from .roots import (
+    RootInterval,
+    cauchy_bound,
+    isolate_real_roots,
+    poly_range,
+    refine_interval,
+    sign,
+)
 
 LOCAL_MAX = "local_max"
 LOCAL_MIN = "local_min"
@@ -87,6 +97,31 @@ class FitReport:
     tie: bool = False
     tie_candidates: Tuple[Tuple[Fraction, Fraction], ...] = ()
     negative_roots: int = 0     # diagnostic only; domain of interest is [0, inf)
+
+
+@dataclass(frozen=True)
+class ProfilePolys:
+    """A one-way layout with fixed-effect design X, profiled in theta.
+
+    d = prod (1 + n theta) over the distinct sizes; G = det(d X'KX) and the
+    bordered determinant P are positive on [0, inf), rss = P / (d G) and
+    beta_j = cramer[j] / G. X = 1 gives G = f1, P = the bracket and
+    cramer = (fY,), reported as mu when mean is set.
+    """
+
+    N: int
+    p: int
+    sizes: Tuple[int, ...]
+    mults: Tuple[int, ...]
+    d: UniPoly
+    gram_det: UniPoly
+    p_poly: UniPoly
+    cramer: Tuple[UniPoly, ...]
+    mean: bool = False
+
+    def rss_pair(self) -> Tuple[UniPoly, UniPoly]:
+        """(P, D) with rss(theta) = P/D and D = d * G."""
+        return self.p_poly, self.d * self.gram_det
 
 
 # ----------------------------------------------------------------------
@@ -385,3 +420,85 @@ def fit_profile(eq: ProfileEquation, loglik: LoglikFn, values: ValuesFn,
         tie=bool(tied),
         tie_candidates=tuple(theta_pair(thetas[i]) for i in tied),
         negative_roots=n_negative)
+
+
+# ----------------------------------------------------------------------
+# The profile objective and its drivers
+# ----------------------------------------------------------------------
+
+# method -> the model's cancelled profile equation
+EquationFn = Callable[[str], ProfileEquation]
+
+
+def profile_objective(prof: ProfilePolys, method: str):
+    """(loglik, values) of one method's objective over theta intervals.
+
+    With weight w = N (ML) or N - p (REML) and kappa_hat = w d G / P,
+    loglik(lo, hi, prec) encloses w log kappa_hat - sum m_i log(1 + n_i
+    theta) - w, less log(G / d^p) = log det(X'KX) for REML. values(lo, hi)
+    encloses (mu, kappa, beta). Either returns None when its interval step
+    degenerates, or when P or G is not positive.
+    """
+    if method not in ("ML", "REML"):
+        raise ValueError("method must be ML or REML")
+    weight = prof.N if method == "ML" else prof.N - prof.p
+    P, D = prof.rss_pair()
+    G = prof.gram_det
+    dp = prof.d ** prof.p
+    kd_weighted = D * Fraction(weight)
+
+    def loglik(lo: Fraction, hi: Fraction, prec: int) -> Optional[Approx]:
+        if lo < 0:
+            raise ValueError("theta must be nonnegative")
+        kap = interval_divide(poly_range(D, lo, hi), poly_range(P, lo, hi))
+        lk = None if kap is None else log_enclosure(
+            kap.lo * weight, kap.hi * weight, prec)
+        if lk is None:
+            return None
+        total = lk.scale(weight) - Approx.exact(weight)
+        for n, m in zip(prof.sizes, prof.mults):
+            le = log_enclosure(1 + n * lo, 1 + n * hi, prec)
+            total = total - le.scale(m)
+        if method == "REML":
+            r = interval_divide(poly_range(G, lo, hi), poly_range(dp, lo, hi))
+            lr = None if r is None else log_enclosure(r.lo, r.hi, prec)
+            if lr is None:
+                return None
+            total = total - lr
+        return total
+
+    def values(lo: Fraction, hi: Fraction):
+        prange, grange = poly_range(P, lo, hi), poly_range(G, lo, hi)
+        if prange[0] <= 0 or grange[0] <= 0:
+            return None
+        kappa = interval_divide(poly_range(kd_weighted, lo, hi), prange)
+        if kappa.lo <= 0:
+            return None
+        coef = tuple(interval_divide(poly_range(c, lo, hi), grange)
+                     for c in prof.cramer)
+        return (coef[0], kappa, None) if prof.mean else (None, kappa, coef)
+
+    return loglik, values
+
+
+def profile_fit(prof: ProfilePolys, equation: EquationFn, method: str,
+                refine_width) -> FitReport:
+    """Global optimum of one method's objective, certified by fit_profile."""
+    loglik, values = profile_objective(prof, method)
+    return fit_profile(equation(method), loglik, values, refine_width)
+
+
+def profile_estimates(prof: ProfilePolys, equation: EquationFn, theta,
+                      method: str, prec: int) -> Estimates:
+    """Estimates at theta; only an isolating interval builds the equation."""
+    loglik, values = profile_objective(prof, method)
+    poly = equation(method).numerator if isinstance(theta, RootInterval) else None
+    return certified_estimates(theta, poly, loglik, values, prec)
+
+
+def profile_value(prof: ProfilePolys, equation: EquationFn, theta,
+                  method: str, prec: int) -> Approx:
+    """Enclosure of one method's objective at theta, as profile_estimates."""
+    loglik, _ = profile_objective(prof, method)
+    poly = equation(method).numerator if isinstance(theta, RootInterval) else None
+    return enclose_at(lambda lo, hi: loglik(lo, hi, prec), theta, poly)[1]

@@ -26,7 +26,6 @@ from exactvc import covariates, oneway
 from exactvc.covariates import DesignProblem
 from exactvc.oneway import (
     basis_polynomials,
-    bracket_poly,
     h_poly,
     ml_equation,
     ml_fit,
@@ -368,7 +367,7 @@ def test_criterion_6_divisibility_and_coprimality_on_100_instances():
     for _ in range(100):
         st = random_sized_stats(rng, 2, 8, 1, 12)
         basis = basis_polynomials(st)
-        bracket = bracket_poly(st, basis)
+        bracket = basis.bracket
         raw_ml = h_poly(basis) * Fraction(st.N) - basis.f1 * basis.f1 * bracket
         raw_reml = ((basis.g1 - basis.f1 * basis.f1) * bracket
                     + h_poly(basis) * Fraction(st.N - 1))

@@ -6,6 +6,8 @@ tie) are what the acceptance criteria diff against.
 """
 
 import json
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -161,6 +163,57 @@ def test_covariates_csv_fit(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["equation"]["expected_degree"] is None
     assert len(rep["global"]["beta"]) == 2
+
+
+def test_constant_criterion_is_degenerate(tmp_path, capsys):
+    # the REML raw numerator vanishes identically: every theta ties
+    p = tmp_path / "flat.csv"
+    p.write_text("group,y,x1\nA,-3,-1\nA,-19,-7/2\nB,-1,-2\n")
+    code, out = run(capsys, "fit-oneway", "--add-intercept",
+                    "--method", "REML", "--csv", str(p))
+    assert code == 4
+    assert json.loads(out)["error"]["kind"] == "degenerate"
+
+
+def input_error(capsys, tmp_path, text, *argv):
+    p = tmp_path / "data.csv"
+    p.write_text(text)
+    code, out = run(capsys, "fit-oneway", *argv, "--csv", str(p))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "input"
+
+
+def test_huge_exponent_is_refused_at_once(tmp_path, capsys):
+    t0 = time.monotonic()
+    input_error(capsys, tmp_path, "group,value\nA,1e3000000\nA,1\nB,2\n")
+    assert time.monotonic() - t0 < 1.0
+    input_error(capsys, tmp_path,
+                "group,value\nA,1\nA,2\nB,3\nB," + "9" * 1001 + "\n")
+
+
+def test_exponent_past_the_cap_is_refused(tmp_path, capsys):
+    input_error(capsys, tmp_path,
+                "group,value\nA,1e4000\nA,2\nB,3\nB,5\nC,7\n")
+
+
+def test_value_past_the_float_range_is_refused(tmp_path, capsys):
+    # omega is about 1e398, which no float can carry
+    input_error(capsys, tmp_path, "group,value\nA,1e200\nA,1.1e200\n"
+                "B,5e200\nB,5.3e200\nC,9e200\nC,9.05e200\n")
+
+
+def test_value_past_the_digit_limit_is_refused(tmp_path, capsys):
+    # 481-digit fractions: the numerator's integer coefficients pass
+    # the interpreter's 4300-digit limit for string conversion
+    rng = random.Random(1)
+    lines = ["group,value"]
+    for g in "ABCDE":
+        q = rng.randrange(10 ** 480, 10 ** 481)
+        lines += [f"{g},{rng.randrange(10 ** 480, 10 ** 481)}/{q}"
+                  for _ in range(2)]
+    text = "\n".join(lines) + "\n"
+    input_error(capsys, tmp_path, text, "--method", "ML", "--emit-poly")
+    input_error(capsys, tmp_path, text, "--method", "ML")
 
 
 def test_audit_oneway(capsys):

@@ -211,13 +211,22 @@ def test_ones_design_reduces_to_oneway():
         s = summarize(data)
         basis = oneway.basis_polynomials(s)
         prof = gls_profile(ones)
-        assert prof.gram[0][0] == basis.f1
-        assert prof.moment[0] == basis.fY
-        assert prof.p_poly == oneway.bracket_poly(s, basis)
+        assert prof.gram_det == basis.f1
+        assert prof.cramer[0] == basis.fY
+        assert prof.p_poly == basis.bracket
         for mine, plain in ((ml_equation(ones), oneway.ml_equation(s)),
                             (reml_equation(ones), oneway.reml_equation(s))):
             assert mine.numerator == plain.numerator
             assert mine.orientation == plain.orientation
+        for mine, plain in ((ml_fit(ones), oneway.ml_fit(s)),
+                            (reml_fit(ones), oneway.reml_fit(s))):
+            assert mine.stationary_points == plain.stationary_points
+            assert mine.boundary_is_max == plain.boundary_is_max
+            g, h = mine.global_estimates, plain.global_estimates
+            assert g.theta == h.theta
+            assert g.loglik == h.loglik
+            assert g.mu is None and h.beta is None
+            assert g.beta == (h.mu,)
 
 
 # -- equation structure --------------------------------------------------------

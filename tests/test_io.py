@@ -37,6 +37,14 @@ def test_parse_rational_is_exact():
         parse_rational(0.1)            # binary float would be inexact
     with pytest.raises(InputError):
         parse_rational("abc")
+    # literal caps: 1000 characters and decimal exponents up to 1000
+    assert parse_rational("1e1000") == 10 ** 1000
+    assert parse_rational("-2.5E-1_000") == F(-5, 2 * 10 ** 1000)
+    assert parse_rational("7" * 1000) == int("7" * 1000)
+    assert parse_rational(10 ** 1000 - 1) == 10 ** 1000 - 1
+    for value in ("1e1001", "1e-3000000", "7" * 1001, -10 ** 1000):
+        with pytest.raises(InputError):
+            parse_rational(value)
 
 
 def write(tmp_path, name, text):
@@ -115,7 +123,10 @@ def test_stats_json_loaders(tmp_path):
                    {"sizes": [True, 5, 10, 20, 50]},
                    {"mults": [1, True, 1, 1, 1]},
                    {"mults": [1, 1.0, 1, 1, 1]}, {"means": "12"},
-                   {"betweenSS": {"0": 0}}, {"withinSS": True}):
+                   {"betweenSS": {"0": 0}}, {"withinSS": True},
+                   {"sizes": [2, 5, 10, 20, 10 ** 1000]},
+                   {"mults": [1, 1, 1, 1, "1" * 1001]},
+                   {"withinSS": -10 ** 1000}):
         path = write(tmp_path, "one.json", json.dumps(dict(one, **change)))
         with pytest.raises(InputError):
             load_oneway_stats_json(path)

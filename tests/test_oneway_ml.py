@@ -10,7 +10,6 @@ from conftest import fixture_path, load_stats_fixture, random_oneway_stats
 from exactvc.errors import DegenerateDataError
 from exactvc.oneway import (
     basis_polynomials,
-    bracket_poly,
     estimates_at,
     h_poly,
     ml_equation,
@@ -23,7 +22,7 @@ from exactvc.stats import GroupedData, OneWayStats, ml_degree, summarize
 
 def raw_ml_numerator(stats):
     basis = basis_polynomials(stats)
-    bracket = bracket_poly(stats, basis)
+    bracket = basis.bracket
     return (h_poly(basis) * Fraction(stats.N)
             - basis.f1 * basis.f1 * bracket), basis
 

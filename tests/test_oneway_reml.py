@@ -9,12 +9,11 @@ from conftest import load_stats_fixture, random_oneway_stats
 from exactvc.errors import DegenerateDataError
 from exactvc.oneway import (
     basis_polynomials,
-    bracket_poly,
     estimates_at,
+    gls_profile,
     h_poly,
     reml_equation,
     reml_fit,
-    reml_objective,
     restricted_loglik,
 )
 from exactvc.polynomials import poly_gcd
@@ -23,7 +22,7 @@ from exactvc.stats import OneWayStats, ml_degree, reml_degree
 
 def raw_reml_numerator(stats):
     basis = basis_polynomials(stats)
-    bracket = bracket_poly(stats, basis)
+    bracket = basis.bracket
     raw = ((basis.g1 - basis.f1 * basis.f1) * bracket
            + h_poly(basis) * Fraction(stats.N - 1))
     return raw, basis
@@ -76,10 +75,10 @@ def test_reml_objective_kappa_positive():
     rng = random.Random(17)
     for _ in range(10):
         s = random_oneway_stats(rng)
-        obj = reml_objective(s)
+        P, D = gls_profile(s).rss_pair()
         for k in range(8):
             t = Fraction(k, 2)
-            assert obj.kappa_num(t) / obj.kappa_den(t) > 0
+            assert D(t) / P(t) > 0
 
 
 def test_reml_balanced_closed_form():
