@@ -283,6 +283,10 @@ def _run_audit(args) -> int:
         raise InputError("--trials must be positive")
     if args.covariates is not None and args.covariates < 0:
         raise InputError("--covariates must be nonnegative")
+    if args.covariates is not None and args.covariates > 5 * args.q - 2:
+        # groups of 1..5 rows must hold more rows than the P + 1 columns
+        raise InputError("--covariates must be at most 5q - 2 so that the "
+                         "random groups can outnumber the columns")
     rng = random.Random(args.seed)
     report = {
         "command": "audit", "q": args.q, "trials": args.trials,

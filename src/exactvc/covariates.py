@@ -8,8 +8,9 @@ determinants then carry the whole profile: G = det(d X' K X) and the
 bordered determinant P with the response attached, giving the profiled
 residual sum of squares as P / (d G). They form the profilefit record
 that the plain one-way fit, the design X = 1, also builds, so one profile
-objective serves both fits; no closed-form degree law is known here, so
-the expected degree is left open and observed degrees are reported as data.
+objective and one stationarity equation, profilefit.profile_equation,
+serve both fits. No closed-form degree law is known here, so the expected
+degree is left open and observed degrees are reported as data.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .enclosure import Approx
 from .errors import (
-    DegenerateDesignError,
     InputError,
     ModelAssumptionError,
     RankDeficiencyError,
@@ -32,12 +32,12 @@ from .profilefit import (
     FitReport,
     ProfileEquation,
     ProfilePolys,
-    build_profile_equation,
+    profile_equation,
     profile_estimates,
     profile_fit,
     profile_value,
 )
-from .roots import RootInterval, cauchy_bound, sign
+from .roots import RootInterval
 
 VAR = "theta"
 
@@ -181,65 +181,6 @@ def gls_profile(design: DesignProblem) -> ProfilePolys:
                         gram_det=G, p_poly=P, cramer=tuple(cramer))
 
 
-def _f1_poly(prof: ProfilePolys) -> UniPoly:
-    """d * sum over groups of n_g/(1 + n_g theta)."""
-    acc = UniPoly.zero(VAR)
-    for n, m in zip(prof.sizes, prof.mults):
-        acc = acc + prof.d.exact_divide(UniPoly.linear(1, n, VAR)) * (m * n)
-    return acc
-
-
-def _require_varying_rss(prof: ProfilePolys) -> UniPoly:
-    """The numerator of rss', rejecting designs where rss is constant."""
-    P, D = prof.rss_pair()
-    if P.is_zero():
-        raise DegenerateDesignError(
-            "response lies in the covariate span; the residual sum of "
-            "squares vanishes identically")
-    S = P.derivative() * D - P * D.derivative()
-    if S.is_zero():
-        raise DegenerateDesignError(
-            "profiled residual sum of squares does not vary with theta")
-    return S
-
-
-def _require_decay(design: DesignProblem, prof: ProfilePolys, raw: UniPoly,
-                   method: str):
-    """Reject designs whose criterion is constant in theta (a zero raw
-    numerator) or does not fall off for large theta.
-
-    The criterion behaves like growth * log(theta) at infinity, with
-    growth computable exactly from degrees: rss ~ theta^(deg P - deg D)
-    and log det(X'KX) ~ (deg G - p deg d) log theta. A positive growth
-    means the likelihood is unbounded (the centered covariates absorb
-    the within-group variation); zero growth with a climbing tail means
-    the supremum sits at the large-theta limit. Either way no finite
-    maximizer can be certified.
-    """
-    if raw.is_zero():
-        raise DegenerateDesignError(
-            "criterion is constant in theta; the variance ratio is not "
-            "identified")
-    P, D = prof.rss_pair()
-    drop = D.degree - P.degree
-    if method == "ML":
-        growth = design.N * drop - design.q
-    else:
-        growth = ((design.N - design.p) * drop - design.q
-                  - prof.gram_det.degree + design.p * prof.d.degree)
-    if growth > 0:
-        raise DegenerateDesignError(
-            "criterion increases without bound as theta grows; "
-            "no maximizer exists")
-    if growth == 0:
-        far = cauchy_bound(raw) + 1
-        if -sign(raw(far)) > 0:
-            raise DegenerateDesignError(
-                "criterion approaches its supremum only in the "
-                "large-theta limit; no finite maximizer exists beyond "
-                "the last stationary point")
-
-
 # ----------------------------------------------------------------------
 # Profile equations
 # ----------------------------------------------------------------------
@@ -248,50 +189,17 @@ def ml_equation(design: DesignProblem,
                 prof: Optional[ProfilePolys] = None) -> ProfileEquation:
     """Cancelled stationarity numerator of the covariate profile criterion.
 
-    With rss = P/D the derivative identity is
-
-        objective'(theta) = -[N (P'D - PD') d + P D f1] / (P D d),
-
-    and the denominator P G d^2 is positive on [0, inf), so base_sign
-    is -1. No degree formula is asserted.
+    No degree formula is asserted. A caller that already holds
+    gls_profile(design) passes it as prof.
     """
-    prof = prof or gls_profile(design)
-    S = _require_varying_rss(prof)
-    P, D = prof.rss_pair()
-    raw = S * prof.d * Fraction(design.N) + P * D * _f1_poly(prof)
-    _require_decay(design, prof, raw, "ML")
-    den_factors = ([(UniPoly.linear(1, n, VAR), 2) for n in prof.sizes]
-                   + [(prof.gram_det, 1), (prof.p_poly, 1)])
-    return build_profile_equation(
-        raw, den_factors, Fraction(1),
-        expected_degree=None, method_tag="ML", base_sign=-1)
+    return profile_equation(prof or gls_profile(design), "ML")
 
 
 def reml_equation(design: DesignProblem,
                   prof: Optional[ProfilePolys] = None) -> ProfileEquation:
-    """Cancelled stationarity numerator of the restricted criterion.
-
-    The restricted objective subtracts log det(X'KX) = log G - p log d,
-    so the raw numerator gains gram-determinant terms:
-
-        (N-p)(P'D - PD') d G + P D (f1 G + G' d - p d' G)
-
-    over the positive denominator P G^2 d^2; base_sign is -1.
-    """
-    prof = prof or gls_profile(design)
-    S = _require_varying_rss(prof)
-    P, D = prof.rss_pair()
-    d, G = prof.d, prof.gram_det
-    w = Fraction(design.N - design.p)
-    raw = (S * d * G * w
-           + P * D * (_f1_poly(prof) * G + G.derivative() * d
-                      - d.derivative() * G * Fraction(design.p)))
-    _require_decay(design, prof, raw, "REML")
-    den_factors = ([(UniPoly.linear(1, n, VAR), 2) for n in prof.sizes]
-                   + [(G, 2), (prof.p_poly, 1)])
-    return build_profile_equation(
-        raw, den_factors, Fraction(1),
-        expected_degree=None, method_tag="REML", base_sign=-1)
+    """Cancelled stationarity numerator of the restricted criterion, which
+    subtracts log det(X'KX) = log G - p log d from the profile criterion."""
+    return profile_equation(prof or gls_profile(design), "REML")
 
 
 def conjecture_bound(design: DesignProblem, method: str) -> Optional[int]:

@@ -22,7 +22,7 @@ class DegenerateDataError(ModelAssumptionError):
 
 
 class DegenerateDesignError(ModelAssumptionError):
-    """Covariate design whose profiled residual sum of squares is constant."""
+    """Design whose profile criterion has no certifiable finite maximizer."""
 
 
 class RankDeficiencyError(ModelAssumptionError):

@@ -3,15 +3,13 @@
 With kappa = 1/omega and theta = tau/omega, profiling the mean and kappa
 out of the (scaled) log-likelihood leaves a univariate objective in theta
 whose derivative is a rational function with an everywhere-positive
-denominator on [0, inf). The numerators are assembled here from four
-families of basis polynomials and handed to the shared profilefit
-machinery. The restricted objective differs only in its N-1 weights and an
-extra log term, and its numerator carries a guaranteed square factor from
-the singleton size classes.
-
-The plain layout is the covariate model with design X = 1: gls_profile
-hands profilefit the record a covariate design gives, so one profile
-objective serves both fits.
+denominator on [0, inf). The plain layout is the covariate model with
+design X = 1: gls_profile builds, from the simple-pole basis below, the
+profilefit record a covariate design gives, and profilefit derives the
+one objective and its stationarity numerator from that record for both
+fits. What stays here is the degree law of the cancelled numerator:
+3M + M2 - 3 (ML) and 2M + 2M2 - 3 (REML), the singleton size classes
+dividing out once and twice.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from .profilefit import (
     FitReport,
     ProfileEquation,
     ProfilePolys,
-    build_profile_equation,
+    profile_equation,
     profile_estimates,
     profile_fit,
     profile_value,
@@ -42,15 +40,12 @@ VAR = "theta"
 
 @dataclass(frozen=True)
 class BasisPolys:
-    """The exact polynomial basis of the one-way profile equations.
+    """The exact polynomial basis of the one-way profile record.
 
-    d is the product of (1 + n_i theta) over distinct sizes; d1 collects
-    the singleton size classes and d2 the repeated ones. For a weight
-    family a, f_a clears the denominator of the weighted sum with simple
-    poles and g_a the one with double poles:
+    d is the product of (1 + n_i theta) over distinct sizes. For a weight
+    family a, f_a clears the denominator of the weighted sum
 
         f_a = sum_i m_i n_i a_i prod_{j != i} (1 + n_j theta)
-        g_a = sum_i m_i n_i^2 a_i prod_{j != i} (1 + n_j theta)^2
 
     with a ranging over 1, the class means, their squares, and the
     between-group sums of squares divided by the multiplicities.
@@ -60,16 +55,10 @@ class BasisPolys:
     """
 
     d: UniPoly
-    d1: UniPoly
-    d2: UniPoly
     f1: UniPoly
     fY: UniPoly
     fY2: UniPoly
     fBm: UniPoly
-    g1: UniPoly
-    gY: UniPoly
-    gY2: UniPoly
-    gBm: UniPoly
     bracket: UniPoly
 
 
@@ -78,15 +67,6 @@ def _int_linear_product(sizes) -> list:
     out = [1]
     for n in sizes:
         out = [a + n * b for a, b in zip(out + [0], [0] + out)]
-    return out
-
-
-def _int_square(cs: list) -> list:
-    """Integer coefficients of the square of an integer polynomial."""
-    out = [0] * (2 * len(cs) - 1)
-    for i, a in enumerate(cs):
-        for j, b in enumerate(cs):
-            out[i + j] += a * b
     return out
 
 
@@ -114,7 +94,6 @@ def basis_polynomials(stats: OneWayStats) -> BasisPolys:
             prev = c - n_i * prev
             o.append(prev)
         off.append(o)
-    off2 = [_int_square(o) for o in off]
 
     m, n, Y, B = stats.mults, stats.sizes, stats.means, stats.betweenSS
     M = stats.M
@@ -124,26 +103,9 @@ def basis_polynomials(stats: OneWayStats) -> BasisPolys:
     fY2 = _combine([m[i] * n[i] * Y[i] ** 2 for i in range(M)], off)
     fBm = _combine([n[i] * B[i] for i in range(M)], off)
     return BasisPolys(
-        d=d,
-        d1=UniPoly(_int_linear_product(
-            s for s, k in zip(n, m) if k == 1), VAR),
-        d2=UniPoly(_int_linear_product(
-            s for s, k in zip(n, m) if k >= 2), VAR),
-        f1=f1, fY=fY, fY2=fY2, fBm=fBm,
-        g1=_combine([m[i] * n[i] ** 2 for i in range(M)], off2),
-        gY=_combine([m[i] * n[i] ** 2 * Y[i] for i in range(M)], off2),
-        gY2=_combine([m[i] * n[i] ** 2 * Y[i] ** 2 for i in range(M)], off2),
-        gBm=_combine([n[i] ** 2 * B[i] for i in range(M)], off2),
+        d=d, f1=f1, fY=fY, fY2=fY2, fBm=fBm,
         bracket=f1 * d * stats.withinSS + fY2 * f1 - fY * fY + f1 * fBm,
     )
-
-
-def h_poly(basis: BasisPolys) -> UniPoly:
-    """Numerator of -(d^2 f1^2) * d/dtheta (bracket/(d f1)): the part of the
-    derivative contributed by the double-pole sums."""
-    b = basis
-    return (b.f1 * b.f1 * b.gY2 - 2 * b.fY * b.f1 * b.gY
-            + b.fY * b.fY * b.g1 + b.f1 * b.f1 * b.gBm)
 
 
 # ----------------------------------------------------------------------
@@ -158,61 +120,29 @@ def _require_generic(stats: OneWayStats):
 
 
 def ml_equation(stats: OneWayStats,
-                basis: Optional[BasisPolys] = None) -> ProfileEquation:
+                prof: Optional[ProfilePolys] = None) -> ProfileEquation:
     """Cancelled stationarity numerator of the profile criterion.
 
-    The raw identity is
-
-        objective'(theta) * kappa_hat(theta)^{-1}
-            = [N*H - f1^2 * bracket] / (N d^2 f1^2),
-
-    so the numerator's sign equals the derivative's sign on [0, inf).
-    The singleton factor d1 always divides the numerator; the expected
-    cancelled degree is 3M + M2 - 3. A caller that already holds
-    basis_polynomials(stats) passes it as basis.
+    The singleton factors (1 + n theta) always divide the raw numerator;
+    the expected cancelled degree is 3M + M2 - 3. A caller that already
+    holds gls_profile(stats) passes it as prof.
     """
     _require_generic(stats)
-    if basis is None:
-        basis = basis_polynomials(stats)
-    raw = (h_poly(basis) * Fraction(stats.N)
-           - basis.f1 * basis.f1 * basis.bracket)
-    lin = [UniPoly.linear(1, n, VAR) for n in stats.sizes]
-    den_factors = [(l, 2) for l in lin] + [(basis.f1, 2)]
-    return build_profile_equation(
-        raw, den_factors, Fraction(stats.N),
-        expected_degree=ml_degree(stats.M, stats.M2),
-        method_tag="ML", base_sign=1)
+    return profile_equation(prof or gls_profile(stats), "ML",
+                            ml_degree(stats.M, stats.M2))
 
 
 def reml_equation(stats: OneWayStats,
-                  basis: Optional[BasisPolys] = None) -> ProfileEquation:
+                  prof: Optional[ProfilePolys] = None) -> ProfileEquation:
     """Cancelled stationarity numerator of the restricted criterion.
 
-    The raw identity is exact:
-
-        objective'(theta) = [(g1 - f1^2) * bracket + (N-1)*H] / (d f1 bracket).
-
-    The square d1^2 of the singleton factor divides the numerator (d1
-    divides both g1 - f1^2 and bracket); expected cancelled degree
-    2M + 2M2 - 3. A caller that already holds basis_polynomials(stats)
-    passes it as basis.
+    The square of each singleton factor (1 + n theta) divides the raw
+    numerator; the expected cancelled degree is 2M + 2M2 - 3. A caller
+    that already holds gls_profile(stats) passes it as prof.
     """
     _require_generic(stats)
-    if basis is None:
-        basis = basis_polynomials(stats)
-    raw = ((basis.g1 - basis.f1 * basis.f1) * basis.bracket
-           + h_poly(basis) * Fraction(stats.N - 1))
-    lin = [UniPoly.linear(1, n, VAR) for n in stats.sizes]
-    # bracket itself carries one copy of d1, so split it out to expose the
-    # full square in the denominator's factor list
-    bracket_core = basis.bracket.exact_divide(basis.d1)
-    den_factors = ([(l, 2) for l, m in zip(lin, stats.mults) if m == 1]
-                   + [(l, 1) for l, m in zip(lin, stats.mults) if m >= 2]
-                   + [(basis.f1, 1), (bracket_core, 1)])
-    return build_profile_equation(
-        raw, den_factors, Fraction(1),
-        expected_degree=reml_degree(stats.M, stats.M2),
-        method_tag="REML", base_sign=1)
+    return profile_equation(prof or gls_profile(stats), "REML",
+                            reml_degree(stats.M, stats.M2))
 
 
 # ----------------------------------------------------------------------
@@ -221,17 +151,17 @@ def reml_equation(stats: OneWayStats,
 
 def gls_profile(stats: OneWayStats) -> ProfilePolys:
     """The X = 1 profile record: G = f1, P = the bracket, mu = fY/f1."""
-    return _model(stats)[0]
+    basis = basis_polynomials(stats)
+    return ProfilePolys(N=stats.N, p=1, sizes=stats.sizes, mults=stats.mults,
+                        d=basis.d, gram_det=basis.f1, p_poly=basis.bracket,
+                        cramer=(basis.fY,), mean=True)
 
 
 def _model(stats: OneWayStats):
     """(record, method -> equation), sharing one basis."""
-    basis = basis_polynomials(stats)
-    prof = ProfilePolys(N=stats.N, p=1, sizes=stats.sizes, mults=stats.mults,
-                        d=basis.d, gram_det=basis.f1, p_poly=basis.bracket,
-                        cramer=(basis.fY,), mean=True)
+    prof = gls_profile(stats)
     return prof, lambda method: (
-        ml_equation if method == "ML" else reml_equation)(stats, basis)
+        ml_equation if method == "ML" else reml_equation)(stats, prof)
 
 
 def estimates_at(stats: OneWayStats,

@@ -9,8 +9,9 @@ by evaluation, roots are isolated and classified by exact derivative signs,
 and the global optimum is chosen by comparing rigorous objective enclosures
 that are refined until the comparison is decisive.
 
-The objective is defined here once for both one-way fits: a ProfilePolys
-record of the design X (the plain layout is X = 1) is all it needs.
+The objective and its stationarity equation are defined here once for
+both one-way fits: a ProfilePolys record of the design X (the plain layout
+is X = 1) is all they need.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .enclosure import Approx, interval_divide, log_enclosure
-from .errors import ContractViolationError
+from .errors import ContractViolationError, DegenerateDesignError
 from .polynomials import UniPoly, descartes_sign_changes, poly_gcd
 from .roots import (
     RootInterval,
@@ -143,29 +144,23 @@ def _orientation_probe(num: UniPoly) -> Fraction:
 
 def build_profile_equation(raw_numerator: UniPoly,
                            den_factors: Sequence[Tuple[UniPoly, int]],
-                           den_constant: Fraction,
                            expected_degree: Optional[int],
-                           method_tag: str,
-                           base_sign: int) -> ProfileEquation:
+                           method_tag: str) -> ProfileEquation:
     """Cancel, normalize, orient, and certify a profile derivative.
 
     Args:
-        raw_numerator: uncancelled numerator of the derivative identity.
+        raw_numerator: nonzero numerator of objective' over the positive
+            denominator prod(poly^mult) of den_factors.
         den_factors: the denominator's known factorization as (poly, mult)
             pairs; every factor is strictly positive on [0, inf).
-        den_constant: positive constant completing the denominator.
         expected_degree: degree predicted by the counting formulas, or None
             when no formula applies.
         method_tag: "ML" or "REML".
-        base_sign: sign s0 with sign(objective') = s0 * sign(raw numerator)
-            on [0, inf), given the positive denominator.
 
     Returns:
         ProfileEquation with a primitive numerator, coprime to the
         remaining denominator, and a certified orientation.
     """
-    if raw_numerator.is_zero():
-        raise ContractViolationError("profile numerator is identically zero")
     num = raw_numerator
     remaining: List[Tuple[UniPoly, int]] = []
     for piece, mult in den_factors:
@@ -178,7 +173,7 @@ def build_profile_equation(raw_numerator: UniPoly,
             left -= 1
         if left:
             remaining.append((piece, left))
-    den = UniPoly.constant(den_constant, raw_numerator.var)
+    den = UniPoly.constant(1, raw_numerator.var)
     for piece, mult in remaining:
         den = den * piece ** mult
     # insurance: the closed-form factor list is expected to exhaust the
@@ -192,10 +187,9 @@ def build_profile_equation(raw_numerator: UniPoly,
 
     num_p = num.primitive()
     t = _orientation_probe(num_p)
-    cof_sign = sign(raw_numerator(t)) * sign(num_p(t))
-    if cof_sign == 0:
+    orientation = sign(raw_numerator(t)) * sign(num_p(t))
+    if orientation == 0:
         raise ContractViolationError("cancelled factor vanishes on [0, inf)")
-    orientation = base_sign * cof_sign
 
     # certificate: beyond every root the objective must be decreasing
     far = cauchy_bound(num_p) + 1
@@ -209,6 +203,72 @@ def build_profile_equation(raw_numerator: UniPoly,
         observed_degree=num_p.degree,
         method_tag=method_tag,
         orientation=orientation)
+
+
+def _strip_linear(poly: UniPoly, n: int) -> Tuple[UniPoly, int]:
+    """(poly / (1 + n theta)^k, k) for the multiplicity k of the root -1/n."""
+    lin, k = UniPoly.linear(1, n, poly.var), 0
+    while poly(Fraction(-1, n)) == 0:
+        poly, k = poly.exact_divide(lin), k + 1
+    return poly, k
+
+
+def profile_equation(prof: ProfilePolys, method: str,
+                     expected_degree: Optional[int] = None) -> ProfileEquation:
+    """Cancelled stationarity numerator of one method's profile objective.
+
+    With w = N (ML) or N - p (REML), D = d G and f1 = d * sum m_i n_i /
+    (1 + n_i theta), the derivative of the objective is
+
+        objective'(theta) = [P u - w P' D] / (P d G),   u = w D' - f1 G,
+
+    and REML also subtracts G' d - p d' G, which is d G times the
+    derivative of log(G / d^p), from u. The denominator is positive on
+    [0, inf).
+
+    Raises DegenerateDesignError when P or the numerator vanishes
+    identically, or when the objective does not fall off for large theta:
+    it behaves like growth * log(theta) there, so a positive leading
+    coefficient means growth > 0 (unbounded) or growth = 0 with the
+    supremum at the large-theta limit. No finite maximizer exists then.
+    """
+    P, D = prof.rss_pair()
+    if P.is_zero():
+        raise DegenerateDesignError(
+            "response lies in the covariate span; the residual sum of "
+            "squares vanishes identically")
+    d, G = prof.d, prof.gram_det
+    w = prof.N if method == "ML" else prof.N - prof.p
+    f1 = UniPoly.zero(d.var)
+    for n, m in zip(prof.sizes, prof.mults):
+        f1 = f1 + d.exact_divide(UniPoly.linear(1, n, d.var)) * (m * n)
+    u = D.derivative() * w - f1 * G
+    if method == "REML":
+        u = u - G.derivative() * d + d.derivative() * G * prof.p
+    raw = P * u - P.derivative() * D * w
+    if raw.is_zero():
+        raise DegenerateDesignError(
+            "criterion is constant in theta; the variance ratio is not "
+            "identified")
+    if raw.leading_coeff() > 0:
+        growth = w * (D.degree - P.degree) - sum(prof.mults)
+        if method == "REML":
+            growth -= G.degree - prof.p * d.degree
+        raise DegenerateDesignError(
+            "criterion increases without bound as theta grows; "
+            "no maximizer exists" if growth > 0 else
+            "criterion approaches its supremum only in the large-theta "
+            "limit; no finite maximizer exists beyond the last "
+            "stationary point")
+    # every (1 + n theta) once from d, plus its multiplicity in P and G,
+    # then what is left of G and P
+    den_factors, core_p, core_g = [], P, G
+    for n in prof.sizes:
+        core_p, kp = _strip_linear(core_p, n)
+        core_g, kg = _strip_linear(core_g, n)
+        den_factors.append((UniPoly.linear(1, n, d.var), 1 + kp + kg))
+    den_factors += [(core_g, 1), (core_p, 1)]
+    return build_profile_equation(raw, den_factors, expected_degree, method)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,9 @@ import json
 import os
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
+from exactvc.polynomials import UniPoly
 from exactvc.stats import OneWayStats
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -54,3 +56,69 @@ def random_oneway_stats(rng: random.Random, max_q: int = 10,
             for m in mults)
         within = Fraction(rng.randrange(1, 2000), rng.randrange(1, 20))
         return OneWayStats(tuple(sizes), tuple(mults), means, between, within)
+
+
+# -- the paper's closed forms ------------------------------------------------
+#
+# The one-way stationarity numerators as the paper writes them, from a
+# simple-pole family f_a and a double-pole family g_a of weighted sums,
+# built term by term. They are the reference the library's profile
+# equations are checked against; nothing here calls the library's
+# equation machinery.
+
+def _cleared_sum(stats, weights, power):
+    """d^power * sum_i w_i / (1 + n_i theta)^power as a polynomial."""
+    lin = [UniPoly.linear(1, n, "theta") for n in stats.sizes]
+    acc = UniPoly.zero("theta")
+    for i, w in enumerate(weights):
+        term = UniPoly.constant(w, "theta")
+        for j, l in enumerate(lin):
+            if j != i:
+                term = term * l ** power
+        acc = acc + term
+    return acc
+
+
+def closed_forms(stats: OneWayStats) -> SimpleNamespace:
+    """The paper's basis and raw ML/REML numerators for one-way stats.
+
+    d = prod (1 + n_i theta) = d1 d2 over singleton and repeated size
+    classes; f_a and g_a clear sum m_i n_i a_i / (1 + n_i theta) and
+    sum m_i n_i^2 a_i / (1 + n_i theta)^2 for a = 1, Y, Y^2 and B/m;
+    bracket = W f1 d + fY2 f1 - fY^2 + f1 fBm. With
+    h = f1^2 gY2 - 2 fY f1 gY + fY^2 g1 + f1^2 gBm,
+
+        raw_ml = N h - f1^2 bracket,
+        raw_reml = (g1 - f1^2) bracket + (N - 1) h,
+
+    each the numerator of the derivative over a denominator positive on
+    [0, inf). d1 divides raw_ml and d1^2 divides raw_reml.
+    """
+    n, m, Y, B = stats.sizes, stats.mults, stats.means, stats.betweenSS
+    cf = SimpleNamespace()
+    one = UniPoly.constant(1, "theta")
+    cf.d1, cf.d2 = one, one
+    for size, mult in zip(n, m):
+        if mult == 1:
+            cf.d1 = cf.d1 * UniPoly.linear(1, size, "theta")
+        else:
+            cf.d2 = cf.d2 * UniPoly.linear(1, size, "theta")
+    cf.d = cf.d1 * cf.d2
+    families = {
+        "1": [Fraction(mi * ni) for mi, ni in zip(m, n)],
+        "Y": [mi * ni * y for mi, ni, y in zip(m, n, Y)],
+        "Y2": [mi * ni * y * y for mi, ni, y in zip(m, n, Y)],
+        "Bm": [ni * b for ni, b in zip(n, B)],
+    }
+    for a, w in families.items():
+        setattr(cf, "f" + a, _cleared_sum(stats, w, 1))
+        setattr(cf, "g" + a, _cleared_sum(
+            stats, [wi * ni for wi, ni in zip(w, n)], 2))
+    cf.bracket = (cf.f1 * cf.d * stats.withinSS + cf.fY2 * cf.f1
+                  - cf.fY * cf.fY + cf.f1 * cf.fBm)
+    cf.h = (cf.f1 * cf.f1 * cf.gY2 - 2 * cf.fY * cf.f1 * cf.gY
+            + cf.fY * cf.fY * cf.g1 + cf.f1 * cf.f1 * cf.gBm)
+    cf.raw_ml = cf.h * stats.N - cf.f1 * cf.f1 * cf.bracket
+    cf.raw_reml = ((cf.g1 - cf.f1 * cf.f1) * cf.bracket
+                   + cf.h * (stats.N - 1))
+    return cf

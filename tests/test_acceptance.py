@@ -21,17 +21,10 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from conftest import fixture_path, load_stats_fixture
+from conftest import closed_forms, fixture_path, load_stats_fixture
 from exactvc import covariates, oneway
 from exactvc.covariates import DesignProblem
-from exactvc.oneway import (
-    basis_polynomials,
-    h_poly,
-    ml_equation,
-    ml_fit,
-    reml_equation,
-    reml_fit,
-)
+from exactvc.oneway import ml_equation, ml_fit, reml_equation, reml_fit
 from exactvc.polynomials import UniPoly, descartes_sign_changes, poly_gcd
 from exactvc.stats import (
     GroupedData,
@@ -366,13 +359,9 @@ def test_criterion_6_divisibility_and_coprimality_on_100_instances():
     rng = random.Random(SEED_DIVISIBILITY)
     for _ in range(100):
         st = random_sized_stats(rng, 2, 8, 1, 12)
-        basis = basis_polynomials(st)
-        bracket = basis.bracket
-        raw_ml = h_poly(basis) * Fraction(st.N) - basis.f1 * basis.f1 * bracket
-        raw_reml = ((basis.g1 - basis.f1 * basis.f1) * bracket
-                    + h_poly(basis) * Fraction(st.N - 1))
-        assert basis.d1.divides(raw_ml)
-        assert (basis.d1 * basis.d1).divides(raw_reml)
+        cf = closed_forms(st)
+        assert cf.d1.divides(cf.raw_ml)
+        assert (cf.d1 * cf.d1).divides(cf.raw_reml)
         for eq in (ml_equation(st), reml_equation(st)):
             assert poly_gcd(eq.numerator, eq.denominator).degree == 0
 

@@ -175,6 +175,21 @@ def test_constant_criterion_is_degenerate(tmp_path, capsys):
     assert json.loads(out)["error"]["kind"] == "degenerate"
 
 
+def test_flat_rss_covariate_csv_fits_like_oneway(tmp_path, capsys):
+    # identical group means: the profiled rss does not vary with theta,
+    # and both layouts certify the boundary maximum
+    rows = [("A", 1), ("A", 3), ("B", 0), ("B", 4), ("C", 2), ("C", 2)]
+    cov = tmp_path / "cov.csv"
+    cov.write_text("group,y,x1\n" + "".join(f"{g},{v},1\n" for g, v in rows))
+    plain = tmp_path / "plain.csv"
+    plain.write_text("group,value\n" + "".join(f"{g},{v}\n" for g, v in rows))
+    for path in (cov, plain):
+        code, out = run(capsys, "fit-oneway", "--csv", str(path))
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["ml"]["boundary_is_max"] and rep["reml"]["boundary_is_max"]
+
+
 def input_error(capsys, tmp_path, text, *argv):
     p = tmp_path / "data.csv"
     p.write_text(text)
@@ -236,3 +251,13 @@ def test_audit_covariates(capsys):
     conj = rep["conjecture"]
     assert conj["checked"] + conj["skipped"] >= 4 - 1
     assert conj["violations"] == []
+
+
+def test_audit_refuses_covariates_no_design_can_hold(capsys):
+    # two groups of at most 5 rows never outnumber 1 + 20 columns
+    t0 = time.monotonic()
+    code, out = run(capsys, "audit", "--q", "2", "--trials", "1",
+                    "--covariates", "20")
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "input"
+    assert time.monotonic() - t0 < 1.0

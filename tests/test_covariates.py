@@ -263,13 +263,20 @@ def test_response_in_span_raises():
         ml_equation(d)
 
 
-def test_constant_rss_raises():
+def test_constant_rss_fits_like_oneway():
     # balanced one-way data with identical group means: the profiled rss
-    # is flat in theta even though the residual is nonzero
-    y = tuple(Fraction(v) for v in (1, 3, 0, 4, 2, 2))
+    # is flat in theta, so the criterion falls from theta = 0 and both
+    # fits put the maximum on the boundary, as the plain one-way fits do
+    groups = ((1, 3), (0, 4), (2, 2))
+    y = tuple(Fraction(v) for g in groups for v in g)
     ones = DesignProblem(y, tuple((Fraction(1),) for _ in y), (2, 2, 2))
-    with pytest.raises(DegenerateDesignError):
-        ml_equation(ones)
+    s = summarize(GroupedData(tuple(tuple(Fraction(v) for v in g)
+                                    for g in groups)))
+    for mine, plain in ((ml_fit(ones), oneway.ml_fit(s)),
+                        (reml_fit(ones), oneway.reml_fit(s))):
+        assert mine.boundary_is_max and plain.boundary_is_max
+        assert mine.global_estimates.theta == plain.global_estimates.theta == 0
+        assert mine.global_estimates.loglik == plain.global_estimates.loglik
 
 
 def test_unbounded_criterion_raises():

@@ -31,6 +31,11 @@ CASES = {
     "oneway_dyestuff_reml_poly": ["fit-oneway", "--method", "REML",
                                   "--emit-poly", "--csv", "dyestuff.csv"],
     "twoway_penicillin": ["fit-twoway", "--stats", "penicillin.json"],
+    "covariates_intercept_both": ["fit-oneway", "--method", "both",
+                                  "--add-intercept",
+                                  "--csv", "covariates.csv"],
+    "covariates_reml_poly": ["fit-oneway", "--method", "REML",
+                             "--emit-poly", "--csv", "covariates.csv"],
 }
 
 

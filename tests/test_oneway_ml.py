@@ -6,25 +6,22 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fixture_path, load_stats_fixture, random_oneway_stats
+from conftest import (
+    closed_forms,
+    fixture_path,
+    load_stats_fixture,
+    random_oneway_stats,
+)
 from exactvc.errors import DegenerateDataError
 from exactvc.oneway import (
     basis_polynomials,
     estimates_at,
-    h_poly,
     ml_equation,
     ml_fit,
     profile_loglik,
 )
 from exactvc.polynomials import UniPoly, descartes_sign_changes, poly_gcd
 from exactvc.stats import GroupedData, OneWayStats, ml_degree, summarize
-
-
-def raw_ml_numerator(stats):
-    basis = basis_polynomials(stats)
-    bracket = basis.bracket
-    return (h_poly(basis) * Fraction(stats.N)
-            - basis.f1 * basis.f1 * bracket), basis
 
 
 # -- basis polynomials -------------------------------------------------------
@@ -43,7 +40,8 @@ def test_basis_two_classes_hand_expansion():
     b = basis_polynomials(s)
     assert b.d == UniPoly([1, 5, 6], "theta")        # (1+2t)(1+3t)
     assert b.f1 == UniPoly([5, 12], "theta")          # 2(1+3t) + 3(1+2t)
-    assert b.d1 == b.d and b.d2.degree == 0
+    cf = closed_forms(s)
+    assert cf.d1 == b.d and cf.d2.degree == 0
 
 
 def test_basis_matches_rational_sum_oracle():
@@ -51,6 +49,7 @@ def test_basis_matches_rational_sum_oracle():
     for _ in range(15):
         s = random_oneway_stats(rng)
         b = basis_polynomials(s)
+        cf = closed_forms(s)
         weights = {
             "f1": [Fraction(m * n) for m, n in zip(s.mults, s.sizes)],
             "fY": [m * n * y for m, n, y in zip(s.mults, s.sizes, s.means)],
@@ -66,7 +65,7 @@ def test_basis_matches_rational_sum_oracle():
             # double-pole family, one spot check
             sv = sum(m * n * n / (1 + n * t) ** 2
                      for m, n in zip(s.mults, s.sizes))
-            assert b.g1(t) == dv * dv * sv
+            assert cf.g1(t) == dv * dv * sv
 
 
 def test_basis_positivity():
@@ -74,12 +73,13 @@ def test_basis_positivity():
     for _ in range(10):
         s = random_oneway_stats(rng)
         b = basis_polynomials(s)
-        assert b.d == b.d1 * b.d2
+        cf = closed_forms(s)
+        assert b.d == cf.d1 * cf.d2
         for k in range(8):
             t = Fraction(k, 3)
             assert b.d(t) > 0 and b.f1(t) > 0
         for k in range(-8, 9):
-            assert b.g1(Fraction(k, 2)) > 0
+            assert cf.g1(Fraction(k, 2)) > 0
 
 
 def test_degrees_of_basis():
@@ -89,7 +89,7 @@ def test_degrees_of_basis():
         b = basis_polynomials(s)
         assert b.d.degree == s.M
         assert b.f1.degree == s.M - 1
-        assert b.g1.degree == 2 * (s.M - 1)
+        assert closed_forms(s).g1.degree == 2 * (s.M - 1)
 
 
 # -- equation structure ------------------------------------------------------
@@ -113,12 +113,12 @@ def test_singleton_factor_divides_raw_numerator():
     rng = random.Random(13)
     for _ in range(20):
         s = random_oneway_stats(rng)
-        raw, basis = raw_ml_numerator(s)
-        assert basis.d1.divides(raw)
+        cf = closed_forms(s)
+        assert cf.d1.divides(cf.raw_ml)
         # repeated classes with positive between-SS must NOT divide out
         for n, m, bb in zip(s.sizes, s.mults, s.betweenSS):
             if m >= 2 and bb > 0:
-                assert not UniPoly.linear(1, n, "theta").divides(raw)
+                assert not UniPoly.linear(1, n, "theta").divides(cf.raw_ml)
 
 
 def test_cancelled_equation_is_coprime():

@@ -5,27 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import load_stats_fixture, random_oneway_stats
+from conftest import closed_forms, load_stats_fixture, random_oneway_stats
 from exactvc.errors import DegenerateDataError
 from exactvc.oneway import (
-    basis_polynomials,
     estimates_at,
     gls_profile,
-    h_poly,
     reml_equation,
     reml_fit,
     restricted_loglik,
 )
 from exactvc.polynomials import poly_gcd
 from exactvc.stats import OneWayStats, ml_degree, reml_degree
-
-
-def raw_reml_numerator(stats):
-    basis = basis_polynomials(stats)
-    bracket = basis.bracket
-    raw = ((basis.g1 - basis.f1 * basis.f1) * bracket
-           + h_poly(basis) * Fraction(stats.N - 1))
-    return raw, basis
 
 
 def test_reml_rejects_zero_within():
@@ -55,10 +45,10 @@ def test_singleton_square_divides_raw_numerator():
     rng = random.Random(11)
     for _ in range(20):
         s = random_oneway_stats(rng)
-        raw, basis = raw_reml_numerator(s)
-        assert (basis.d1 * basis.d1).divides(raw)
+        cf = closed_forms(s)
+        assert (cf.d1 * cf.d1).divides(cf.raw_reml)
         # d1 also divides g1 - f1^2 on its own
-        assert basis.d1.divides(basis.g1 - basis.f1 * basis.f1)
+        assert cf.d1.divides(cf.g1 - cf.f1 * cf.f1)
 
 
 def test_reml_cancelled_coprime():

@@ -1,9 +1,14 @@
-"""The shared certified-argmax engine: wins, ties and enclosure retries."""
+"""The shared profile machinery: the stationarity equation against the
+paper's closed forms, and the certified-argmax engine's wins, ties and
+enclosure retries."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from conftest import closed_forms, random_oneway_stats
+from exactvc import oneway
 from exactvc.enclosure import Approx
 from exactvc.errors import ContractViolationError
 from exactvc.polynomials import UniPoly
@@ -12,9 +17,28 @@ from exactvc.profilefit import (
     _TIE_WIDTH_CAP,
     certified_argmax,
     enclose_at,
+    profile_equation,
     theta_pair,
 )
 from exactvc.roots import isolate_real_roots
+
+def test_profile_equation_matches_the_closed_forms():
+    # the singleton classes d1 divide raw_ml once and raw_reml twice, and
+    # nothing else cancels (the degree laws), so the cancelled numerator
+    # is raw / d1^k in primitive form, oriented by raw's leading sign
+    rng = random.Random(20260518)
+    singletons = repeated = 0
+    for _ in range(120):
+        s = random_oneway_stats(rng)
+        singletons += 1 in s.mults
+        repeated += any(m >= 2 for m in s.mults)
+        cf, prof = closed_forms(s), oneway.gls_profile(s)
+        for method, raw, k in (("ML", cf.raw_ml, 1), ("REML", cf.raw_reml, 2)):
+            eq = profile_equation(prof, method)
+            assert eq.numerator == raw.exact_divide(cf.d1 ** k).primitive()
+            assert eq.orientation == (1 if raw.leading_coeff() > 0 else -1)
+    assert singletons >= 20 and repeated >= 20
+
 
 # (x - 1)(x - 3): two isolated roots, both exact dyadic rationals
 POLY = UniPoly([3, -4, 1], "x")
