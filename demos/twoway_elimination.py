@@ -2,11 +2,13 @@
 Two-way layout: elimination down to a quartic
 =============================================
 
-For a balanced crossed layout with two random effects the cleared
-stationarity system is polynomial in (omega, tau1, tau2). Resultants
-eliminate the two tau variables; after stripping the known clearing
-factors the surviving polynomial in omega has degree four, and each
-tau is recovered from omega by a linear relation modulo that quartic.
+For a balanced crossed layout with two random effects the stationarity
+system is rational in (omega, tau1, tau2). Its first equation fixes
+c = omega + qn tau1 + rn tau2 as a function of omega; then
+a = omega + qn tau1 satisfies two quadratics over Q[omega]. Their
+resultant, with the known clearing factors stripped, is a polynomial in
+omega of degree four, and each tau is recovered from omega by a linear
+relation modulo that quartic.
 """
 
 from fractions import Fraction

@@ -222,8 +222,13 @@ def _audit_oneway(rng: random.Random, q: int, trials: int) -> dict:
     return {"degree_matches": matches, "degree_mismatches": mismatches}
 
 
+# Draws tried for one audit design. Near the 5q - 2 cap nearly every group
+# must draw 5 rows (1 in 5^q draws), so the search needs an end.
+_MAX_DESIGN_DRAWS = 10_000
+
+
 def _random_design(rng: random.Random, q: int, p_extra: int) -> cov.DesignProblem:
-    while True:
+    for _ in range(_MAX_DESIGN_DRAWS):
         sizes = [rng.randint(1, 5) for _ in range(q)]
         if max(sizes) < 2:
             continue
@@ -241,6 +246,9 @@ def _random_design(rng: random.Random, q: int, p_extra: int) -> cov.DesignProble
             return cov.DesignProblem(y, x, tuple(sizes))
         except (RankDeficiencyError, ModelAssumptionError):
             continue
+    raise InputError(
+        f"no full-rank design with more rows than its {p_extra + 1} columns "
+        f"in {_MAX_DESIGN_DRAWS} random draws; lower --covariates")
 
 
 def _audit_covariates(rng: random.Random, q: int, trials: int,

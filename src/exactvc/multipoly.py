@@ -1,10 +1,10 @@
-"""Sparse multivariate polynomials and fraction-free elimination.
+"""Sparse multivariate polynomials and fraction-free determinants.
 
-The elimination path is deliberately narrow: build Sylvester matrices with
-respect to one variable at a time and evaluate their determinants with the
-one-step Bareiss scheme, whose interior divisions are always exact. That is
-enough to project the two-way critical systems down to one variable without
-ever leaving exact rational arithmetic.
+bareiss_determinant, the one-step Bareiss scheme whose interior divisions
+are always exact, serves covariates (Gram and bordered determinants over
+UniPoly). MultiPoly, sylvester_matrix and resultant_eliminate serve no
+fit: they are the general Sylvester cascade that the two-way tests check
+twoway's one-variable elimination against.
 """
 
 from __future__ import annotations

@@ -4,13 +4,16 @@ The crossed random-effects model with r row levels, q column levels and
 n replicates per cell has a covariance matrix whose eigenvalues are
 affine in the variance components, so the likelihood splits over four
 sums of squares. The stationarity conditions are three rational
-equations; clearing denominators gives three polynomials in (omega,
-tau1, tau2) whose extraneous factors are known in closed form. Two
-Sylvester resultants eliminate tau2 and tau1, trial division removes
-the clearing factors, and the squarefree part is a quartic for generic
-data. Back-substitution reduces each tau to a linear relation modulo
-the quartic, so every solution is a polynomial image of a quartic root
-and can be enclosed exactly.
+equations in omega and a = omega + qn tau1, b = omega + rn tau2,
+c = a + b - omega. The first fixes c = omega^2/(e omega - E); then a and
+b each satisfy a quadratic over Q[omega], and a + b = c + omega turns
+the b-quadratic into a second quadratic in a. Their resultant in a is a
+polynomial in omega alone; trial division removes the known clearing
+factors and the squarefree part is a quartic for generic data. The two
+quadratics have proportional leading coefficients, so one combination
+of them is linear in a: tau1 is its solution modulo the quartic and
+tau2 follows from c. Every solution is a polynomial image of a quartic
+root and can be enclosed exactly.
 
 The interaction model separates: the error variance is estimated in
 closed form and the remaining three equations are the additive system
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .enclosure import Approx, interval_divide, log_enclosure
 from .errors import (
@@ -32,15 +35,12 @@ from .errors import (
     InputError,
     ModelAssumptionError,
     NongenericDataError,
-    UndefinedInputError,
 )
-from .multipoly import MultiPoly, resultant_eliminate
 from .polynomials import UniPoly, rat, squarefree_part
 from .profilefit import _MAX_RANK_ROUNDS, _TIE_WIDTH_CAP, certified_argmax
 from .roots import RootInterval, isolate_real_roots, poly_range, refine_interval
 
 VAR = "omega"
-SYSTEM_VARS = ("omega", "tau1", "tau2")
 
 
 # ----------------------------------------------------------------------
@@ -130,28 +130,27 @@ def twoway_stats(array: Sequence[Sequence[Sequence]]) -> TwoWayStats:
 
 @dataclass(frozen=True)
 class TwoWaySystem:
-    """Cleared stationarity system in (omega, tau1, tau2).
+    """The data of one model's stationarity system.
 
     For the interaction model the variable named omega stands for the
     inflated variance w = omega_hat + n tau12 and the error variance is
-    fixed at omega_hat. weight is the residual log weight (rqn-r-q+1
+    fixed at omega_hat. weight is the residual log weight e (rqn-r-q+1
     additive, (r-1)(q-1) interaction) and resid_ss the matching sum of
-    squares. clearing lists the univariate factors whose powers are
-    extraneous after elimination.
+    squares E. clearing lists omega and the primitive e omega - E, whose
+    powers are extraneous after elimination.
     """
 
     model: str
     stats: TwoWayStats
     weight: int
     resid_ss: Fraction
-    equations: Tuple[MultiPoly, MultiPoly, MultiPoly]
     clearing: Tuple[UniPoly, ...]
     mu_hat: Optional[Fraction]
     omega_hat: Optional[Fraction]
 
 
 def ml_system(stats: TwoWayStats, model: str = "additive") -> TwoWaySystem:
-    """Cleared critical equations for the chosen model.
+    """The stationarity system of the chosen model.
 
     The rational stationarity conditions, with a = omega + qn tau1,
     b = omega + rn tau2, c = omega + qn tau1 + rn tau2 and E the
@@ -161,10 +160,10 @@ def ml_system(stats: TwoWayStats, model: str = "additive") -> TwoWaySystem:
         (r-1)/a + 1/c = SSA/a^2
         (q-1)/b + 1/c = SSB/b^2
 
-    cleared to P0 = c(e omega - E) - omega^2, P1 = (r-1)ac + a^2 - SSA c,
-    P2 = (q-1)bc + b^2 - SSB c. At any solution with c > 0 the factor
-    e omega - E equals omega^2/c, so neither omega nor e omega - E can
-    vanish there; both are safe to divide out of resultants.
+    At any solution with c > 0 the factor e omega - E equals
+    omega^2/c, so neither omega nor e omega - E can vanish there; both
+    are safe to divide out of the eliminant. eliminate_to_quartic
+    builds the equations from the e, E and clearing factors recorded.
     """
     if model not in ("additive", "interaction"):
         raise ValueError("model must be additive or interaction")
@@ -186,22 +185,10 @@ def ml_system(stats: TwoWayStats, model: str = "additive") -> TwoWaySystem:
                 "is zero")
         omega_hat = stats.SSE / denom
 
-    om = MultiPoly.variable("omega", SYSTEM_VARS)
-    t1 = MultiPoly.variable("tau1", SYSTEM_VARS)
-    t2 = MultiPoly.variable("tau2", SYSTEM_VARS)
-    a = om + t1 * Fraction(q * n)
-    b = om + t2 * Fraction(r * n)
-    c = om + t1 * Fraction(q * n) + t2 * Fraction(r * n)
-
-    p0 = c * (om * Fraction(weight) - MultiPoly.constant(resid, SYSTEM_VARS)) - om * om
-    p1 = a * c * Fraction(r - 1) + a * a - c * stats.SSA
-    p2 = b * c * Fraction(q - 1) + b * b - c * stats.SSB
-
     omega_factor = UniPoly.variable(VAR)
     resid_factor = UniPoly([-resid, weight], VAR).primitive()
     return TwoWaySystem(
         model=model, stats=stats, weight=weight, resid_ss=resid,
-        equations=(p0, p1, p2),
         clearing=(omega_factor, resid_factor),
         mu_hat=stats.grand_mean, omega_hat=omega_hat)
 
@@ -263,10 +250,6 @@ class TwoWayFitReport:
     tie: bool = False
 
 
-def _unify(mp: MultiPoly) -> UniPoly:
-    return mp.to_unipoly(VAR)
-
-
 def _strip_factor(p: UniPoly, factor: UniPoly) -> UniPoly:
     while p.degree >= factor.degree:
         quot, rem = p.divmod(factor)
@@ -276,35 +259,58 @@ def _strip_factor(p: UniPoly, factor: UniPoly) -> UniPoly:
     return p
 
 
-def _eliminated_poly(system: TwoWaySystem) -> Tuple[UniPoly, MultiPoly, MultiPoly, Optional[str]]:
-    """Resultant cascade to a univariate polynomial in the omega slot.
+Quadratic = Tuple[UniPoly, UniPoly, UniPoly]
 
-    Returns (cleaned squarefree primitive polynomial, R01, R02, note)
-    where the note reports a nongeneric degree. Eliminates tau2 from
-    (P0, P1) and (P0, P2), then tau1; divides out the stored clearing
-    factors and takes the squarefree part.
+
+def _quadratics(system: TwoWaySystem) -> Tuple[Quadratic, Quadratic]:
+    """The a- and b-equations as quadratics in a over Q[omega].
+
+    With L = e omega - E the first equation gives c = omega^2/L, and
+    L times the second is A = L a^2 + (r-1) omega^2 a - SSA omega^2.
+    Since a + b = c + omega, L b = S - L a with S = omega^2 + omega L,
+    and L^2 times the third is B = (S - L a)^2 + (q-1) omega^2 (S - L a)
+    - SSB omega^2 L. Returns the coefficients of A and of B in a, low
+    degree first.
     """
-    p0, p1, p2 = system.equations
-    try:
-        r01 = resultant_eliminate(p0, p1, "tau2")
-        r02 = resultant_eliminate(p0, p2, "tau2")
-        rfinal = resultant_eliminate(r01, r02, "tau1")
-    except UndefinedInputError as exc:
-        raise NongenericDataError(
-            f"elimination degenerated: {exc}") from exc
-    if rfinal.is_zero():
+    stats = system.stats
+    om = UniPoly.variable(VAR)
+    om2 = om * om
+    ell = UniPoly([-system.resid_ss, system.weight], VAR)
+    s = om2 + om * ell
+    quad_a = (om2 * -stats.SSA, om2 * (stats.r - 1), ell)
+    quad_b = (s * s + om2 * s * (stats.q - 1) - om2 * ell * stats.SSB,
+              ell * s * -2 - om2 * ell * (stats.q - 1),
+              ell * ell)
+    return quad_a, quad_b
+
+
+def _eliminated_poly(quad_a: Quadratic, quad_b: Quadratic,
+                     clearing: Sequence[UniPoly]
+                     ) -> Tuple[UniPoly, Optional[str]]:
+    """Resultant in a of the two quadratics, cleaned.
+
+    Returns (squarefree primitive polynomial in the omega slot, note)
+    where the note reports a nongeneric degree. The resultant of two
+    quadratics is (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1);
+    the stored clearing factors are divided out before the squarefree
+    part is taken.
+    """
+    (a0, a1, a2), (b0, b1, b2) = quad_a, quad_b
+    res = ((a2 * b0 - a0 * b2) ** 2
+           - (a2 * b1 - a1 * b2) * (a1 * b0 - a0 * b1))
+    if res.is_zero():
         raise NongenericDataError(
             "resultant vanished identically; the equations share a "
             "positive-dimensional component")
-    poly = _unify(rfinal).primitive()
-    for factor in system.clearing:
+    poly = res.primitive()
+    for factor in clearing:
         poly = _strip_factor(poly, factor)
     poly = squarefree_part(poly).primitive()
     note = None
     if poly.degree != 4:
         note = (f"eliminated polynomial has degree {poly.degree}, not 4; "
                 "data lies outside the generic stratum")
-    return poly, r01, r02, note
+    return poly, note
 
 
 def _mod_inverse(p: UniPoly, modulus: UniPoly) -> Optional[UniPoly]:
@@ -322,72 +328,6 @@ def _mod_inverse(p: UniPoly, modulus: UniPoly) -> Optional[UniPoly]:
     return (s0 * (1 / r0.coeff(0))).rem(modulus)
 
 
-def _tau_coeffs(rpoly: MultiPoly, modulus: UniPoly) -> List[UniPoly]:
-    out = []
-    for k in range(rpoly.degree_in("tau1") + 1):
-        out.append(rpoly.coeff_in("tau1", k).to_unipoly(VAR).rem(modulus))
-    while len(out) > 1 and out[-1].is_zero():
-        out.pop()
-    return out
-
-
-def _vanishes_at(coeffs: Sequence[UniPoly], t: UniPoly,
-                 modulus: UniPoly) -> bool:
-    acc = UniPoly.zero(VAR)
-    power = UniPoly.constant(1, VAR)
-    for coef in coeffs:
-        acc = (acc + coef * power).rem(modulus)
-        power = (power * t).rem(modulus)
-    return acc.is_zero()
-
-
-def _linear_relation(r01: MultiPoly, r02: MultiPoly,
-                     modulus: UniPoly) -> UniPoly:
-    """Solve the pair of bivariate relations for tau1 modulo the quartic.
-
-    A Euclid-style descent on the tau1 coefficient vectors (cross
-    multiplying leading coefficients, since the quotient ring is not a
-    field) produces linear candidates u*tau1 + v; each is accepted only
-    when u is a unit and both original eliminants vanish at -v/u. When
-    every candidate fails, tau1 is genuinely not a rational function of
-    the eliminated variable. That happens on symmetric strata, e.g.
-    equal factor dimensions with SSA = SSB, where solutions come in
-    tau-swapped pairs over a shared root.
-    """
-    orig = (_tau_coeffs(r01, modulus), _tau_coeffs(r02, modulus))
-    A, B = list(orig[0]), list(orig[1])
-    candidates = [list(c) for c in (A, B) if len(c) == 2]
-    while True:
-        if len(A) < len(B):
-            A, B = B, A
-        if len(B) < 2:
-            break
-        # kill A's leading coefficient: A*lc(B) - B*lc(A)*tau1^(dA-dB)
-        shift = len(A) - len(B)
-        lcA, lcB = A[-1], B[-1]
-        newA = [(coef * lcB).rem(modulus) for coef in A[:-1]]
-        for i, coef in enumerate(B[:-1]):
-            newA[i + shift] = (newA[i + shift] - coef * lcA).rem(modulus)
-        while newA and newA[-1].is_zero():
-            newA.pop()
-        if not newA:
-            break
-        A = newA
-        if len(A) == 2:
-            candidates.append(list(A))
-    for lin in candidates:
-        u, v = lin[1], lin[0]
-        inv = _mod_inverse(u, modulus)
-        if inv is None:
-            continue
-        t = ((v * inv).rem(modulus)) * Fraction(-1)
-        if all(_vanishes_at(coeffs, t, modulus) for coeffs in orig):
-            return t
-    raise NongenericDataError(
-        "no linear back-substitution relation exists: tau1 is not a "
-        "rational function of the eliminated variable on this data")
-
-
 def _relation_from_value(t: UniPoly) -> TauRelation:
     """Normalize tau = t(omega) to coprime integers u*tau + v = 0."""
     u = lcm(*(c.denominator for c in t.coeffs))
@@ -401,29 +341,31 @@ def eliminate_to_quartic(system: TwoWaySystem) -> TwoWayFitReport:
     """Eliminate to the univariate polynomial and solve for both taus.
 
     Returns a report skeleton: quartic and tau relations filled in,
-    solutions empty. The tau1 relation comes from the eliminant pair;
-    tau2 is recovered through c = omega^2/(e omega - E), which is
-    invertible modulo the cleaned polynomial because the linear
-    clearing factor was divided out.
+    solutions empty. tau1 = (a - omega)/(qn) with a the common root of
+    the two quadratics; tau2 = (c - a)/(rn) with c = omega^2/L, where
+    L = e omega - E is a unit modulo the cleaned polynomial because it
+    was divided out.
     """
-    poly, r01, r02, note = _eliminated_poly(system)
+    quad_a, quad_b = _quadratics(system)
+    poly, note = _eliminated_poly(quad_a, quad_b, system.clearing)
     stats = system.stats
     tau1_rel = tau2_rel = None
     if poly.degree >= 1:
-        t1 = _linear_relation(r01, r02, poly)
-        inv_clear = _mod_inverse(system.clearing[1], poly)
-        if inv_clear is None:
+        (a0, a1, ell), (b0, b1, _) = quad_a, quad_b
+        # b2 = L a2, so L A - B = (L a1 - b1) a + (L a0 - b0); a slope
+        # that is not a unit means A and B agree up to scale over some
+        # root, as on the tau-swap symmetric strata (r = q, SSA = SSB)
+        inv = _mod_inverse(ell * a1 - b1, poly)
+        if inv is None:
             raise NongenericDataError(
-                "clearing factor is a zero divisor modulo the "
-                "eliminated polynomial")
+                "no linear back-substitution relation exists: tau1 is not "
+                "a rational function of the eliminated variable on this "
+                "data")
+        a_poly = ((ell * a0 - b0) * inv).rem(poly) * Fraction(-1)
         om = UniPoly.variable(VAR)
-        weight_c = system.clearing[1].coeff(1)   # primitive scale of e
-        # c = omega^2/(e omega - E); the primitive clearing factor is
-        # (e omega - E)/content, so multiply the inverse back down
-        c_poly = ((om * om * inv_clear).rem(poly)
-                  * (weight_c / Fraction(system.weight)))
-        t2 = ((c_poly - om - t1 * Fraction(stats.q * stats.n))
-              * Fraction(1, stats.r * stats.n)).rem(poly)
+        c_poly = (om * om * _mod_inverse(ell, poly)).rem(poly)
+        t1 = ((a_poly - om) * Fraction(1, stats.q * stats.n)).rem(poly)
+        t2 = ((c_poly - a_poly) * Fraction(1, stats.r * stats.n)).rem(poly)
         tau1_rel = _relation_from_value(t1)
         tau2_rel = _relation_from_value(t2)
 
@@ -437,36 +379,6 @@ def eliminate_to_quartic(system: TwoWaySystem) -> TwoWayFitReport:
         tau1_relation=tau1_rel, tau2_relation=tau2_rel,
         solutions=(), global_solution=None, boundary=False,
         nongeneric=note)
-
-
-# ----------------------------------------------------------------------
-# Interval evaluation helpers
-# ----------------------------------------------------------------------
-
-Pair = Tuple[Fraction, Fraction]
-
-
-def multi_range(mp: MultiPoly, bounds: Dict[str, Pair]) -> Pair:
-    """Rigorous range enclosure of a sparse polynomial over a box."""
-    total = Approx.exact(0)
-    for mono, coef in mp.terms.items():
-        term = Approx.exact(coef)
-        for var, exp in zip(mp.vars, mono):
-            for _ in range(exp):
-                term = term * Approx(*bounds[var])
-        total = total + term
-    return total.lo, total.hi
-
-
-def solution_residuals(system: TwoWaySystem,
-                       sol: TwoWaySolution) -> Tuple[Approx, ...]:
-    """Enclosures of the three cleared equations at a solution box."""
-    bounds = {
-        "omega": (sol.var_value.lo, sol.var_value.hi),
-        "tau1": (sol.tau1.lo, sol.tau1.hi),
-        "tau2": (sol.tau2.lo, sol.tau2.hi),
-    }
-    return tuple(Approx(*multi_range(eq, bounds)) for eq in system.equations)
 
 
 # ----------------------------------------------------------------------

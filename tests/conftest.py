@@ -6,8 +6,11 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+from exactvc.enclosure import Approx
+from exactvc.multipoly import MultiPoly
 from exactvc.polynomials import UniPoly
 from exactvc.stats import OneWayStats
+from exactvc.twoway import TwoWayStats
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -122,3 +125,79 @@ def closed_forms(stats: OneWayStats) -> SimpleNamespace:
     cf.raw_reml = ((cf.g1 - cf.f1 * cf.f1) * cf.bracket
                    + cf.h * (stats.N - 1))
     return cf
+
+
+def random_twoway_stats(rng):
+    def ss():
+        return Fraction(rng.randint(1, 400), rng.randint(1, 40))
+    r, q = rng.randint(2, 5), rng.randint(2, 5)
+    n = rng.randint(1, 3)
+    sse = Fraction(0) if n == 1 else ss()
+    return TwoWayStats(r, q, n, ss(), ss(), ss(), sse)
+
+
+# -- the cleared two-way system ----------------------------------------------
+#
+# The three two-way stationarity equations with their denominators cleared,
+# as sparse polynomials in (omega, tau1, tau2). They are the reference the
+# library's one-variable elimination is checked against: tests evaluate them
+# at planted points and fitted boxes and rebuild the Sylvester resultant
+# cascade from them.
+
+TWOWAY_VARS = ("omega", "tau1", "tau2")
+
+
+def twoway_residual(stats, model="additive"):
+    """Residual log weight e and sum of squares E of a two-way model."""
+    r, q, n = stats.r, stats.q, stats.n
+    if model == "additive":
+        return r * q * n - r - q + 1, stats.SSAB + stats.SSE
+    return (r - 1) * (q - 1), stats.SSAB
+
+
+def twoway_cleared_system(stats, model="additive"):
+    """The cleared equations (P0, P1, P2). With a = omega + qn tau1,
+    b = omega + rn tau2 and c = a + b - omega,
+
+        P0 = c (e omega - E) - omega^2
+        P1 = (r-1) a c + a^2 - SSA c
+        P2 = (q-1) b c + b^2 - SSB c
+
+    For the interaction model omega stands for w = omega_hat + n tau12.
+    """
+    r, q, n = stats.r, stats.q, stats.n
+    e, E = twoway_residual(stats, model)
+    om, t1, t2 = (MultiPoly.variable(v, TWOWAY_VARS) for v in TWOWAY_VARS)
+    a = om + t1 * Fraction(q * n)
+    b = om + t2 * Fraction(r * n)
+    c = a + t2 * Fraction(r * n)
+    p0 = c * (om * e - E) - om * om
+    p1 = a * c * (r - 1) + a * a - c * stats.SSA
+    p2 = b * c * (q - 1) + b * b - c * stats.SSB
+    return p0, p1, p2
+
+
+def multi_range(mp, bounds):
+    """Rigorous range enclosure (lo, hi) of a sparse polynomial over a box."""
+    total = Approx.exact(0)
+    for mono, coef in mp.terms.items():
+        term = Approx.exact(coef)
+        for var, exp in zip(mp.vars, mono):
+            for _ in range(exp):
+                term = term * Approx(*bounds[var])
+        total = total + term
+    return total.lo, total.hi
+
+
+def solution_residuals(equations, sol):
+    """Enclosures of the cleared equations at a solution box.
+
+    sol needs var_value (the eliminated variable), tau1 and tau2, each
+    with lo and hi bounds.
+    """
+    bounds = {
+        "omega": (sol.var_value.lo, sol.var_value.hi),
+        "tau1": (sol.tau1.lo, sol.tau1.hi),
+        "tau2": (sol.tau2.lo, sol.tau2.hi),
+    }
+    return tuple(Approx(*multi_range(eq, bounds)) for eq in equations)

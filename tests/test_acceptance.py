@@ -21,7 +21,12 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from conftest import closed_forms, fixture_path, load_stats_fixture
+from conftest import (
+    closed_forms,
+    fixture_path,
+    load_stats_fixture,
+    random_twoway_stats,
+)
 from exactvc import covariates, oneway
 from exactvc.covariates import DesignProblem
 from exactvc.oneway import ml_equation, ml_fit, reml_equation, reml_fit
@@ -89,15 +94,6 @@ def random_grouped(rng):
         data = GroupedData(groups)
         if summarize(data).withinSS > 0:
             return data
-
-
-def random_twoway_stats(rng):
-    def ss():
-        return Fraction(rng.randint(1, 400), rng.randint(1, 40))
-    r, q = rng.randint(2, 5), rng.randint(2, 5)
-    n = rng.randint(1, 3)
-    sse = Fraction(0) if n == 1 else ss()
-    return TwoWayStats(r, q, n, ss(), ss(), ss(), sse)
 
 
 # -- independent numeric maximizers ---------------------------------------------

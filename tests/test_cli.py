@@ -5,16 +5,25 @@ exit-code mapping (0 ok, 2 input, 3 model assumption, 4 degenerate or
 tie) are what the acceptance criteria diff against.
 """
 
+import contextlib
+import io
 import json
+import os
 import random
+import tempfile
 import time
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from exactvc.cli import main
+from exactvc.enclosure import Approx
+from exactvc.twoway import TwoWayStats
 
-from conftest import fixture_path
+from conftest import fixture_path, solution_residuals, twoway_cleared_system
 
 
 def run(capsys, *argv):
@@ -261,3 +270,84 @@ def test_audit_refuses_covariates_no_design_can_hold(capsys):
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "input"
     assert time.monotonic() - t0 < 1.0
+
+
+def test_audit_bounds_the_design_draws(capsys):
+    # 45 rows need all nine groups to draw 5 rows, once in 5^9 draws;
+    # the draw bound ends the search with an input error
+    t0 = time.monotonic()
+    code, out = run(capsys, "audit", "--q", "9", "--trials", "1",
+                    "--covariates", "43")
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["kind"] == "input" and "10000 random draws" in err["message"]
+    assert time.monotonic() - t0 < 5.0
+
+
+# -- fit-twoway on random statistics ------------------------------------------
+
+SUM_OF_SQUARES = hst.one_of(
+    hst.just(F(0)),
+    hst.fractions(min_value=F(1, 9), max_value=40, max_denominator=9))
+
+
+@hst.composite
+def twoway_stats_docs(draw):
+    """Stats JSON documents, with zero sums of squares and the r = q,
+    SSA = SSB stratum where the tau relation degenerates."""
+    r = draw(hst.integers(2, 4))
+    n = draw(hst.integers(1, 3))
+    ssa, ssab = draw(SUM_OF_SQUARES), draw(SUM_OF_SQUARES)
+    if draw(hst.booleans()):
+        q, ssb = r, ssa
+    else:
+        q, ssb = draw(hst.integers(2, 4)), draw(SUM_OF_SQUARES)
+    sse = F(0) if n == 1 else draw(SUM_OF_SQUARES)
+    return {"r": r, "q": q, "n": n, "SSA": str(ssa), "SSB": str(ssb),
+            "SSAB": str(ssab), "SSE": str(sse)}
+
+
+def reported_box(value):
+    """Exact enclosure of a reported value: a rational string or a
+    float with an outward error bound."""
+    if isinstance(value, str):
+        return Approx.exact(F(value))
+    mid, half = F(value["value"]), F(value["error_bound"])
+    return Approx(mid - half, mid + half)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(doc=twoway_stats_docs())
+def test_fit_twoway_random_stats_exit_cleanly(doc):
+    # every input ends in a documented exit code, and every feasible
+    # solution in a report (exit 0, or 4 for a tie or a nongeneric
+    # degree) solves the cleared system
+    stats = TwoWayStats(**{k: F(v) if isinstance(v, str) else v
+                           for k, v in doc.items()})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ss.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for model in ("additive", "interaction"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = main(["fit-twoway", "--stats", path,
+                             "--model", model])
+            rep = json.loads(buf.getvalue())
+            assert code in (0, 2, 3, 4), (doc, model)
+            if "error" in rep:
+                continue
+            eqs = twoway_cleared_system(stats, model)
+            for sol in rep["solutions"]:
+                if sol["feasible"] is not True:
+                    continue
+                tau1 = reported_box(sol["tau1"])
+                tau2 = reported_box(sol["tau2"])
+                if model == "additive":
+                    var = reported_box(sol["omega"])
+                else:
+                    var = (reported_box(sol["tau12"]).scale(stats.n)
+                           + Approx.exact(F(rep["omega_hat"])))
+                box = SimpleNamespace(var_value=var, tau1=tau1, tau2=tau2)
+                assert all(a.contains(0)
+                           for a in solution_residuals(eqs, box)), (doc, model)

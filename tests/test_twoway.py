@@ -6,6 +6,7 @@ stationarity system exactly, and every stage of the pipeline must
 reproduce it. The penicillin-yield pins were computed independently.
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -18,18 +19,24 @@ from exactvc.errors import (
     ModelAssumptionError,
     NongenericDataError,
 )
-from exactvc.polynomials import UniPoly
+from exactvc.multipoly import resultant_eliminate
+from exactvc.polynomials import UniPoly, squarefree_part
 from exactvc.twoway import (
     TwoWayStats,
     eliminate_to_quartic,
     fit_twoway,
     ml_system,
-    multi_range,
-    solution_residuals,
     twoway_stats,
 )
 
-from conftest import fixture_path
+from conftest import (
+    fixture_path,
+    multi_range,
+    random_twoway_stats,
+    solution_residuals,
+    twoway_cleared_system,
+    twoway_residual,
+)
 
 
 # ----------------------------------------------------------------------
@@ -158,9 +165,9 @@ def test_planted_point_solves_cleared_system():
         t10 = F(rng.randint(0, 8), rng.randint(1, 5))
         t20 = F(rng.randint(0, 8), rng.randint(1, 5))
         st = planted_stats(r, q, n, w0, t10, t20)
-        sysm = ml_system(st)
         point = {"omega": w0, "tau1": t10, "tau2": t20}
-        assert all(eq.evaluate(point) == 0 for eq in sysm.equations)
+        assert all(eq.evaluate(point) == 0
+                   for eq in twoway_cleared_system(st))
 
 
 def test_interaction_model_requirements():
@@ -255,7 +262,7 @@ def test_constant_data_reports_nongeneric_boundary():
 def test_multi_range_encloses_sampled_values():
     rng = random.Random(106)
     st = TwoWayStats(3, 3, 2, 4, 5, 6, 7)
-    eqs = ml_system(st).equations
+    eqs = twoway_cleared_system(st)
     box = {"omega": (F(1, 2), F(3, 2)), "tau1": (F(-1), F(1)),
            "tau2": (F(0), F(2))}
     for eq in eqs:
@@ -265,6 +272,102 @@ def test_multi_range_encloses_sampled_values():
                   for v, b in box.items()}
             val = eq.evaluate(pt)
             assert lo <= val <= hi
+
+
+def sylvester_cascade(stats, model):
+    """The eliminant by three Sylvester resultants of the cleared system.
+
+    Eliminates tau2 from (P0, P1) and (P0, P2), then tau1; strips every
+    power of omega and of e omega - E, and returns the squarefree
+    primitive part with the degree note.
+    """
+    p0, p1, p2 = twoway_cleared_system(stats, model)
+    r01 = resultant_eliminate(p0, p1, "tau2")
+    r02 = resultant_eliminate(p0, p2, "tau2")
+    rfinal = resultant_eliminate(r01, r02, "tau1")
+    if rfinal.is_zero():
+        raise NongenericDataError(
+            "resultant vanished identically; the equations share a "
+            "positive-dimensional component")
+    poly = rfinal.to_unipoly("omega").primitive()
+    e, E = twoway_residual(stats, model)
+    for factor in (UniPoly.variable("omega"), UniPoly([-E, e], "omega")):
+        while poly.degree >= 1 and factor.divides(poly):
+            poly = poly.exact_divide(factor)
+    poly = squarefree_part(poly).primitive()
+    note = None
+    if poly.degree != 4:
+        note = (f"eliminated polynomial has degree {poly.degree}, not 4; "
+                "data lies outside the generic stratum")
+    return poly, note
+
+
+def reduced_at(eq, t1, t2, modulus):
+    """eq(omega, t1(omega), t2(omega)) reduced modulo the eliminant."""
+    acc = UniPoly.zero("omega")
+    for k in range(eq.degree_in("tau2"), -1, -1):
+        inner = UniPoly.zero("omega")
+        slice_k = eq.coeff_in("tau2", k)
+        for j in range(slice_k.degree_in("tau1"), -1, -1):
+            inner = (inner * t1).rem(modulus) + slice_k.coeff_in(
+                "tau1", j).to_unipoly("omega")
+        acc = (acc * t2).rem(modulus) + inner
+    return acc.rem(modulus)
+
+
+NO_RELATION = ("no linear back-substitution relation exists: tau1 is not "
+               "a rational function of the eliminated variable on this data")
+
+
+def outcome(fn):
+    try:
+        return fn(), None
+    except Exception as exc:                    # compared, not swallowed
+        return None, (type(exc), str(exc))
+
+
+def test_eliminant_matches_sylvester_cascade():
+    # the one-variable resultant of two quadratics against the general
+    # cascade, on random layouts and on a grid of zero and tied sums of
+    # squares; on the random additive layouts the tau relations must
+    # also make every cleared equation vanish modulo the eliminant
+    rng = random.Random(515151)
+    cases = [(random_twoway_stats(rng), m, m == "additive")
+             for _ in range(150) for m in ("additive", "interaction")]
+    vals = (F(0), F(1), F(5, 3))
+    for (r, q), n, ssa, ssb, ssab, sse in itertools.product(
+            ((2, 2), (2, 3), (3, 3)), (1, 2), vals, vals, vals,
+            (F(0), F(3))):
+        if n == 1 and sse != 0:
+            continue
+        st = TwoWayStats(r, q, n, ssa, ssb, ssab, sse)
+        cases += [(st, "additive", False), (st, "interaction", False)]
+    compared = raised = 0
+    for st, model, check_relations in cases:
+        if model == "interaction" and (st.n < 2 or st.SSE == 0):
+            continue
+        compared += 1
+        ref, ref_exc = outcome(lambda: sylvester_cascade(st, model))
+        rep, exc = outcome(lambda: eliminate_to_quartic(ml_system(st, model)))
+        if ref_exc is not None:
+            assert exc == ref_exc, (st, model)
+            continue
+        if exc is not None:
+            # only a tau-swap symmetric layout lacks a tau1 relation
+            assert exc == (NongenericDataError, NO_RELATION), (st, model)
+            assert st.r == st.q and st.SSA == st.SSB, (st, model)
+            raised += 1
+            continue
+        poly, note = ref
+        assert rep.eliminated == poly, (st, model)
+        assert rep.observed_degree == poly.degree
+        assert rep.nongeneric == note
+        if check_relations and poly.degree >= 1:
+            t1 = rep.tau1_relation.value_poly()
+            t2 = rep.tau2_relation.value_poly()
+            for eq in twoway_cleared_system(st, model):
+                assert reduced_at(eq, t1, t2, poly).is_zero(), (st, model)
+    assert compared > 400 and 0 < raised < compared
 
 
 # ----------------------------------------------------------------------
@@ -305,11 +408,11 @@ def test_fit_residuals_enclose_zero():
         sse = F(0) if n == 1 else random_ss(rng)
         st = TwoWayStats(r, q, n, random_ss(rng), random_ss(rng),
                          random_ss(rng), sse)
-        sysm = ml_system(st)
+        eqs = twoway_cleared_system(st)
         rep = fit_twoway(st)
         assert not rep.tie
         for sol in rep.solutions:
-            assert all(a.contains(0) for a in solution_residuals(sysm, sol))
+            assert all(a.contains(0) for a in solution_residuals(eqs, sol))
         if rep.global_solution is not None:
             g = rep.global_solution
             assert g.feasible is True and g.loglik is not None
