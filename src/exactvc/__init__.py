@@ -14,6 +14,10 @@ ml_fit/reml_fit live in both `oneway` (plain layouts) and `covariates`
 """
 
 from . import covariates, oneway, twoway
+# No fit imports multipoly; loading it with the package keeps its reference
+# determinants and resultants reachable as exactvc.multipoly, where the
+# traced benchmark (perfbench/spans.py) wraps them.
+from . import multipoly  # noqa: F401
 from .covariates import DesignProblem
 from .errors import (
     ContractViolationError,

@@ -11,22 +11,31 @@ that the plain one-way fit, the design X = 1, also builds, so one profile
 objective and one stationarity equation, profilefit.profile_equation,
 serve both fits. No closed-form degree law is known here, so the expected
 degree is left open and observed degrees are reported as data.
+
+The record comes from evaluation and interpolation, never from
+polynomial matrices: at each integer theta = 0..(p+1)M, M the number of
+distinct sizes, the scaled bordered matrix is an integer matrix, and one
+fraction-free Bareiss elimination without row swaps gives G, P and the
+Cramer numerators of beta_hat there. Every entry has degree at most M in
+theta, so G and the Cramer numerators have degree at most pM and P at
+most (p+1)M, and Newton interpolation at those nodes is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .enclosure import Approx
 from .errors import (
+    ContractViolationError,
     InputError,
     ModelAssumptionError,
     RankDeficiencyError,
 )
-from .multipoly import bareiss_determinant
-from .polynomials import UniPoly, product, rat
+from .polynomials import UniPoly, int_linear_product, interpolate, rat
 from .profilefit import (
     Estimates,
     FitReport,
@@ -38,6 +47,7 @@ from .profilefit import (
     profile_value,
 )
 from .roots import RootInterval
+from .stats import exact_count
 
 VAR = "theta"
 
@@ -82,7 +92,7 @@ class DesignProblem:
     def __post_init__(self):
         y = tuple(rat(v) for v in self.y)
         x = tuple(tuple(rat(v) for v in row) for row in self.x)
-        gs = tuple(int(n) for n in self.group_sizes)
+        gs = tuple(exact_count(n, "group sizes") for n in self.group_sizes)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "group_sizes", gs)
@@ -133,52 +143,95 @@ class DesignProblem:
         return _column_rank(augmented) == self.p
 
 
+def _bordered_values(m: List[List[int]], p: int) -> Tuple[int, int, List[int]]:
+    """(det A, det B, det A * A^-1 b) for the symmetric integer matrix
+    B = [[A, b], [b', c]] of order p + 1, upper triangle stored in m.
+
+    Fraction-free Bareiss without row swaps: step k pivots on the leading
+    (k+1)-minor of A, which is positive when A is positive definite, so a
+    pivot <= 0 is a broken contract. Each update keeps the trailing block
+    symmetric, and a row is final once it has been the pivot row. After
+    the last step the last entry is det B. Back-substitution on the first
+    p rows then gives each det A * x_j in integers: every division is exact
+    because det A * x_j is itself an integer determinant (Cramer's rule).
+    """
+    prev = 1
+    for k in range(p):
+        rk = m[k]
+        pivot = rk[k]
+        if pivot <= 0:
+            raise ContractViolationError(
+                "X'KX is not positive definite at a nonnegative theta")
+        for i in range(k + 1, p + 1):
+            ri, a = m[i], rk[i]
+            for j in range(i, p + 1):
+                ri[j] = (pivot * ri[j] - a * rk[j]) // prev
+        prev = pivot
+    y = [0] * p
+    for k in range(p - 1, -1, -1):
+        rk = m[k]
+        acc = prev * rk[p] - sum(rk[j] * y[j] for j in range(k + 1, p))
+        y[k] = acc // rk[k]
+    return prev, m[p][p], y
+
+
 def gls_profile(design: DesignProblem) -> ProfilePolys:
-    """Assemble the cleared normal equations A = d X'KX, b = d X'KY and
-    c = d Y'KY, and their determinants: G = det A, the Cramer numerators
-    of beta_hat, and the bordered determinant P = c G - b' adj(A) b."""
+    """G = det A, the Cramer numerators of beta_hat and the bordered
+    determinant P = det [[A, b], [b', c]] of the cleared normal equations
+    A = d X'KX, b = d X'KY and c = d Y'KY, by evaluation and interpolation.
+
+    With integer rows r = s [x y] (s clears every denominator of the data),
+    Z = sum r r' over all rows and V_n = sum of u u' over the groups of
+    size n, u the group's column sum, the scaled bordered matrix is
+
+        L B(theta) = d(theta) Z - theta sum_n d(theta)/(1 + n theta) V_n
+
+    with L = s^2, an integer matrix at every integer theta. One Bareiss
+    elimination per theta = 0..(p+1)M gives L^p G, L^(p+1) P and the
+    L^p cramer_j there. Every entry of B has degree at most M, so G and
+    each cramer_j have degree at most pM and P at most (p+1)M: the
+    (p+1)M + 1 nodes determine all of them exactly.
+    """
     sizes, mults = design.size_classes()
-    lin = {n: UniPoly.linear(1, n, VAR) for n in sizes}
-    d = product((lin[n] for n in sizes), VAR)
-    t = UniPoly.variable(VAR)
-    # theta * d/(1 + n theta), the coefficient that clears each J block
-    toff = {n: t * d.exact_divide(lin[n]) for n in sizes}
-
     p = design.p
-    zero = UniPoly.zero(VAR)
-    A: List[List[UniPoly]] = [[zero] * p for _ in range(p)]
-    b: List[UniPoly] = [zero] * p
-    c = zero
-    row = 0
+    s = lcm(*(v.denominator for row in design.x for v in row),
+            *(v.denominator for v in design.y))
+    rows = [[v.numerator * (s // v.denominator) for v in row + (yv,)]
+            for row, yv in zip(design.x, design.y)]
+    order = range(p + 1)
+    Z = [[sum(r[i] * r[j] for r in rows) for j in order] for i in order]
+    V = {n: [[0] * (p + 1) for _ in order] for n in sizes}
+    start = 0
     for ng in design.group_sizes:
-        Xg = design.x[row:row + ng]
-        Yg = design.y[row:row + ng]
-        row += ng
-        colsum = [sum(r[j] for r in Xg) for j in range(p)]
-        ysum = sum(Yg, Fraction(0))
-        tko = toff[ng]
-        for j in range(p):
-            for k in range(j, p):
-                dot = sum(r[j] * r[k] for r in Xg)
-                entry = d * dot - tko * (colsum[j] * colsum[k])
-                A[j][k] = A[j][k] + entry
-                if k != j:
-                    A[k][j] = A[k][j] + entry
-            bdot = sum(r[j] * v for r, v in zip(Xg, Yg))
-            b[j] = b[j] + d * bdot - tko * (colsum[j] * ysum)
-        c = c + d * sum(v * v for v in Yg) - tko * (ysum * ysum)
+        u = [sum(col) for col in zip(*rows[start:start + ng])]
+        start += ng
+        Vn = V[ng]
+        for i in order:
+            for j in range(i, p + 1):
+                Vn[i][j] += u[i] * u[j]
+    Vs = [V[n] for n in sizes]
 
-    one = UniPoly.constant(1, VAR)
-    G = bareiss_determinant([list(r) for r in A], zero, one)
-    cramer = []
-    for j in range(p):
-        cols = [[b[i] if k == j else A[i][k] for k in range(p)]
-                for i in range(p)]
-        cramer.append(bareiss_determinant(cols, zero, one))
-    bordered = [list(A[i]) + [b[i]] for i in range(p)] + [list(b) + [c]]
-    P = bareiss_determinant(bordered, zero, one)
-    return ProfilePolys(N=design.N, p=p, sizes=sizes, mults=mults, d=d,
-                        gram_det=G, p_poly=P, cramer=tuple(cramer))
+    gram, bordered, cramer = [], [], []
+    for t in range((p + 1) * len(sizes) + 1):
+        lin = [1 + n * t for n in sizes]
+        dt = prod(lin)
+        w = [t * (dt // f) for f in lin]
+        m = [[dt * Z[i][j] - sum(wn * Vn[i][j] for wn, Vn in zip(w, Vs))
+              if j >= i else 0 for j in order] for i in order]
+        g, pv, y = _bordered_values(m, p)
+        gram.append(g)
+        bordered.append(pv)
+        cramer.append(y)
+
+    def unscale(vals, scale):
+        return interpolate([Fraction(v, scale) for v in vals], VAR)
+
+    Lp = s ** (2 * p)
+    return ProfilePolys(
+        N=design.N, p=p, sizes=sizes, mults=mults,
+        d=UniPoly(int_linear_product(sizes), VAR),
+        gram_det=unscale(gram, Lp), p_poly=unscale(bordered, Lp * s * s),
+        cramer=tuple(unscale(col, Lp) for col in zip(*cramer)))
 
 
 # ----------------------------------------------------------------------

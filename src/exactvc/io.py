@@ -22,7 +22,7 @@ from .errors import InputError
 from .polynomials import UniPoly, descartes_sign_changes, rat
 from .profilefit import FitReport
 from .roots import RootInterval
-from .stats import GroupedData, OneWayStats, summarize
+from .stats import GroupedData, OneWayStats, exact_count, summarize
 from .twoway import TwoWayFitReport, TwoWayStats, twoway_stats
 
 
@@ -186,12 +186,13 @@ def _load_json(path: str) -> dict:
 
 def _count(value, path: str, key: str) -> int:
     """A JSON integer or decimal-digit string under MAX_LITERAL_CHARS
-    digits; bool, float and fraction inputs are refused, not truncated."""
+    digits; stats.exact_count refuses bool, float and fraction inputs."""
     if (isinstance(value, str) and len(value) <= MAX_LITERAL_CHARS
             and re.fullmatch(r"\s*[+-]?[0-9]+\s*", value)):
         value = int(value)
-    if type(value) is int and abs(value) < _MAX_INT:
-        return value
+    n = exact_count(value, f"{path}: {key}")
+    if abs(n) < _MAX_INT:
+        return n
     raise InputError(f"{path}: {key} must hold integers, got {value!r:.60}")
 
 

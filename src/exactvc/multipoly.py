@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials and fraction-free determinants.
 
-bareiss_determinant, the one-step Bareiss scheme whose interior divisions
-are always exact, serves covariates (Gram and bordered determinants over
-UniPoly). MultiPoly, sylvester_matrix and resultant_eliminate serve no
-fit: they are the general Sylvester cascade that the two-way tests check
-twoway's one-variable elimination against.
+Nothing here serves a fit. bareiss_determinant, the one-step Bareiss
+scheme whose interior divisions are always exact, and naive_determinant
+are the tests' reference determinants: over UniPoly matrices they give
+the covariate profile record that covariates.gls_profile builds by
+evaluation and interpolation. MultiPoly, sylvester_matrix and
+resultant_eliminate are the general Sylvester cascade that the two-way
+tests check twoway's one-variable elimination against.
 """
 
 from __future__ import annotations
@@ -291,6 +293,10 @@ def bareiss_determinant(rows: List[List], zero, one,
     Works for any entry type supporting +, -, *, == against `zero`, given
     an exact division callable (defaults to the entries' exact_divide).
     Interior divisions in the Bareiss recurrence are exact by construction.
+
+    No fit calls it: it is the tests' reference for the covariate
+    determinants over UniPoly matrices. It stays in the package while the
+    benchmark's traced-function list names it.
     """
     if exact_div is None:
         exact_div = lambda a, b: a.exact_divide(b)

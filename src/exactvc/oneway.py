@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 from .enclosure import Approx
 from .errors import DegenerateDataError
-from .polynomials import UniPoly
+from .polynomials import UniPoly, int_linear_product
 from .profilefit import (
     Estimates,
     FitReport,
@@ -62,14 +62,6 @@ class BasisPolys:
     bracket: UniPoly
 
 
-def _int_linear_product(sizes) -> list:
-    """Integer coefficients of prod (1 + n theta) over the given sizes."""
-    out = [1]
-    for n in sizes:
-        out = [a + n * b for a, b in zip(out + [0], [0] + out)]
-    return out
-
-
 def _combine(weights, polys) -> UniPoly:
     """sum_i w_i polys_i for rational weights and integer coefficient
     lists, over the weights' common denominator."""
@@ -84,7 +76,7 @@ def _combine(weights, polys) -> UniPoly:
 
 
 def basis_polynomials(stats: OneWayStats) -> BasisPolys:
-    d = _int_linear_product(stats.sizes)
+    d = int_linear_product(stats.sizes)
     # prod_{j != i} (1 + n_j theta) = d / (1 + n_i theta), dividing from
     # the constant term: o_k = d_k - n_i o_(k-1)
     off = []

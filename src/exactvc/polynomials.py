@@ -19,7 +19,7 @@ p is squarefree when gcd(p, p') mod p has degree 0.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DivisibilityError, UndefinedInputError
@@ -423,3 +423,41 @@ def product(polys: Iterable[UniPoly], var: str = "theta") -> UniPoly:
     for p in polys:
         out = out * p
     return out
+
+
+def int_linear_product(sizes: Iterable[int]) -> list:
+    """Integer coefficients, ascending, of prod (1 + n theta) over sizes."""
+    out = [1]
+    for n in sizes:
+        out = [a + n * b for a, b in zip(out + [0], [0] + out)]
+    return out
+
+
+def interpolate(values: Sequence, var: str = "theta") -> UniPoly:
+    """The polynomial of degree at most D taking values[k] at k = 0..D.
+
+    Newton forward differences in integers: with a_k = Delta^k f(0),
+    f = sum_k a_k C(theta, k), and the nesting T_D = a_D,
+    T_k = (D!/k!) a_k + (theta - k) T_(k+1) gives D! f = T_0 with integer
+    coefficients. Rational values are first cleared by their common
+    denominator; one exact division by it and D! ends the computation.
+    """
+    vals = [rat(v) for v in values]
+    if not vals:
+        raise UndefinedInputError("interpolation needs at least one value")
+    den = lcm(*(v.denominator for v in vals))
+    a = [v.numerator * (den // v.denominator) for v in vals]
+    D = len(a) - 1
+    for k in range(1, D + 1):
+        for i in range(D, k - 1, -1):
+            a[i] -= a[i - 1]
+    poly = [a[D]]
+    scale = 1                       # D!/k! for the current k
+    for k in range(D - 1, -1, -1):
+        scale *= k + 1
+        nxt = [0] + poly
+        for i, c in enumerate(poly):
+            nxt[i] -= k * c
+        nxt[0] += scale * a[k]
+        poly = nxt
+    return UniPoly((Fraction(c, scale * den) for c in poly), var)

@@ -17,6 +17,16 @@ from .errors import InputError, ModelAssumptionError
 from .polynomials import rat
 
 
+def exact_count(value, what: str) -> int:
+    """value as an int: an int or an integral Fraction. bool, float and
+    fractional values are refused with InputError, not truncated."""
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    raise InputError(f"{what} must hold integers, got {value!r:.60}")
+
+
 @dataclass(frozen=True)
 class GroupedData:
     """Raw grouped observations; each group is a tuple of Rationals."""
@@ -61,8 +71,10 @@ class OneWayStats:
     withinSS: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
+        object.__setattr__(self, "sizes", tuple(
+            exact_count(n, "sizes") for n in self.sizes))
+        object.__setattr__(self, "mults", tuple(
+            exact_count(m, "mults") for m in self.mults))
         object.__setattr__(self, "means", tuple(rat(v) for v in self.means))
         object.__setattr__(self, "betweenSS",
                            tuple(rat(v) for v in self.betweenSS))
@@ -148,11 +160,12 @@ def multiplicity_profile(sizes_with_repeats: Sequence[int]) -> Tuple[int, List[i
     """
     if not sizes_with_repeats:
         raise InputError("empty size list")
-    if any(int(n) <= 0 for n in sizes_with_repeats):
+    ns = [exact_count(n, "group sizes") for n in sizes_with_repeats]
+    if any(n <= 0 for n in ns):
         raise InputError("group sizes must be positive")
     counts = {}
-    for n in sizes_with_repeats:
-        counts[int(n)] = counts.get(int(n), 0) + 1
+    for n in ns:
+        counts[n] = counts.get(n, 0) + 1
     sizes = sorted(counts)
     mults = [counts[n] for n in sizes]
     m2 = sum(1 for m in mults if m >= 2)

@@ -39,6 +39,7 @@ from .errors import (
 from .polynomials import UniPoly, rat, squarefree_part
 from .profilefit import _MAX_RANK_ROUNDS, _TIE_WIDTH_CAP, certified_argmax
 from .roots import RootInterval, isolate_real_roots, poly_range, refine_interval
+from .stats import exact_count
 
 VAR = "omega"
 
@@ -66,9 +67,9 @@ class TwoWayStats:
     grand_mean: Optional[Fraction] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "r", int(self.r))
-        object.__setattr__(self, "q", int(self.q))
-        object.__setattr__(self, "n", int(self.n))
+        for name in ("r", "q", "n"):
+            object.__setattr__(self, name,
+                               exact_count(getattr(self, name), name))
         for name in ("SSA", "SSB", "SSAB", "SSE"):
             object.__setattr__(self, name, rat(getattr(self, name)))
         if self.grand_mean is not None:

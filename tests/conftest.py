@@ -7,8 +7,9 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from exactvc.enclosure import Approx
-from exactvc.multipoly import MultiPoly
-from exactvc.polynomials import UniPoly
+from exactvc.multipoly import MultiPoly, bareiss_determinant
+from exactvc.polynomials import UniPoly, product
+from exactvc.profilefit import ProfilePolys
 from exactvc.stats import OneWayStats
 from exactvc.twoway import TwoWayStats
 
@@ -201,3 +202,58 @@ def solution_residuals(equations, sol):
         "tau2": (sol.tau2.lo, sol.tau2.hi),
     }
     return tuple(Approx(*multi_range(eq, bounds)) for eq in equations)
+
+
+# ----------------------------------------------------------------------
+# Covariate profile reference
+#
+# The profile record of a covariate design built the direct way, as
+# polynomial matrices: the cleared normal equations A = d X'KX, b = d X'KY
+# and c = d Y'KY with UniPoly entries, and their determinants by Bareiss
+# over UniPoly. covariates.gls_profile must give the same record.
+
+def gls_profile_reference(design) -> ProfilePolys:
+    """G = det A, the Cramer numerators of beta_hat and the bordered
+    determinant P = c G - b' adj(A) b, from polynomial matrices."""
+    sizes, mults = design.size_classes()
+    lin = {n: UniPoly.linear(1, n) for n in sizes}
+    d = product(lin[n] for n in sizes)
+    t = UniPoly.variable()
+    # theta * d/(1 + n theta), the coefficient that clears each J block
+    toff = {n: t * d.exact_divide(lin[n]) for n in sizes}
+
+    p = design.p
+    zero = UniPoly.zero()
+    A = [[zero] * p for _ in range(p)]
+    b = [zero] * p
+    c = zero
+    row = 0
+    for ng in design.group_sizes:
+        Xg = design.x[row:row + ng]
+        Yg = design.y[row:row + ng]
+        row += ng
+        colsum = [sum(r[j] for r in Xg) for j in range(p)]
+        ysum = sum(Yg, Fraction(0))
+        tko = toff[ng]
+        for j in range(p):
+            for k in range(j, p):
+                dot = sum(r[j] * r[k] for r in Xg)
+                entry = d * dot - tko * (colsum[j] * colsum[k])
+                A[j][k] = A[j][k] + entry
+                if k != j:
+                    A[k][j] = A[k][j] + entry
+            bdot = sum(r[j] * v for r, v in zip(Xg, Yg))
+            b[j] = b[j] + d * bdot - tko * (colsum[j] * ysum)
+        c = c + d * sum(v * v for v in Yg) - tko * (ysum * ysum)
+
+    one = UniPoly.constant(1)
+    G = bareiss_determinant([list(r) for r in A], zero, one)
+    cramer = []
+    for j in range(p):
+        cols = [[b[i] if k == j else A[i][k] for k in range(p)]
+                for i in range(p)]
+        cramer.append(bareiss_determinant(cols, zero, one))
+    bordered = [list(A[i]) + [b[i]] for i in range(p)] + [list(b) + [c]]
+    P = bareiss_determinant(bordered, zero, one)
+    return ProfilePolys(N=design.N, p=p, sizes=sizes, mults=mults, d=d,
+                        gram_det=G, p_poly=P, cramer=tuple(cramer))

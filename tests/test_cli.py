@@ -351,3 +351,65 @@ def test_fit_twoway_random_stats_exit_cleanly(doc):
                 box = SimpleNamespace(var_value=var, tau1=tau1, tau2=tau2)
                 assert all(a.contains(0)
                            for a in solution_residuals(eqs, box)), (doc, model)
+
+
+# -- fit-oneway on random covariate CSVs ----------------------------------------
+
+def decimal_text(units, places):
+    """units / 10**places as an exact decimal literal."""
+    sign = "-" if units < 0 else ""
+    whole, frac = divmod(abs(units), 10 ** places)
+    return f"{sign}{whole}.{frac:0{places}d}" if places else f"{sign}{whole}"
+
+
+DECIMALS = hst.tuples(hst.integers(-10 ** 7, 10 ** 7), hst.integers(0, 6))
+
+
+@hst.composite
+def covariate_csvs(draw):
+    """Covariate CSVs with repeated rows, constant columns, responses in
+    the column span and decimals of up to six places."""
+    sizes = draw(hst.lists(hst.integers(1, 5), min_size=2, max_size=6))
+    p = draw(hst.integers(1, 3))
+    constant = [draw(hst.integers(0, 4)) == 0 and draw(DECIMALS)
+                for _ in range(p)]
+    rows = []
+    for _ in range(sum(sizes)):
+        if rows and draw(hst.integers(0, 4)) == 0:
+            rows.append(rows[draw(hst.integers(0, len(rows) - 1))])
+        else:
+            rows.append([c or draw(DECIMALS) for c in constant])
+    if draw(hst.integers(0, 3)) == 0:
+        coefs = draw(hst.lists(hst.integers(-5, 5), min_size=p + 1,
+                               max_size=p + 1))
+        ys = [coefs[0] + sum(c * F(u, 10 ** k)
+                             for c, (u, k) in zip(coefs[1:], row))
+              for row in rows]
+        ys = [decimal_text(int(v * 10 ** 6), 6) for v in ys]
+    else:
+        ys = [decimal_text(*draw(DECIMALS)) for _ in rows]
+    lines = ["group,y," + ",".join(f"x{j + 1}" for j in range(p))]
+    i = 0
+    for g, size in enumerate(sizes):
+        for _ in range(size):
+            lines.append(",".join([f"g{g}", ys[i]]
+                                  + [decimal_text(*v) for v in rows[i]]))
+            i += 1
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(text=covariate_csvs())
+def test_fit_covariates_random_csv_exit_cleanly(text):
+    # rank-deficient, degenerate and generic designs alike end in a
+    # documented exit code with a JSON report, never exit 1 or a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cov.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["fit-oneway", "--csv", path, "--add-intercept",
+                         "--method", "both"])
+    assert code in (0, 2, 3, 4), (text, buf.getvalue())
+    json.loads(buf.getvalue())

@@ -4,8 +4,11 @@ end-to-end fits."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from exactvc import oneway
 from exactvc.covariates import (
@@ -27,6 +30,8 @@ from exactvc.errors import (
 )
 from exactvc.polynomials import poly_gcd
 from exactvc.stats import GroupedData, summarize
+
+from conftest import gls_profile_reference
 
 
 # -- oracles -----------------------------------------------------------------
@@ -147,6 +152,18 @@ def test_design_validation():
             ((one, 0, 0), (0, one, 0), (0, 0, one)), (2, 1))
 
 
+def test_group_sizes_are_refused_not_truncated():
+    # (2.9, True, 7/2) was once read as the layout (2, 1, 3)
+    y = tuple(Fraction(v) for v in (1, 4, 2, 8, 5, 7))
+    x = tuple((Fraction(1), Fraction(k)) for k in (0, 1, 2, 0, 1, 3))
+    for sizes in ((2.9, True, Fraction(7, 2)), (2, 1.0, 3), (2, True, 3)):
+        with pytest.raises(InputError, match="must hold integers"):
+            DesignProblem(y, x, sizes)
+    d = DesignProblem(y, x, (2, Fraction(1), Fraction(6, 2)))
+    assert d.group_sizes == (2, 1, 3)
+    assert all(type(n) is int for n in d.group_sizes)
+
+
 def test_size_classes_and_intercept_detection():
     y = tuple(Fraction(v) for v in (1, 2, 3, 4, 5, 6, 7))
     x = tuple((Fraction(1), Fraction(k)) for k in (0, 1, 2, 0, 1, 0, 3))
@@ -197,6 +214,93 @@ def test_theta_zero_is_ordinary_least_squares():
     beta = solve_dense(xt_x, xt_y)
     g = prof.gram_det(Fraction(0))
     assert [cj(Fraction(0)) / g for cj in prof.cramer] == beta
+
+
+# -- evaluation and interpolation against polynomial matrices -----------------
+
+def make_design(sizes, x, y):
+    return DesignProblem(tuple(Fraction(v) for v in y),
+                         tuple(tuple(Fraction(v) for v in row) for row in x),
+                         tuple(sizes))
+
+
+def shaped_design(rng, q, p):
+    """q groups of 2, 3, 4, 5, 2, ... rows, an intercept and p integer
+    covariates, like the covariate shapes the benchmark times."""
+    sizes = [2 + i % 4 for i in range(q)]
+    while True:
+        x = [[1] + [rng.randrange(-9, 10) for _ in range(p)]
+             for _ in range(sum(sizes))]
+        y = [Fraction(rng.randrange(-500, 500), 10) for _ in x]
+        try:
+            return make_design(sizes, x, y)
+        except RankDeficiencyError:
+            continue
+
+
+@pytest.mark.parametrize("q, p", [(6, 4), (8, 3), (10, 2), (14, 1)])
+def test_gls_profile_matches_reference_on_shaped_designs(q, p):
+    d = shaped_design(random.Random(q * 100 + p), q, p)
+    assert gls_profile(d) == gls_profile_reference(d)
+
+
+def test_gls_profile_matches_reference_on_edge_designs():
+    rng = random.Random(50)
+    cases = []
+    # singleton groups beside larger ones
+    cases.append(make_design(
+        (1, 3, 1, 2, 1),
+        [(1, rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(8)],
+        [rng.randint(-9, 9) for _ in range(8)]))
+    # a single distinct size
+    cases.append(make_design(
+        (3, 3, 3), [(1, rng.randint(-5, 5)) for _ in range(9)],
+        [Fraction(rng.randint(-99, 99), 7) for _ in range(9)]))
+    # the design X = 1
+    cases.append(make_design(
+        (2, 4, 1, 3), [(1,)] * 10, [rng.randint(-9, 9) for _ in range(10)]))
+    # a response in the column span: P vanishes identically
+    x = [(1, k, k * k % 5) for k in range(7)]
+    d = make_design((2, 2, 3), x, [3 - 2 * a + Fraction(1, 3) * b
+                                   for _, a, b in x])
+    assert gls_profile(d).p_poly.is_zero()
+    cases.append(d)
+    # denominators whose scale L is far past 2^64
+    big = [2 ** 61 - 1, 10 ** 12 + 39, 3 ** 25]
+    d = make_design(
+        (2, 3, 2), [(Fraction(rng.randint(1, 9), rng.choice(big)),
+                     Fraction(rng.randint(-9, 9), rng.choice(big)))
+                    for _ in range(7)],
+        [Fraction(rng.randint(-99, 99), rng.choice(big)) for _ in range(7)])
+    assert lcm(*(v.denominator for row in d.x for v in row)) ** 2 > 2 ** 64
+    cases.append(d)
+    for d in cases:
+        assert gls_profile(d) == gls_profile_reference(d)
+
+
+@hst.composite
+def rational_designs(draw):
+    """Random rational designs with and without an intercept; groups of
+    1..4 rows, so singleton groups appear."""
+    sizes = draw(hst.lists(hst.integers(1, 4), min_size=2, max_size=5))
+    intercept = draw(hst.booleans())
+    width = draw(hst.integers(1, 3))
+    entry = hst.fractions(min_value=-9, max_value=9, max_denominator=6)
+    n = sum(sizes)
+    x = [([1] if intercept else [])
+         + draw(hst.lists(entry, min_size=width, max_size=width))
+         for _ in range(n)]
+    y = draw(hst.lists(entry, min_size=n, max_size=n))
+    try:
+        return make_design(sizes, x, y)
+    except (RankDeficiencyError, ModelAssumptionError):
+        assume(False)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(d=rational_designs())
+def test_gls_profile_matches_reference_on_random_designs(d):
+    assert gls_profile(d) == gls_profile_reference(d)
 
 
 # -- the all-ones design reproduces the plain one-way equations ----------------

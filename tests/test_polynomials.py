@@ -12,6 +12,8 @@ from exactvc.polynomials import (
     _gcd_degree_mod,
     _int_prs_gcd,
     descartes_sign_changes,
+    int_linear_product,
+    interpolate,
     poly_gcd,
     product,
     rat,
@@ -270,6 +272,34 @@ def test_product_helper():
     factors = [x + k for k in range(1, 4)]
     assert product(factors, "x") == (x + 1) * (x + 2) * (x + 3)
     assert product([], "x") == UniPoly.constant(1, "x")
+
+
+def test_int_linear_product_matches_polynomial_product():
+    x = UniPoly.variable("x")
+    sizes = (1, 3, 4, 9)
+    assert (UniPoly(int_linear_product(sizes), "x")
+            == product((x * n + 1 for n in sizes), "x"))
+    assert int_linear_product(()) == [1]
+
+
+def test_interpolate_recovers_polynomials_from_values_at_naturals():
+    rng = random.Random(77)
+    for deg in range(41):
+        for rational in (False, True):
+            coeffs = [Fraction(rng.randint(-10 ** 9, 10 ** 9),
+                               rng.randint(1, 60) if rational else 1)
+                      for _ in range(deg)]
+            coeffs.append(Fraction(rng.choice([-1, 1]) * rng.randint(1, 99),
+                                   rng.randint(1, 60) if rational else 1))
+            f = UniPoly(coeffs, "x")
+            assert f.degree == deg
+            # D above the true degree: the high coefficients trim to zero
+            for D in (deg, deg + 1, deg + rng.randint(2, 9)):
+                assert interpolate([f(k) for k in range(D + 1)], "x") == f
+    for D in (0, 1, 7):
+        assert interpolate([0] * (D + 1)).is_zero()
+    with pytest.raises(UndefinedInputError):
+        interpolate([])
 
 
 def test_immutability():

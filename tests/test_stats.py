@@ -112,6 +112,23 @@ def test_stats_direct_construction_validates():
         OneWayStats((1,), (4,), (0,), (3,), 0)               # all sizes 1
 
 
+def test_counts_are_refused_not_truncated():
+    # bool, float and fractional counts were once truncated by int()
+    means, between = (Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))
+    for sizes, mults in (((2.9, 3), (1, 1)), ((2, 3), (1, True)),
+                         ((2, Fraction(7, 2)), (1, 1))):
+        with pytest.raises(InputError, match="must hold integers"):
+            OneWayStats(sizes, mults, means, between, Fraction(1))
+    s = OneWayStats((Fraction(2), 3), (1, Fraction(4, 2)), means,
+                    (Fraction(0), Fraction(1)), Fraction(1))
+    assert s.sizes == (2, 3) and s.mults == (1, 2)
+    assert all(type(v) is int for v in s.sizes + s.mults)
+    for bad in ([2, 3.0], [2, True], [2, Fraction(5, 2)]):
+        with pytest.raises(InputError, match="must hold integers"):
+            multiplicity_profile(bad)
+    assert multiplicity_profile([2, Fraction(4, 2), 3]) == (2, [2, 1], 1)
+
+
 def test_multiplicity_profile_examples():
     M, mults, M2 = multiplicity_profile([3, 4, 5, 5, 5, 5])
     assert (M, M2) == (3, 1)

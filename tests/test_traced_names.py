@@ -8,17 +8,38 @@ in a traced benchmark run.
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                      "spans.py")
 
 
-def test_traced_functions_resolve():
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_functions_resolve():
+    spans = load_spans()
     assert spans.TRACED
     missing = [f"{module}.{name}" for module, name in spans.TRACED
                if not callable(getattr(importlib.import_module(
                    f"exactvc.{module}"), name, None))]
     assert missing == []
+
+
+def test_traced_modules_load_with_the_package():
+    # the recorder finds each module in sys.modules after the benchmark
+    # worker's imports, so a module that no other module imports any more
+    # must still be loaded by the package; a fresh interpreter shows it
+    modules = sorted({module for module, _ in load_spans().TRACED})
+    code = ("import sys, exactvc, exactvc.cli, exactvc.io; "
+            f"print([m for m in {modules!r} "
+            "if 'exactvc.' + m not in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -144,6 +144,10 @@ def test_stats_validation():
         TwoWayStats(2, 2, 1, -1, 1, 1, 0)
     with pytest.raises(InputError):
         TwoWayStats(2, 2, 1, 1, 1, 1, 5)                # SSE with n == 1
+    # counts are refused, not truncated
+    for r, q, n in ((2.5, 2, 1), (2, True, 1), (2, 2, F(3, 2))):
+        with pytest.raises(InputError, match="must hold integers"):
+            TwoWayStats(r, q, n, 1, 1, 1, 0)
 
 
 def test_direct_stats_have_no_grand_mean():
