@@ -27,6 +27,7 @@ from .errors import (
     RankDeficiencyError,
     UndefinedInputError,
 )
+from .profilefit import profile_fit
 from .stats import OneWayStats, ml_degree, multiplicity_profile, reml_degree
 from .twoway import fit_twoway
 
@@ -118,10 +119,9 @@ def _run_fit_oneway(args) -> int:
         else:
             raise InputError(f"{args.csv}: two-way CSV given to fit-oneway")
     module = oneway if isinstance(subject, OneWayStats) else cov
-    fits = {}
-    for m in _methods(args.method):
-        fitter = module.ml_fit if m == "ML" else module.reml_fit
-        fits[m] = fitter(subject, refine_width=width)
+    prof, equation = module.model(subject)
+    fits = {m: profile_fit(prof, equation, m, width)
+            for m in _methods(args.method)}
     if args.emit_poly:
         only = fits[_methods(args.method)[0]]
         sys.stdout.write(xio.emit_poly_text(only.equation.numerator))

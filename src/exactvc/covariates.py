@@ -272,8 +272,8 @@ def conjecture_bound(design: DesignProblem, method: str) -> Optional[int]:
 # Values and fits
 # ----------------------------------------------------------------------
 
-def _model(design: DesignProblem):
-    """(record, method -> equation), sharing one GLS profile."""
+def model(design: DesignProblem):
+    """(record, method -> equation) for profile_fit, sharing one profile."""
     prof = gls_profile(design)
     return prof, lambda method: (
         ml_equation if method == "ML" else reml_equation)(design, prof)
@@ -288,24 +288,24 @@ def estimates_at(design: DesignProblem,
     weight * D / P with the method's weight; mu is None since the mean
     is carried by the design.
     """
-    return profile_estimates(*_model(design), theta, method, prec)
+    return profile_estimates(*model(design), theta, method, prec)
 
 
 def profile_loglik(design: DesignProblem, theta, prec: int = 256) -> Approx:
-    return profile_value(*_model(design), theta, "ML", prec)
+    return profile_value(*model(design), theta, "ML", prec)
 
 
 def restricted_loglik(design: DesignProblem, theta, prec: int = 256) -> Approx:
-    return profile_value(*_model(design), theta, "REML", prec)
+    return profile_value(*model(design), theta, "REML", prec)
 
 
 def ml_fit(design: DesignProblem,
            refine_width: Fraction = Fraction(1, 10 ** 12)) -> FitReport:
     """Global covariate profile optimum with certified classification."""
-    return profile_fit(*_model(design), "ML", refine_width)
+    return profile_fit(*model(design), "ML", refine_width)
 
 
 def reml_fit(design: DesignProblem,
              refine_width: Fraction = Fraction(1, 10 ** 12)) -> FitReport:
     """Global restricted optimum with certified classification."""
-    return profile_fit(*_model(design), "REML", refine_width)
+    return profile_fit(*model(design), "REML", refine_width)

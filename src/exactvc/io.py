@@ -68,11 +68,13 @@ TWOWAY_HEADER = ["row", "col", "rep", "value"]
 
 def _read_rows(path: str):
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = [[cell.strip() for cell in row] for row in reader if row]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{path}: malformed CSV: {exc}") from exc
     if not rows:
         raise InputError(f"{path}: empty CSV file")
     return rows[0], rows[1:]
@@ -173,11 +175,12 @@ def load_twoway_csv(path: str) -> TwoWayStats:
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:   # JSONDecodeError, or an over-long integer
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, an over-long integer, or nesting too deep
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object")

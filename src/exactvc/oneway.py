@@ -149,8 +149,8 @@ def gls_profile(stats: OneWayStats) -> ProfilePolys:
                         cramer=(basis.fY,), mean=True)
 
 
-def _model(stats: OneWayStats):
-    """(record, method -> equation), sharing one basis."""
+def model(stats: OneWayStats):
+    """(record, method -> equation) for profile_fit, sharing one basis."""
     prof = gls_profile(stats)
     return prof, lambda method: (
         ml_equation if method == "ML" else reml_equation)(stats, prof)
@@ -172,27 +172,27 @@ def estimates_at(stats: OneWayStats,
         Estimates with mu = fY/f1, kappa = weight*f1*d/bracket, omega the
         reciprocal, tau = theta*omega, each as a certified enclosure.
     """
-    return profile_estimates(*_model(stats), theta, method, prec)
+    return profile_estimates(*model(stats), theta, method, prec)
 
 
 def profile_loglik(stats: OneWayStats, theta, prec: int = 256) -> Approx:
     """Profile objective N log kappa_hat - sum m_i log(1+n_i theta) - N."""
-    return profile_value(*_model(stats), theta, "ML", prec)
+    return profile_value(*model(stats), theta, "ML", prec)
 
 
 def restricted_loglik(stats: OneWayStats, theta, prec: int = 256) -> Approx:
     """Restricted profile objective with the N-1 weighting and the extra
     -log(f1/d) term."""
-    return profile_value(*_model(stats), theta, "REML", prec)
+    return profile_value(*model(stats), theta, "REML", prec)
 
 
 def ml_fit(stats: OneWayStats,
            refine_width: Fraction = Fraction(1, 10 ** 12)) -> FitReport:
     """Global profile-criterion optimum with certified classification."""
-    return profile_fit(*_model(stats), "ML", refine_width)
+    return profile_fit(*model(stats), "ML", refine_width)
 
 
 def reml_fit(stats: OneWayStats,
              refine_width: Fraction = Fraction(1, 10 ** 12)) -> FitReport:
     """Global restricted-criterion optimum with certified classification."""
-    return profile_fit(*_model(stats), "REML", refine_width)
+    return profile_fit(*model(stats), "REML", refine_width)

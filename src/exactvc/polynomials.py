@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import DivisibilityError, UndefinedInputError
 
@@ -404,6 +404,21 @@ def squarefree_part(p: UniPoly) -> UniPoly:
         return UniPoly.constant(1, p.var)
     g = poly_gcd(p, p.derivative())
     return p.exact_divide(g).primitive()
+
+
+def strip_factor(poly: UniPoly, factor: UniPoly,
+                 cap: Optional[int] = None) -> Tuple[UniPoly, int]:
+    """(poly / factor^k, k) for the largest k, at most cap, such that
+    factor^k divides poly; factor must have positive degree."""
+    if factor.degree < 1:
+        raise ValueError("strip_factor needs a factor of positive degree")
+    k = 0
+    while poly.degree >= factor.degree and (cap is None or k < cap):
+        quot, rem = poly.divmod(factor)
+        if not rem.is_zero():
+            break
+        poly, k = quot, k + 1
+    return poly, k
 
 
 def descartes_sign_changes(p: UniPoly) -> int:

@@ -3,11 +3,14 @@
 Both estimation methods, with or without covariates, reduce to the same
 situation: the derivative of a profile objective in theta equals a rational
 function whose denominator is strictly positive on [0, inf). Everything
-here works off that one fact. The raw numerator is cancelled against the
-known denominator factorization, a single global orientation sign is fixed
-by evaluation, roots are isolated and classified by exact derivative signs,
-and the global optimum is chosen by comparing rigorous objective enclosures
-that are refined until the comparison is decisive.
+here works off that one fact. The raw numerator sheds the denominator's
+known linear factors (1 + n theta) and one gcd cancels the rest. The one
+global orientation sign is read off the leading coefficient: every factor
+of the denominator is positive on [0, inf) with a positive leading
+coefficient, so cancelling never changes the sign of the derivative there.
+Roots are isolated and classified by exact derivative signs, and the
+global optimum is chosen by comparing rigorous objective enclosures that
+are refined until the comparison is decisive.
 
 The objective and its stationarity equation are defined here once for
 both one-way fits: a ProfilePolys record of the design X (the plain layout
@@ -22,7 +25,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .enclosure import Approx, interval_divide, log_enclosure
 from .errors import ContractViolationError, DegenerateDesignError
-from .polynomials import UniPoly, descartes_sign_changes, poly_gcd
+from .polynomials import UniPoly, descartes_sign_changes, poly_gcd, strip_factor
 from .roots import (
     RootInterval,
     cauchy_bound,
@@ -129,73 +132,25 @@ class ProfilePolys:
 # Equation construction
 # ----------------------------------------------------------------------
 
-def _orientation_probe(num: UniPoly) -> Fraction:
-    """A nonnegative rational where the cancelled numerator is nonzero."""
-    t = Fraction(0)
-    step = Fraction(1)
-    while num(t) == 0:
-        t += step
-        step += Fraction(1, 2)
-        if t > cauchy_bound(num) + 2:
-            raise ContractViolationError(
-                "could not find a nonroot probe point")
-    return t
-
-
-def build_profile_equation(raw_numerator: UniPoly,
-                           den_factors: Sequence[Tuple[UniPoly, int]],
+def build_profile_equation(num: UniPoly, den: UniPoly,
                            expected_degree: Optional[int],
                            method_tag: str) -> ProfileEquation:
-    """Cancel, normalize, orient, and certify a profile derivative.
+    """Cancel, normalize and orient a profile derivative num / den.
 
-    Args:
-        raw_numerator: nonzero numerator of objective' over the positive
-            denominator prod(poly^mult) of den_factors.
-        den_factors: the denominator's known factorization as (poly, mult)
-            pairs; every factor is strictly positive on [0, inf).
-        expected_degree: degree predicted by the counting formulas, or None
-            when no formula applies.
-        method_tag: "ML" or "REML".
-
-    Returns:
-        ProfileEquation with a primitive numerator, coprime to the
-        remaining denominator, and a certified orientation.
+    Every factor of den is positive on [0, inf) with a positive leading
+    coefficient, so the orientation is the sign of lc(num) (see the module
+    docstring); one that is not negative leaves no maximizer and breaks
+    the caller's contract. One gcd cancels the fraction: in Q[theta] the
+    quotients by a gcd are coprime. expected_degree is the counting
+    formulas' prediction, or None; method_tag is "ML" or "REML".
     """
-    num = raw_numerator
-    remaining: List[Tuple[UniPoly, int]] = []
-    for piece, mult in den_factors:
-        left = mult
-        while left > 0:
-            quot, rem = num.divmod(piece)
-            if not rem.is_zero():
-                break
-            num = quot
-            left -= 1
-        if left:
-            remaining.append((piece, left))
-    den = UniPoly.constant(1, raw_numerator.var)
-    for piece, mult in remaining:
-        den = den * piece ** mult
-    # insurance: the closed-form factor list is expected to exhaust the
-    # gcd, but proper factors of a composite piece could in principle slip
-    # through, so sweep until provably coprime
-    g = poly_gcd(num, den)
-    while g.degree > 0:
-        num = num.exact_divide(g)
-        den = den.exact_divide(g)
-        g = poly_gcd(num, den)
-
-    num_p = num.primitive()
-    t = _orientation_probe(num_p)
-    orientation = sign(raw_numerator(t)) * sign(num_p(t))
-    if orientation == 0:
-        raise ContractViolationError("cancelled factor vanishes on [0, inf)")
-
-    # certificate: beyond every root the objective must be decreasing
-    far = cauchy_bound(num_p) + 1
-    if orientation * sign(num_p(far)) != -1:
+    orientation = sign(num.leading_coeff())
+    if orientation >= 0:
         raise ContractViolationError(
-            "orientation check failed: objective does not decay at infinity")
+            "objective does not decrease for large theta")
+    g = poly_gcd(num, den)
+    num, den = num.exact_divide(g), den.exact_divide(g)
+    num_p = num.primitive()
     return ProfileEquation(
         numerator=num_p,
         denominator=den,
@@ -203,14 +158,6 @@ def build_profile_equation(raw_numerator: UniPoly,
         observed_degree=num_p.degree,
         method_tag=method_tag,
         orientation=orientation)
-
-
-def _strip_linear(poly: UniPoly, n: int) -> Tuple[UniPoly, int]:
-    """(poly / (1 + n theta)^k, k) for the multiplicity k of the root -1/n."""
-    lin, k = UniPoly.linear(1, n, poly.var), 0
-    while poly(Fraction(-1, n)) == 0:
-        poly, k = poly.exact_divide(lin), k + 1
-    return poly, k
 
 
 def profile_equation(prof: ProfilePolys, method: str,
@@ -260,15 +207,17 @@ def profile_equation(prof: ProfilePolys, method: str,
             "criterion approaches its supremum only in the large-theta "
             "limit; no finite maximizer exists beyond the last "
             "stationary point")
-    # every (1 + n theta) once from d, plus its multiplicity in P and G,
-    # then what is left of G and P
-    den_factors, core_p, core_g = [], P, G
+    # P d G = prod (1 + n theta)^(1 + kp + kg) * core_P * core_G: raw loses
+    # each known linear factor as often as it divides, one gcd the rest
+    den, core_p, core_g = UniPoly.constant(1, d.var), P, G
     for n in prof.sizes:
-        core_p, kp = _strip_linear(core_p, n)
-        core_g, kg = _strip_linear(core_g, n)
-        den_factors.append((UniPoly.linear(1, n, d.var), 1 + kp + kg))
-    den_factors += [(core_g, 1), (core_p, 1)]
-    return build_profile_equation(raw, den_factors, expected_degree, method)
+        lin = UniPoly.linear(1, n, d.var)
+        core_p, kp = strip_factor(core_p, lin)
+        core_g, kg = strip_factor(core_g, lin)
+        raw, k = strip_factor(raw, lin, 1 + kp + kg)
+        den = den * lin ** (1 + kp + kg - k)
+    return build_profile_equation(raw, den * core_g * core_p,
+                                  expected_degree, method)
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .errors import (
     ModelAssumptionError,
     NongenericDataError,
 )
-from .polynomials import UniPoly, rat, squarefree_part
+from .polynomials import UniPoly, rat, squarefree_part, strip_factor
 from .profilefit import _MAX_RANK_ROUNDS, _TIE_WIDTH_CAP, certified_argmax
 from .roots import RootInterval, isolate_real_roots, poly_range, refine_interval
 from .stats import exact_count
@@ -251,15 +251,6 @@ class TwoWayFitReport:
     tie: bool = False
 
 
-def _strip_factor(p: UniPoly, factor: UniPoly) -> UniPoly:
-    while p.degree >= factor.degree:
-        quot, rem = p.divmod(factor)
-        if not rem.is_zero():
-            break
-        p = quot
-    return p
-
-
 Quadratic = Tuple[UniPoly, UniPoly, UniPoly]
 
 
@@ -305,7 +296,7 @@ def _eliminated_poly(quad_a: Quadratic, quad_b: Quadratic,
             "positive-dimensional component")
     poly = res.primitive()
     for factor in clearing:
-        poly = _strip_factor(poly, factor)
+        poly, _ = strip_factor(poly, factor)
     poly = squarefree_part(poly).primitive()
     note = None
     if poly.degree != 4:

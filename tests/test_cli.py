@@ -10,6 +10,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction as F
@@ -240,6 +242,55 @@ def test_value_past_the_digit_limit_is_refused(tmp_path, capsys):
     input_error(capsys, tmp_path, text, "--method", "ML")
 
 
+def test_invalid_utf8_in_a_csv_is_refused(tmp_path, capsys):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(b"group,value\nA\xff,1\nA\xff,2\nB,3\nB,5\n")
+    for command in ("fit-oneway", "fit-twoway"):
+        code, out = run(capsys, command, "--csv", str(p))
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "input"
+
+
+def test_non_ascii_label_fits_in_the_c_locale(tmp_path):
+    # Python turns UTF-8 mode on by itself in the C locale; with it off,
+    # the locale's ASCII is the default encoding
+    p = tmp_path / "labels.csv"
+    p.write_bytes("group,value\nä,1\nä,2\nb,3\nb,5\n".encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        q for q in (src, env.get("PYTHONPATH")) if q)
+    proc = subprocess.run(
+        [sys.executable, "-m", "exactvc", "fit-oneway", "--csv", str(p)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "ml" in json.loads(proc.stdout)
+
+
+def test_field_past_the_csv_limit_is_refused(tmp_path, capsys):
+    input_error(capsys, tmp_path,
+                "group,value\n" + "A" * 200_000 + ",1\nA,2\nB,3\nB,5\n")
+
+
+def test_bom_csv_fits_like_its_plain_twin(tmp_path, capsys):
+    text = "group,value\nA,1\nA,2\nB,3\nB,5\nC,4\nC,4\n"
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(text.encode("utf-8-sig"))
+    code, want = run(capsys, "fit-oneway", "--csv", str(plain))
+    assert code == 0
+    assert run(capsys, "fit-oneway", "--csv", str(bom)) == (0, want)
+
+
+def test_json_nested_past_the_recursion_limit_is_refused(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000)
+    for command in ("fit-oneway", "fit-twoway"):
+        code, out = run(capsys, command, "--stats", str(p))
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "input"
+
+
 def test_audit_oneway(capsys):
     code, out = run(capsys, "audit", "--q", "4", "--trials", "10",
                     "--seed", "3")
@@ -412,4 +463,79 @@ def test_fit_covariates_random_csv_exit_cleanly(text):
             code = main(["fit-oneway", "--csv", path, "--add-intercept",
                          "--method", "both"])
     assert code in (0, 2, 3, 4), (text, buf.getvalue())
+    json.loads(buf.getvalue())
+
+
+# -- loaders on hostile bytes and stats documents --------------------------------
+
+CSV_HEADERS = ["group,value", "group,y,x1", "row,col,rep,value",
+               "\ufeffgroup,value", "Group,value", "group;value",
+               "group,y,x2", "row,col,rep", "group,value,", ""]
+CSV_TOKENS = [b"A", b"B", b"0", b"1", b"7", b"-", b"/", b".", b"e9", b",",
+              b"\n", b"\r", b'"', b" ", b"\x00", b"\xff", "ä".encode()]
+CSV_BODIES = hst.binary(max_size=80) | hst.lists(
+    hst.sampled_from(CSV_TOKENS), max_size=60).map(b"".join)
+JSON_LEAVES = (hst.none() | hst.booleans() | hst.integers(-3, 40)
+               | hst.floats(allow_nan=False) | hst.text(max_size=6)
+               | hst.fractions(max_denominator=9).map(str))
+JSON_VALUES = hst.recursive(JSON_LEAVES, lambda c: hst.lists(c, max_size=3),
+                            max_leaves=4)
+
+
+def ratios(lo, hi):
+    return hst.fractions(min_value=lo, max_value=hi,
+                         max_denominator=9).map(str)
+
+
+@hst.composite
+def stats_cases(draw):
+    """One-way or two-way stats documents, valid or nearly so: now and
+    then one key is dropped or holds any JSON value."""
+    if draw(hst.booleans()):
+        sizes = sorted(draw(hst.sets(hst.integers(1, 12), min_size=1,
+                                     max_size=4)))
+        mults = [draw(hst.integers(1, 3)) for _ in sizes]
+        doc = {"sizes": sizes, "mults": mults,
+               "means": [draw(ratios(-9, 9)) for _ in sizes],
+               "betweenSS": [draw(ratios(0, 9)) if m > 1 else "0"
+                             for m in mults],
+               "withinSS": draw(ratios(0, 9))}
+        command = "fit-oneway"
+    else:
+        doc = {k: draw(hst.integers(1, 4)) for k in "rqn"}
+        doc.update({k: draw(ratios(0, 40))
+                    for k in ("SSA", "SSB", "SSAB", "SSE")})
+        command = "fit-twoway"
+    key = draw(hst.sampled_from(sorted(doc)))
+    mangle = draw(hst.integers(0, 3))
+    if mangle == 0:
+        del doc[key]
+    elif mangle == 1:
+        doc[key] = draw(JSON_VALUES)
+    return command, ".json", json.dumps(doc).encode()
+
+
+@hst.composite
+def csv_cases(draw):
+    header = draw(hst.sampled_from(CSV_HEADERS))
+    command = draw(hst.sampled_from(["fit-oneway", "fit-twoway"]))
+    return command, ".csv", header.encode() + b"\n" + draw(CSV_BODIES)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=csv_cases() | stats_cases())
+def test_loaders_exit_cleanly_on_hostile_input(case):
+    # arbitrary bytes under valid and mangled CSV headers, and stats
+    # documents with random values, end in a documented exit code with a
+    # JSON report
+    command, suffix, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input" + suffix)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main([command, "--csv" if suffix == ".csv" else "--stats",
+                         path])
+    assert code in (0, 2, 3, 4), (data, buf.getvalue())
     json.loads(buf.getvalue())

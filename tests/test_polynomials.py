@@ -18,6 +18,7 @@ from exactvc.polynomials import (
     product,
     rat,
     squarefree_part,
+    strip_factor,
 )
 
 
@@ -173,6 +174,20 @@ def test_squarefree_part_strips_multiplicities():
     # already squarefree input is only normalized
     q = (x - 1) * (x + 4)
     assert squarefree_part(q) == q.primitive()
+
+
+def test_strip_factor_counts_and_caps_the_multiplicity():
+    x = UniPoly.variable("x")
+    lin = UniPoly.linear(1, 3, "x")
+    rest = (x - 2) * (x + 5)
+    p = lin ** 3 * rest * Fraction(-7, 2)
+    assert strip_factor(p, lin) == (rest * Fraction(-7, 2), 3)
+    assert strip_factor(p, lin, 2) == (lin * rest * Fraction(-7, 2), 2)
+    assert strip_factor(p, lin, 0) == (p, 0)
+    assert strip_factor(rest, lin) == (rest, 0)
+    assert strip_factor(UniPoly.zero("x"), lin) == (UniPoly.zero("x"), 0)
+    with pytest.raises(ValueError):
+        strip_factor(p, UniPoly.constant(2, "x"))
 
 
 def test_squarefree_part_constant():

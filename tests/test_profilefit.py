@@ -6,12 +6,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 from conftest import closed_forms, random_oneway_stats
-from exactvc import oneway
+from exactvc import covariates, oneway
 from exactvc.enclosure import Approx
-from exactvc.errors import ContractViolationError
+from exactvc.errors import ContractViolationError, DegenerateDesignError
 from exactvc.polynomials import UniPoly
+from exactvc.stats import OneWayStats
+from test_covariates import rational_designs
 from exactvc.profilefit import (
     _MAX_RETRIES,
     _TIE_WIDTH_CAP,
@@ -38,6 +41,73 @@ def test_profile_equation_matches_the_closed_forms():
             assert eq.numerator == raw.exact_divide(cf.d1 ** k).primitive()
             assert eq.orientation == (1 if raw.leading_coeff() > 0 else -1)
     assert singletons >= 20 and repeated >= 20
+
+
+def sympy_poly(u, t):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(u.coeffs)], t, domain="QQ")
+
+
+def oracle_equation(prof, method):
+    """(numerator, denominator) of objective' in lowest terms, from the
+    objective's definition: objective' d G P, divided by its gcd with
+    d G P. objective = w log(w d G / P) - sum m log(1 + n t) - w, less
+    log(G / d^p) for REML."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    d, G, P = (sympy_poly(u, t) for u in (prof.d, prof.gram_det, prof.p_poly))
+    w = prof.N if method == "ML" else prof.N - prof.p
+    cleared = w * (d.diff(t) * G * P + d * G.diff(t) * P - d * G * P.diff(t))
+    for n, m in zip(prof.sizes, prof.mults):
+        lin = sympy.Poly(1 + n * t, t, domain="QQ")
+        cleared -= m * n * d.exquo(lin) * G * P
+    if method == "REML":
+        cleared -= d * G.diff(t) * P - prof.p * d.diff(t) * G * P
+    den = d * G * P
+    g = cleared.gcd(den)
+    return cleared.exquo(g), den.exquo(g), t
+
+
+def check_against_oracle(prof, method):
+    if prof.p_poly.is_zero():
+        with pytest.raises(DegenerateDesignError):
+            profile_equation(prof, method)
+        return
+    num, den, t = oracle_equation(prof, method)
+    try:
+        eq = profile_equation(prof, method)
+    except DegenerateDesignError:
+        # refused: objective' is zero or positive for large theta
+        assert num.is_zero or num.LC() > 0
+        return
+    lib = sympy_poly(eq.numerator * eq.orientation, t)
+    ratio = num.LC() / lib.LC()
+    assert ratio > 0 and lib * ratio == num
+    lib_den = sympy_poly(eq.denominator, t)
+    assert lib_den.LC() > 0 and lib_den.monic() == den.monic()
+
+
+def test_profile_equation_matches_the_oracle_on_oneway_stats():
+    # flat variants (one common mean, no between-group spread) make P a
+    # multiple of d G, so the gcd of the cancellation is not trivial
+    rng = random.Random(8)
+    for _ in range(25):
+        s = random_oneway_stats(rng)
+        flat = OneWayStats(s.sizes, s.mults, (s.means[0],) * s.M,
+                           (F(0),) * s.M, s.withinSS)
+        for stats in (s, flat):
+            prof = oneway.gls_profile(stats)
+            for method in ("ML", "REML"):
+                check_against_oracle(prof, method)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(d=rational_designs())
+def test_profile_equation_matches_the_oracle_on_covariate_designs(d):
+    prof = covariates.gls_profile(d)
+    for method in ("ML", "REML"):
+        check_against_oracle(prof, method)
 
 
 # (x - 1)(x - 3): two isolated roots, both exact dyadic rationals
