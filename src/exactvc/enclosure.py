@@ -4,6 +4,9 @@ Rational quantities stay exact as long as possible; only logarithms force a
 move to finite precision. Those are evaluated with mpmath and then widened
 by a generous slack (hundreds of ulps), so every Approx produced here is a
 true enclosure and comparisons between disjoint enclosures are certified.
+A log's rational argument is rounded to the working precision by mpmath's
+own `from_rational`, as `mpmathify` rounds it, without `mpmathify`'s
+re-reduction of a Fraction that is already in lowest terms.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 import mpmath
+from mpmath.libmp import from_rational
 
 from .errors import ContractViolationError
 
@@ -85,6 +89,11 @@ def _mpf_to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
+def _to_mpf(x: Fraction, prec: int):
+    """x rounded to `prec` bits exactly as mpmathify(x) rounds it."""
+    return mpmath.mp.make_mpf(from_rational(x.numerator, x.denominator, prec))
+
+
 def log_enclosure(lo: Fraction, hi: Fraction, prec: int = 128) -> Optional[Approx]:
     """Enclosure of {log x : x in [lo, hi]} for a positive rational interval.
 
@@ -97,8 +106,8 @@ def log_enclosure(lo: Fraction, hi: Fraction, prec: int = 128) -> Optional[Appro
     if lo <= 0:
         return None
     with mpmath.workprec(prec):
-        vlo = _mpf_to_fraction(mpmath.log(mpmath.mpmathify(lo)))
-        vhi = vlo if hi == lo else _mpf_to_fraction(mpmath.log(mpmath.mpmathify(hi)))
+        vlo = _mpf_to_fraction(mpmath.log(_to_mpf(lo, prec)))
+        vhi = vlo if hi == lo else _mpf_to_fraction(mpmath.log(_to_mpf(hi, prec)))
     slack_lo = (abs(vlo) + 1) * Fraction(1, 2 ** (prec - 8))
     slack_hi = (abs(vhi) + 1) * Fraction(1, 2 ** (prec - 8))
     return Approx(vlo - slack_lo, vhi + slack_hi)

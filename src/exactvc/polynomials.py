@@ -433,13 +433,6 @@ def descartes_sign_changes(p: UniPoly) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def product(polys: Iterable[UniPoly], var: str = "theta") -> UniPoly:
-    out = UniPoly.constant(1, var)
-    for p in polys:
-        out = out * p
-    return out
-
-
 def int_linear_product(sizes: Iterable[int]) -> list:
     """Integer coefficients, ascending, of prod (1 + n theta) over sizes."""
     out = [1]

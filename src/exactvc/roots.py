@@ -13,7 +13,10 @@ roots of q in (a, b) from above and has the same parity, so V = 0 proves
 that (a, b) holds no root and V = 1 proves that it holds exactly one.
 An interval returned here carries that proof: its endpoints are not
 roots, q changes sign across it, and it holds exactly one root.
-Refinement bisects on the sign change and so keeps the certificate.
+Refinement is quadratic interval refinement (Abbott 2006) on the dyadic
+grid of the bisection it replaces: it returns the interval bisection
+would, moves only to a subinterval across which q changes sign, and so
+keeps the certificate.
 
 `sturm_chain` and `count_roots_between` are an independent root counter
 kept for cross-checks; isolation and refinement do not use them.
@@ -141,6 +144,13 @@ class RootInterval:
             raise ValueError("endpoint signs must be -1 or +1")
 
 
+def _common_denominator(x: Fraction, y: Fraction) -> Tuple[int, int, int]:
+    """(a, b, d) with x = a / d and y = b / d, d = lcm of the denominators."""
+    d = lcm(x.denominator, y.denominator)
+    return (x.numerator * (d // x.denominator),
+            y.numerator * (d // y.denominator), d)
+
+
 def _bisect_to_width(q_int, lo: Fraction, hi: Fraction,
                      width: Fraction) -> Tuple[Fraction, Fraction]:
     """Shrink a sign-change interval below the target width.
@@ -148,14 +158,26 @@ def _bisect_to_width(q_int, lo: Fraction, hi: Fraction,
     Precondition: q(lo) and q(hi) are nonzero with opposite signs, and
     exactly one root of q lies between them; both stay true on return.
 
-    The endpoints are kept as integer numerators a, b over one shared
-    denominator d * 2^s, and the sign at the midpoint (a + b) / (d * 2^(s+1))
-    comes from an integer-only homogeneous Horner sum, so no Fraction is
-    normalised inside the loop.
+    The result is the interval plain bisection returns: the cell holding
+    the root at the least level S of the dyadic grid of (lo, hi) (cells of
+    width (hi - lo) / 2^S) whose width is at most `width`, or, when the
+    root r is a grid point of level L <= S, the straddle (r - delta,
+    r + delta) with delta = min(width / 2, (hi - lo) / 2^(L + 1)).
+
+    It gets there by quadratic interval refinement (Abbott, "Quadratic
+    Interval Refinement for Real Roots", ISSAC 2006) on that grid. The
+    current interval is a cell of level s; the secant through its
+    endpoint values picks one of its 2^k subcells, and a sign change
+    across that subcell moves there and doubles k. Otherwise one plain
+    halving is taken and k is halved. k never takes the level past S, so
+    every cell visited is a bisection cell and the sign change is the same
+    certificate. Endpoints are integer numerators over one shared
+    denominator d * 2^s, and values come from an integer-only homogeneous
+    Horner sum, so no Fraction is normalised inside the loop.
     """
-    d = lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (d // lo.denominator)
-    b = hi.numerator * (d // hi.denominator)
+    a, b, d = _common_denominator(lo, hi)
+    # the numerators at every level differ by `step`, one cell of the grid
+    a0, step = a, b - a
     # w[j] = q_(n-j) * d^j, so q(m / (d 2^s)) * (d 2^s)^n is
     # sum_j w[j] * m^(n-j) * 2^(s j)
     w = []
@@ -163,30 +185,58 @@ def _bisect_to_width(q_int, lo: Fraction, hi: Fraction,
     for c in reversed(q_int):
         w.append(c * dp)
         dp *= d
+    n = len(w) - 1
 
-    def sign_at(m: int, s: int) -> int:
+    def value_at(m: int, s: int) -> int:
         acc = 0
         for j, c in enumerate(w):
             acc = acc * m + (c << (s * j))
-        return (acc > 0) - (acc < 0)
+        return acc
 
-    wn, wd = width.numerator, width.denominator
-    s = 0
-    s_lo = sign_at(a, 0)
-    while (b - a) * wd > wn * (d << s):
+    def straddle(m: int, s: int) -> Tuple[Fraction, Fraction]:
+        # m / (d 2^s) is the root; it is grid point i of level s, and
+        # first appears on the grid at level s - v2(i)
+        i = (m - (a0 << s)) // step
+        level = s - ((i & -i).bit_length() - 1)
+        r = Fraction(m, d << s)
+        delta = min(width / 2, Fraction(step, d << (level + 1)))
+        return r - delta, r + delta
+
+    # S: the least level whose cells are at most `width` wide
+    num, den = step * width.denominator, d * width.numerator
+    target = max(0, num.bit_length() - den.bit_length())
+    while num > den << target:
+        target += 1
+
+    s, k = 0, 1
+    fa, fb = value_at(a, 0), value_at(b, 0)
+    while s < target:
+        k = min(k, target - s)
+        t = s + k
+        # secant cell j of the 2^k cells of level t (fa / (fa - fb) is
+        # in (0, 1))
+        j = (fa << k) // (fa - fb)
+        x0 = (a << k) + j * step
+        f0 = fa << (k * n) if j == 0 else value_at(x0, t)
+        if f0 == 0:
+            return straddle(x0, t)
+        f1 = fb << (k * n) if j == (1 << k) - 1 else value_at(x0 + step, t)
+        if f1 == 0:
+            return straddle(x0 + step, t)
+        if (f0 > 0) != (f1 > 0):
+            a, b, fa, fb, s, k = x0, x0 + step, f0, f1, t, 2 * k
+            continue
+        # one plain halving; for k = 1 the midpoint was just evaluated
         m = a + b
-        a, b, s = a << 1, b << 1, s + 1
-        s_mid = sign_at(m, s)
-        if s_mid == 0:
-            # landed exactly on the root: return a tight straddle
-            den = d << s
-            lo, mid, hi = Fraction(a, den), Fraction(m, den), Fraction(b, den)
-            delta = min(width / 2, (hi - mid) / 2, (mid - lo) / 2)
-            return mid - delta, mid + delta
-        if s_mid == s_lo:
-            a = m
+        fm = (f1 if j == 0 else f0) if k == 1 else value_at(m, s + 1)
+        if fm == 0:
+            return straddle(m, s + 1)
+        a, b, fa, fb = a << 1, b << 1, fa << n, fb << n
+        s, k = s + 1, max(1, k // 2)
+        if (fm > 0) == (fa > 0):
+            a, fa = m, fm
         else:
-            b = m
+            b, fb = m, fm
     return Fraction(a, d << s), Fraction(b, d << s)
 
 
@@ -310,9 +360,8 @@ def _brackets(items: List[Tuple[Fraction, Fraction]],
 
 def _on_interval(q_int: Sequence[int], a: Fraction, b: Fraction) -> list:
     """Integer coefficients of a positive multiple of q(a + (b - a) x)."""
-    d = lcm(a.denominator, b.denominator)
-    c0 = a.numerator * (d // a.denominator)
-    c1 = b.numerator * (d // b.denominator) - c0
+    c0, c1, d = _common_denominator(a, b)
+    c1 -= c0
     acc = [q_int[-1]]
     dp = 1
     for c in reversed(q_int[:-1]):
@@ -444,15 +493,26 @@ def poly_range(p: UniPoly, lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fracti
 
     The returned rational interval contains the exact range (it may be
     wider). Exact endpoints for degenerate input lo == hi.
+
+    The Horner sum runs on integers: with lo = A/D, hi = B/D and
+    coefficients C_k/L, the accumulator after j steps is L D^j times the
+    rational one (step j adds C_k D^j), a positive scale, so the same
+    candidate wins each min/max and one Fraction is built at the end.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("interval endpoints out of order")
-    if lo == hi:
+    if lo == hi or p.is_zero():
         v = p(lo)
         return v, v
-    acc_lo = acc_hi = Fraction(0)
+    a, b, d = _common_denominator(lo, hi)
+    scale = lcm(*(c.denominator for c in p.coeffs))
+    acc_lo = acc_hi = 0
+    dp = 1
     for c in reversed(p.coeffs):
-        cands = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
+        cands = (acc_lo * a, acc_lo * b, acc_hi * a, acc_hi * b)
+        c = c.numerator * (scale // c.denominator) * dp
         acc_lo, acc_hi = min(cands) + c, max(cands) + c
-    return acc_lo, acc_hi
+        dp *= d
+    den = scale * (dp // d)
+    return Fraction(acc_lo, den), Fraction(acc_hi, den)

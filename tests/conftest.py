@@ -4,11 +4,13 @@ import json
 import os
 import random
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
+from typing import Iterable, Tuple
 
 from exactvc.enclosure import Approx
 from exactvc.multipoly import MultiPoly, bareiss_determinant
-from exactvc.polynomials import UniPoly, product
+from exactvc.polynomials import UniPoly
 from exactvc.profilefit import ProfilePolys
 from exactvc.stats import OneWayStats
 from exactvc.twoway import TwoWayStats
@@ -18,6 +20,13 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def fixture_path(name):
     return os.path.join(FIXTURES, name)
+
+
+def product(polys: Iterable[UniPoly], var: str = "theta") -> UniPoly:
+    out = UniPoly.constant(1, var)
+    for p in polys:
+        out = out * p
+    return out
 
 
 def load_stats_fixture(name) -> OneWayStats:
@@ -257,3 +266,79 @@ def gls_profile_reference(design) -> ProfilePolys:
     P = bareiss_determinant(bordered, zero, one)
     return ProfilePolys(N=design.N, p=p, sizes=sizes, mults=mults, d=d,
                         gram_det=G, p_poly=P, cramer=tuple(cramer))
+
+
+# ----------------------------------------------------------------------
+# Refinement and range references
+#
+# Plain bisection on the sign change, halving once per step, and interval
+# Horner in Fraction arithmetic. roots._bisect_to_width must return the
+# same interval and roots.poly_range the same enclosure.
+
+def bisect_to_width_reference(q_int, lo: Fraction, hi: Fraction,
+                              width: Fraction) -> Tuple[Fraction, Fraction]:
+    """Shrink a sign-change interval below the target width.
+
+    Precondition: q(lo) and q(hi) are nonzero with opposite signs, and
+    exactly one root of q lies between them; both stay true on return.
+
+    The endpoints are kept as integer numerators a, b over one shared
+    denominator d * 2^s, and the sign at the midpoint (a + b) / (d * 2^(s+1))
+    comes from an integer-only homogeneous Horner sum, so no Fraction is
+    normalised inside the loop.
+    """
+    d = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    # w[j] = q_(n-j) * d^j, so q(m / (d 2^s)) * (d 2^s)^n is
+    # sum_j w[j] * m^(n-j) * 2^(s j)
+    w = []
+    dp = 1
+    for c in reversed(q_int):
+        w.append(c * dp)
+        dp *= d
+
+    def sign_at(m: int, s: int) -> int:
+        acc = 0
+        for j, c in enumerate(w):
+            acc = acc * m + (c << (s * j))
+        return (acc > 0) - (acc < 0)
+
+    wn, wd = width.numerator, width.denominator
+    s = 0
+    s_lo = sign_at(a, 0)
+    while (b - a) * wd > wn * (d << s):
+        m = a + b
+        a, b, s = a << 1, b << 1, s + 1
+        s_mid = sign_at(m, s)
+        if s_mid == 0:
+            # landed exactly on the root: return a tight straddle
+            den = d << s
+            lo, mid, hi = Fraction(a, den), Fraction(m, den), Fraction(b, den)
+            delta = min(width / 2, (hi - mid) / 2, (mid - lo) / 2)
+            return mid - delta, mid + delta
+        if s_mid == s_lo:
+            a = m
+        else:
+            b = m
+    return Fraction(a, d << s), Fraction(b, d << s)
+
+
+def poly_range_reference(p: UniPoly, lo: Fraction,
+                         hi: Fraction) -> Tuple[Fraction, Fraction]:
+    """Rigorous enclosure of {p(x) : x in [lo, hi]} by interval Horner.
+
+    The returned rational interval contains the exact range (it may be
+    wider). Exact endpoints for degenerate input lo == hi.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi:
+        raise ValueError("interval endpoints out of order")
+    if lo == hi:
+        v = p(lo)
+        return v, v
+    acc_lo = acc_hi = Fraction(0)
+    for c in reversed(p.coeffs):
+        cands = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
+        acc_lo, acc_hi = min(cands) + c, max(cands) + c
+    return acc_lo, acc_hi

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import product
 from exactvc.errors import DivisibilityError, UndefinedInputError
 from exactvc.polynomials import (
     _PRIME,
@@ -15,7 +16,6 @@ from exactvc.polynomials import (
     int_linear_product,
     interpolate,
     poly_gcd,
-    product,
     rat,
     squarefree_part,
     strip_factor,

@@ -12,17 +12,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
+from conftest import bisect_to_width_reference, poly_range_reference, product
 from exactvc.errors import ContractViolationError, UndefinedInputError
 from exactvc.oneway import ml_equation, reml_equation
 from exactvc.polynomials import (
     UniPoly,
     descartes_sign_changes,
-    product,
     squarefree_part,
 )
 from exactvc.roots import (
     RootInterval,
+    _bisect_to_width,
     _descartes_01,
     _on_interval,
     cauchy_bound,
@@ -182,6 +185,39 @@ def test_poly_range_point_interval_exact():
     assert poly_range(p, Fraction(7, 3), Fraction(7, 3)) == (v, v)
 
 
+def test_poly_range_matches_fraction_horner():
+    # the integer Horner sum must give the reference's Fraction pair
+    rng = random.Random(6)
+    big = Fraction(2 ** 1000 + 1, 3 ** 631)
+    cases = [
+        (UniPoly.zero("x"), Fraction(-1), Fraction(2)),
+        (UniPoly.constant(Fraction(-7, 3), "x"), Fraction(0), Fraction(1)),
+        (UniPoly.constant(5, "x"), Fraction(-3, 2), Fraction(-1, 2)),
+        (UniPoly([1, -3, 2], "x"), Fraction(7, 3), Fraction(7, 3)),
+        (UniPoly([1, -3, 2], "x"), Fraction(-5, 2), Fraction(-1, 3)),
+        (UniPoly([1, -3, 2], "x"), Fraction(-5, 2), Fraction(4, 7)),
+        (UniPoly([Fraction(1, 3), Fraction(-2, 5), Fraction(3, 7),
+                  Fraction(5, 11)], "x"), Fraction(-1, 6), Fraction(1, 10)),
+        (UniPoly([Fraction(-9, 4), 0, Fraction(1, 9), Fraction(2, 25)], "x"),
+         big, big + Fraction(1, 2 ** 1000)),
+        (UniPoly([Fraction(-9, 4), 0, Fraction(1, 9), Fraction(2, 25)], "x"),
+         -big, big / 3),
+    ]
+    for _ in range(80):
+        bits = rng.choice((4, 60, 1000))
+        p = UniPoly([Fraction(rng.randrange(-99, 100), rng.randrange(1, 50))
+                     for _ in range(rng.randrange(0, 9))], "x")
+        lo = Fraction(rng.randrange(-2 ** bits, 2 ** bits),
+                      rng.randrange(1, 2 ** bits))
+        hi = lo + Fraction(rng.randrange(0, 2 ** bits),
+                           rng.randrange(1, 2 ** bits))
+        cases.append((p, lo, hi))
+    for p, lo, hi in cases:
+        got = poly_range(p, lo, hi)
+        assert got == poly_range_reference(p, lo, hi), (p, lo, hi)
+        assert all(type(v) is Fraction for v in got)
+
+
 # ----------------------------------------------------------------------
 # Differential isolation against sympy and the Sturm counter
 # ----------------------------------------------------------------------
@@ -337,3 +373,68 @@ def test_refine_interval_subdivides_an_inconclusive_count():
     iv = refine_interval(p, RootInterval(Fraction(0), Fraction(1), 3, -1, 1),
                          Fraction(1, 1000))
     assert iv.lo < Fraction(1, 3) < iv.hi and iv.width() <= Fraction(1, 1000)
+
+
+# ----------------------------------------------------------------------
+# Refinement against plain bisection
+# ----------------------------------------------------------------------
+
+@hst.composite
+def squarefree_polys(draw):
+    """Squarefree integer polynomials, often with roots on the dyadic grid
+    (factors 2^j x - m) and a root at 0."""
+    x = UniPoly.variable("x")
+    p = UniPoly([draw(hst.integers(-30, 30))
+                 for _ in range(draw(hst.integers(1, 5)))], "x")
+    if p.is_zero():
+        p = UniPoly.constant(1, "x")
+    for _ in range(draw(hst.integers(0, 3))):
+        m = draw(hst.integers(-64, 64))
+        p = p * (2 ** draw(hst.integers(0, 8)) * x - m)
+    if draw(hst.booleans()):
+        p = p * x
+    if p.degree < 1:
+        p = p * (x - draw(hst.integers(-3, 3)))
+    return squarefree_part(p)
+
+
+WIDTHS = hst.one_of(
+    hst.just(Fraction(1, 4)),
+    hst.integers(1, 300).map(lambda k: Fraction(1, 10 ** k)),
+    hst.integers(2, 1000).map(lambda k: Fraction(1, 2 ** k)),
+    hst.integers(1, 630).map(lambda k: Fraction(1, 3 ** k)),
+    hst.tuples(hst.integers(1, 10 ** 6), hst.integers(1, 10 ** 80)).map(
+        lambda t: Fraction(*t)),
+)
+
+_X = UniPoly.variable("x")
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(p=squarefree_polys(), width=WIDTHS, coarse=WIDTHS)
+# a root at 0 and dyadic roots hit exactly at levels below and above S
+@example(p=_X * (4 * _X - 1) * (_X * _X - 2), width=Fraction(1, 10 ** 300),
+         coarse=Fraction(1, 4))
+@example(p=(256 * _X - 3) * (_X + 5), width=Fraction(1, 3 ** 4),
+         coarse=Fraction(1, 4))
+@example(p=(256 * _X - 3) * (8 * _X + 1), width=Fraction(1, 2 ** 20),
+         coarse=Fraction(1, 10 ** 6))
+def test_refinement_matches_bisection(p, width, coarse):
+    q = p.integer_coeffs()
+    # isolation's own brackets (no refinement) against isolation to width
+    brackets = isolate_real_roots(p, domain="all", max_width=Fraction(2 ** 64))
+    ivs = isolate_real_roots(p, domain="all", max_width=width)
+    assert len(ivs) == len(brackets)
+    for br, iv in zip(brackets, ivs):
+        assert (iv.lo, iv.hi) == bisect_to_width_reference(
+            q, br.lo, br.hi, width)
+    # intervals from isolation and from an earlier refinement
+    for iv in isolate_real_roots(p, domain="nonnegative", max_width=coarse):
+        if iv.is_point():
+            continue
+        for start in (iv, refine_interval(p, iv, coarse / 7)):
+            expected = bisect_to_width_reference(q, start.lo, start.hi, width)
+            assert _bisect_to_width(q, start.lo, start.hi, width) == expected
+            fine = refine_interval(p, start, width)
+            assert (fine.lo, fine.hi) == expected
+
