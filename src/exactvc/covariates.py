@@ -6,19 +6,14 @@ I - theta/(1 + n theta) J, so clearing by d = prod(1 + n_i theta) turns
 the normal equations into a linear system with polynomial entries. Two
 determinants then carry the whole profile: G = det(d X' K X) and the
 bordered determinant P with the response attached, giving the profiled
-residual sum of squares as P / (d G). They form the profilefit record
-that the plain one-way fit, the design X = 1, also builds, so one profile
-objective and one stationarity equation, profilefit.profile_equation,
-serve both fits. No closed-form degree law is known here, so the expected
-degree is left open and observed degrees are reported as data.
-
-The record comes from evaluation and interpolation, never from
-polynomial matrices: at each integer theta = 0..(p+1)M, M the number of
-distinct sizes, the scaled bordered matrix is an integer matrix, and one
-fraction-free Bareiss elimination without row swaps gives G, P and the
-Cramer numerators of beta_hat there. Every entry has degree at most M in
-theta, so G and the Cramer numerators have degree at most pM and P at
-most (p+1)M, and Newton interpolation at those nodes is exact.
+residual sum of squares as P / (d G). They form the profilefit record,
+and profile_from_sums is its one builder, by evaluation at integer theta
+and exact interpolation: gls_profile reduces a design to integer
+cross-product sums and oneway.gls_profile feeds it the sums of the plain
+layout, the design X = 1. So one profile objective and one stationarity
+equation, profilefit.profile_equation, serve both fits. No closed-form
+degree law is known here, so the expected degree is left open and
+observed degrees are reported as data.
 """
 
 from __future__ import annotations
@@ -175,22 +170,58 @@ def _bordered_values(m: List[List[int]], p: int) -> Tuple[int, int, List[int]]:
     return prev, m[p][p], y
 
 
-def gls_profile(design: DesignProblem) -> ProfilePolys:
-    """G = det A, the Cramer numerators of beta_hat and the bordered
+def profile_from_sums(N: int, sizes: Tuple[int, ...], mults: Tuple[int, ...],
+                      Z: List[List[int]], Vs: Sequence[List[List[int]]],
+                      L: int, mean: bool) -> ProfilePolys:
+    """The profile record of a design from its scaled cross-product sums:
+    G = det A, the Cramer numerators of beta_hat and the bordered
     determinant P = det [[A, b], [b', c]] of the cleared normal equations
     A = d X'KX, b = d X'KY and c = d Y'KY, by evaluation and interpolation.
 
-    With integer rows r = s [x y] (s clears every denominator of the data),
-    Z = sum r r' over all rows and V_n = sum of u u' over the groups of
-    size n, u the group's column sum, the scaled bordered matrix is
+    Z is L times sum r r' over the rows r = [x y], and Vs[k] is L times
+    sum u u' over the groups of size sizes[k], u the group's column sum;
+    both are integer matrices of order p + 1 (the upper triangle is read).
+    The scaled bordered matrix is then
 
-        L B(theta) = d(theta) Z - theta sum_n d(theta)/(1 + n theta) V_n
+        L B(theta) = d(theta) Z - theta sum_n d(theta)/(1 + n theta) V_n,
 
-    with L = s^2, an integer matrix at every integer theta. One Bareiss
-    elimination per theta = 0..(p+1)M gives L^p G, L^(p+1) P and the
-    L^p cramer_j there. Every entry of B has degree at most M, so G and
-    each cramer_j have degree at most pM and P at most (p+1)M: the
-    (p+1)M + 1 nodes determine all of them exactly.
+    an integer matrix at every integer theta. One Bareiss elimination per
+    theta = 0..(p+1)M gives L^p G, L^(p+1) P and the L^p cramer_j there.
+    Every entry of B has degree at most M, so G and each cramer_j have
+    degree at most pM and P at most (p+1)M: the (p+1)M + 1 nodes determine
+    all of them exactly. mean marks the design X = 1, whose one Cramer
+    numerator is reported as mu.
+    """
+    p = len(Z) - 1
+    order = range(p + 1)
+    gram, bordered, cramer = [], [], []
+    for t in range((p + 1) * len(sizes) + 1):
+        lin = [1 + n * t for n in sizes]
+        dt = prod(lin)
+        w = [t * (dt // f) for f in lin]
+        m = [[dt * Z[i][j] - sum(wn * Vn[i][j] for wn, Vn in zip(w, Vs))
+              if j >= i else 0 for j in order] for i in order]
+        g, pv, y = _bordered_values(m, p)
+        gram.append(g)
+        bordered.append(pv)
+        cramer.append(y)
+
+    def unscale(vals, scale):
+        return interpolate([Fraction(v, scale) for v in vals], VAR)
+
+    Lp = L ** p
+    return ProfilePolys(
+        N=N, p=p, sizes=sizes, mults=mults,
+        d=UniPoly(int_linear_product(sizes), VAR),
+        gram_det=unscale(gram, Lp), p_poly=unscale(bordered, Lp * L),
+        cramer=tuple(unscale(col, Lp) for col in zip(*cramer)), mean=mean)
+
+
+def gls_profile(design: DesignProblem) -> ProfilePolys:
+    """The covariate profile record, from profile_from_sums.
+
+    Integer rows r = s [x y], s clearing every denominator of the data,
+    give the cross-product sums over the scale L = s^2.
     """
     sizes, mults = design.size_classes()
     p = design.p
@@ -209,29 +240,8 @@ def gls_profile(design: DesignProblem) -> ProfilePolys:
         for i in order:
             for j in range(i, p + 1):
                 Vn[i][j] += u[i] * u[j]
-    Vs = [V[n] for n in sizes]
-
-    gram, bordered, cramer = [], [], []
-    for t in range((p + 1) * len(sizes) + 1):
-        lin = [1 + n * t for n in sizes]
-        dt = prod(lin)
-        w = [t * (dt // f) for f in lin]
-        m = [[dt * Z[i][j] - sum(wn * Vn[i][j] for wn, Vn in zip(w, Vs))
-              if j >= i else 0 for j in order] for i in order]
-        g, pv, y = _bordered_values(m, p)
-        gram.append(g)
-        bordered.append(pv)
-        cramer.append(y)
-
-    def unscale(vals, scale):
-        return interpolate([Fraction(v, scale) for v in vals], VAR)
-
-    Lp = s ** (2 * p)
-    return ProfilePolys(
-        N=design.N, p=p, sizes=sizes, mults=mults,
-        d=UniPoly(int_linear_product(sizes), VAR),
-        gram_det=unscale(gram, Lp), p_poly=unscale(bordered, Lp * s * s),
-        cramer=tuple(unscale(col, Lp) for col in zip(*cramer)))
+    return profile_from_sums(design.N, sizes, mults, Z, [V[n] for n in sizes],
+                             s * s, mean=False)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Sparse multivariate polynomials and fraction-free determinants.
 
 Nothing here serves a fit. bareiss_determinant, the one-step Bareiss
-scheme whose interior divisions are always exact, and naive_determinant
-are the tests' reference determinants: over UniPoly matrices they give
-the covariate profile record that covariates.gls_profile builds by
-evaluation and interpolation. MultiPoly, sylvester_matrix and
-resultant_eliminate are the general Sylvester cascade that the two-way
-tests check twoway's one-variable elimination against.
+scheme whose interior divisions are always exact, is the tests' reference
+determinant: over UniPoly matrices it gives the covariate profile record
+that covariates.profile_from_sums builds by evaluation and
+interpolation. MultiPoly, sylvester_matrix and resultant_eliminate are
+the general Sylvester cascade that the two-way tests check twoway's
+one-variable elimination against.
 """
 
 from __future__ import annotations
@@ -334,24 +334,6 @@ def bareiss_determinant(rows: List[List], zero, one,
     if det_sign < 0:
         result = -result
     return result
-
-
-def naive_determinant(rows: List[List], zero, one):
-    """Cofactor-expansion determinant; independent cross-check for tests."""
-    n = len(rows)
-    if n == 0:
-        return one
-    if n == 1:
-        return rows[0][0]
-    total = zero
-    for j in range(n):
-        a = rows[0][j]
-        if a == zero:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = a * naive_determinant(minor, zero, one)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
 
 
 def sylvester_matrix(p: MultiPoly, q: MultiPoly, var: str) -> List[List[MultiPoly]]:

@@ -4,24 +4,23 @@ With kappa = 1/omega and theta = tau/omega, profiling the mean and kappa
 out of the (scaled) log-likelihood leaves a univariate objective in theta
 whose derivative is a rational function with an everywhere-positive
 denominator on [0, inf). The plain layout is the covariate model with
-design X = 1: gls_profile builds, from the simple-pole basis below, the
-profilefit record a covariate design gives, and profilefit derives the
-one objective and its stationarity numerator from that record for both
-fits. What stays here is the degree law of the cancelled numerator:
-3M + M2 - 3 (ML) and 2M + 2M2 - 3 (REML), the singleton size classes
-dividing out once and twice.
+design X = 1: gls_profile hands the sufficient statistics' cross-product
+sums to covariates.profile_from_sums, the one builder of the profilefit
+record, and profilefit derives the one objective and its stationarity
+numerator from that record for both fits. What stays here is the degree
+law of the cancelled numerator: 3M + M2 - 3 (ML) and 2M + 2M2 - 3
+(REML), the singleton size classes dividing out once and twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
+from .covariates import profile_from_sums
 from .enclosure import Approx
 from .errors import DegenerateDataError
-from .polynomials import UniPoly, int_linear_product
 from .profilefit import (
     Estimates,
     FitReport,
@@ -35,69 +34,29 @@ from .profilefit import (
 from .roots import RootInterval
 from .stats import OneWayStats, ml_degree, reml_degree
 
-VAR = "theta"
 
+def basis_polynomials(stats: OneWayStats):
+    """(Z, Vs, L): the X = 1 cross-product sums that profile_from_sums
+    reads, scaled to integers by one common denominator L.
 
-@dataclass(frozen=True)
-class BasisPolys:
-    """The exact polynomial basis of the one-way profile record.
-
-    d is the product of (1 + n_i theta) over distinct sizes. For a weight
-    family a, f_a clears the denominator of the weighted sum
-
-        f_a = sum_i m_i n_i a_i prod_{j != i} (1 + n_j theta)
-
-    with a ranging over 1, the class means, their squares, and the
-    between-group sums of squares divided by the multiplicities.
-
-    bracket = W f1 d + fY2 f1 - fY^2 + f1 fBm = d f1 rss(mu_hat), with W
-    the within-group SS, is positive on [0, inf) by Cauchy-Schwarz.
+    Over the groups of a size class, sum (1, ybar, ybar^2) is
+    (m, m Y, m Y^2 + B), so V_n = n^2 [[m, m Y], [m Y, m Y^2 + B]], and
+    Z = [[N, sum n m Y], [sum n m Y, W + sum n (m Y^2 + B)]] with W the
+    within-group SS. The name predates this meaning and is kept because
+    the benchmark's span recorder traces the one-way stage under it.
     """
-
-    d: UniPoly
-    f1: UniPoly
-    fY: UniPoly
-    fY2: UniPoly
-    fBm: UniPoly
-    bracket: UniPoly
-
-
-def _combine(weights, polys) -> UniPoly:
-    """sum_i w_i polys_i for rational weights and integer coefficient
-    lists, over the weights' common denominator."""
-    den = lcm(*(w.denominator for w in weights))
-    acc = [0] * len(polys[0])
-    for w, cs in zip(weights, polys):
-        wi = w.numerator * (den // w.denominator)
-        if wi:
-            for k, c in enumerate(cs):
-                acc[k] += wi * c
-    return UniPoly((Fraction(c, den) for c in acc), VAR)
-
-
-def basis_polynomials(stats: OneWayStats) -> BasisPolys:
-    d = int_linear_product(stats.sizes)
-    # prod_{j != i} (1 + n_j theta) = d / (1 + n_i theta), dividing from
-    # the constant term: o_k = d_k - n_i o_(k-1)
-    off = []
-    for n_i in stats.sizes:
-        o, prev = [], 0
-        for c in d[:-1]:
-            prev = c - n_i * prev
-            o.append(prev)
-        off.append(o)
-
-    m, n, Y, B = stats.mults, stats.sizes, stats.means, stats.betweenSS
-    M = stats.M
-    d = UniPoly(d, VAR)
-    f1 = _combine([m[i] * n[i] for i in range(M)], off)
-    fY = _combine([m[i] * n[i] * Y[i] for i in range(M)], off)
-    fY2 = _combine([m[i] * n[i] * Y[i] ** 2 for i in range(M)], off)
-    fBm = _combine([n[i] * B[i] for i in range(M)], off)
-    return BasisPolys(
-        d=d, f1=f1, fY=fY, fY2=fY2, fBm=fBm,
-        bracket=f1 * d * stats.withinSS + fY2 * f1 - fY * fY + f1 * fBm,
-    )
+    n, W = stats.sizes, stats.withinSS
+    firsts = [mi * yi for mi, yi in zip(stats.mults, stats.means)]
+    seconds = [mi * yi * yi + b for mi, yi, b in
+               zip(stats.mults, stats.means, stats.betweenSS)]
+    L = lcm(W.denominator, *(v.denominator for v in firsts + seconds))
+    sy = sum(ni * v for ni, v in zip(n, firsts))
+    syy = W + sum(ni * v for ni, v in zip(n, seconds))
+    Z = [[stats.N * L, int(sy * L)], [int(sy * L), int(syy * L)]]
+    Vs = [[[ni * ni * mi * L, int(ni * ni * a * L)],
+           [int(ni * ni * a * L), int(ni * ni * b * L)]]
+          for ni, mi, a, b in zip(n, stats.mults, firsts, seconds)]
+    return Z, Vs, L
 
 
 # ----------------------------------------------------------------------
@@ -142,11 +101,11 @@ def reml_equation(stats: OneWayStats,
 # ----------------------------------------------------------------------
 
 def gls_profile(stats: OneWayStats) -> ProfilePolys:
-    """The X = 1 profile record: G = f1, P = the bracket, mu = fY/f1."""
-    basis = basis_polynomials(stats)
-    return ProfilePolys(N=stats.N, p=1, sizes=stats.sizes, mults=stats.mults,
-                        d=basis.d, gram_det=basis.f1, p_poly=basis.bracket,
-                        cramer=(basis.fY,), mean=True)
+    """The X = 1 profile record: G = d sum m n / (1 + n theta),
+    P = d G rss(mu_hat) and mu = cramer[0] / G."""
+    Z, Vs, L = basis_polynomials(stats)
+    return profile_from_sums(stats.N, stats.sizes, stats.mults, Z, Vs, L,
+                             mean=True)
 
 
 def model(stats: OneWayStats):
@@ -169,7 +128,7 @@ def estimates_at(stats: OneWayStats,
         prec: working precision in bits for the objective value.
 
     Returns:
-        Estimates with mu = fY/f1, kappa = weight*f1*d/bracket, omega the
+        Estimates with mu = cramer[0]/G, kappa = weight*d*G/P, omega the
         reciprocal, tau = theta*omega, each as a certified enclosure.
     """
     return profile_estimates(*model(stats), theta, method, prec)
@@ -182,7 +141,7 @@ def profile_loglik(stats: OneWayStats, theta, prec: int = 256) -> Approx:
 
 def restricted_loglik(stats: OneWayStats, theta, prec: int = 256) -> Approx:
     """Restricted profile objective with the N-1 weighting and the extra
-    -log(f1/d) term."""
+    -log(G/d) term."""
     return profile_value(*model(stats), theta, "REML", prec)
 
 

@@ -243,11 +243,6 @@ class UniPoly:
                 f"{divisor!r} does not divide {self!r}")
         return q
 
-    def divides(self, other: "UniPoly") -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        return other.divmod(self)[1].is_zero()
-
     # -- normal forms -------------------------------------------------------
 
     def primitive(self) -> "UniPoly":

@@ -87,9 +87,6 @@ class Estimates:
     loglik: Approx
     beta: Optional[Tuple[Approx, ...]] = None
 
-    def theta_enclosure(self) -> Tuple[Fraction, Fraction]:
-        return theta_pair(self.theta)
-
 
 @dataclass(frozen=True)
 class FitReport:
@@ -99,7 +96,6 @@ class FitReport:
     global_estimates: Estimates
     sign_changes: int
     tie: bool = False
-    tie_candidates: Tuple[Tuple[Fraction, Fraction], ...] = ()
     negative_roots: int = 0     # diagnostic only; domain of interest is [0, inf)
 
 
@@ -109,8 +105,9 @@ class ProfilePolys:
 
     d = prod (1 + n theta) over the distinct sizes; G = det(d X'KX) and the
     bordered determinant P are positive on [0, inf), rss = P / (d G) and
-    beta_j = cramer[j] / G. X = 1 gives G = f1, P = the bracket and
-    cramer = (fY,), reported as mu when mean is set.
+    beta_j = cramer[j] / G. covariates.profile_from_sums is the one builder
+    of the record, for a covariate design and for the plain layout X = 1,
+    whose one Cramer numerator is reported as mu (mean is set).
     """
 
     N: int
@@ -427,7 +424,6 @@ def fit_profile(eq: ProfileEquation, loglik: LoglikFn, values: ValuesFn,
         global_estimates=certified_estimates(winner, num, loglik, values),
         sign_changes=descartes_sign_changes(num),
         tie=bool(tied),
-        tie_candidates=tuple(theta_pair(thetas[i]) for i in tied),
         negative_roots=n_negative)
 
 

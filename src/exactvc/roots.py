@@ -124,7 +124,6 @@ class RootInterval:
 
     lo: Fraction
     hi: Fraction
-    poly_degree: int            # degree of the squarefree polynomial certified against
     sign_left: int              # -1 or +1
     sign_right: int
 
@@ -432,7 +431,7 @@ def isolate_real_roots(p: UniPoly, domain: str = "all",
             # theta * q(theta)/theta just right of 0 has the sign of q'(0)
             s_right = 1 if q_int[1] > 0 else -1
             results.append(RootInterval(
-                Fraction(0), Fraction(0), deg, -s_right, s_right))
+                Fraction(0), Fraction(0), -s_right, s_right))
         brackets = _brackets(positive, Fraction(0))
     else:
         brackets = _brackets(negative + zero + positive, None)
@@ -440,7 +439,7 @@ def isolate_real_roots(p: UniPoly, domain: str = "all",
     for a, b in brackets:
         a, b = _bisect_to_width(q_int, a, b, width)
         results.append(RootInterval(
-            a, b, deg, _sign_at(q_int, a), _sign_at(q_int, b)))
+            a, b, _sign_at(q_int, a), _sign_at(q_int, b)))
     if count_negative:
         return results, len(negative)
     return results
@@ -480,8 +479,7 @@ def refine_interval(p: UniPoly, iv: RootInterval,
             "interval is not a certified isolation for this polynomial")
 
     lo, hi = _bisect_to_width(q_int, iv.lo, iv.hi, width)
-    return RootInterval(lo, hi, iv.poly_degree,
-                        _sign_at(q_int, lo), _sign_at(q_int, hi))
+    return RootInterval(lo, hi, _sign_at(q_int, lo), _sign_at(q_int, hi))
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,32 @@ def product(polys: Iterable[UniPoly], var: str = "theta") -> UniPoly:
     return out
 
 
+def divides(divisor: UniPoly, poly: UniPoly) -> bool:
+    """Whether divisor divides poly exactly in Q[x]."""
+    if divisor.is_zero():
+        return poly.is_zero()
+    return poly.divmod(divisor)[1].is_zero()
+
+
+def naive_determinant(rows, zero, one):
+    """Cofactor-expansion determinant; independent cross-check of the
+    fraction-free Bareiss determinant."""
+    n = len(rows)
+    if n == 0:
+        return one
+    if n == 1:
+        return rows[0][0]
+    total = zero
+    for j in range(n):
+        a = rows[0][j]
+        if a == zero:
+            continue
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = a * naive_determinant(minor, zero, one)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
 def load_stats_fixture(name) -> OneWayStats:
     with open(fixture_path(name)) as f:
         d = json.load(f)

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import naive_determinant
 from exactvc.errors import DivisibilityError, UndefinedInputError
 from exactvc.multipoly import (
     MultiPoly,
     bareiss_determinant,
-    naive_determinant,
     resultant_eliminate,
     sylvester_matrix,
 )

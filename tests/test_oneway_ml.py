@@ -1,4 +1,4 @@
-"""Tests for the ML profile equation: basis polynomials, cancellation
+"""Tests for the ML profile equation: the X = 1 profile record, cancellation
 structure, degree law, classification, and estimate consistency."""
 
 import random
@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     closed_forms,
+    divides,
     fixture_path,
     load_stats_fixture,
     random_oneway_stats,
@@ -16,79 +17,117 @@ from exactvc.errors import DegenerateDataError
 from exactvc.oneway import (
     basis_polynomials,
     estimates_at,
+    gls_profile,
     ml_equation,
     ml_fit,
     profile_loglik,
 )
 from exactvc.polynomials import UniPoly, descartes_sign_changes, poly_gcd
+from exactvc.profilefit import theta_pair
+from exactvc.roots import isolate_real_roots
 from exactvc.stats import GroupedData, OneWayStats, ml_degree, summarize
 
 
-# -- basis polynomials -------------------------------------------------------
+# -- the X = 1 profile record ------------------------------------------------
+
+def record_cases():
+    """Random stats, the two hand cases, a single-size layout, all-singleton
+    classes, and data with coprime odd denominators (a large scale L)."""
+    rng = random.Random(20250819)
+    cases = [random_oneway_stats(rng) for _ in range(15)]
+    cases += [
+        OneWayStats((4,), (3,), (Fraction(2),), (Fraction(5),), Fraction(9)),
+        OneWayStats((2, 3), (1, 1), (Fraction(1), Fraction(2)),
+                    (Fraction(0), Fraction(0)), Fraction(4)),
+        OneWayStats((6,), (5,), (Fraction(-7, 3),), (Fraction(11, 5),),
+                    Fraction(13, 7)),
+        OneWayStats((2, 3, 5, 7), (1, 1, 1, 1),
+                    tuple(Fraction(k, 3) for k in (1, -2, 4, 5)),
+                    (Fraction(0),) * 4, Fraction(3)),
+        OneWayStats((1, 2, 4), (2, 3, 2),
+                    (Fraction(1, 3), Fraction(-2, 5), Fraction(4, 7)),
+                    (Fraction(1, 11), Fraction(3, 13), Fraction(5, 17)),
+                    Fraction(19, 23)),
+    ]
+    return cases
+
 
 def test_basis_balanced_single_class():
     s = OneWayStats((4,), (3,), (Fraction(2),), (Fraction(5),), Fraction(9))
-    b = basis_polynomials(s)
-    assert b.d == UniPoly([1, 4], "theta")
-    assert b.f1 == UniPoly.constant(12, "theta")
-    assert b.f1.degree == 0
+    prof = gls_profile(s)
+    assert prof.d == UniPoly([1, 4], "theta")
+    assert prof.gram_det == UniPoly.constant(12, "theta")
+    assert prof.cramer == (UniPoly.constant(24, "theta"),)
+    assert prof.mean and prof.p == 1
 
 
 def test_basis_two_classes_hand_expansion():
     s = OneWayStats((2, 3), (1, 1), (Fraction(1), Fraction(2)),
                     (Fraction(0), Fraction(0)), Fraction(4))
-    b = basis_polynomials(s)
-    assert b.d == UniPoly([1, 5, 6], "theta")        # (1+2t)(1+3t)
-    assert b.f1 == UniPoly([5, 12], "theta")          # 2(1+3t) + 3(1+2t)
-    cf = closed_forms(s)
-    assert cf.d1 == b.d and cf.d2.degree == 0
+    prof = gls_profile(s)
+    assert prof.d == UniPoly([1, 5, 6], "theta")          # (1+2t)(1+3t)
+    assert prof.gram_det == UniPoly([5, 12], "theta")     # 2(1+3t) + 3(1+2t)
+    assert prof.cramer == (UniPoly([8, 18], "theta"),)    # 2(1+3t) + 6(1+2t)
 
 
 def test_basis_matches_rational_sum_oracle():
-    rng = random.Random(20250819)
-    for _ in range(15):
-        s = random_oneway_stats(rng)
-        b = basis_polynomials(s)
-        cf = closed_forms(s)
-        weights = {
-            "f1": [Fraction(m * n) for m, n in zip(s.mults, s.sizes)],
-            "fY": [m * n * y for m, n, y in zip(s.mults, s.sizes, s.means)],
-            "fY2": [m * n * y * y for m, n, y in zip(s.mults, s.sizes, s.means)],
-            "fBm": [n * bb for n, bb in zip(s.sizes, s.betweenSS)],
-        }
+    # G = d sum m n / (1 + n t), the Cramer numerator d sum m n Y / (1 + n t)
+    # and P = d G rss(mu_hat), rss from the model: W plus, per size class,
+    # n (m (Y - mu)^2 + B) / (1 + n t)
+    rng = random.Random(29)
+    for s in record_cases():
+        prof, cf = gls_profile(s), closed_forms(s)
         for _ in range(5):
             t = Fraction(rng.randrange(0, 50), rng.randrange(1, 9))
-            dv = b.d(t)
-            for name, w in weights.items():
-                r = sum(wi / (1 + n * t) for wi, n in zip(w, s.sizes))
-                assert getattr(b, name)(t) == dv * r
-            # double-pole family, one spot check
+            dv = prof.d(t)
+            f1 = sum(Fraction(m * n) / (1 + n * t)
+                     for m, n in zip(s.mults, s.sizes))
+            fy = sum(m * n * y / (1 + n * t)
+                     for m, n, y in zip(s.mults, s.sizes, s.means))
+            mu = fy / f1
+            rss = s.withinSS + sum(
+                n * (m * (y - mu) ** 2 + b) / (1 + n * t)
+                for m, n, y, b in zip(s.mults, s.sizes, s.means, s.betweenSS))
+            assert prof.gram_det(t) == dv * f1
+            assert prof.cramer[0](t) == dv * fy
+            assert prof.p_poly(t) == dv * prof.gram_det(t) * rss
+            # the closed forms' double-pole family, one spot check
             sv = sum(m * n * n / (1 + n * t) ** 2
                      for m, n in zip(s.mults, s.sizes))
             assert cf.g1(t) == dv * dv * sv
 
 
+def test_profile_record_matches_closed_forms():
+    for s in record_cases():
+        prof, cf = gls_profile(s), closed_forms(s)
+        assert prof.d == cf.d1 * cf.d2
+        assert prof.gram_det == cf.f1
+        assert prof.cramer == (cf.fY,)
+        assert prof.p_poly == cf.bracket
+    # coprime odd denominators give the sums a large common scale: the
+    # squared means', B's and W's
+    L = basis_polynomials(record_cases()[-1])[2]
+    assert L == (3 * 5 * 7) ** 2 * 11 * 13 * 17 * 23
+
+
 def test_basis_positivity():
-    rng = random.Random(7)
-    for _ in range(10):
-        s = random_oneway_stats(rng)
-        b = basis_polynomials(s)
-        cf = closed_forms(s)
-        assert b.d == cf.d1 * cf.d2
-        for k in range(8):
-            t = Fraction(k, 3)
-            assert b.d(t) > 0 and b.f1(t) > 0
+    # d and G have no root on [0, inf) and are positive at 0
+    for s in record_cases():
+        prof = gls_profile(s)
+        for poly in (prof.d, prof.gram_det):
+            assert poly(0) > 0
+            if poly.degree > 0:
+                assert isolate_real_roots(poly, domain="nonnegative") == []
+        g1 = closed_forms(s).g1
         for k in range(-8, 9):
-            assert cf.g1(Fraction(k, 2)) > 0
+            assert g1(Fraction(k, 2)) > 0
 
 
 def test_degrees_of_basis():
-    rng = random.Random(11)
-    for _ in range(10):
-        s = random_oneway_stats(rng)
-        b = basis_polynomials(s)
-        assert b.d.degree == s.M
-        assert b.f1.degree == s.M - 1
+    for s in record_cases():
+        prof = gls_profile(s)
+        assert prof.d.degree == s.M
+        assert prof.gram_det.degree == s.M - 1
         assert closed_forms(s).g1.degree == 2 * (s.M - 1)
 
 
@@ -114,11 +153,11 @@ def test_singleton_factor_divides_raw_numerator():
     for _ in range(20):
         s = random_oneway_stats(rng)
         cf = closed_forms(s)
-        assert cf.d1.divides(cf.raw_ml)
+        assert divides(cf.d1, cf.raw_ml)
         # repeated classes with positive between-SS must NOT divide out
         for n, m, bb in zip(s.sizes, s.mults, s.betweenSS):
             if m >= 2 and bb > 0:
-                assert not UniPoly.linear(1, n, "theta").divides(cf.raw_ml)
+                assert not divides(UniPoly.linear(1, n, "theta"), cf.raw_ml)
 
 
 def test_cancelled_equation_is_coprime():
@@ -223,7 +262,7 @@ def test_estimates_invariants():
     # omega = 1/kappa and tau = theta*omega as enclosure identities
     prod = g.omega * g.kappa
     assert prod.lo <= 1 <= prod.hi
-    tlo, thi = g.theta_enclosure()
+    tlo, thi = theta_pair(g.theta)
     assert g.tau.lo <= thi * g.omega.hi and g.tau.hi >= tlo * g.omega.lo
     assert g.tau.lo >= 0 and g.omega.lo > 0
 

@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import closed_forms, load_stats_fixture, random_oneway_stats
+from conftest import (
+    closed_forms,
+    divides,
+    load_stats_fixture,
+    random_oneway_stats,
+)
 from exactvc.errors import DegenerateDataError
 from exactvc.oneway import (
     estimates_at,
@@ -46,9 +51,9 @@ def test_singleton_square_divides_raw_numerator():
     for _ in range(20):
         s = random_oneway_stats(rng)
         cf = closed_forms(s)
-        assert (cf.d1 * cf.d1).divides(cf.raw_reml)
+        assert divides(cf.d1 * cf.d1, cf.raw_reml)
         # d1 also divides g1 - f1^2 on its own
-        assert cf.d1.divides(cf.g1 - cf.f1 * cf.f1)
+        assert divides(cf.d1, cf.g1 - cf.f1 * cf.f1)
 
 
 def test_reml_cancelled_coprime():

@@ -143,7 +143,7 @@ def test_refine_interval_nests_and_narrows():
 def test_refine_interval_hits_exact_root():
     # root exactly at 3/2 inside the interval
     p = poly_with_roots([Fraction(3, 2)])
-    iv = RootInterval(Fraction(1), Fraction(2), 1, -1, 1)
+    iv = RootInterval(Fraction(1), Fraction(2), -1, 1)
     fine = refine_interval(p, iv, Fraction(1, 10 ** 12))
     assert fine.lo < Fraction(3, 2) < fine.hi
     assert fine.width() <= Fraction(1, 10 ** 12)
@@ -151,10 +151,10 @@ def test_refine_interval_hits_exact_root():
 
 def test_refine_rejects_uncertified_interval():
     p = UniPoly([-2, 0, 1], "x")
-    bogus = RootInterval(Fraction(5), Fraction(6), 2, -1, 1)
+    bogus = RootInterval(Fraction(5), Fraction(6), -1, 1)
     with pytest.raises(ContractViolationError):
         refine_interval(p, bogus, Fraction(1, 4))
-    two_roots = RootInterval(Fraction(-2), Fraction(2), 2, -1, 1)
+    two_roots = RootInterval(Fraction(-2), Fraction(2), -1, 1)
     with pytest.raises(ContractViolationError):
         refine_interval(p, two_roots, Fraction(1, 4))
 
@@ -357,9 +357,9 @@ def test_refine_interval_matches_sturm_on_dyadic_split():
     p = poly_with_roots([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
     with pytest.raises(ContractViolationError):
         refine_interval(p, RootInterval(Fraction(1, 8), Fraction(5, 8),
-                                        3, -1, 1), Fraction(1, 100))
+                                        -1, 1), Fraction(1, 100))
     iv = refine_interval(p, RootInterval(Fraction(3, 8), Fraction(5, 8),
-                                         3, 1, -1), Fraction(1, 100))
+                                         1, -1), Fraction(1, 100))
     assert iv.lo < Fraction(1, 2) < iv.hi and iv.width() <= Fraction(1, 100)
 
 
@@ -370,7 +370,7 @@ def test_refine_interval_subdivides_an_inconclusive_count():
     p = (3 * x - 1) * (x * x - x + Fraction(26, 100))
     q = p.primitive().integer_coeffs()
     assert _descartes_01(_on_interval(q, Fraction(0), Fraction(1))) > 1
-    iv = refine_interval(p, RootInterval(Fraction(0), Fraction(1), 3, -1, 1),
+    iv = refine_interval(p, RootInterval(Fraction(0), Fraction(1), -1, 1),
                          Fraction(1, 1000))
     assert iv.lo < Fraction(1, 3) < iv.hi and iv.width() <= Fraction(1, 1000)
 

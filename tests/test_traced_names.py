@@ -10,6 +10,10 @@ import importlib.util
 import os
 import subprocess
 import sys
+from fractions import Fraction
+
+from exactvc import oneway
+from exactvc.stats import OneWayStats
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                      "spans.py")
@@ -43,3 +47,20 @@ def test_traced_modules_load_with_the_package():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_oneway_profile_goes_through_the_traced_stage(monkeypatch):
+    # the benchmark's one-way stage is the span of oneway.basis_polynomials;
+    # a record built without calling it would read 0 calls there
+    calls = []
+    original = oneway.basis_polynomials
+
+    def counting(stats):
+        calls.append(stats)
+        return original(stats)
+
+    monkeypatch.setattr(oneway, "basis_polynomials", counting)
+    s = OneWayStats((2, 3), (2, 1), (Fraction(1), Fraction(2)),
+                    (Fraction(1, 2), Fraction(0)), Fraction(4))
+    oneway.gls_profile(s)
+    assert calls == [s]

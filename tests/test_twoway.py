@@ -30,6 +30,7 @@ from exactvc.twoway import (
 )
 
 from conftest import (
+    divides,
     fixture_path,
     multi_range,
     random_twoway_stats,
@@ -296,7 +297,7 @@ def sylvester_cascade(stats, model):
     poly = rfinal.to_unipoly("omega").primitive()
     e, E = twoway_residual(stats, model)
     for factor in (UniPoly.variable("omega"), UniPoly([-E, e], "omega")):
-        while poly.degree >= 1 and factor.divides(poly):
+        while poly.degree >= 1 and divides(factor, poly):
             poly = poly.exact_divide(factor)
     poly = squarefree_part(poly).primitive()
     note = None
