@@ -206,15 +206,14 @@ def profile_from_sums(N: int, sizes: Tuple[int, ...], mults: Tuple[int, ...],
         bordered.append(pv)
         cramer.append(y)
 
-    def unscale(vals, scale):
-        return interpolate([Fraction(v, scale) for v in vals], VAR)
-
     Lp = L ** p
     return ProfilePolys(
         N=N, p=p, sizes=sizes, mults=mults,
         d=UniPoly(int_linear_product(sizes), VAR),
-        gram_det=unscale(gram, Lp), p_poly=unscale(bordered, Lp * L),
-        cramer=tuple(unscale(col, Lp) for col in zip(*cramer)), mean=mean)
+        gram_det=interpolate(gram, Lp, VAR),
+        p_poly=interpolate(bordered, Lp * L, VAR),
+        cramer=tuple(interpolate(col, Lp, VAR) for col in zip(*cramer)),
+        mean=mean)
 
 
 def gls_profile(design: DesignProblem) -> ProfilePolys:

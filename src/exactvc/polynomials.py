@@ -2,7 +2,9 @@
 
 Everything in this module is pure: polynomials are immutable value objects
 with `fractions.Fraction` coefficients, and no floating point is used
-anywhere.
+anywhere. Products run on integers: `int_mul` multiplies coefficient
+lists by Kronecker substitution (Schoenhage 1982), one big-int product per
+call, and `UniPoly.__mul__` clears both operands to integers and calls it.
 
 `poly_gcd` proves coprimality cheaply and computes nontrivial gcds exactly.
 Both inputs are reduced to primitive integer polynomials and then mod the
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DivisibilityError, UndefinedInputError
 
@@ -92,11 +94,6 @@ class UniPoly:
     def variable(cls, var: str = "theta") -> "UniPoly":
         return cls((ZERO, ONE), var)
 
-    @classmethod
-    def linear(cls, c0, c1, var: str = "theta") -> "UniPoly":
-        """The polynomial c0 + c1*x."""
-        return cls((rat(c0), rat(c1)), var)
-
     def _check_var(self, other: "UniPoly"):
         if self.var != other.var and self.coeffs and other.coeffs:
             raise ValueError(
@@ -139,13 +136,9 @@ class UniPoly:
         self._check_var(other)
         if self.is_zero() or other.is_zero():
             return UniPoly.zero(self.var if self.coeffs else other.var)
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out, self.var)
+        a, da = self.cleared()
+        b, db = (a, da) if other is self else other.cleared()
+        return UniPoly((Fraction(c, da * db) for c in int_mul(a, b)), self.var)
 
     __rmul__ = __mul__
 
@@ -251,30 +244,56 @@ class UniPoly:
         equivalence class; the zero polynomial maps to itself."""
         if self.is_zero():
             return self
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // int_gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = int_gcd(g, v)
-        if ints[-1] < 0:
-            g = -g
-        return UniPoly((Fraction(v, g) for v in ints), self.var)
+        ints, _ = self.cleared()
+        g = _int_content(ints) if ints[-1] > 0 else -_int_content(ints)
+        return UniPoly((v // g for v in ints), self.var)
+
+    def cleared(self) -> Tuple[List[int], int]:
+        """(ints, den) with self = ints / den, den the least common
+        positive denominator of the coefficients (1 for zero)."""
+        den = lcm(*(c.denominator for c in self.coeffs))
+        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
 
     def integer_coeffs(self) -> list:
         """Coefficient list as Python ints; requires integer coefficients."""
-        out = []
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise ValueError("polynomial does not have integer coefficients")
-            out.append(c.numerator)
-        return out
+        if any(c.denominator != 1 for c in self.coeffs):
+            raise ValueError("polynomial does not have integer coefficients")
+        return [c.numerator for c in self.coeffs]
 
 
 # ----------------------------------------------------------------------
-# Integer-level helpers for the remainder sequences
+# Integer-level helpers: products and the remainder sequences
 # ----------------------------------------------------------------------
+
+def _pack(cs: Sequence[int], width: int) -> int:
+    """sum cs[i] 2^(8 width i); every |cs[i]| must be below 2^(8 width)."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in cs)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in cs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def int_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Product of ascending integer lists, len a + len b - 1 entries long.
+
+    B = min(len) max|a| max|b| bounds every coefficient in size, and each
+    operand's too (a zero maximum counts as 1). With w-byte slots and
+    B < 2^(8w - 1), a(2^8w) b(2^8w) is one int product; 2^(8w - 1) added to
+    every slot makes each a nonnegative w-byte field, sliced out of bytes.
+    """
+    if not a or not b:
+        return []
+    n = len(a) + len(b) - 1
+    bound = ((max(map(abs, a)) or 1) * (max(map(abs, b)) or 1)
+             * min(len(a), len(b)))
+    w = bound.bit_length() // 8 + 1
+    pa = _pack(a, w)
+    prod = pa * (pa if b is a else _pack(b, w))
+    prod += int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    raw = memoryview(prod.to_bytes(w * n, "little"))
+    half = 1 << (8 * w - 1)
+    return [int.from_bytes(raw[i:i + w], "little") - half
+            for i in range(0, w * n, w)]
+
 
 def _int_content(cs: Sequence[int]) -> int:
     g = 0
@@ -416,6 +435,28 @@ def strip_factor(poly: UniPoly, factor: UniPoly,
     return poly, k
 
 
+def int_strip_linear(cs: Sequence[int], n: int,
+                     cap: Optional[int] = None) -> Tuple[List[int], int]:
+    """(cs / (1 + n theta)^k, k) on an ascending integer list, k the
+    largest, at most cap, with (1 + n theta)^k | cs; n != 0. The quotient
+    of the primitive 1 + n theta is integral (Gauss's lemma), so synthetic
+    division from the top, q_(D-1) = c_D / n, q_(i-1) = (c_i - q_i) / n,
+    stops at the first step n does not divide; c_0 - q_0 is the remainder.
+    """
+    cs, k = list(cs), 0
+    while len(cs) > 1 and (cap is None or k < cap):
+        q, carry = [0] * (len(cs) - 1), cs[-1]
+        for i in range(len(q) - 1, -1, -1):
+            q[i], r = divmod(carry, n)
+            if r:
+                return cs, k
+            carry = cs[i] - q[i]
+        if carry:
+            return cs, k
+        cs, k = q, k + 1
+    return cs, k
+
+
 def descartes_sign_changes(p: UniPoly) -> int:
     """Number of strict sign alternations in the coefficient sequence.
 
@@ -436,20 +477,20 @@ def int_linear_product(sizes: Iterable[int]) -> list:
     return out
 
 
-def interpolate(values: Sequence, var: str = "theta") -> UniPoly:
-    """The polynomial of degree at most D taking values[k] at k = 0..D.
+def interpolate(values: Sequence[int], den: int,
+                var: str = "theta") -> UniPoly:
+    """The polynomial of degree at most D taking values[k] / den at
+    k = 0..D, for integer values and a positive integer den.
 
     Newton forward differences in integers: with a_k = Delta^k f(0),
     f = sum_k a_k C(theta, k), and the nesting T_D = a_D,
-    T_k = (D!/k!) a_k + (theta - k) T_(k+1) gives D! f = T_0 with integer
-    coefficients. Rational values are first cleared by their common
-    denominator; one exact division by it and D! ends the computation.
+    T_k = (D!/k!) a_k + (theta - k) T_(k+1) gives D! den f = T_0 with
+    integer coefficients; one exact division by D! den ends the
+    computation.
     """
-    vals = [rat(v) for v in values]
-    if not vals:
+    a = list(values)
+    if not a:
         raise UndefinedInputError("interpolation needs at least one value")
-    den = lcm(*(v.denominator for v in vals))
-    a = [v.numerator * (den // v.denominator) for v in vals]
     D = len(a) - 1
     for k in range(1, D + 1):
         for i in range(D, k - 1, -1):

@@ -3,10 +3,11 @@
 Both estimation methods, with or without covariates, reduce to the same
 situation: the derivative of a profile objective in theta equals a rational
 function whose denominator is strictly positive on [0, inf). Everything
-here works off that one fact. The raw numerator sheds the denominator's
-known linear factors (1 + n theta) and one gcd cancels the rest. The one
-global orientation sign is read off the leading coefficient: every factor
-of the denominator is positive on [0, inf) with a positive leading
+here works off that one fact. The raw numerator is built on integer
+coefficient lists with Kronecker products, sheds the denominator's known
+factors (1 + n theta) by synthetic division and one gcd cancels the rest.
+The one global orientation sign is read off the leading coefficient: every
+factor of the denominator is positive on [0, inf) with a positive leading
 coefficient, so cancelling never changes the sign of the derivative there.
 Roots are isolated and classified by exact derivative signs, and the
 global optimum is chosen by comparing rigorous objective enclosures that
@@ -25,7 +26,14 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .enclosure import Approx, interval_divide, log_enclosure
 from .errors import ContractViolationError, DegenerateDesignError
-from .polynomials import UniPoly, descartes_sign_changes, poly_gcd, strip_factor
+from .polynomials import (
+    UniPoly,
+    descartes_sign_changes,
+    int_linear_product,
+    int_mul,
+    int_strip_linear,
+    poly_gcd,
+)
 from .roots import (
     RootInterval,
     cauchy_bound,
@@ -51,7 +59,8 @@ class ProfileEquation:
 
     numerator is in primitive normal form (coprime integer coefficients,
     positive leading coefficient). denominator is what remains of the raw
-    denominator after cancellation; it is strictly positive on [0, inf).
+    denominator after cancellation, up to a positive constant; it is
+    strictly positive on [0, inf).
     orientation is the sign s such that
 
         sign(d/dtheta objective) = s * sign(numerator(theta))
@@ -120,10 +129,6 @@ class ProfilePolys:
     cramer: Tuple[UniPoly, ...]
     mean: bool = False
 
-    def rss_pair(self) -> Tuple[UniPoly, UniPoly]:
-        """(P, D) with rss(theta) = P/D and D = d * G."""
-        return self.p_poly, self.d * self.gram_det
-
 
 # ----------------------------------------------------------------------
 # Equation construction
@@ -146,7 +151,8 @@ def build_profile_equation(num: UniPoly, den: UniPoly,
         raise ContractViolationError(
             "objective does not decrease for large theta")
     g = poly_gcd(num, den)
-    num, den = num.exact_divide(g), den.exact_divide(g)
+    if g.degree > 0:
+        num, den = num.exact_divide(g), den.exact_divide(g)
     num_p = num.primitive()
     return ProfileEquation(
         numerator=num_p,
@@ -176,28 +182,32 @@ def profile_equation(prof: ProfilePolys, method: str,
     coefficient means growth > 0 (unbounded) or growth = 0 with the
     supremum at the large-theta limit. No finite maximizer exists then.
     """
-    P, D = prof.rss_pair()
-    if P.is_zero():
+    if prof.p_poly.is_zero():
         raise DegenerateDesignError(
             "response lies in the covariate span; the residual sum of "
             "squares vanishes identically")
-    d, G = prof.d, prof.gram_det
+    # raw is bilinear in (P, G): on their cleared integer lists it only
+    # scales by a positive constant, which keeps its sign and primitive part
+    P, G = prof.p_poly.cleared()[0], prof.gram_det.cleared()[0]
+    d = prof.d.integer_coeffs()
     w = prof.N if method == "ML" else prof.N - prof.p
-    f1 = UniPoly.zero(d.var)
-    for n, m in zip(prof.sizes, prof.mults):
-        f1 = f1 + d.exact_divide(UniPoly.linear(1, n, d.var)) * (m * n)
-    u = D.derivative() * w - f1 * G
+    D = int_mul(d, G)
+    f1 = _int_sum((m * n, int_strip_linear(d, n, 1)[0])
+                  for n, m in zip(prof.sizes, prof.mults))
+    u = [(w, _int_derivative(D)), (-1, int_mul(f1, G))]
     if method == "REML":
-        u = u - G.derivative() * d + d.derivative() * G * prof.p
-    raw = P * u - P.derivative() * D * w
-    if raw.is_zero():
+        u += [(-1, int_mul(_int_derivative(G), d)),
+              (prof.p, int_mul(_int_derivative(d), G))]
+    raw = _int_sum([(1, int_mul(P, _int_sum(u))),
+                    (-w, int_mul(_int_derivative(P), D))])
+    if not raw:
         raise DegenerateDesignError(
             "criterion is constant in theta; the variance ratio is not "
             "identified")
-    if raw.leading_coeff() > 0:
-        growth = w * (D.degree - P.degree) - sum(prof.mults)
+    if raw[-1] > 0:
+        growth = w * (len(D) - len(P)) - sum(prof.mults)
         if method == "REML":
-            growth -= G.degree - prof.p * d.degree
+            growth -= len(G) - 1 - prof.p * (len(d) - 1)
         raise DegenerateDesignError(
             "criterion increases without bound as theta grows; "
             "no maximizer exists" if growth > 0 else
@@ -206,15 +216,32 @@ def profile_equation(prof: ProfilePolys, method: str,
             "stationary point")
     # P d G = prod (1 + n theta)^(1 + kp + kg) * core_P * core_G: raw loses
     # each known linear factor as often as it divides, one gcd the rest
-    den, core_p, core_g = UniPoly.constant(1, d.var), P, G
+    den_sizes, core_p, core_g = [], P, G
     for n in prof.sizes:
-        lin = UniPoly.linear(1, n, d.var)
-        core_p, kp = strip_factor(core_p, lin)
-        core_g, kg = strip_factor(core_g, lin)
-        raw, k = strip_factor(raw, lin, 1 + kp + kg)
-        den = den * lin ** (1 + kp + kg - k)
-    return build_profile_equation(raw, den * core_g * core_p,
+        core_p, kp = int_strip_linear(core_p, n)
+        core_g, kg = int_strip_linear(core_g, n)
+        raw, k = int_strip_linear(raw, n, 1 + kp + kg)
+        den_sizes += [n] * (1 + kp + kg - k)
+    den = int_mul(int_mul(int_linear_product(den_sizes), core_g), core_p)
+    return build_profile_equation(UniPoly(raw, prof.d.var),
+                                  UniPoly(den, prof.d.var),
                                   expected_degree, method)
+
+
+def _int_derivative(cs: Sequence[int]) -> List[int]:
+    return [k * c for k, c in enumerate(cs)][1:]
+
+
+def _int_sum(terms) -> List[int]:
+    """sum c * cs over (c, integer list cs) pairs, trailing zeros trimmed."""
+    out = []
+    for c, cs in terms:
+        out += [0] * (len(cs) - len(out))
+        for i, v in enumerate(cs):
+            out[i] += c * v
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -447,8 +474,8 @@ def profile_objective(prof: ProfilePolys, method: str):
     if method not in ("ML", "REML"):
         raise ValueError("method must be ML or REML")
     weight = prof.N if method == "ML" else prof.N - prof.p
-    P, D = prof.rss_pair()
-    G = prof.gram_det
+    P, G = prof.p_poly, prof.gram_det
+    D = prof.d * G
     dp = prof.d ** prof.p
     kd_weighted = D * Fraction(weight)
 

@@ -29,6 +29,18 @@ def product(polys: Iterable[UniPoly], var: str = "theta") -> UniPoly:
     return out
 
 
+def schoolbook_mul(a, b) -> list:
+    """Coefficient list of the product of two ascending coefficient lists
+    by the double loop, untrimmed; the oracle of polynomials.int_mul."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def divides(divisor: UniPoly, poly: UniPoly) -> bool:
     """Whether divisor divides poly exactly in Q[x]."""
     if divisor.is_zero():
@@ -107,7 +119,7 @@ def random_oneway_stats(rng: random.Random, max_q: int = 10,
 
 def _cleared_sum(stats, weights, power):
     """d^power * sum_i w_i / (1 + n_i theta)^power as a polynomial."""
-    lin = [UniPoly.linear(1, n, "theta") for n in stats.sizes]
+    lin = [UniPoly([1, n], "theta") for n in stats.sizes]
     acc = UniPoly.zero("theta")
     for i, w in enumerate(weights):
         term = UniPoly.constant(w, "theta")
@@ -139,9 +151,9 @@ def closed_forms(stats: OneWayStats) -> SimpleNamespace:
     cf.d1, cf.d2 = one, one
     for size, mult in zip(n, m):
         if mult == 1:
-            cf.d1 = cf.d1 * UniPoly.linear(1, size, "theta")
+            cf.d1 = cf.d1 * UniPoly([1, size], "theta")
         else:
-            cf.d2 = cf.d2 * UniPoly.linear(1, size, "theta")
+            cf.d2 = cf.d2 * UniPoly([1, size], "theta")
     cf.d = cf.d1 * cf.d2
     families = {
         "1": [Fraction(mi * ni) for mi, ni in zip(m, n)],
@@ -251,7 +263,7 @@ def gls_profile_reference(design) -> ProfilePolys:
     """G = det A, the Cramer numerators of beta_hat and the bordered
     determinant P = c G - b' adj(A) b, from polynomial matrices."""
     sizes, mults = design.size_classes()
-    lin = {n: UniPoly.linear(1, n) for n in sizes}
+    lin = {n: UniPoly([1, n]) for n in sizes}
     d = product(lin[n] for n in sizes)
     t = UniPoly.variable()
     # theta * d/(1 + n theta), the coefficient that clears each J block

@@ -189,7 +189,7 @@ def test_gls_matches_dense_solve_at_rational_theta():
         g = prof.gram_det(theta)
         assert g > 0
         assert [cj(theta) / g for cj in prof.cramer] == beta_oracle
-        P, D = prof.rss_pair()
+        P, D = prof.p_poly, prof.d * prof.gram_det
         assert P(theta) / D(theta) == rss_oracle
 
 

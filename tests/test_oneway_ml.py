@@ -157,7 +157,7 @@ def test_singleton_factor_divides_raw_numerator():
         # repeated classes with positive between-SS must NOT divide out
         for n, m, bb in zip(s.sizes, s.mults, s.betweenSS):
             if m >= 2 and bb > 0:
-                assert not divides(UniPoly.linear(1, n, "theta"), cf.raw_ml)
+                assert not divides(UniPoly([1, n], "theta"), cf.raw_ml)
 
 
 def test_cancelled_equation_is_coprime():

@@ -70,7 +70,8 @@ def test_reml_objective_kappa_positive():
     rng = random.Random(17)
     for _ in range(10):
         s = random_oneway_stats(rng)
-        P, D = gls_profile(s).rss_pair()
+        prof = gls_profile(s)
+        P, D = prof.p_poly, prof.d * prof.gram_det
         for k in range(8):
             t = Fraction(k, 2)
             assert D(t) / P(t) > 0

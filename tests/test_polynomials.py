@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from conftest import divides, product
+from conftest import divides, product, schoolbook_mul
 from exactvc.errors import DivisibilityError, UndefinedInputError
 from exactvc.polynomials import (
     _PRIME,
@@ -14,6 +15,8 @@ from exactvc.polynomials import (
     _int_prs_gcd,
     descartes_sign_changes,
     int_linear_product,
+    int_mul,
+    int_strip_linear,
     interpolate,
     poly_gcd,
     rat,
@@ -178,7 +181,7 @@ def test_squarefree_part_strips_multiplicities():
 
 def test_strip_factor_counts_and_caps_the_multiplicity():
     x = UniPoly.variable("x")
-    lin = UniPoly.linear(1, 3, "x")
+    lin = UniPoly([1, 3], "x")
     rest = (x - 2) * (x + 5)
     p = lin ** 3 * rest * Fraction(-7, 2)
     assert strip_factor(p, lin) == (rest * Fraction(-7, 2), 3)
@@ -297,6 +300,88 @@ def test_int_linear_product_matches_polynomial_product():
     assert int_linear_product(()) == [1]
 
 
+def int_coeffs(rng, n):
+    """n integers of mixed signs and sizes: zeros, +-2^k, +-(2^k - 1) and
+    random values up to about 200 bits."""
+    out = []
+    for _ in range(n):
+        k, sgn = rng.randrange(0, 200), rng.choice((-1, 1))
+        out.append(rng.choice((0, sgn << k, sgn * ((1 << k) - 1),
+                               rng.randint(-(1 << k), 1 << k))))
+    return out
+
+
+def test_int_mul_matches_the_schoolbook_product():
+    rng = random.Random(5151)
+    for n in range(1, 251):
+        a = int_coeffs(rng, n)
+        m = n if n % 10 == 0 else rng.randrange(1, min(n, 30) + 1)
+        b = int_coeffs(rng, m)
+        if n % 3 == 0:
+            a[0] = a[-1] = 0            # trailing and leading zeros
+        for x, y in ((a, b), (b, a)) + (((a, a),) if m == n else ()):
+            assert int_mul(x, y) == schoolbook_mul(x, y)
+    assert int_mul([], [1, 2]) == [] == int_mul([3], [])
+    assert int_mul([0, 0], [0, 5, 0]) == [0, 0, 0, 0]
+
+
+def test_int_mul_at_the_slot_boundaries():
+    # the coefficient bound min(len) max|a| max|b| is attained, and lands
+    # on, just under and just over a power of two and a byte boundary,
+    # with every sign pattern: the unpack's offset must undo each borrow
+    for k in (0, 1, 6, 7, 8, 15, 16, 63, 64, 200):
+        for n in (1, 2, 3, 4, 17):
+            for v in ((1 << k), (1 << k) - 1, (1 << k) + 1):
+                for a in ([v] * n, [-v] * n,
+                          [v if i % 2 else -v for i in range(n)],
+                          [v if i < n // 2 else -v for i in range(n)]):
+                    for b in (a, [-c for c in a], [v] * n, [-v, v]):
+                        assert int_mul(a, b) == schoolbook_mul(a, b)
+
+
+def test_unipoly_product_goes_through_the_integer_kernel():
+    rng = random.Random(3)
+    for _ in range(200):
+        p, q = rand_poly(rng, 12), rand_poly(rng, 12)
+        expected = UniPoly(schoolbook_mul(p.coeffs, q.coeffs), "x")
+        assert p * q == expected == q * p
+        assert p * p == UniPoly(schoolbook_mul(p.coeffs, p.coeffs), "x")
+    # operands over different denominators
+    half = UniPoly([Fraction(1, 2), 1], "x")
+    third = UniPoly([1, Fraction(-1, 3)], "x")
+    assert half * third == UniPoly(
+        [Fraction(1, 2), Fraction(5, 6), Fraction(-1, 3)], "x")
+    zero = UniPoly.zero("x")
+    assert (zero * half).is_zero() and (half * zero).is_zero()
+    assert (half * zero).var == "x"
+    with pytest.raises(ValueError):
+        half * UniPoly([1, 2], "y")
+
+
+def test_int_strip_linear_matches_strip_factor():
+    rng = random.Random(99)
+    for n in (1, 2, 3, 7, 64):
+        lin = UniPoly([1, n], "x")
+        for mult in range(4):
+            for cap in (0, 1, None):
+                for _ in range(8):
+                    rest = UniPoly(int_coeffs(rng, rng.randrange(1, 8)), "x")
+                    if rest.is_zero():
+                        continue
+                    p = rest * lin ** mult
+                    q, k = int_strip_linear(p.integer_coeffs(), n, cap)
+                    ref, ref_k = strip_factor(p, lin, cap)
+                    assert (UniPoly(q, "x"), k) == (ref, ref_k)
+                    if cap is None:
+                        assert k >= mult
+    # a constant and the zero list have no linear factor to lose
+    assert int_strip_linear([5], 3) == ([5], 0)
+    assert int_strip_linear([], 3) == ([], 0)
+    # 2 divides the top coefficient but the division fails further down
+    assert int_strip_linear([1, 0, 2], 2) == ([1, 0, 2], 0)
+    assert int_strip_linear([1, 3, 2], 2) == ([1, 1], 1)
+
+
 def test_interpolate_recovers_polynomials_from_values_at_naturals():
     rng = random.Random(77)
     for deg in range(41):
@@ -310,11 +395,14 @@ def test_interpolate_recovers_polynomials_from_values_at_naturals():
             assert f.degree == deg
             # D above the true degree: the high coefficients trim to zero
             for D in (deg, deg + 1, deg + rng.randint(2, 9)):
-                assert interpolate([f(k) for k in range(D + 1)], "x") == f
+                vals = [f(k) for k in range(D + 1)]
+                den = lcm(*(v.denominator for v in vals))
+                ints = [v.numerator * (den // v.denominator) for v in vals]
+                assert interpolate(ints, den, "x") == f
     for D in (0, 1, 7):
-        assert interpolate([0] * (D + 1)).is_zero()
+        assert interpolate([0] * (D + 1), 7).is_zero()
     with pytest.raises(UndefinedInputError):
-        interpolate([])
+        interpolate([], 1)
 
 
 def test_immutability():

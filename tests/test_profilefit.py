@@ -110,6 +110,39 @@ def test_profile_equation_matches_the_oracle_on_covariate_designs(d):
         check_against_oracle(prof, method)
 
 
+def ladder_stats(M, rng):
+    """The benchmark's one-way ladder profile: sizes 2..M+1, every second
+    size shared by two groups, values recorded to two decimals."""
+    mults = tuple(1 + i % 2 for i in range(M))
+
+    def cents(lo, hi):
+        return F(rng.randrange(lo, hi), 100)
+
+    return OneWayStats(
+        tuple(range(2, M + 2)), mults,
+        tuple(cents(-5000, 5000) for _ in range(M)),
+        tuple(cents(100, 50000) if m >= 2 else F(0) for m in mults),
+        cents(10000, 100000))
+
+
+@pytest.mark.parametrize("M", (16, 24, 32))
+def test_profile_equation_matches_the_oracle_on_wide_ladders(M):
+    # degree 3M + M/2 - 3 with coefficients of thousands of bits: the
+    # integer products and strips are checked well past the closed-form
+    # fixtures
+    prof = oneway.gls_profile(ladder_stats(M, random.Random(M)))
+    for method in ("ML", "REML"):
+        check_against_oracle(prof, method)
+
+
+def test_degree_laws_hold_on_the_64_size_ladder():
+    s = ladder_stats(64, random.Random(64))
+    prof = oneway.gls_profile(s)
+    ml, reml = oneway.ml_equation(s, prof), oneway.reml_equation(s, prof)
+    assert ml.degree_matches() and reml.degree_matches()
+    assert (ml.observed_degree, reml.observed_degree) == (221, 189)
+
+
 # (x - 1)(x - 3): two isolated roots, both exact dyadic rationals
 POLY = UniPoly([3, -4, 1], "x")
 

@@ -1,8 +1,9 @@
-"""Every function the benchmark's span recorder wraps must exist.
+"""The benchmark harness must keep running against this source tree.
 
 perfbench/spans.py looks its traced functions up by (module, name) on
 exactvc; a refactor that renames one should fail here rather than only
-in a traced benchmark run.
+in a traced benchmark run. perfbench/selftest.py runs one tiny round of
+every workload through the public API and checks the verifier.
 """
 
 import importlib
@@ -15,8 +16,8 @@ from fractions import Fraction
 from exactvc import oneway
 from exactvc.stats import OneWayStats
 
-SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                     "spans.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+SPANS = os.path.join(PERFBENCH, "spans.py")
 
 
 def load_spans():
@@ -64,3 +65,12 @@ def test_oneway_profile_goes_through_the_traced_stage(monkeypatch):
                     (Fraction(1, 2), Fraction(0)), Fraction(4))
     oneway.gls_profile(s)
     assert calls == [s]
+
+
+def test_benchmark_selftest_passes():
+    # the harness's tiny rounds and corrupted-result checks; it writes only
+    # to the git-ignored perfbench/out/
+    out = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "selftest.py")],
+        capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
