@@ -9,8 +9,12 @@ logarithms, so reported optima carry certified error bounds.
 
 Each submodule is importable on its own; the names re-exported here
 cover the common workflow: summarize data, fit, read the report.
-ml_fit/reml_fit live in both `oneway` (plain layouts) and `covariates`
-(general fixed-effect designs) and are intentionally not flattened.
+A one-ratio model is one `profilefit.ProfilePolys` record, built by
+`oneway.gls_profile` (plain layouts) or `covariates.gls_profile` (general
+fixed-effect designs); `profilefit.profile_fit`, `profile_estimates` and
+`profile_value` take that record and a method. ml_fit/reml_fit remain in
+both submodules as one-line entry points and are intentionally not
+flattened.
 """
 
 from . import covariates, oneway, twoway

@@ -27,7 +27,7 @@ from .errors import (
     RankDeficiencyError,
     UndefinedInputError,
 )
-from .profilefit import profile_fit
+from .profilefit import profile_equation, profile_fit
 from .stats import OneWayStats, ml_degree, multiplicity_profile, reml_degree
 from .twoway import fit_twoway
 
@@ -119,9 +119,8 @@ def _run_fit_oneway(args) -> int:
         else:
             raise InputError(f"{args.csv}: two-way CSV given to fit-oneway")
     module = oneway if isinstance(subject, OneWayStats) else cov
-    prof, equation = module.model(subject)
-    fits = {m: profile_fit(prof, equation, m, width)
-            for m in _methods(args.method)}
+    prof = module.gls_profile(subject)
+    fits = {m: profile_fit(prof, m, width) for m in _methods(args.method)}
     if args.emit_poly:
         only = fits[_methods(args.method)[0]]
         sys.stdout.write(xio.emit_poly_text(only.equation.numerator))
@@ -208,9 +207,9 @@ def _audit_oneway(rng: random.Random, q: int, trials: int) -> dict:
     for _ in range(trials):
         st = _random_oneway_stats(rng, q)
         finding = {}
-        for name, builder in (("ml", oneway.ml_equation),
-                              ("reml", oneway.reml_equation)):
-            eq = builder(st)
+        prof = oneway.gls_profile(st)
+        for name in ("ml", "reml"):
+            eq = profile_equation(prof, name.upper())
             if not eq.degree_matches():
                 finding[name] = {"observed": eq.observed_degree,
                                  "expected": eq.expected_degree}
@@ -259,10 +258,10 @@ def _audit_covariates(rng: random.Random, q: int, trials: int,
     for _ in range(trials):
         design = _random_design(rng, q, p_extra)
         finding = {}
-        for name, builder in (("ml", cov.ml_equation),
-                              ("reml", cov.reml_equation)):
+        prof = cov.gls_profile(design)
+        for name in ("ml", "reml"):
             try:
-                eq = builder(design)
+                eq = profile_equation(prof, name.upper())
             except DegenerateDesignError:
                 skipped += 1
                 finding = {}

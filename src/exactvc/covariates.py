@@ -10,10 +10,12 @@ residual sum of squares as P / (d G). They form the profilefit record,
 and profile_from_sums is its one builder, by evaluation at integer theta
 and exact interpolation: gls_profile reduces a design to integer
 cross-product sums and oneway.gls_profile feeds it the sums of the plain
-layout, the design X = 1. So one profile objective and one stationarity
-equation, profilefit.profile_equation, serve both fits. No closed-form
-degree law is known here, so the expected degree is left open and
-observed degrees are reported as data.
+layout, the design X = 1. So one profile objective, one stationarity
+equation and one set of profilefit drivers serve both fits, each taking
+the record and a method; ml_equation, reml_equation, ml_fit and reml_fit
+remain as one-line entry points. No closed-form degree law is known for
+a general design, so the expected degree is left open and observed
+degrees are reported as data.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
-from .enclosure import Approx
 from .errors import (
     ContractViolationError,
     InputError,
@@ -32,16 +33,12 @@ from .errors import (
 )
 from .polynomials import UniPoly, int_linear_product, interpolate, rat
 from .profilefit import (
-    Estimates,
     FitReport,
     ProfileEquation,
     ProfilePolys,
     profile_equation,
-    profile_estimates,
     profile_fit,
-    profile_value,
 )
-from .roots import RootInterval
 from .stats import exact_count
 
 VAR = "theta"
@@ -243,27 +240,6 @@ def gls_profile(design: DesignProblem) -> ProfilePolys:
                              s * s, mean=False)
 
 
-# ----------------------------------------------------------------------
-# Profile equations
-# ----------------------------------------------------------------------
-
-def ml_equation(design: DesignProblem,
-                prof: Optional[ProfilePolys] = None) -> ProfileEquation:
-    """Cancelled stationarity numerator of the covariate profile criterion.
-
-    No degree formula is asserted. A caller that already holds
-    gls_profile(design) passes it as prof.
-    """
-    return profile_equation(prof or gls_profile(design), "ML")
-
-
-def reml_equation(design: DesignProblem,
-                  prof: Optional[ProfilePolys] = None) -> ProfileEquation:
-    """Cancelled stationarity numerator of the restricted criterion, which
-    subtracts log det(X'KX) = log G - p log d from the profile criterion."""
-    return profile_equation(prof or gls_profile(design), "REML")
-
-
 def conjecture_bound(design: DesignProblem, method: str) -> Optional[int]:
     """Conjectured degree ceiling for intercept-spanning designs.
 
@@ -278,43 +254,26 @@ def conjecture_bound(design: DesignProblem, method: str) -> Optional[int]:
 
 
 # ----------------------------------------------------------------------
-# Values and fits
+# Module-level entry points
 # ----------------------------------------------------------------------
 
-def model(design: DesignProblem):
-    """(record, method -> equation) for profile_fit, sharing one profile."""
-    prof = gls_profile(design)
-    return prof, lambda method: (
-        ml_equation if method == "ML" else reml_equation)(design, prof)
+def ml_equation(design: DesignProblem) -> ProfileEquation:
+    """Cancelled ML stationarity numerator; no degree law is asserted."""
+    return profile_equation(gls_profile(design), "ML")
 
 
-def estimates_at(design: DesignProblem,
-                 theta: Union[RootInterval, Fraction, int, str],
-                 method: str = "ML", prec: int = 256) -> Estimates:
-    """Coefficient and variance estimates at a given variance ratio.
-
-    beta is the exact GLS solution Cramer numerator over G; kappa is
-    weight * D / P with the method's weight; mu is None since the mean
-    is carried by the design.
-    """
-    return profile_estimates(*model(design), theta, method, prec)
-
-
-def profile_loglik(design: DesignProblem, theta, prec: int = 256) -> Approx:
-    return profile_value(*model(design), theta, "ML", prec)
-
-
-def restricted_loglik(design: DesignProblem, theta, prec: int = 256) -> Approx:
-    return profile_value(*model(design), theta, "REML", prec)
+def reml_equation(design: DesignProblem) -> ProfileEquation:
+    """Cancelled REML stationarity numerator; no degree law is asserted."""
+    return profile_equation(gls_profile(design), "REML")
 
 
 def ml_fit(design: DesignProblem,
            refine_width: Fraction = Fraction(1, 10 ** 12)) -> FitReport:
     """Global covariate profile optimum with certified classification."""
-    return profile_fit(*model(design), "ML", refine_width)
+    return profile_fit(gls_profile(design), "ML", refine_width)
 
 
 def reml_fit(design: DesignProblem,
              refine_width: Fraction = Fraction(1, 10 ** 12)) -> FitReport:
     """Global restricted optimum with certified classification."""
-    return profile_fit(*model(design), "REML", refine_width)
+    return profile_fit(gls_profile(design), "REML", refine_width)

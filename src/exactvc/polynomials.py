@@ -227,9 +227,15 @@ class UniPoly:
         return self.divmod(divisor)[1]
 
     def exact_divide(self, divisor: "UniPoly") -> "UniPoly":
-        """Quotient when the division is exact; DivisibilityError otherwise."""
+        """Quotient when the division is exact; DivisibilityError otherwise.
+        A constant divisor always divides: the gcd 1 of coprime inputs
+        returns self, any other constant takes one scalar pass."""
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if divisor.degree == 0:
+            self._check_var(divisor)
+            c = divisor.coeffs[0]
+            return self if c == 1 else self * (1 / c)
         q, r = self.divmod(divisor)
         if not r.is_zero():
             raise DivisibilityError(

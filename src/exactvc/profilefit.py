@@ -13,9 +13,11 @@ Roots are isolated and classified by exact derivative signs, and the
 global optimum is chosen by comparing rigorous objective enclosures that
 are refined until the comparison is decisive.
 
-The objective and its stationarity equation are defined here once for
-both one-way fits: a ProfilePolys record of the design X (the plain layout
-is X = 1) is all they need.
+The objective, its stationarity equation and the three drivers
+(profile_fit, profile_estimates, profile_value) are defined here once for
+every model with one variance ratio: a ProfilePolys record of the design X
+and a method are all they take. The plain layout (X = 1, mean set on the
+record) also gets the one-way degree law of its cancelled numerator.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .roots import (
     refine_interval,
     sign,
 )
+from .stats import ml_degree, reml_degree
 
 LOCAL_MAX = "local_max"
 LOCAL_MIN = "local_min"
@@ -134,37 +137,46 @@ class ProfilePolys:
 # Equation construction
 # ----------------------------------------------------------------------
 
-def build_profile_equation(num: UniPoly, den: UniPoly,
-                           expected_degree: Optional[int],
-                           method_tag: str) -> ProfileEquation:
-    """Cancel, normalize and orient a profile derivative num / den.
+def build_profile_equation(num: UniPoly, den: UniPoly, prof: ProfilePolys,
+                           method: str) -> ProfileEquation:
+    """Cancel, normalize and orient the derivative num / den of prof's
+    objective under method ("ML" or "REML").
 
     Every factor of den is positive on [0, inf) with a positive leading
     coefficient, so the orientation is the sign of lc(num) (see the module
     docstring); one that is not negative leaves no maximizer and breaks
     the caller's contract. One gcd cancels the fraction: in Q[theta] the
-    quotients by a gcd are coprime. expected_degree is the counting
-    formulas' prediction, or None; method_tag is "ML" or "REML".
+    quotients by a gcd are coprime. Only the plain layout (prof.mean) has
+    a degree law: ml_degree or reml_degree of its M sizes, M2 repeated.
     """
     orientation = sign(num.leading_coeff())
     if orientation >= 0:
         raise ContractViolationError(
             "objective does not decrease for large theta")
     g = poly_gcd(num, den)
-    if g.degree > 0:
-        num, den = num.exact_divide(g), den.exact_divide(g)
+    num, den = num.exact_divide(g), den.exact_divide(g)
     num_p = num.primitive()
+    expected = None
+    if prof.mean:
+        law = ml_degree if method == "ML" else reml_degree
+        expected = law(len(prof.sizes), sum(m >= 2 for m in prof.mults))
     return ProfileEquation(
         numerator=num_p,
         denominator=den,
-        expected_degree=expected_degree,
+        expected_degree=expected,
         observed_degree=num_p.degree,
-        method_tag=method_tag,
+        method_tag=method,
         orientation=orientation)
 
 
-def profile_equation(prof: ProfilePolys, method: str,
-                     expected_degree: Optional[int] = None) -> ProfileEquation:
+def _weight(prof: ProfilePolys, method: str) -> int:
+    """w = N (ML) or N - p (REML); any other method is refused."""
+    if method not in ("ML", "REML"):
+        raise ValueError("method must be ML or REML")
+    return prof.N if method == "ML" else prof.N - prof.p
+
+
+def profile_equation(prof: ProfilePolys, method: str) -> ProfileEquation:
     """Cancelled stationarity numerator of one method's profile objective.
 
     With w = N (ML) or N - p (REML), D = d G and f1 = d * sum m_i n_i /
@@ -190,7 +202,7 @@ def profile_equation(prof: ProfilePolys, method: str,
     # scales by a positive constant, which keeps its sign and primitive part
     P, G = prof.p_poly.cleared()[0], prof.gram_det.cleared()[0]
     d = prof.d.integer_coeffs()
-    w = prof.N if method == "ML" else prof.N - prof.p
+    w = _weight(prof, method)
     D = int_mul(d, G)
     f1 = _int_sum((m * n, int_strip_linear(d, n, 1)[0])
                   for n, m in zip(prof.sizes, prof.mults))
@@ -224,8 +236,7 @@ def profile_equation(prof: ProfilePolys, method: str,
         den_sizes += [n] * (1 + kp + kg - k)
     den = int_mul(int_mul(int_linear_product(den_sizes), core_g), core_p)
     return build_profile_equation(UniPoly(raw, prof.d.var),
-                                  UniPoly(den, prof.d.var),
-                                  expected_degree, method)
+                                  UniPoly(den, prof.d.var), prof, method)
 
 
 def _int_derivative(cs: Sequence[int]) -> List[int]:
@@ -458,10 +469,6 @@ def fit_profile(eq: ProfileEquation, loglik: LoglikFn, values: ValuesFn,
 # The profile objective and its drivers
 # ----------------------------------------------------------------------
 
-# method -> the model's cancelled profile equation
-EquationFn = Callable[[str], ProfileEquation]
-
-
 def profile_objective(prof: ProfilePolys, method: str):
     """(loglik, values) of one method's objective over theta intervals.
 
@@ -471,9 +478,7 @@ def profile_objective(prof: ProfilePolys, method: str):
     encloses (mu, kappa, beta). Either returns None when its interval step
     degenerates, or when P or G is not positive.
     """
-    if method not in ("ML", "REML"):
-        raise ValueError("method must be ML or REML")
-    weight = prof.N if method == "ML" else prof.N - prof.p
+    weight = _weight(prof, method)
     P, G = prof.p_poly, prof.gram_det
     D = prof.d * G
     dp = prof.d ** prof.p
@@ -513,24 +518,27 @@ def profile_objective(prof: ProfilePolys, method: str):
     return loglik, values
 
 
-def profile_fit(prof: ProfilePolys, equation: EquationFn, method: str,
-                refine_width) -> FitReport:
+def profile_fit(prof: ProfilePolys, method: str, refine_width) -> FitReport:
     """Global optimum of one method's objective, certified by fit_profile."""
     loglik, values = profile_objective(prof, method)
-    return fit_profile(equation(method), loglik, values, refine_width)
+    return fit_profile(profile_equation(prof, method), loglik, values,
+                       refine_width)
 
 
-def profile_estimates(prof: ProfilePolys, equation: EquationFn, theta,
-                      method: str, prec: int) -> Estimates:
-    """Estimates at theta; only an isolating interval builds the equation."""
+def profile_estimates(prof: ProfilePolys, theta, method: str,
+                      prec: int = 256) -> Estimates:
+    """Estimates at an exact theta or an isolating interval of the method's
+    equation; only an interval builds the equation."""
     loglik, values = profile_objective(prof, method)
-    poly = equation(method).numerator if isinstance(theta, RootInterval) else None
+    poly = (profile_equation(prof, method).numerator
+            if isinstance(theta, RootInterval) else None)
     return certified_estimates(theta, poly, loglik, values, prec)
 
 
-def profile_value(prof: ProfilePolys, equation: EquationFn, theta,
-                  method: str, prec: int) -> Approx:
+def profile_value(prof: ProfilePolys, theta, method: str,
+                  prec: int = 256) -> Approx:
     """Enclosure of one method's objective at theta, as profile_estimates."""
     loglik, _ = profile_objective(prof, method)
-    poly = equation(method).numerator if isinstance(theta, RootInterval) else None
+    poly = (profile_equation(prof, method).numerator
+            if isinstance(theta, RootInterval) else None)
     return enclose_at(lambda lo, hi: loglik(lo, hi, prec), theta, poly)[1]

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from exactvc import covariates, oneway
 from exactvc.cli import main
 from exactvc.enclosure import Approx
 from exactvc.twoway import TwoWayStats
@@ -163,6 +164,21 @@ def test_exit_codes(tmp_path, capsys):
     code, out = run(capsys, "fit-twoway", "--stats", str(sym))
     assert code == 4
     assert json.loads(out)["error"]["kind"] == "degenerate"
+
+
+def test_zero_within_ss_is_refused_under_every_method(tmp_path, capsys):
+    stats = tmp_path / "w0.json"
+    stats.write_text(json.dumps({
+        "sizes": [2, 3], "mults": [1, 2], "means": ["1", "2"],
+        "betweenSS": ["0", "1"], "withinSS": "0"}))
+    for method in ("ML", "REML", "both"):
+        code, out = run(capsys, "fit-oneway", "--method", method,
+                        "--stats", str(stats))
+        assert code == 4
+        assert json.loads(out)["error"] == {
+            "kind": "degenerate",
+            "message": "within-group sum of squares is zero; the profile "
+                       "analysis assumes residual variation"}
 
 
 def test_covariates_csv_fit(tmp_path, capsys):
@@ -311,6 +327,26 @@ def test_audit_covariates(capsys):
     conj = rep["conjecture"]
     assert conj["checked"] + conj["skipped"] >= 4 - 1
     assert conj["violations"] == []
+
+
+def test_audit_builds_one_record_per_instance(monkeypatch, capsys):
+    # oneway binds profile_from_sums by name, so both bindings are counted
+    calls = []
+    build = covariates.profile_from_sums
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(covariates, "profile_from_sums", counted)
+    monkeypatch.setattr(oneway, "profile_from_sums", counted)
+    for argv, trials in ((("--q", "4", "--trials", "6", "--seed", "1"), 6),
+                         (("--q", "3", "--trials", "5", "--seed", "2",
+                           "--covariates", "2"), 5)):
+        calls.clear()
+        code, _ = run(capsys, "audit", *argv)
+        assert code == 0
+        assert len(calls) == trials
 
 
 def test_audit_refuses_covariates_no_design_can_hold(capsys):

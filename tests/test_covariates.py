@@ -15,11 +15,9 @@ from exactvc import oneway
 from exactvc.covariates import (
     DesignProblem,
     conjecture_bound,
-    estimates_at,
     gls_profile,
     ml_equation,
     ml_fit,
-    profile_loglik,
     reml_equation,
     reml_fit,
 )
@@ -30,6 +28,7 @@ from exactvc.errors import (
     RankDeficiencyError,
 )
 from exactvc.polynomials import poly_gcd
+from exactvc.profilefit import profile_estimates, profile_value
 from exactvc.stats import GroupedData, summarize
 
 from conftest import gls_profile_reference
@@ -397,21 +396,22 @@ def test_estimates_at_exact_theta_match_oracle():
     rng = random.Random(47)
     d = random_design(rng)
     theta = Fraction(3, 7)
-    est = estimates_at(d, theta, method="ML")
+    est = profile_estimates(gls_profile(d), theta, "ML")
     beta_oracle, rss_oracle, _, _ = gls_dense(d, theta)
     assert est.mu is None
     assert [b.lo for b in est.beta] == beta_oracle
     assert all(b.is_exact for b in est.beta)
     assert est.kappa.lo == Fraction(d.N) / rss_oracle
     with pytest.raises(ValueError):
-        estimates_at(d, Fraction(-1))
+        profile_estimates(gls_profile(d), Fraction(-1), "ML")
 
 
 def test_profile_loglik_decays():
     rng = random.Random(48)
     d = random_design(rng)
-    a = profile_loglik(d, Fraction(50))
-    b = profile_loglik(d, Fraction(500))
+    prof = gls_profile(d)
+    a = profile_value(prof, Fraction(50), "ML")
+    b = profile_value(prof, Fraction(500), "ML")
     assert a.lo > b.hi
 
 

@@ -16,14 +16,12 @@ from conftest import (
 from exactvc.errors import DegenerateDataError
 from exactvc.oneway import (
     basis_polynomials,
-    estimates_at,
     gls_profile,
     ml_equation,
     ml_fit,
-    profile_loglik,
 )
 from exactvc.polynomials import UniPoly, descartes_sign_changes, poly_gcd
-from exactvc.profilefit import theta_pair
+from exactvc.profilefit import profile_estimates, profile_value, theta_pair
 from exactvc.roots import isolate_real_roots
 from exactvc.stats import GroupedData, OneWayStats, ml_degree, summarize
 
@@ -225,8 +223,8 @@ def test_trimodal_fixture_loglik_ordering():
     s = load_stats_fixture("trimodal.json")
     rep = ml_fit(s)
     pts = [iv for iv, label in rep.stationary_points if label == "local_max"]
-    l1 = profile_loglik(s, pts[0])
-    l3 = profile_loglik(s, pts[1])
+    l1 = profile_value(gls_profile(s), pts[0], "ML")
+    l3 = profile_value(gls_profile(s), pts[1], "ML")
     assert l1.lo > l3.hi
 
 
@@ -246,7 +244,7 @@ def test_estimates_mean_equation_residual_is_zero():
     for _ in range(10):
         s = random_oneway_stats(rng)
         t = Fraction(rng.randrange(0, 20), rng.randrange(1, 7))
-        est = estimates_at(s, t)
+        est = profile_estimates(gls_profile(s), t, "ML")
         mu = est.mu.lo   # exact at rational theta
         assert est.mu.is_exact
         residual = sum(
@@ -272,7 +270,7 @@ def test_estimates_pooled_case_at_zero():
     m, n, mu0 = 3, 4, Fraction(7, 2)
     W = Fraction(33, 4)
     s = OneWayStats((n,), (m,), (mu0,), (Fraction(0),), W)
-    est = estimates_at(s, 0)
+    est = profile_estimates(gls_profile(s), 0, "ML")
     assert est.mu.is_exact and est.mu.lo == mu0
     assert est.omega.is_exact and est.omega.lo == W / s.N
     assert est.tau.lo == est.tau.hi == 0
@@ -281,14 +279,15 @@ def test_estimates_pooled_case_at_zero():
 def test_estimates_rejects_negative_theta():
     s = load_stats_fixture("trimodal.json")
     with pytest.raises(ValueError):
-        estimates_at(s, Fraction(-1, 2))
+        profile_estimates(gls_profile(s), Fraction(-1, 2), "ML")
 
 
 def test_profile_loglik_decreases_beyond_roots():
     s = load_stats_fixture("trimodal.json")
-    a = profile_loglik(s, Fraction(10))
-    b = profile_loglik(s, Fraction(100))
-    c = profile_loglik(s, Fraction(1000))
+    prof = gls_profile(s)
+    a = profile_value(prof, Fraction(10), "ML")
+    b = profile_value(prof, Fraction(100), "ML")
+    c = profile_value(prof, Fraction(1000), "ML")
     assert a.lo > b.hi > c.hi
 
 

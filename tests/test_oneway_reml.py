@@ -12,14 +12,9 @@ from conftest import (
     random_oneway_stats,
 )
 from exactvc.errors import DegenerateDataError
-from exactvc.oneway import (
-    estimates_at,
-    gls_profile,
-    reml_equation,
-    reml_fit,
-    restricted_loglik,
-)
+from exactvc.oneway import gls_profile, reml_equation, reml_fit
 from exactvc.polynomials import poly_gcd
+from exactvc.profilefit import profile_estimates, profile_value
 from exactvc.stats import OneWayStats, ml_degree, reml_degree
 
 
@@ -130,15 +125,16 @@ def test_boundary_fixture_restricted_loglik_ordering():
     s = load_stats_fixture("boundary.json")
     rep = reml_fit(s)
     maxima = [iv for iv, label in rep.stationary_points if label == "local_max"]
-    l1 = restricted_loglik(s, maxima[0])
-    l3 = restricted_loglik(s, maxima[1])
+    l1 = profile_value(gls_profile(s), maxima[0], "REML")
+    l3 = profile_value(gls_profile(s), maxima[1], "REML")
     assert l1.lo > l3.hi
 
 
 def test_restricted_loglik_decays():
     s = load_stats_fixture("boundary.json")
-    a = restricted_loglik(s, Fraction(10))
-    b = restricted_loglik(s, Fraction(200))
+    prof = gls_profile(s)
+    a = profile_value(prof, Fraction(10), "REML")
+    b = profile_value(prof, Fraction(200), "REML")
     assert a.lo > b.hi
 
 
@@ -146,7 +142,7 @@ def test_reml_estimates_at_root():
     s = load_stats_fixture("trimodal.json")
     rep = reml_fit(s)
     g = rep.global_estimates
-    est = estimates_at(s, g.theta, method="REML")
+    est = profile_estimates(gls_profile(s), g.theta, "REML")
     assert est.omega.lo > 0
     prod = est.omega * est.kappa
     assert prod.lo <= 1 <= prod.hi

@@ -119,6 +119,19 @@ def test_exact_divide_roundtrip_and_failure():
         assert (p * q).exact_divide(q) == p
     with pytest.raises(DivisibilityError):
         UniPoly([1, 0, 1], "x").exact_divide(UniPoly([1, 1], "x"))
+    with pytest.raises(ZeroDivisionError):
+        UniPoly([1, 2], "x").exact_divide(UniPoly.zero("x"))
+
+
+def test_exact_divide_by_a_constant():
+    p = UniPoly([Fraction(3, 4), -6, 0, 9], "x")
+    for c in (1, -3, Fraction(2, 3), Fraction(-5, 7)):
+        q = p.exact_divide(UniPoly.constant(c, "x"))
+        assert q * c == p
+        assert q == p.divmod(UniPoly.constant(c, "x"))[0]
+    assert UniPoly.zero("x").exact_divide(UniPoly.constant(-2, "x")).is_zero()
+    with pytest.raises(ValueError):
+        p.exact_divide(UniPoly.constant(2, "y"))
 
 
 def test_primitive_normal_form():

@@ -21,6 +21,7 @@ from exactvc.profilefit import (
     certified_argmax,
     enclose_at,
     profile_equation,
+    profile_objective,
     theta_pair,
 )
 from exactvc.roots import isolate_real_roots
@@ -41,6 +42,19 @@ def test_profile_equation_matches_the_closed_forms():
             assert eq.numerator == raw.exact_divide(cf.d1 ** k).primitive()
             assert eq.orientation == (1 if raw.leading_coeff() > 0 else -1)
     assert singletons >= 20 and repeated >= 20
+
+
+def test_unknown_method_is_refused():
+    # a lower-case "ml" once built an equation with the REML weight N - p
+    # and no REML terms: a wrong numerator with no error
+    prof = oneway.gls_profile(OneWayStats((2, 3, 5), (2, 1, 1), (1, 2, 3),
+                                          (1, 0, 0), 5))
+    assert profile_equation(prof, "ML").observed_degree == 7
+    for method in ("ml", "reml", "both", ""):
+        with pytest.raises(ValueError):
+            profile_equation(prof, method)
+        with pytest.raises(ValueError):
+            profile_objective(prof, method)
 
 
 def sympy_poly(u, t):
@@ -138,7 +152,7 @@ def test_profile_equation_matches_the_oracle_on_wide_ladders(M):
 def test_degree_laws_hold_on_the_64_size_ladder():
     s = ladder_stats(64, random.Random(64))
     prof = oneway.gls_profile(s)
-    ml, reml = oneway.ml_equation(s, prof), oneway.reml_equation(s, prof)
+    ml, reml = profile_equation(prof, "ML"), profile_equation(prof, "REML")
     assert ml.degree_matches() and reml.degree_matches()
     assert (ml.observed_degree, reml.observed_degree) == (221, 189)
 
