@@ -44,28 +44,25 @@ from .stats import exact_count
 VAR = "theta"
 
 
-def _column_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank by fraction Gaussian elimination with row pivoting."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+def _full_column_rank(rows: Sequence[Sequence[Fraction]]) -> bool:
+    """Whether rational rows have full column rank: exactly when the
+    Gram matrix A = R'R of the rows R cleared by one scale is positive
+    definite. Fraction-free elimination without swaps has the leading
+    minors of A as pivots; A is semidefinite, so a zero one is singular."""
+    s = lcm(*(v.denominator for row in rows for v in row))
+    R = [[v.numerator * (s // v.denominator) for v in row] for row in rows]
+    p = len(R[0])
+    a = [[sum(r[i] * r[j] for r in R) for j in range(p)] for i in range(p)]
+    prev = 1
+    for k in range(p):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, p):
+            for j in range(k + 1, p):
+                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return True
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,7 @@ class DesignProblem:
         if p >= len(y):
             raise RankDeficiencyError(
                 "design has at least as many columns as observations")
-        if _column_rank(x) < p:
+        if not _full_column_rank(x):
             raise RankDeficiencyError("design does not have full column rank")
 
     @property
@@ -130,9 +127,8 @@ class DesignProblem:
         return tuple(sizes), tuple(mults)
 
     def has_intercept(self) -> bool:
-        """Whether the all-ones vector lies in the column span."""
-        augmented = [list(row) + [Fraction(1)] for row in self.x]
-        return _column_rank(augmented) == self.p
+        """Whether the all-ones vector lies in the (full-rank) column span."""
+        return not _full_column_rank([row + (Fraction(1),) for row in self.x])
 
 
 def _bordered_values(m: List[List[int]], p: int) -> Tuple[int, int, List[int]]:

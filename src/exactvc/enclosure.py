@@ -4,9 +4,9 @@ Rational quantities stay exact as long as possible; only logarithms force a
 move to finite precision. Those are evaluated with mpmath and then widened
 by a generous slack (hundreds of ulps), so every Approx produced here is a
 true enclosure and comparisons between disjoint enclosures are certified.
-A log's rational argument is rounded to the working precision by mpmath's
-own `from_rational`, as `mpmathify` rounds it, without `mpmathify`'s
-re-reduction of a Fraction that is already in lowest terms.
+A log's rational argument, a Fraction or an unreduced integer pair, is
+rounded to the working precision by mpmath's own `from_rational`, as
+`mpmathify` rounds it, and is never reduced by a gcd.
 """
 
 from __future__ import annotations
@@ -89,21 +89,29 @@ def _mpf_to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
-def _to_mpf(x: Fraction, prec: int):
-    """x rounded to `prec` bits exactly as mpmathify(x) rounds it."""
-    return mpmath.mp.make_mpf(from_rational(x.numerator, x.denominator, prec))
+def _ratio(x) -> Tuple[int, int]:
+    """(p, q) of a Fraction or int; an integer pair (p, q > 0) as it is."""
+    return x if isinstance(x, tuple) else (x.numerator, x.denominator)
 
 
-def log_enclosure(lo: Fraction, hi: Fraction, prec: int = 128) -> Optional[Approx]:
+def _to_mpf(x: Tuple[int, int], prec: int):
+    """p / q rounded to `prec` bits as mpmathify(Fraction(p, q)) rounds it;
+    the division is correctly rounded, so p and q need no reduction."""
+    return mpmath.mp.make_mpf(from_rational(x[0], x[1], prec))
+
+
+def log_enclosure(lo, hi, prec: int = 128) -> Optional[Approx]:
     """Enclosure of {log x : x in [lo, hi]} for a positive rational interval.
 
     Uses mpmath at `prec` bits and widens each endpoint by a slack of
     roughly 2^(8-prec) relative, far beyond mpmath's actual rounding
     error. Returns None when the interval touches the nonpositive axis,
-    signalling the caller to refine its inputs.
+    signalling the caller to refine its inputs. Each endpoint is a Fraction
+    or an unreduced integer pair (p, q > 0): reducing a product of
+    thousands of bits by its gcd costs more than its logarithm.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo <= 0:
+    lo, hi = _ratio(lo), _ratio(hi)
+    if lo[0] <= 0:
         return None
     with mpmath.workprec(prec):
         vlo = _mpf_to_fraction(mpmath.log(_to_mpf(lo, prec)))
@@ -115,8 +123,11 @@ def log_enclosure(lo: Fraction, hi: Fraction, prec: int = 128) -> Optional[Appro
 
 def interval_divide(num: Tuple[Fraction, Fraction],
                     den: Tuple[Fraction, Fraction]) -> Optional[Approx]:
-    """Quotient enclosure; None when the denominator interval straddles 0."""
+    """Quotient enclosure; None when the denominator interval straddles 0.
+    A nonnegative numerator over a positive denominator needs no reciprocal."""
     dlo, dhi = den
     if dlo <= 0 <= dhi:
         return None
+    if num[0] >= 0 and dlo > 0:
+        return Approx(num[0] / dhi, num[1] / dlo)
     return Approx(*num) * Approx(dlo, dhi).reciprocal()

@@ -11,7 +11,8 @@ factor of the denominator is positive on [0, inf) with a positive leading
 coefficient, so cancelling never changes the sign of the derivative there.
 Roots are isolated and classified by exact derivative signs, and the
 global optimum is chosen by comparing rigorous objective enclosures that
-are refined until the comparison is decisive.
+are refined until the comparison is decisive; a lone candidate needs no
+comparison. The log-determinant in each enclosure is a single logarithm.
 
 The objective, its stationarity equation and the three drivers
 (profile_fit, profile_estimates, profile_value) are defined here once for
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .enclosure import Approx, interval_divide, log_enclosure
@@ -38,6 +40,7 @@ from .polynomials import (
 )
 from .roots import (
     RootInterval,
+    _sign_at,
     cauchy_bound,
     isolate_real_roots,
     poly_range,
@@ -270,25 +273,19 @@ def classify_stationary_points(eq: ProfileEquation,
     flip is a degenerate saddle.
     """
     num = eq.numerator
+    cs = num.integer_coeffs()
     labels = []
     for i, iv in enumerate(ivs):
-        if iv.is_point():
-            # exact root (at the origin): only the right side is in-domain
-            if i + 1 < len(ivs):
-                right_probe = (iv.hi + ivs[i + 1].lo) / 2
-            else:
-                right_probe = cauchy_bound(num) + 1
-            s_right = eq.orientation * sign(num(right_probe))
-            labels.append(LOCAL_MAX if s_right < 0 else SADDLE)
-            continue
-        s_left = eq.orientation * sign(num(iv.lo))
-        s_right = eq.orientation * sign(num(iv.hi))
-        if s_left > 0 and s_right < 0:
-            labels.append(LOCAL_MAX)
-        elif s_left < 0 and s_right > 0:
-            labels.append(SADDLE)   # profile minimum = saddle of the objective
+        if not iv.is_point():
+            s_left, right = eq.orientation * _sign_at(cs, iv.lo), iv.hi
         else:
-            labels.append(SADDLE)   # no sign flip: degenerate
+            # exact root (at the origin): only the right side is in-domain,
+            # probed short of the next interval or past every root
+            s_left = 1
+            right = ((iv.hi + ivs[i + 1].lo) / 2 if i + 1 < len(ivs)
+                     else cauchy_bound(num) + 1)
+        s_right = eq.orientation * _sign_at(cs, right)
+        labels.append(LOCAL_MAX if s_left > 0 > s_right else SADDLE)
     return labels
 
 
@@ -439,14 +436,16 @@ def fit_profile(eq: ProfileEquation, loglik: LoglikFn, values: ValuesFn,
     slots = [i for i, label in enumerate(labels) if label == LOCAL_MAX]
     thetas: List[Theta] = [ivs[i].lo if ivs[i].is_point() else ivs[i]
                            for i in slots]
-    s_at_zero = sign(num(Fraction(0)))
-    if s_at_zero != 0 and eq.orientation * s_at_zero < 0:
+    if eq.orientation * sign(num.coeffs[0]) < 0:
         thetas.append(Fraction(0))
     if not thetas:
         raise ContractViolationError(
             "no maximum candidate found; orientation contract broken")
 
-    thetas, _, best, tied = certified_argmax(thetas, num, loglik)
+    # no supremum at theta -> inf (orientation): a lone candidate is global
+    best, tied = 0, []
+    if len(thetas) > 1:
+        thetas, _, best, tied = certified_argmax(thetas, num, loglik)
 
     # fold ranking-driven refinements back into the reported intervals
     ivs = list(ivs)
@@ -474,8 +473,9 @@ def profile_objective(prof: ProfilePolys, method: str):
 
     With weight w = N (ML) or N - p (REML) and kappa_hat = w d G / P,
     loglik(lo, hi, prec) encloses w log kappa_hat - sum m_i log(1 + n_i
-    theta) - w, less log(G / d^p) = log det(X'KX) for REML. values(lo, hi)
-    encloses (mu, kappa, beta). Either returns None when its interval step
+    theta) - w, less log(G / d^p) = log det(X'KX) for REML: 2 (ML) or 3 logs
+    for any M, the sum being one log of prod (1 + n_i theta)^m_i. values(lo,
+    hi) encloses (mu, kappa, beta). Either returns None when its interval step
     degenerates, or when P or G is not positive.
     """
     weight = _weight(prof, method)
@@ -483,6 +483,14 @@ def profile_objective(prof: ProfilePolys, method: str):
     D = prof.d * G
     dp = prof.d ** prof.p
     kd_weighted = D * Fraction(weight)
+    factors = tuple(zip(prof.sizes, prof.mults))
+    groups = sum(prof.mults)
+
+    def log_det_arg(t: Fraction) -> Tuple[int, int]:
+        # prod (1 + n t)^m over b^(sum m) for t = a/b: it increases on
+        # t >= 0, so its values at lo and hi bound it over [lo, hi]
+        a, b = t.numerator, t.denominator
+        return prod((b + n * a) ** m for n, m in factors), b ** groups
 
     def loglik(lo: Fraction, hi: Fraction, prec: int) -> Optional[Approx]:
         if lo < 0:
@@ -492,10 +500,8 @@ def profile_objective(prof: ProfilePolys, method: str):
             kap.lo * weight, kap.hi * weight, prec)
         if lk is None:
             return None
-        total = lk.scale(weight) - Approx.exact(weight)
-        for n, m in zip(prof.sizes, prof.mults):
-            le = log_enclosure(1 + n * lo, 1 + n * hi, prec)
-            total = total - le.scale(m)
+        total = (lk.scale(weight) - Approx.exact(weight)
+                 - log_enclosure(log_det_arg(lo), log_det_arg(hi), prec))
         if method == "REML":
             r = interval_divide(poly_range(G, lo, hi), poly_range(dp, lo, hi))
             lr = None if r is None else log_enclosure(r.lo, r.hi, prec)

@@ -307,6 +307,37 @@ def gls_profile_reference(design) -> ProfilePolys:
 
 
 # ----------------------------------------------------------------------
+# Rank reference
+#
+# Fraction Gauss-Jordan elimination with row pivoting over every row.
+# covariates.DesignProblem decides full column rank and has_intercept from
+# an integer Gram matrix instead; they must agree with this rank.
+
+def column_rank_reference(rows) -> int:
+    """Exact rank by fraction Gaussian elimination with row pivoting."""
+    m = [list(r) for r in rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [v * inv for v in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+# ----------------------------------------------------------------------
 # Refinement and range references
 #
 # Plain bisection on the sign change, halving once per step, and interval

@@ -31,7 +31,7 @@ from exactvc.polynomials import poly_gcd
 from exactvc.profilefit import profile_estimates, profile_value
 from exactvc.stats import GroupedData, summarize
 
-from conftest import gls_profile_reference
+from conftest import column_rank_reference, gls_profile_reference
 
 
 # -- oracles -----------------------------------------------------------------
@@ -174,6 +174,53 @@ def test_size_classes_and_intercept_detection():
     x2 = tuple((Fraction(v), Fraction(v * v - 4)) for v in (-2, -1, 0, 1, 2, 3, -3))
     d2 = DesignProblem(y, x2, (3, 2, 2))
     assert not d2.has_intercept()
+
+
+def random_rank_rows(rng, n, p):
+    """n rows of p columns; often a column is a rational combination of
+    the others (rank deficient) or the columns sum to a constant (the
+    ones vector in the span without a ones column)."""
+    cols = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(p)]
+    kind = rng.randrange(4)
+    if kind == 0 and p >= 2:
+        j = rng.randrange(p)
+        c = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(p)]
+        cols[j] = [sum(c[k] * cols[k][i] for k in range(p) if k != j)
+                   for i in range(n)]
+    elif kind == 1:
+        scale = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        cols[-1] = [scale - sum(col[i] for col in cols[:-1])
+                    for i in range(n)]
+    elif kind == 2:
+        cols[rng.randrange(p)] = [Fraction(0)] * n
+    return tuple(zip(*cols))
+
+
+def test_rank_and_intercept_checks_match_the_elimination_reference():
+    rng = random.Random(1212)
+    outcomes = {"deficient": 0, "intercept": 0, "no_intercept": 0}
+    for _ in range(400):
+        q = rng.randint(2, 4)
+        sizes = tuple(rng.randint(1, 4) for _ in range(q))
+        if max(sizes) < 2:
+            continue
+        n = sum(sizes)
+        p = rng.randint(1, min(4, n - 1))
+        x = random_rank_rows(rng, n, p)
+        y = tuple(Fraction(rng.randint(-9, 9)) for _ in range(n))
+        if column_rank_reference(x) < p:
+            with pytest.raises(RankDeficiencyError,
+                               match="does not have full column rank"):
+                DesignProblem(y, x, sizes)
+            outcomes["deficient"] += 1
+            continue
+        d = DesignProblem(y, x, sizes)
+        spans = column_rank_reference(
+            [row + (Fraction(1),) for row in x]) == p
+        assert d.has_intercept() == spans
+        outcomes["intercept" if spans else "no_intercept"] += 1
+    assert min(outcomes.values()) >= 40
 
 
 # -- GLS reduction against the dense oracle ----------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 
 from exactvc import enclosure
-from exactvc.enclosure import log_enclosure
+from exactvc.enclosure import Approx, interval_divide, log_enclosure
 
 # the ranking rounds' log precisions, and the defaults of the estimates
 # and of log_enclosure
@@ -38,3 +38,59 @@ def test_log_inputs_are_mpmathify_roundings(monkeypatch):
                 expected = [(mpmath.mpmathify(v)._mpf_, prec)
                             for v in (x, x + Fraction(1, 7))]
             assert seen == expected
+
+
+def test_unreduced_pair_encloses_like_its_fraction():
+    # an integer pair p/q is not reduced; mpmath's rounding of p/q is
+    # correctly rounded, so the enclosure is the one of Fraction(p, q)
+    rng = random.Random(13)
+    for _ in range(40):
+        g = rng.randrange(1, 2 ** rng.randrange(1, 400))
+        p = rng.randrange(1, 2 ** rng.randrange(1, 900))
+        q = rng.randrange(1, 2 ** rng.randrange(1, 900))
+        lo = Fraction(p, q)
+        hi = lo + Fraction(1, rng.randrange(1, 2 ** 300))
+        for prec in (192, 672):
+            want = log_enclosure(lo, hi, prec)
+            pair_hi = (hi.numerator * g, hi.denominator * g)
+            assert log_enclosure((p * g, q * g), pair_hi, prec) == want
+            assert log_enclosure((p * g, q * g), (p * g, q * g), prec) == \
+                log_enclosure(lo, lo, prec)
+    assert log_enclosure((0, 5), (1, 5)) is None
+    assert log_enclosure((-1, 5), (1, 5)) is None
+
+
+def general_divide(num, den):
+    """num * (1 / den) by interval products: the formula interval_divide
+    uses for intervals of any sign."""
+    return Approx(*num) * Approx(*den).reciprocal()
+
+
+def test_sign_aware_divide_matches_the_general_formula():
+    rng = random.Random(14)
+
+    def value():
+        return Fraction(rng.randrange(-50, 50), rng.randrange(1, 20))
+
+    def interval():
+        kind = rng.randrange(4)
+        if kind == 0:                       # zero width
+            v = value()
+            return v, v
+        if kind == 1:                       # touching zero from above
+            return Fraction(0), abs(value())
+        a, b = sorted((value(), value()))
+        return a, b
+
+    checked = 0
+    for _ in range(3000):
+        num, den = interval(), interval()
+        got = interval_divide(num, den)
+        if den[0] <= 0 <= den[1]:
+            assert got is None
+            continue
+        assert got == general_divide(num, den)
+        checked += num[0] >= 0 and den[0] > 0
+    assert checked > 200
+    assert interval_divide((Fraction(0), Fraction(0)),
+                           (Fraction(2), Fraction(3))) == Approx.exact(0)

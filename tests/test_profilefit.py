@@ -5,11 +5,12 @@ enclosure retries."""
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 
-from conftest import closed_forms, random_oneway_stats
-from exactvc import covariates, oneway
+from conftest import closed_forms, load_stats_fixture, random_oneway_stats
+from exactvc import covariates, oneway, profilefit
 from exactvc.enclosure import Approx
 from exactvc.errors import ContractViolationError, DegenerateDesignError
 from exactvc.polynomials import UniPoly
@@ -21,6 +22,7 @@ from exactvc.profilefit import (
     certified_argmax,
     enclose_at,
     profile_equation,
+    profile_fit,
     profile_objective,
     theta_pair,
 )
@@ -229,3 +231,104 @@ def test_enclose_at_returns_the_narrowed_theta():
     assert theta.width() < iv.width() / 1000
     assert theta_pair(theta) == (theta.lo, theta.hi)
     assert theta_pair(2) == (F(2), F(2))
+
+
+# ----------------------------------------------------------------------
+# The objective's logarithms and the ranking pass
+
+
+def spy(monkeypatch, name):
+    """Record the arguments and result of every call of profilefit.name."""
+    calls = []
+    real = getattr(profilefit, name)
+
+    def wrapper(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(profilefit, name, wrapper)
+    return calls
+
+
+def log_det(sizes, mults, t, prec):
+    """sum m log(1 + n t) by mpmath at prec bits, as a Fraction."""
+    with mpmath.workprec(prec):
+        v = mpmath.fsum(m * mpmath.log(mpmath.mpmathify(1 + n * t))
+                        for n, m in zip(sizes, mults))
+        man, exp = v.man_exp
+        return F(man) * F(2) ** exp
+
+
+def test_log_det_enclosure_contains_the_sum_of_logs(monkeypatch):
+    # the log-determinant is one log of prod (1 + n theta)^m; its enclosure
+    # must hold the per-size sum of logs, computed at twice the precision,
+    # at both ends of theta's interval
+    rng = random.Random(1300)
+    layouts = [((2, 3, 5, 8, 13), (60, 60, 60, 60, 60)),   # 300 groups
+               (tuple(range(2, 14)), tuple(1 + i % 2 for i in range(12)))]
+    for _ in range(6):
+        M = rng.randrange(1, 8)
+        layouts.append((tuple(sorted(rng.sample(range(1, 40), M))),
+                        tuple(rng.randrange(1, 6) for _ in range(M))))
+    big = 2 ** 1000
+    for sizes, mults in layouts:
+        if max(sizes) < 2 or sum(mults) < 2:
+            continue
+        st = OneWayStats(sizes, mults,
+                         tuple(F(rng.randrange(-900, 900), 7) for _ in sizes),
+                         tuple(F(rng.randrange(1, 900), 3) if m >= 2 else F(0)
+                               for m in mults),
+                         F(rng.randrange(1, 900), 5))
+        prof = oneway.gls_profile(st)
+        x = F(rng.randrange(1, big), big // rng.randrange(1, 100))
+        intervals = [(F(0), F(0)), (F(0), F(1, 3)), (F(2, 7), F(2, 7)),
+                     (F(1, 10), F(1, 9)), (x, x + F(1, big))]
+        for method in ("ML", "REML"):
+            loglik, _ = profile_objective(prof, method)
+            for lo, hi in intervals:
+                for prec in (192, 672):
+                    calls = spy(monkeypatch, "log_enclosure")
+                    assert loglik(lo, hi, prec) is not None
+                    monkeypatch.undo()
+                    encl = [out for args, out in calls
+                            if isinstance(args[0], tuple)]
+                    assert len(calls) == (2 if method == "ML" else 3)
+                    assert len(encl) == 1
+                    want_lo = log_det(sizes, mults, lo, 2 * prec)
+                    want_hi = log_det(sizes, mults, hi, 2 * prec)
+                    assert encl[0].lo <= want_lo <= want_hi <= encl[0].hi
+
+
+def test_lone_maximum_needs_no_ranking_and_two_or_three_logs(monkeypatch):
+    for M in (6, 12):
+        prof = oneway.gls_profile(ladder_stats(M, random.Random(M)))
+        for method, logs in (("ML", 2), ("REML", 3)):
+            ranks = spy(monkeypatch, "certified_argmax")
+            calls = spy(monkeypatch, "log_enclosure")
+            rep = profile_fit(prof, method, F(1, 10 ** 12))
+            monkeypatch.undo()
+            maxima = [iv for iv, label in rep.stationary_points
+                      if label == "local_max"]
+            assert len(maxima) == 1 and not rep.boundary_is_max
+            assert ranks == []
+            assert 0 < len(calls) <= logs
+
+
+def test_trimodal_ml_still_ranks_its_two_maxima(monkeypatch):
+    # the trimodal fixture has three local maxima: two under ML, which
+    # need the ranking pass, and one under REML, which does not
+    prof = oneway.gls_profile(load_stats_fixture("trimodal.json"))
+    for method, n_max, n_rank in (("ML", 2, 1), ("REML", 1, 0)):
+        ranks = spy(monkeypatch, "certified_argmax")
+        rep = profile_fit(prof, method, F(1, 10 ** 12))
+        monkeypatch.undo()
+        maxima = [iv for iv, label in rep.stationary_points
+                  if label == "local_max"]
+        assert len(maxima) == n_max and len(ranks) == n_rank
+        assert not rep.tie and not rep.boundary_is_max
+        # the winner is the lowest maximum (theta ~ 0.00838738 under ML)
+        g = rep.global_estimates.theta
+        assert maxima[0].lo <= g.lo and g.hi <= maxima[0].hi
+        for _, (_, encl, best, tied) in ranks:
+            assert best == 0 and tied == [] and encl[0].lo > encl[1].hi

@@ -493,6 +493,8 @@ def test_penicillin_unique_feasible_solution():
     assert sum(1 for s in rep.solutions if s.feasible is True) == 1
     g = rep.global_solution
     assert g is not None and not rep.tie and not rep.boundary
+    # a lone feasible solution is still ranked, for its objective enclosure
+    assert g.loglik is not None and g.loglik.width() < F(1, 10 ** 6)
     assert round(float(g.omega.midpoint()), 6) == pytest.approx(0.302425)
     assert round(float(g.tau1.midpoint()), 6) == pytest.approx(0.714992)
     assert round(float(g.tau2.midpoint()), 6) == pytest.approx(3.135188)
