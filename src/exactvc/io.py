@@ -14,6 +14,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, List, Optional, Union
 
 from .covariates import DesignProblem
@@ -66,17 +67,23 @@ ONEWAY_HEADER = ["group", "value"]
 TWOWAY_HEADER = ["row", "col", "rep", "value"]
 
 
-def _read_rows(path: str):
+def _csv_rows(path: str, limit: Optional[int] = None) -> List[List[str]]:
+    """The first limit non-blank rows (all when None), cells stripped."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            rows = [[cell.strip() for cell in row] for row in reader if row]
+            rows = list(islice(([cell.strip() for cell in row]
+                                for row in csv.reader(fh) if row), limit))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"{path}: malformed CSV: {exc}") from exc
     if not rows:
         raise InputError(f"{path}: empty CSV file")
+    return rows
+
+
+def _read_rows(path: str):
+    rows = _csv_rows(path)
     return rows[0], rows[1:]
 
 
@@ -86,8 +93,8 @@ def _is_covariates_header(header: List[str]) -> bool:
 
 
 def detect_csv_kind(path: str) -> str:
-    """Classify a CSV by its header: oneway, covariates, or twoway."""
-    header, _ = _read_rows(path)
+    """oneway, covariates or twoway, read off the first non-blank row alone."""
+    header, = _csv_rows(path, 1)
     if header == ONEWAY_HEADER:
         return "oneway"
     if header == TWOWAY_HEADER:

@@ -31,11 +31,13 @@ ONE = Fraction(1)
 
 
 def rat(value) -> Fraction:
-    """Coerce ints/strings/Fractions to Fraction (decimal strings are exact)."""
+    """Coerce ints/strings/Fractions to Fraction (decimal strings are exact);
+    float and bool are refused with TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        raise TypeError("refusing to coerce float to Fraction; pass a string")
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"refusing to coerce {type(value).__name__} to "
+                        "Fraction; pass a string")
     return Fraction(value)
 
 

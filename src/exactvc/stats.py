@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Sequence, Tuple
 
 from .errors import InputError, ModelAssumptionError
@@ -126,25 +127,28 @@ def summarize(data: GroupedData) -> OneWayStats:
     average of the per-group means, the between-group SS measures the
     spread of group means inside the class, and the within-group SS pools
     squared deviations around each group's own mean.
+
+    Sums run on integers x = s v, s the lcm of the value denominators.
+    With S_g a group total and m groups of size n, mean = sum S_g / (nms),
+    betweenSS = (m sum S_g^2 - (sum S_g)^2) / (m n^2 s^2) and withinSS =
+    sum_n sum_g (n sum x^2 - S_g^2) / n / s^2, each built as one Fraction.
     """
-    by_size = {}
-    within = Fraction(0)
+    s = lcm(*{v.denominator for g in data.groups for v in g})
+    by_size, sum_sq = {}, 0
     for g in data.groups:
-        n = len(g)
-        gm = sum(g, Fraction(0)) / n
-        within += sum((v - gm) ** 2 for v in g)
-        by_size.setdefault(n, []).append(gm)
-    sizes = sorted(by_size)
-    mults, means, between = [], [], []
-    for n in sizes:
-        gms = by_size[n]
-        m = len(gms)
-        mu = sum(gms, Fraction(0)) / m
-        mults.append(m)
-        means.append(mu)
-        between.append(sum((v - mu) ** 2 for v in gms))
-    return OneWayStats(tuple(sizes), tuple(mults), tuple(means),
-                       tuple(between), within)
+        xs = [v.numerator * (s // v.denominator) for v in g]
+        sum_sq += sum(x * x for x in xs)
+        by_size.setdefault(len(g), []).append(sum(xs))
+    classes = [(n, len(ts), sum(ts), sum(x * x for x in ts))
+               for n, ts in sorted(by_size.items())]
+    big_l = lcm(*by_size)   # withinSS's denominator over s^2
+    within = big_l * sum_sq - sum(big_l // n * sq for n, _, _, sq in classes)
+    return OneWayStats(
+        tuple(c[0] for c in classes), tuple(c[1] for c in classes),
+        tuple(Fraction(t, n * m * s) for n, m, t, _ in classes),
+        tuple(Fraction(m * sq - t * t, m * n * n * s * s)
+              for n, m, t, sq in classes),
+        Fraction(within, big_l * s * s))
 
 
 def multiplicity_profile(sizes_with_repeats: Sequence[int]) -> Tuple[int, List[int], int]:

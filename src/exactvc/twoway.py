@@ -90,13 +90,14 @@ class TwoWayStats:
 def twoway_stats(array: Sequence[Sequence[Sequence]]) -> TwoWayStats:
     """Exact SS decomposition of a balanced r x q x n array.
 
-    Args:
-        array: nested sequences, array[i][j][k] the k-th replicate in
-            row level i and column level j; all cells the same size.
-
-    Returns:
-        TwoWayStats with SSA + SSB + SSAB + SSE equal to the total
-        centered sum of squares.
+    array[i][j][k] is the k-th replicate in row level i and column level
+    j; all cells have the same size. SSA + SSB + SSAB + SSE equals the
+    total centered sum of squares. Sums run on integers x = s v, s the
+    lcm of the value denominators; with cell, row, column and grand
+    totals C, R, K, T and N = rqn, SSE = (n sum x^2 - sum C^2)/(n s^2),
+    SSA = (r sum R^2 - T^2)/(N s^2), SSB = (q sum K^2 - T^2)/(N s^2),
+    SSAB = (rq sum C^2 - r sum R^2 - q sum K^2 + T^2)/(N s^2) and
+    grand_mean = T/(N s), each built as one Fraction.
     """
     r = len(array)
     if r == 0 or len(array[0]) == 0:
@@ -111,18 +112,24 @@ def twoway_stats(array: Sequence[Sequence[Sequence]]) -> TwoWayStats:
         raise ModelAssumptionError("both factors need at least two levels")
 
     y = [[[rat(v) for v in cell] for cell in row] for row in array]
-    cell_mean = [[sum(c, Fraction(0)) / n for c in row] for row in y]
-    row_mean = [sum(cm, Fraction(0)) / q for cm in cell_mean]
-    col_mean = [sum(cell_mean[i][j] for i in range(r)) / r for j in range(q)]
-    grand = sum(row_mean, Fraction(0)) / r
-
-    ssa = sum(q * n * (rm - grand) ** 2 for rm in row_mean)
-    ssb = sum(r * n * (cm - grand) ** 2 for cm in col_mean)
-    ssab = sum(n * (cell_mean[i][j] - row_mean[i] - col_mean[j] + grand) ** 2
-               for i in range(r) for j in range(q))
-    sse = sum((v - cell_mean[i][j]) ** 2
-              for i in range(r) for j in range(q) for v in y[i][j])
-    return TwoWayStats(r, q, n, ssa, ssb, ssab, sse, grand)
+    s = lcm(*{v.denominator for row in y for cell in row for v in cell})
+    sum_sq, totals = 0, []
+    for row in y:
+        totals.append([])
+        for cell in row:
+            xs = [v.numerator * (s // v.denominator) for v in cell]
+            sum_sq += sum(x * x for x in xs)
+            totals[-1].append(sum(xs))
+    t = sum(map(sum, totals))
+    cell_sq = sum(c * c for row in totals for c in row)
+    row_sq = sum(sum(row) ** 2 for row in totals)
+    col_sq = sum(sum(col) ** 2 for col in zip(*totals))
+    den = r * q * n * s * s
+    return TwoWayStats(
+        r, q, n, Fraction(r * row_sq - t * t, den),
+        Fraction(q * col_sq - t * t, den),
+        Fraction(r * q * cell_sq - r * row_sq - q * col_sq + t * t, den),
+        Fraction(n * sum_sq - cell_sq, n * s * s), Fraction(t * s, den))
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,9 @@ from typing import Iterable, Tuple
 
 from exactvc.enclosure import Approx
 from exactvc.multipoly import MultiPoly, bareiss_determinant
-from exactvc.polynomials import UniPoly
+from exactvc.polynomials import UniPoly, rat
 from exactvc.profilefit import ProfilePolys
-from exactvc.stats import OneWayStats
+from exactvc.stats import GroupedData, OneWayStats
 from exactvc.twoway import TwoWayStats
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -173,6 +173,68 @@ def closed_forms(stats: OneWayStats) -> SimpleNamespace:
     cf.raw_reml = ((cf.g1 - cf.f1 * cf.f1) * cf.bracket
                    + cf.h * (stats.N - 1))
     return cf
+
+
+def summarize_reference(data: GroupedData) -> OneWayStats:
+    """stats.summarize by per-value Fraction sums around each mean; the
+    oracle of the integer-totals summary."""
+    by_size = {}
+    within = Fraction(0)
+    for g in data.groups:
+        n = len(g)
+        gm = sum(g, Fraction(0)) / n
+        within += sum((v - gm) ** 2 for v in g)
+        by_size.setdefault(n, []).append(gm)
+    sizes = sorted(by_size)
+    mults, means, between = [], [], []
+    for n in sizes:
+        gms = by_size[n]
+        m = len(gms)
+        mu = sum(gms, Fraction(0)) / m
+        mults.append(m)
+        means.append(mu)
+        between.append(sum((v - mu) ** 2 for v in gms))
+    return OneWayStats(tuple(sizes), tuple(mults), tuple(means),
+                       tuple(between), within)
+
+
+def twoway_stats_reference(array) -> TwoWayStats:
+    """twoway.twoway_stats by Fraction means and centred squares; the
+    oracle of the integer-totals decomposition. Takes a valid layout."""
+    r, q, n = len(array), len(array[0]), len(array[0][0])
+    y = [[[rat(v) for v in cell] for cell in row] for row in array]
+    cell_mean = [[sum(c, Fraction(0)) / n for c in row] for row in y]
+    row_mean = [sum(cm, Fraction(0)) / q for cm in cell_mean]
+    col_mean = [sum(cell_mean[i][j] for i in range(r)) / r for j in range(q)]
+    grand = sum(row_mean, Fraction(0)) / r
+
+    ssa = sum(q * n * (rm - grand) ** 2 for rm in row_mean)
+    ssb = sum(r * n * (cm - grand) ** 2 for cm in col_mean)
+    ssab = sum(n * (cell_mean[i][j] - row_mean[i] - col_mean[j] + grand) ** 2
+               for i in range(r) for j in range(q))
+    sse = sum((v - cell_mean[i][j]) ** 2
+              for i in range(r) for j in range(q) for v in y[i][j])
+    return TwoWayStats(r, q, n, ssa, ssb, ssab, sse, grand)
+
+
+def random_summary_value(rng: random.Random, big: list):
+    """One observation as callers may pass it: an int, a decimal or "p/q"
+    string, a Fraction, zero, or a Fraction over one of the large
+    denominators in big."""
+    kind = rng.randrange(7)
+    if kind == 0:
+        return rng.randint(-50, 50)
+    if kind == 1:
+        return f"{rng.randint(-99999, 99999) / 1000:.3f}"
+    if kind == 2:
+        return f"{rng.randint(-60, 60)}/{rng.randint(1, 48)}"
+    if kind == 3:
+        return Fraction(rng.randint(-999, 999), rng.randint(1, 97))
+    if kind == 4:
+        return 0
+    if kind == 5:
+        return "-1e-3"
+    return Fraction(rng.randint(-10 ** 40, 10 ** 40), rng.choice(big))
 
 
 def random_twoway_stats(rng):

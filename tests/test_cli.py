@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from exactvc import covariates, oneway
+from exactvc import io as xio
 from exactvc.cli import main
 from exactvc.enclosure import Approx
 from exactvc.twoway import TwoWayStats
@@ -179,6 +180,52 @@ def test_zero_within_ss_is_refused_under_every_method(tmp_path, capsys):
             "kind": "degenerate",
             "message": "within-group sum of squares is zero; the profile "
                        "analysis assumes residual variation"}
+
+
+@pytest.mark.parametrize("name", ["dyestuff.csv", "covariates.csv"])
+def test_fit_oneway_parses_its_csv_once(name, monkeypatch, capsys):
+    # detect_csv_kind reads the header row alone; the loader reads the
+    # file in full, once (the loader and the header probe each parsed
+    # every row before)
+    path = fixture_path(name)
+    with open(path) as fh:
+        lines = sum(1 for _ in fh)
+    seen = {"read_rows": 0, "open": 0, "lines": 0}
+    read_rows = xio._read_rows
+
+    def counted_read_rows(p):
+        seen["read_rows"] += 1
+        return read_rows(p)
+
+    class CountedFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            line = next(self.fh)
+            seen["lines"] += 1
+            return line
+
+    def counted_open(*args, **kwargs):
+        seen["open"] += 1
+        return CountedFile(open(*args, **kwargs))
+
+    assert main(["fit-oneway", "--csv", path]) == 0
+    report = capsys.readouterr().out
+    monkeypatch.setattr(xio, "_read_rows", counted_read_rows)
+    monkeypatch.setattr(xio, "open", counted_open, raising=False)
+    assert main(["fit-oneway", "--csv", path]) == 0
+    assert capsys.readouterr().out == report
+    assert seen == {"read_rows": 1, "open": 2, "lines": lines + 1}
 
 
 def test_covariates_csv_fit(tmp_path, capsys):

@@ -51,6 +51,12 @@ def test_rat_rejects_float():
         rat(0.1)
 
 
+def test_rat_rejects_bool():
+    for value in (True, False):
+        with pytest.raises(TypeError, match="refusing to coerce bool"):
+            rat(value)
+
+
 def test_rat_decimal_string_exact():
     assert rat("1.25") == Fraction(5, 4)
     assert rat("3/4") == Fraction(3, 4)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from exactvc.covariates import DesignProblem
 from exactvc.errors import InputError, ModelAssumptionError
 from exactvc.stats import (
     GroupedData,
@@ -14,6 +15,9 @@ from exactvc.stats import (
     reml_degree,
     summarize,
 )
+from exactvc.twoway import twoway_stats
+
+from conftest import random_summary_value, summarize_reference
 
 
 def test_summarize_hand_example():
@@ -75,6 +79,60 @@ def test_summarize_identical_means_give_zero_between():
     # two groups of size 2 with the same mean
     s = summarize(GroupedData(((0, 4), (1, 3), (5, 6, 7))))
     assert s.betweenSS[0] == 0
+
+
+def test_summarize_matches_the_fraction_reference():
+    # integer totals over one common scale against per-value Fraction sums
+    rng = random.Random(141414)
+    zero_within = zero_between = 0
+    for _ in range(500):
+        big = [rng.randint(10 ** 30, 10 ** 31) for _ in range(3)]
+        groups = []
+        for _ in range(rng.randint(2, 9)):
+            n = rng.choice((1, 1, 2, 3, 4, 6))
+            if rng.random() < 0.2:          # constant group
+                groups.append((random_summary_value(rng, big),) * n)
+            else:
+                groups.append(tuple(random_summary_value(rng, big)
+                                    for _ in range(n)))
+        if rng.random() < 0.1:              # every group the same constant
+            v = random_summary_value(rng, big)
+            groups = [(v,) * len(g) for g in groups]
+        if all(len(g) == 1 for g in groups):
+            groups[0] = groups[0] * 2
+        data = GroupedData(tuple(groups))
+        got = summarize(data)
+        assert got == summarize_reference(data)
+        zero_within += got.withinSS == 0
+        zero_between += any(b == 0 for m, b in zip(got.mults, got.betweenSS)
+                            if m >= 2)
+    assert zero_within >= 20 and zero_between >= 20
+
+
+def test_summarize_with_distinct_large_denominators():
+    rng = random.Random(141415)
+    dens = [rng.randint(10 ** 299, 10 ** 300) for _ in range(60)]
+    data = GroupedData(tuple(
+        tuple(Fraction(rng.randint(-10 ** 300, 10 ** 300), d)
+              for d in dens[i:i + 3]) for i in range(0, 60, 3)))
+    assert summarize(data) == summarize_reference(data)
+
+
+def test_bool_values_are_refused_like_floats():
+    # True and False were once taken silently as 1 and 0
+    for bad in (True, 0.5):
+        with pytest.raises(TypeError):
+            GroupedData(((bad, False), (1, 3)))
+        with pytest.raises(TypeError):
+            twoway_stats([[[bad], [2]], [[3], [4]]])
+        with pytest.raises(TypeError):
+            OneWayStats((2, 3), (1, 1), (bad, 0), (0, 0), 1)
+        with pytest.raises(TypeError):
+            OneWayStats((2, 3), (1, 1), (0, 0), (0, 0), bad)
+        with pytest.raises(TypeError):
+            DesignProblem((1, 2, bad, 4), ((1,), (2,), (3,), (5,)), (2, 2))
+        with pytest.raises(TypeError):
+            DesignProblem((1, 2, 3, 4), ((1,), (bad,), (3,), (5,)), (2, 2))
 
 
 def test_grouped_data_rejects_single_group():

@@ -29,6 +29,8 @@ from exactvc.twoway import (
     twoway_stats,
 )
 
+from conftest import random_summary_value, twoway_stats_reference
+
 from conftest import (
     divides,
     fixture_path,
@@ -132,6 +134,37 @@ def test_decomposition_sums_to_total():
         grand = sum(flat) / len(flat)
         total = sum((v - grand) ** 2 for v in flat)
         assert s.SSA + s.SSB + s.SSAB + s.SSE == total
+
+
+def test_stats_match_the_fraction_reference():
+    # integer totals over one common scale against Fraction means, with
+    # constant cells and layouts, n = 1 and distinct large denominators
+    rng = random.Random(141416)
+    for case in range(500):
+        big = [rng.randint(10 ** 30, 10 ** 31) for _ in range(3)]
+        r, q, n = rng.randint(2, 6), rng.randint(2, 6), rng.choice((1, 1, 2, 3))
+        constant = random_summary_value(rng, big) if case % 10 == 0 else None
+        arr = []
+        for _ in range(r):
+            row = []
+            for _ in range(q):
+                if constant is not None:
+                    row.append([constant] * n)
+                elif rng.random() < 0.2:
+                    row.append([random_summary_value(rng, big)] * n)
+                else:
+                    row.append([random_summary_value(rng, big)
+                                for _ in range(n)])
+            arr.append(row)
+        got = twoway_stats(arr)
+        assert got == twoway_stats_reference(arr)
+        flat = [F(v) for row in arr for cell in row for v in cell]
+        grand = sum(flat) / len(flat)
+        assert got.grand_mean == grand
+        assert (got.SSA + got.SSB + got.SSAB + got.SSE
+                == sum((v - grand) ** 2 for v in flat))
+        if constant is not None:
+            assert got.SSA == got.SSB == got.SSAB == got.SSE == 0
 
 
 def test_stats_validation():
