@@ -12,6 +12,7 @@ import argparse
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import List, Optional
 
 from . import covariates as cov
@@ -37,7 +38,9 @@ EXIT_MODEL = 3
 EXIT_DIAGNOSTIC = 4
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: a parse leaves no state in the parser."""
     parser = argparse.ArgumentParser(
         prog="exactvc",
         description="Exact variance-components estimation: certified "

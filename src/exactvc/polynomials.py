@@ -428,37 +428,23 @@ def squarefree_part(p: UniPoly) -> UniPoly:
     return p.exact_divide(g).primitive()
 
 
-def strip_factor(poly: UniPoly, factor: UniPoly,
-                 cap: Optional[int] = None) -> Tuple[UniPoly, int]:
-    """(poly / factor^k, k) for the largest k, at most cap, such that
-    factor^k divides poly; factor must have positive degree."""
-    if factor.degree < 1:
-        raise ValueError("strip_factor needs a factor of positive degree")
-    k = 0
-    while poly.degree >= factor.degree and (cap is None or k < cap):
-        quot, rem = poly.divmod(factor)
-        if not rem.is_zero():
-            break
-        poly, k = quot, k + 1
-    return poly, k
-
-
-def int_strip_linear(cs: Sequence[int], n: int,
+def int_strip_linear(cs: Sequence[int], c0: int, c1: int,
                      cap: Optional[int] = None) -> Tuple[List[int], int]:
-    """(cs / (1 + n theta)^k, k) on an ascending integer list, k the
-    largest, at most cap, with (1 + n theta)^k | cs; n != 0. The quotient
-    of the primitive 1 + n theta is integral (Gauss's lemma), so synthetic
-    division from the top, q_(D-1) = c_D / n, q_(i-1) = (c_i - q_i) / n,
-    stops at the first step n does not divide; c_0 - q_0 is the remainder.
+    """(cs / (c0 + c1 theta)^k, k) on an ascending integer list, k the
+    largest, at most cap, with (c0 + c1 theta)^k | cs; the factor must be
+    primitive with c1 != 0. Its quotient is then integral (Gauss's
+    lemma), so synthetic division from the top, q_(D-1) = c_D / c1,
+    q_(i-1) = (c_i - c0 q_i) / c1, stops at the first step c1 does not
+    divide; c_0 - c0 q_0 is the remainder.
     """
     cs, k = list(cs), 0
     while len(cs) > 1 and (cap is None or k < cap):
         q, carry = [0] * (len(cs) - 1), cs[-1]
         for i in range(len(q) - 1, -1, -1):
-            q[i], r = divmod(carry, n)
+            q[i], r = divmod(carry, c1)
             if r:
                 return cs, k
-            carry = cs[i] - q[i]
+            carry = cs[i] - c0 * q[i]
         if carry:
             return cs, k
         cs, k = q, k + 1

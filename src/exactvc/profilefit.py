@@ -207,7 +207,7 @@ def profile_equation(prof: ProfilePolys, method: str) -> ProfileEquation:
     d = prof.d.integer_coeffs()
     w = _weight(prof, method)
     D = int_mul(d, G)
-    f1 = _int_sum((m * n, int_strip_linear(d, n, 1)[0])
+    f1 = _int_sum((m * n, int_strip_linear(d, 1, n, 1)[0])
                   for n, m in zip(prof.sizes, prof.mults))
     u = [(w, _int_derivative(D)), (-1, int_mul(f1, G))]
     if method == "REML":
@@ -233,9 +233,9 @@ def profile_equation(prof: ProfilePolys, method: str) -> ProfileEquation:
     # each known linear factor as often as it divides, one gcd the rest
     den_sizes, core_p, core_g = [], P, G
     for n in prof.sizes:
-        core_p, kp = int_strip_linear(core_p, n)
-        core_g, kg = int_strip_linear(core_g, n)
-        raw, k = int_strip_linear(raw, n, 1 + kp + kg)
+        core_p, kp = int_strip_linear(core_p, 1, n)
+        core_g, kg = int_strip_linear(core_g, 1, n)
+        raw, k = int_strip_linear(raw, 1, n, 1 + kp + kg)
         den_sizes += [n] * (1 + kp + kg - k)
     den = int_mul(int_mul(int_linear_product(den_sizes), core_g), core_p)
     return build_profile_equation(UniPoly(raw, prof.d.var),

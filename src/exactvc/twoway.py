@@ -8,12 +8,14 @@ equations in omega and a = omega + qn tau1, b = omega + rn tau2,
 c = a + b - omega. The first fixes c = omega^2/(e omega - E); then a and
 b each satisfy a quadratic over Q[omega], and a + b = c + omega turns
 the b-quadratic into a second quadratic in a. Their resultant in a is a
-polynomial in omega alone; trial division removes the known clearing
-factors and the squarefree part is a quartic for generic data. The two
-quadratics have proportional leading coefficients, so one combination
-of them is linear in a: tau1 is its solution modulo the quartic and
-tau2 follows from c. Every solution is a polynomial image of a quartic
-root and can be enclosed exactly.
+polynomial in omega alone; division removes every power of the known
+extraneous factors omega and e omega - E, and the squarefree part is a
+quartic for generic data. The two quadratics have proportional leading
+coefficients, so one combination of them is linear in a: tau1 is its
+solution modulo the quartic and tau2 follows from c. Every solution is a
+polynomial image of a quartic root and can be enclosed exactly. All of
+this runs on integer lists: with s the lcm of the denominators of SSA,
+SSB and E, the quadratics times s and s^2 lie in Z[omega].
 
 The interaction model separates: the error variance is estimated in
 closed form and the remaining three equations are the additive system
@@ -36,8 +38,10 @@ from .errors import (
     ModelAssumptionError,
     NongenericDataError,
 )
-from .polynomials import UniPoly, rat, squarefree_part, strip_factor
-from .profilefit import _MAX_RANK_ROUNDS, _TIE_WIDTH_CAP, certified_argmax
+from .polynomials import (UniPoly, _int_primitive, _int_pseudo_rem, int_mul,
+                          int_strip_linear, rat, squarefree_part)
+from .profilefit import (_MAX_RANK_ROUNDS, _TIE_WIDTH_CAP, _int_sum,
+                         certified_argmax)
 from .roots import RootInterval, isolate_real_roots, poly_range, refine_interval
 from .stats import exact_count
 
@@ -144,15 +148,13 @@ class TwoWaySystem:
     inflated variance w = omega_hat + n tau12 and the error variance is
     fixed at omega_hat. weight is the residual log weight e (rqn-r-q+1
     additive, (r-1)(q-1) interaction) and resid_ss the matching sum of
-    squares E. clearing lists omega and the primitive e omega - E, whose
-    powers are extraneous after elimination.
+    squares E.
     """
 
     model: str
     stats: TwoWayStats
     weight: int
     resid_ss: Fraction
-    clearing: Tuple[UniPoly, ...]
     mu_hat: Optional[Fraction]
     omega_hat: Optional[Fraction]
 
@@ -171,7 +173,7 @@ def ml_system(stats: TwoWayStats, model: str = "additive") -> TwoWaySystem:
     At any solution with c > 0 the factor e omega - E equals
     omega^2/c, so neither omega nor e omega - E can vanish there; both
     are safe to divide out of the eliminant. eliminate_to_quartic
-    builds the equations from the e, E and clearing factors recorded.
+    builds the equations from the e and E recorded.
     """
     if model not in ("additive", "interaction"):
         raise ValueError("model must be additive or interaction")
@@ -192,12 +194,8 @@ def ml_system(stats: TwoWayStats, model: str = "additive") -> TwoWaySystem:
                 "no within-cell variation; the error variance estimate "
                 "is zero")
         omega_hat = stats.SSE / denom
-
-    omega_factor = UniPoly.variable(VAR)
-    resid_factor = UniPoly([-resid, weight], VAR).primitive()
     return TwoWaySystem(
         model=model, stats=stats, weight=weight, resid_ss=resid,
-        clearing=(omega_factor, resid_factor),
         mu_hat=stats.grand_mean, omega_hat=omega_hat)
 
 
@@ -258,53 +256,61 @@ class TwoWayFitReport:
     tie: bool = False
 
 
-Quadratic = Tuple[UniPoly, UniPoly, UniPoly]
+Quadratic = Tuple[List[int], List[int], List[int]]
 
 
-def _quadratics(system: TwoWaySystem) -> Tuple[Quadratic, Quadratic]:
-    """The a- and b-equations as quadratics in a over Q[omega].
+def _quadratics(system: TwoWaySystem) -> Tuple[int, Quadratic, Quadratic]:
+    """The a- and b-equations as quadratics in a over Z[omega].
 
     With L = e omega - E the first equation gives c = omega^2/L, and
     L times the second is A = L a^2 + (r-1) omega^2 a - SSA omega^2.
     Since a + b = c + omega, L b = S - L a with S = omega^2 + omega L,
     and L^2 times the third is B = (S - L a)^2 + (q-1) omega^2 (S - L a)
-    - SSB omega^2 L. Returns the coefficients of A and of B in a, low
-    degree first.
+    - SSB omega^2 L. Returns s, the lcm of the denominators of SSA, SSB
+    and E, and the integer coefficients of s A and s^2 B in a, low degree
+    first, each an ascending list in omega: A and B with s(r-1), s(q-1),
+    s SSA, s SSB, s E, s L, s S in place of r-1, q-1, SSA, SSB, E, L, S.
     """
     stats = system.stats
-    om = UniPoly.variable(VAR)
-    om2 = om * om
-    ell = UniPoly([-system.resid_ss, system.weight], VAR)
-    s = om2 + om * ell
-    quad_a = (om2 * -stats.SSA, om2 * (stats.r - 1), ell)
-    quad_b = (s * s + om2 * s * (stats.q - 1) - om2 * ell * stats.SSB,
-              ell * s * -2 - om2 * ell * (stats.q - 1),
-              ell * ell)
-    return quad_a, quad_b
+    ss = (stats.SSA, stats.SSB, system.resid_ss)
+    s = lcm(*(v.denominator for v in ss))
+    alpha, beta, eps = (v.numerator * (s // v.denominator) for v in ss)
+    ell = [-eps, s * system.weight]                      # s L
+    big_s = [0, -eps, s * (system.weight + 1)]           # s S
+    om2_ell = [0, 0] + ell
+    q1 = s * (stats.q - 1)
+    quad_a = ([0, 0, -alpha], [0, 0, s * (stats.r - 1)], ell)
+    quad_b = (_int_sum([(1, int_mul(big_s, big_s)), (q1, [0, 0] + big_s),
+                        (-beta, om2_ell)]),
+              _int_sum([(-2, int_mul(big_s, ell)), (-q1, om2_ell)]),
+              int_mul(ell, ell))
+    return s, quad_a, quad_b
 
 
-def _eliminated_poly(quad_a: Quadratic, quad_b: Quadratic,
-                     clearing: Sequence[UniPoly]
+def _eliminated_poly(quad_a: Quadratic, quad_b: Quadratic
                      ) -> Tuple[UniPoly, Optional[str]]:
     """Resultant in a of the two quadratics, cleaned.
 
     Returns (squarefree primitive polynomial in the omega slot, note)
     where the note reports a nongeneric degree. The resultant of two
-    quadratics is (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1);
-    the stored clearing factors are divided out before the squarefree
+    quadratics is (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1), a
+    positive multiple of the unscaled one; every power of omega and of
+    the primitive part of a2 = s L is divided out before the squarefree
     part is taken.
     """
     (a0, a1, a2), (b0, b1, b2) = quad_a, quad_b
-    res = ((a2 * b0 - a0 * b2) ** 2
-           - (a2 * b1 - a1 * b2) * (a1 * b0 - a0 * b1))
-    if res.is_zero():
+    x = _int_sum([(1, int_mul(a2, b0)), (-1, int_mul(a0, b2))])
+    y = _int_sum([(1, int_mul(a2, b1)), (-1, int_mul(a1, b2))])
+    z = _int_sum([(1, int_mul(a1, b0)), (-1, int_mul(a0, b1))])
+    res = _int_sum([(1, int_mul(x, x)), (-1, int_mul(y, z))])
+    if not res:
         raise NongenericDataError(
             "resultant vanished identically; the equations share a "
             "positive-dimensional component")
-    poly = res.primitive()
-    for factor in clearing:
-        poly, _ = strip_factor(poly, factor)
-    poly = squarefree_part(poly).primitive()
+    low = next(i for i, c in enumerate(res) if c)
+    c0, c1 = (c // gcd(*a2) for c in a2)
+    res, _ = int_strip_linear(_int_primitive(res[low:]), c0, c1)
+    poly = squarefree_part(UniPoly(res, VAR))
     note = None
     if poly.degree != 4:
         note = (f"eliminated polynomial has degree {poly.degree}, not 4; "
@@ -312,19 +318,36 @@ def _eliminated_poly(quad_a: Quadratic, quad_b: Quadratic,
     return poly, note
 
 
-def _mod_inverse(p: UniPoly, modulus: UniPoly) -> Optional[UniPoly]:
-    """Inverse of p modulo a squarefree modulus, or None if not a unit."""
-    r0, s0 = modulus, UniPoly.zero(VAR)
-    r1, s1 = p.rem(modulus), UniPoly.constant(1, VAR)
-    if r1.is_zero():
-        return None
-    while not r1.is_zero():
-        quot, rem = r0.divmod(r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, s0 - quot * s1
-    if r0.degree != 0:
-        return None
-    return (s0 * (1 / r0.coeff(0))).rem(modulus)
+def _quotient_mod(num: List[int], den: List[int],
+                  f: List[int]) -> Optional[List[Fraction]]:
+    """Coefficients of num/den mod f, or None when den is not a unit mod f.
+
+    The pseudo-remainders l^k p mod f (l = lc f > 0) of omega^j den,
+    j < deg f, and of num are the columns and right side of an integer
+    system, singular exactly when den is not a unit. Bareiss elimination
+    leaves D = +-det as the last pivot; D x is integral (Cramer's rule).
+    """
+    d, lc, ks, cols = len(f) - 1, f[-1], [], []
+    for p in [[0] * j + den for j in range(d)] + [num]:
+        ks.append(max(0, len(p) - d))
+        r = _int_pseudo_rem(p, f) if ks[-1] else list(p)
+        cols.append(r + [0] * (d - len(r)))
+    m, prev = [list(row) for row in zip(*cols)], 1
+    for k in range(d):
+        p = next((i for i in range(k, d) if m[i][k]), None)
+        if p is None:
+            return None
+        m[k], m[p] = m[p], m[k]
+        for i in range(k + 1, d):
+            for j in range(k + 1, d + 1):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    y = [0] * d
+    for i in range(d - 1, -1, -1):
+        y[i] = (prev * m[i][d] - sum(m[i][j] * y[j]
+                                     for j in range(i + 1, d))) // m[i][i]
+    return [Fraction(v * lc ** k, prev * lc ** ks[-1])
+            for v, k in zip(y, ks)]
 
 
 def _relation_from_value(t: UniPoly) -> TauRelation:
@@ -345,28 +368,32 @@ def eliminate_to_quartic(system: TwoWaySystem) -> TwoWayFitReport:
     L = e omega - E is a unit modulo the cleaned polynomial because it
     was divided out.
     """
-    quad_a, quad_b = _quadratics(system)
-    poly, note = _eliminated_poly(quad_a, quad_b, system.clearing)
+    s, quad_a, quad_b = _quadratics(system)
+    poly, note = _eliminated_poly(quad_a, quad_b)
     stats = system.stats
     tau1_rel = tau2_rel = None
     if poly.degree >= 1:
-        (a0, a1, ell), (b0, b1, _) = quad_a, quad_b
-        # b2 = L a2, so L A - B = (L a1 - b1) a + (L a0 - b0); a slope
-        # that is not a unit means A and B agree up to scale over some
-        # root, as on the tau-swap symmetric strata (r = q, SSA = SSB)
-        inv = _mod_inverse(ell * a1 - b1, poly)
-        if inv is None:
+        (a0, a1, a2), (b0, b1, _) = quad_a, quad_b
+        # b2 = a2^2, so a2 A - B = slope a + offset; a slope that is not
+        # a unit means A and B agree up to scale over some root, as on
+        # the tau-swap symmetric strata (r = q, SSA = SSB)
+        slope = _int_sum([(1, int_mul(a2, a1)), (-1, b1)])
+        offset = _int_sum([(1, int_mul(a2, a0)), (-1, b0)])
+        f = poly.integer_coeffs()
+        # tau1 = (a - omega)/(qn) with a = -offset/slope, and
+        # tau2 = (c - a)/(rn) with c = omega^2/L = s omega^2/a2
+        t1 = _quotient_mod(_int_sum([(-1, offset), (-1, [0] + slope)]),
+                           [stats.q * stats.n * v for v in slope], f)
+        if t1 is None:
             raise NongenericDataError(
                 "no linear back-substitution relation exists: tau1 is not "
                 "a rational function of the eliminated variable on this "
                 "data")
-        a_poly = ((ell * a0 - b0) * inv).rem(poly) * Fraction(-1)
-        om = UniPoly.variable(VAR)
-        c_poly = (om * om * _mod_inverse(ell, poly)).rem(poly)
-        t1 = ((a_poly - om) * Fraction(1, stats.q * stats.n)).rem(poly)
-        t2 = ((c_poly - a_poly) * Fraction(1, stats.r * stats.n)).rem(poly)
-        tau1_rel = _relation_from_value(t1)
-        tau2_rel = _relation_from_value(t2)
+        t2 = _quotient_mod(
+            _int_sum([(s, [0, 0] + slope), (1, int_mul(offset, a2))]),
+            [stats.r * stats.n * v for v in int_mul(a2, slope)], f)
+        tau1_rel = _relation_from_value(UniPoly(t1, VAR))
+        tau2_rel = _relation_from_value(UniPoly(t2, VAR))
 
     presented = poly
     if system.model == "interaction" and poly.degree >= 1:

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
-from typing import Iterable, Tuple
+from typing import Iterable, Optional, Tuple
 
 from exactvc.enclosure import Approx
 from exactvc.multipoly import MultiPoly, bareiss_determinant
@@ -39,6 +39,22 @@ def schoolbook_mul(a, b) -> list:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def strip_factor(poly: UniPoly, factor: UniPoly,
+                 cap: Optional[int] = None) -> Tuple[UniPoly, int]:
+    """(poly / factor^k, k) for the largest k, at most cap, such that
+    factor^k divides poly, by repeated division over Q; factor must have
+    positive degree. The oracle of polynomials.int_strip_linear."""
+    if factor.degree < 1:
+        raise ValueError("strip_factor needs a factor of positive degree")
+    k = 0
+    while poly.degree >= factor.degree and (cap is None or k < cap):
+        quot, rem = poly.divmod(factor)
+        if not rem.is_zero():
+            break
+        poly, k = quot, k + 1
+    return poly, k
 
 
 def divides(divisor: UniPoly, poly: UniPoly) -> bool:

@@ -330,6 +330,34 @@ def test_non_ascii_label_fits_in_the_c_locale(tmp_path):
     assert "ml" in json.loads(proc.stdout)
 
 
+def test_reused_parser_answers_like_fresh_processes(capsys):
+    # main builds its parser once per process; an argparse error, then
+    # fit-oneway, then fit-twoway in one process must print and exit
+    # exactly as three fresh interpreters do
+    calls = [["fit-oneway", "--method", "MLE", "--stats",
+              fixture_path("trimodal.json")],
+             ["fit-oneway", "--method", "both", "--stats",
+              fixture_path("trimodal.json")],
+             ["fit-twoway", "--stats", fixture_path("penicillin.json")]]
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        q for q in (src, env.get("PYTHONPATH")) if q)
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "exactvc", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+        codes.append(code)
+    assert codes == [2, 0, 0]
+
+
 def test_field_past_the_csv_limit_is_refused(tmp_path, capsys):
     input_error(capsys, tmp_path,
                 "group,value\n" + "A" * 200_000 + ",1\nA,2\nB,3\nB,5\n")

@@ -6,7 +6,7 @@ from math import lcm
 
 import pytest
 
-from conftest import divides, product, schoolbook_mul
+from conftest import divides, product, schoolbook_mul, strip_factor
 from exactvc.errors import DivisibilityError, UndefinedInputError
 from exactvc.polynomials import (
     _PRIME,
@@ -21,7 +21,6 @@ from exactvc.polynomials import (
     poly_gcd,
     rat,
     squarefree_part,
-    strip_factor,
 )
 
 
@@ -388,17 +387,49 @@ def test_int_strip_linear_matches_strip_factor():
                     if rest.is_zero():
                         continue
                     p = rest * lin ** mult
-                    q, k = int_strip_linear(p.integer_coeffs(), n, cap)
+                    q, k = int_strip_linear(p.integer_coeffs(), 1, n, cap)
                     ref, ref_k = strip_factor(p, lin, cap)
                     assert (UniPoly(q, "x"), k) == (ref, ref_k)
                     if cap is None:
                         assert k >= mult
     # a constant and the zero list have no linear factor to lose
-    assert int_strip_linear([5], 3) == ([5], 0)
-    assert int_strip_linear([], 3) == ([], 0)
+    assert int_strip_linear([5], 1, 3) == ([5], 0)
+    assert int_strip_linear([], 1, 3) == ([], 0)
     # 2 divides the top coefficient but the division fails further down
-    assert int_strip_linear([1, 0, 2], 2) == ([1, 0, 2], 0)
-    assert int_strip_linear([1, 3, 2], 2) == ([1, 1], 1)
+    assert int_strip_linear([1, 0, 2], 1, 2) == ([1, 0, 2], 0)
+    assert int_strip_linear([1, 3, 2], 1, 2) == ([1, 1], 1)
+
+
+def test_int_strip_linear_takes_any_primitive_linear_factor():
+    # c0 = 0, c0 < 0, |c1| > 1 in either sign, and (1, n) as the profile
+    # equation uses it, each against repeated division over Q
+    rng = random.Random(1515)
+    factors = [(0, 1), (0, -1), (-3, 1), (-7, 4), (5, -6), (2, 9), (1, 5),
+               (-1, -2), (-12, 35)]
+    for c0, c1 in factors:
+        lin = UniPoly([c0, c1], "x")
+        for mult in range(4):
+            for cap in (0, 1, None):
+                for _ in range(6):
+                    rest = UniPoly(int_coeffs(rng, rng.randrange(1, 7)), "x")
+                    if rest.is_zero():
+                        continue
+                    p = rest * lin ** mult
+                    q, k = int_strip_linear(p.integer_coeffs(), c0, c1, cap)
+                    ref, ref_k = strip_factor(p, lin, cap)
+                    assert (UniPoly(q, "x"), k) == (ref, ref_k), (c0, c1)
+                    if cap is None:
+                        assert k >= mult
+        for cs in ([], [7], [-4]):
+            assert int_strip_linear(cs, c0, c1) == (cs, 0)
+    # 4 divides the top coefficient but not the next carry, 10 + 7 * 1;
+    # after two quotients of (4x - 7)^2 (8x^2 + 1) it stops at 0 + 7 * 2
+    assert int_strip_linear([-7, 10, 4], -7, 4) == ([-7, 10, 4], 0)
+    p = UniPoly([-7, 4], "x") ** 2 * UniPoly([1, 0, 8], "x")
+    assert strip_factor(p, UniPoly([-7, 4], "x"))[1] == 2
+    assert int_strip_linear(p.integer_coeffs(), -7, 4) == ([1, 0, 8], 2)
+    assert int_strip_linear(p.integer_coeffs(), -7, 4, 1) == (
+        (UniPoly([-7, 4], "x") * UniPoly([1, 0, 8], "x")).integer_coeffs(), 1)
 
 
 def test_interpolate_recovers_polynomials_from_values_at_naturals():
