@@ -29,7 +29,8 @@ from .errors import (
     UndefinedInputError,
 )
 from .profilefit import profile_equation, profile_fit
-from .stats import OneWayStats, ml_degree, multiplicity_profile, reml_degree
+from .stats import (OneWayStats, check_layout, ml_degree, multiplicity_profile,
+                    reml_degree)
 from .twoway import fit_twoway
 
 EXIT_OK = 0
@@ -169,6 +170,7 @@ def _run_degree(args) -> int:
     except ValueError as exc:
         raise InputError(f"bad --sizes value {args.sizes!r}") from exc
     M, _, M2 = multiplicity_profile(sizes)
+    check_layout(len(sizes), max(sizes))
     sys.stdout.write(xio.dumps(
         {"ml": ml_degree(M, M2), "reml": reml_degree(M, M2)}))
     return EXIT_OK

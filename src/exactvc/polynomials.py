@@ -1,10 +1,13 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Everything in this module is pure: polynomials are immutable value objects
-with `fractions.Fraction` coefficients, and no floating point is used
-anywhere. Products run on integers: `int_mul` multiplies coefficient
-lists by Kronecker substitution (Schoenhage 1982), one big-int product per
-call, and `UniPoly.__mul__` clears both operands to integers and calls it.
+Everything in this module is pure: polynomials are immutable value
+objects, and no floating point is used anywhere. A polynomial is stored
+as integer coefficients over one positive denominator, coprime to their
+content, so each has one unique form and every operation runs on Python
+integers. Products use `int_mul`, which multiplies coefficient lists by
+Kronecker substitution (Schoenhage 1982), one big-int product per call.
+Exact division has one algorithm, `int_strip`: synthetic division by a
+primitive integer divisor, whose quotient is integral (Gauss's lemma).
 
 `poly_gcd` proves coprimality cheaply and computes nontrivial gcds exactly.
 Both inputs are reduced to primitive integer polynomials and then mod the
@@ -27,7 +30,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .errors import DivisibilityError, UndefinedInputError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def rat(value) -> Fraction:
@@ -46,20 +48,41 @@ def rat(value) -> Fraction:
 # ----------------------------------------------------------------------
 
 class UniPoly:
-    """Dense univariate polynomial over Fraction, ascending coefficients.
+    """Dense univariate polynomial over Q: ints / den, ascending.
 
-    Instances are immutable. The zero polynomial stores an empty coefficient
-    tuple and reports degree -1. The variable tag only matters for display
-    and for refusing to mix polynomials in different variables.
+    ints is a tuple of Python ints with no trailing zero and den a positive
+    int coprime to their content (1 for the zero polynomial, whose ints are
+    empty and whose degree is -1); == and hash compare this unique form.
+    The constructor takes ints with an optional nonzero integer den, or
+    rationals (ints, Fractions, strings), which it clears to one
+    denominator. coeffs is the Fraction view. Instances are immutable. The
+    variable tag only matters for display and for refusing to mix
+    polynomials in different variables.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("ints", "den", "var")
 
-    def __init__(self, coeffs: Iterable, var: str = "theta"):
-        cs = [rat(c) for c in coeffs]
+    def __init__(self, coeffs: Iterable, var: str = "theta", den: int = 1):
+        if den == 0:
+            raise ZeroDivisionError("polynomial with denominator 0")
+        cs = list(coeffs)
+        if not all(type(c) is int for c in cs):
+            fs = [rat(c) for c in cs]
+            scale = lcm(*(c.denominator for c in fs))
+            cs = [c.numerator * (scale // c.denominator) for c in fs]
+            den *= scale
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        if den < 0:
+            cs, den = [-c for c in cs], -den
+        if not cs:
+            den = 1
+        elif den != 1:
+            g = int_gcd(den, *cs)
+            if g > 1:
+                cs, den = [c // g for c in cs], den // g
+        object.__setattr__(self, "ints", tuple(cs))
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "var", var)
 
     def __setattr__(self, name, value):
@@ -68,21 +91,24 @@ class UniPoly:
     # -- basic structure --------------------------------------------------
 
     @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.ints)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def leading_coeff(self) -> Fraction:
-        if not self.coeffs:
-            return ZERO
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den) if self.ints else ZERO
 
-    def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return ZERO
+    def integer_coeffs(self) -> List[int]:
+        """Coefficient list as Python ints; requires integer coefficients."""
+        if self.den != 1:
+            raise ValueError("polynomial does not have integer coefficients")
+        return list(self.ints)
 
     @classmethod
     def zero(cls, var: str = "theta") -> "UniPoly":
@@ -90,14 +116,10 @@ class UniPoly:
 
     @classmethod
     def constant(cls, c, var: str = "theta") -> "UniPoly":
-        return cls((rat(c),), var)
-
-    @classmethod
-    def variable(cls, var: str = "theta") -> "UniPoly":
-        return cls((ZERO, ONE), var)
+        return cls((c,), var)
 
     def _check_var(self, other: "UniPoly"):
-        if self.var != other.var and self.coeffs and other.coeffs:
+        if self.var != other.var and self.ints and other.ints:
             raise ValueError(
                 f"variable mismatch: {self.var!r} vs {other.var!r}")
 
@@ -109,21 +131,17 @@ class UniPoly:
         if not isinstance(other, UniPoly):
             return NotImplemented
         self._check_var(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            (self.coeff(k) + other.coeff(k) for k in range(n)),
-            self.var if self.coeffs else other.var)
+        den = lcm(self.den, other.den)
+        return UniPoly(int_sum([(den // self.den, self.ints),
+                                (den // other.den, other.ints)]),
+                       self.var if self.ints else other.var, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly((-c for c in self.coeffs), self.var)
+        return UniPoly([-c for c in self.ints], self.var, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.constant(other, self.var)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -132,15 +150,16 @@ class UniPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = rat(other)
-            return UniPoly((ci * c for ci in self.coeffs), self.var)
+            return UniPoly([v * c.numerator for v in self.ints], self.var,
+                           self.den * c.denominator)
         if not isinstance(other, UniPoly):
             return NotImplemented
         self._check_var(other)
         if self.is_zero() or other.is_zero():
-            return UniPoly.zero(self.var if self.coeffs else other.var)
-        a, da = self.cleared()
-        b, db = (a, da) if other is self else other.cleared()
-        return UniPoly((Fraction(c, da * db) for c in int_mul(a, b)), self.var)
+            return UniPoly.zero(self.var if self.ints else other.var)
+        return UniPoly(int_mul(self.ints, self.ints if other is self
+                               else other.ints),
+                       self.var, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -161,18 +180,20 @@ class UniPoly:
             other = UniPoly.constant(other, self.var)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.ints == other.ints and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     def __call__(self, x) -> Fraction:
-        """Exact evaluation by Horner's rule."""
+        """Exact evaluation: homogeneous Horner on integers, one Fraction."""
         x = rat(x)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        n, d = x.numerator, x.denominator
+        acc, dp = 0, 1
+        for c in reversed(self.ints):
+            acc = acc * n + c * dp
+            dp *= d
+        return Fraction(acc, self.den * (dp // d)) if self.ints else ZERO
 
     def __repr__(self):
         if self.is_zero():
@@ -192,59 +213,35 @@ class UniPoly:
     # -- calculus and substitution ----------------------------------------
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(
-            (k * c for k, c in enumerate(self.coeffs) if k > 0),
-            self.var)
+        return UniPoly(int_derivative(self.ints), self.var, self.den)
 
     def compose(self, inner: "UniPoly") -> "UniPoly":
         """Exact composition self(inner(x)); result uses inner's variable."""
         acc = UniPoly.zero(inner.var)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly.constant(c, inner.var)
-        return acc
+        for c in reversed(self.ints):
+            acc = acc * inner + c
+        return acc * Fraction(1, self.den)
 
-    # -- division ----------------------------------------------------------
-
-    def divmod(self, divisor: "UniPoly"):
-        """Euclidean division over Q; returns (quotient, remainder)."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        self._check_var(divisor)
-        var = self.var
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        dlc = divisor.leading_coeff()
-        if len(rem) - 1 < dd:
-            return UniPoly.zero(var), self
-        quot = [ZERO] * (len(rem) - dd)
-        for k in range(len(rem) - dd - 1, -1, -1):
-            c = rem[k + dd] / dlc
-            if c != 0:
-                quot[k] = c
-                for j, b in enumerate(divisor.coeffs):
-                    rem[k + j] -= c * b
-        return UniPoly(quot, var), UniPoly(rem[:dd], var)
-
-    def rem(self, divisor: "UniPoly") -> "UniPoly":
-        return self.divmod(divisor)[1]
+    # -- division and normal forms ------------------------------------------
 
     def exact_divide(self, divisor: "UniPoly") -> "UniPoly":
         """Quotient when the division is exact; DivisibilityError otherwise.
-        A constant divisor always divides: the gcd 1 of coprime inputs
-        returns self, any other constant takes one scalar pass."""
+
+        With divisor = c f / den, f primitive and c its positive content,
+        self / divisor = int_strip(self.ints, f, 1) den / (self.den c).
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if divisor.degree == 0:
-            self._check_var(divisor)
-            c = divisor.coeffs[0]
-            return self if c == 1 else self * (1 / c)
-        q, r = self.divmod(divisor)
-        if not r.is_zero():
+        self._check_var(divisor)
+        if self.is_zero():
+            return self
+        c = _int_content(divisor.ints)
+        quot, k = int_strip(self.ints, [v // c for v in divisor.ints], 1)
+        if k != 1:
             raise DivisibilityError(
                 f"{divisor!r} does not divide {self!r}")
-        return q
-
-    # -- normal forms -------------------------------------------------------
+        return UniPoly([v * divisor.den for v in quot], self.var,
+                       self.den * c)
 
     def primitive(self) -> "UniPoly":
         """Primitive normal form: coprime integer coefficients, positive
@@ -252,25 +249,14 @@ class UniPoly:
         equivalence class; the zero polynomial maps to itself."""
         if self.is_zero():
             return self
-        ints, _ = self.cleared()
-        g = _int_content(ints) if ints[-1] > 0 else -_int_content(ints)
-        return UniPoly((v // g for v in ints), self.var)
-
-    def cleared(self) -> Tuple[List[int], int]:
-        """(ints, den) with self = ints / den, den the least common
-        positive denominator of the coefficients (1 for zero)."""
-        den = lcm(*(c.denominator for c in self.coeffs))
-        return [c.numerator * (den // c.denominator) for c in self.coeffs], den
-
-    def integer_coeffs(self) -> list:
-        """Coefficient list as Python ints; requires integer coefficients."""
-        if any(c.denominator != 1 for c in self.coeffs):
-            raise ValueError("polynomial does not have integer coefficients")
-        return [c.numerator for c in self.coeffs]
+        g = _int_content(self.ints)
+        if self.ints[-1] < 0:
+            g = -g
+        return UniPoly([v // g for v in self.ints], self.var)
 
 
 # ----------------------------------------------------------------------
-# Integer-level helpers: products and the remainder sequences
+# Integer-level helpers: products, sums, strips and remainder sequences
 # ----------------------------------------------------------------------
 
 def _pack(cs: Sequence[int], width: int) -> int:
@@ -301,6 +287,48 @@ def int_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
     half = 1 << (8 * w - 1)
     return [int.from_bytes(raw[i:i + w], "little") - half
             for i in range(0, w * n, w)]
+
+
+def int_sum(terms) -> List[int]:
+    """sum c * cs over (c, integer list cs) pairs, trailing zeros trimmed."""
+    out = []
+    for c, cs in terms:
+        out += [0] * (len(cs) - len(out))
+        for i, v in enumerate(cs):
+            out[i] += c * v
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def int_derivative(cs: Sequence[int]) -> List[int]:
+    return [k * c for k, c in enumerate(cs)][1:]
+
+
+def int_strip(cs: Sequence[int], f: Sequence[int],
+              cap: Optional[int] = None) -> Tuple[List[int], int]:
+    """(cs / f^k, k) on ascending integer lists, k the largest, at most
+    cap, with f^k | cs; f must be primitive, of degree m >= 1 or, with a
+    cap, m = 0. Its quotient is then integral (Gauss's lemma), so
+    synthetic division from the top, q_i = (r_(i+m) - ...) / f_m, stops at
+    the first step f_m does not divide; the m low entries left over are
+    the remainder.
+    """
+    cs, k = list(cs), 0
+    m, lead, low = len(f) - 1, f[-1], f[:-1]
+    while len(cs) > m and (cap is None or k < cap):
+        r, q = list(cs), [0] * (len(cs) - m)
+        for i in range(len(q) - 1, -1, -1):
+            q[i], rest = divmod(r[i + m], lead)
+            if rest:
+                return cs, k
+            if q[i]:
+                for j, v in enumerate(low, i):
+                    r[j] -= q[i] * v
+        if any(r[:m]):
+            return cs, k
+        cs, k = q, k + 1
+    return cs, k
 
 
 def _int_content(cs: Sequence[int]) -> int:
@@ -409,8 +437,7 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
         return q.primitive()
     if q.is_zero():
         return p.primitive()
-    a = p.primitive().integer_coeffs()
-    b = q.primitive().integer_coeffs()
+    a, b = _int_primitive(p.ints), _int_primitive(q.ints)
     if (a[-1] % _PRIME and b[-1] % _PRIME
             and _gcd_degree_mod(a, b, _PRIME) == 0):
         return UniPoly.constant(1, var)
@@ -428,29 +455,6 @@ def squarefree_part(p: UniPoly) -> UniPoly:
     return p.exact_divide(g).primitive()
 
 
-def int_strip_linear(cs: Sequence[int], c0: int, c1: int,
-                     cap: Optional[int] = None) -> Tuple[List[int], int]:
-    """(cs / (c0 + c1 theta)^k, k) on an ascending integer list, k the
-    largest, at most cap, with (c0 + c1 theta)^k | cs; the factor must be
-    primitive with c1 != 0. Its quotient is then integral (Gauss's
-    lemma), so synthetic division from the top, q_(D-1) = c_D / c1,
-    q_(i-1) = (c_i - c0 q_i) / c1, stops at the first step c1 does not
-    divide; c_0 - c0 q_0 is the remainder.
-    """
-    cs, k = list(cs), 0
-    while len(cs) > 1 and (cap is None or k < cap):
-        q, carry = [0] * (len(cs) - 1), cs[-1]
-        for i in range(len(q) - 1, -1, -1):
-            q[i], r = divmod(carry, c1)
-            if r:
-                return cs, k
-            carry = cs[i] - c0 * q[i]
-        if carry:
-            return cs, k
-        cs, k = q, k + 1
-    return cs, k
-
-
 def descartes_sign_changes(p: UniPoly) -> int:
     """Number of strict sign alternations in the coefficient sequence.
 
@@ -459,7 +463,7 @@ def descartes_sign_changes(p: UniPoly) -> int:
     """
     if p.is_zero():
         raise UndefinedInputError("sign changes of the zero polynomial")
-    signs = [1 if c > 0 else -1 for c in p.coeffs if c != 0]
+    signs = [c > 0 for c in p.ints if c != 0]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
@@ -479,8 +483,7 @@ def interpolate(values: Sequence[int], den: int,
     Newton forward differences in integers: with a_k = Delta^k f(0),
     f = sum_k a_k C(theta, k), and the nesting T_D = a_D,
     T_k = (D!/k!) a_k + (theta - k) T_(k+1) gives D! den f = T_0 with
-    integer coefficients; one exact division by D! den ends the
-    computation.
+    integer coefficients, returned over the denominator D! den.
     """
     a = list(values)
     if not a:
@@ -498,4 +501,4 @@ def interpolate(values: Sequence[int], den: int,
             nxt[i] -= k * c
         nxt[0] += scale * a[k]
         poly = nxt
-    return UniPoly((Fraction(c, scale * den) for c in poly), var)
+    return UniPoly(poly, var, scale * den)

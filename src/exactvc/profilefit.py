@@ -12,7 +12,8 @@ coefficient, so cancelling never changes the sign of the derivative there.
 Roots are isolated and classified by exact derivative signs, and the
 global optimum is chosen by comparing rigorous objective enclosures that
 are refined until the comparison is decisive; a lone candidate needs no
-comparison. The log-determinant in each enclosure is a single logarithm.
+comparison. The log-determinant in each enclosure takes one logarithm
+per distinct group multiplicity.
 
 The objective, its stationarity equation and the three drivers
 (profile_fit, profile_estimates, profile_value) are defined here once for
@@ -33,9 +34,11 @@ from .errors import ContractViolationError, DegenerateDesignError
 from .polynomials import (
     UniPoly,
     descartes_sign_changes,
+    int_derivative,
     int_linear_product,
     int_mul,
-    int_strip_linear,
+    int_strip,
+    int_sum,
     poly_gcd,
 )
 from .roots import (
@@ -201,20 +204,19 @@ def profile_equation(prof: ProfilePolys, method: str) -> ProfileEquation:
         raise DegenerateDesignError(
             "response lies in the covariate span; the residual sum of "
             "squares vanishes identically")
-    # raw is bilinear in (P, G): on their cleared integer lists it only
+    # raw is bilinear in (P, G): on their integer numerators it only
     # scales by a positive constant, which keeps its sign and primitive part
-    P, G = prof.p_poly.cleared()[0], prof.gram_det.cleared()[0]
-    d = prof.d.integer_coeffs()
+    P, G, d = prof.p_poly.ints, prof.gram_det.ints, prof.d.ints
     w = _weight(prof, method)
     D = int_mul(d, G)
-    f1 = _int_sum((m * n, int_strip_linear(d, 1, n, 1)[0])
-                  for n, m in zip(prof.sizes, prof.mults))
-    u = [(w, _int_derivative(D)), (-1, int_mul(f1, G))]
+    f1 = int_sum((m * n, int_strip(d, (1, n), 1)[0])
+                 for n, m in zip(prof.sizes, prof.mults))
+    u = [(w, int_derivative(D)), (-1, int_mul(f1, G))]
     if method == "REML":
-        u += [(-1, int_mul(_int_derivative(G), d)),
-              (prof.p, int_mul(_int_derivative(d), G))]
-    raw = _int_sum([(1, int_mul(P, _int_sum(u))),
-                    (-w, int_mul(_int_derivative(P), D))])
+        u += [(-1, int_mul(int_derivative(G), d)),
+              (prof.p, int_mul(int_derivative(d), G))]
+    raw = int_sum([(1, int_mul(P, int_sum(u))),
+                   (-w, int_mul(int_derivative(P), D))])
     if not raw:
         raise DegenerateDesignError(
             "criterion is constant in theta; the variance ratio is not "
@@ -233,29 +235,13 @@ def profile_equation(prof: ProfilePolys, method: str) -> ProfileEquation:
     # each known linear factor as often as it divides, one gcd the rest
     den_sizes, core_p, core_g = [], P, G
     for n in prof.sizes:
-        core_p, kp = int_strip_linear(core_p, 1, n)
-        core_g, kg = int_strip_linear(core_g, 1, n)
-        raw, k = int_strip_linear(raw, 1, n, 1 + kp + kg)
+        core_p, kp = int_strip(core_p, (1, n))
+        core_g, kg = int_strip(core_g, (1, n))
+        raw, k = int_strip(raw, (1, n), 1 + kp + kg)
         den_sizes += [n] * (1 + kp + kg - k)
     den = int_mul(int_mul(int_linear_product(den_sizes), core_g), core_p)
     return build_profile_equation(UniPoly(raw, prof.d.var),
                                   UniPoly(den, prof.d.var), prof, method)
-
-
-def _int_derivative(cs: Sequence[int]) -> List[int]:
-    return [k * c for k, c in enumerate(cs)][1:]
-
-
-def _int_sum(terms) -> List[int]:
-    """sum c * cs over (c, integer list cs) pairs, trailing zeros trimmed."""
-    out = []
-    for c, cs in terms:
-        out += [0] * (len(cs) - len(out))
-        for i, v in enumerate(cs):
-            out[i] += c * v
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +259,7 @@ def classify_stationary_points(eq: ProfileEquation,
     flip is a degenerate saddle.
     """
     num = eq.numerator
-    cs = num.integer_coeffs()
+    cs = num.ints
     labels = []
     for i, iv in enumerate(ivs):
         if not iv.is_point():
@@ -436,7 +422,7 @@ def fit_profile(eq: ProfileEquation, loglik: LoglikFn, values: ValuesFn,
     slots = [i for i, label in enumerate(labels) if label == LOCAL_MAX]
     thetas: List[Theta] = [ivs[i].lo if ivs[i].is_point() else ivs[i]
                            for i in slots]
-    if eq.orientation * sign(num.coeffs[0]) < 0:
+    if eq.orientation * sign(num.ints[0]) < 0:
         thetas.append(Fraction(0))
     if not thetas:
         raise ContractViolationError(
@@ -473,24 +459,29 @@ def profile_objective(prof: ProfilePolys, method: str):
 
     With weight w = N (ML) or N - p (REML) and kappa_hat = w d G / P,
     loglik(lo, hi, prec) encloses w log kappa_hat - sum m_i log(1 + n_i
-    theta) - w, less log(G / d^p) = log det(X'KX) for REML: 2 (ML) or 3 logs
-    for any M, the sum being one log of prod (1 + n_i theta)^m_i. values(lo,
-    hi) encloses (mu, kappa, beta). Either returns None when its interval step
-    degenerates, or when P or G is not positive.
+    theta) - w, less log(G / d^p) = log det(X'KX) for REML. The sum takes
+    one log per distinct multiplicity m, of the product of (1 + n_i theta)
+    over that class, scaled by m; so a log's argument does not grow with m,
+    and the objective needs 1 + (distinct multiplicities) logs, plus 1 for
+    REML. values(lo, hi) encloses (mu, kappa, beta). Either returns None when
+    its interval step degenerates, or when P or G is not positive.
     """
     weight = _weight(prof, method)
     P, G = prof.p_poly, prof.gram_det
     D = prof.d * G
     dp = prof.d ** prof.p
     kd_weighted = D * Fraction(weight)
-    factors = tuple(zip(prof.sizes, prof.mults))
-    groups = sum(prof.mults)
+    by_mult = {}
+    for n, m in zip(prof.sizes, prof.mults):
+        by_mult.setdefault(m, []).append(n)
+    classes = sorted(by_mult.items())
 
-    def log_det_arg(t: Fraction) -> Tuple[int, int]:
-        # prod (1 + n t)^m over b^(sum m) for t = a/b: it increases on
-        # t >= 0, so its values at lo and hi bound it over [lo, hi]
+    def log_det_args(t: Fraction) -> List[Tuple[int, int]]:
+        # prod (1 + n t) over b^k per class of k sizes, for t = a/b: each
+        # increases on t >= 0, so its values at lo and hi bound it there
         a, b = t.numerator, t.denominator
-        return prod((b + n * a) ** m for n, m in factors), b ** groups
+        return [(prod(b + n * a for n in ns), b ** len(ns))
+                for _, ns in classes]
 
     def loglik(lo: Fraction, hi: Fraction, prec: int) -> Optional[Approx]:
         if lo < 0:
@@ -500,8 +491,10 @@ def profile_objective(prof: ProfilePolys, method: str):
             kap.lo * weight, kap.hi * weight, prec)
         if lk is None:
             return None
-        total = (lk.scale(weight) - Approx.exact(weight)
-                 - log_enclosure(log_det_arg(lo), log_det_arg(hi), prec))
+        total = lk.scale(weight) - Approx.exact(weight)
+        for (m, _), at_lo, at_hi in zip(classes, log_det_args(lo),
+                                        log_det_args(hi)):
+            total = total - log_enclosure(at_lo, at_hi, prec).scale(m)
         if method == "REML":
             r = interval_divide(poly_range(G, lo, hi), poly_range(dp, lo, hi))
             lr = None if r is None else log_enclosure(r.lo, r.hi, prec)

@@ -1,10 +1,11 @@
 """Certified real-root isolation for exact rational polynomials.
 
-Every routine works on the primitive squarefree integer part q of its
-input (`polynomials.squarefree_part`, which certifies squarefreeness by a
-gcd mod a prime). Roots are isolated by Descartes bisection with integer
-Taylor shifts, the Vincent-Collins-Akritas method (Collins & Akritas 1976;
-Rouillier & Zimmermann 2004), never by numeric eigenvalues.
+Every routine works on the integer coefficients (`UniPoly.ints`) of the
+primitive squarefree part q of its input (`polynomials.squarefree_part`,
+which certifies squarefreeness by a gcd mod a prime). Roots are isolated
+by Descartes bisection with integer Taylor shifts, the
+Vincent-Collins-Akritas method (Collins & Akritas 1976; Rouillier &
+Zimmermann 2004), never by numeric eigenvalues.
 
 The certificate is Descartes' rule of signs on a Moebius-mapped interval.
 For an interval (a, b), let V be the number of sign variations in the
@@ -31,7 +32,8 @@ from math import lcm
 from typing import List, Sequence, Tuple
 
 from .errors import ContractViolationError, UndefinedInputError
-from .polynomials import UniPoly, _int_primitive, _int_pseudo_rem, squarefree_part
+from .polynomials import (UniPoly, _int_primitive, _int_pseudo_rem,
+                          int_derivative, squarefree_part)
 
 
 def sign(x: Fraction) -> int:
@@ -62,9 +64,8 @@ def cauchy_bound(p: UniPoly) -> Fraction:
     """Strict bound B with every real root of p inside (-B, B)."""
     if p.is_zero():
         raise UndefinedInputError("root bound of the zero polynomial")
-    lc = abs(p.leading_coeff())
-    biggest = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return Fraction(1) + biggest / lc
+    biggest = max((abs(c) for c in p.ints[:-1]), default=0)
+    return 1 + Fraction(biggest, abs(p.ints[-1]))
 
 
 # ----------------------------------------------------------------------
@@ -80,11 +81,10 @@ def sturm_chain(p: UniPoly) -> List[List[int]]:
     """
     if p.is_zero():
         raise UndefinedInputError("Sturm chain of the zero polynomial")
-    p0 = _int_primitive(p.primitive().integer_coeffs())
+    p0 = list(p.primitive().ints)
     chain = [p0]
     if len(p0) > 1:
-        p1 = _int_primitive(
-            [k * c for k, c in enumerate(p0) if k > 0])
+        p1 = _int_primitive(int_derivative(p0))
         chain.append(p1)
         while len(chain[-1]) > 0:
             r = _int_pseudo_rem(chain[-2], chain[-1])
@@ -414,7 +414,7 @@ def isolate_real_roots(p: UniPoly, domain: str = "all",
         raise UndefinedInputError("cannot isolate roots of the zero polynomial")
     if domain not in ("all", "nonnegative"):
         raise ValueError(f"unknown domain {domain!r}")
-    q_int = squarefree_part(p).integer_coeffs()
+    q_int = squarefree_part(p).ints
     deg = len(q_int) - 1
     positive = negative = []
     if deg > 0:
@@ -465,7 +465,7 @@ def refine_interval(p: UniPoly, iv: RootInterval,
     width = Fraction(width)
     if width <= 0:
         raise ValueError("target width must be positive")
-    q_int = squarefree_part(p).integer_coeffs()
+    q_int = squarefree_part(p).ints
 
     if iv.is_point():
         if _sign_at(q_int, iv.lo) != 0:
@@ -492,10 +492,10 @@ def poly_range(p: UniPoly, lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fracti
     The returned rational interval contains the exact range (it may be
     wider). Exact endpoints for degenerate input lo == hi.
 
-    The Horner sum runs on integers: with lo = A/D, hi = B/D and
-    coefficients C_k/L, the accumulator after j steps is L D^j times the
-    rational one (step j adds C_k D^j), a positive scale, so the same
-    candidate wins each min/max and one Fraction is built at the end.
+    The Horner sum runs on integers: with lo = A/D, hi = B/D and p =
+    ints / den, the accumulator after j steps is den D^j times the rational
+    one (step j adds ints_k D^j), a positive scale, so the same candidate
+    wins each min/max and one Fraction is built at the end.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
@@ -504,13 +504,12 @@ def poly_range(p: UniPoly, lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fracti
         v = p(lo)
         return v, v
     a, b, d = _common_denominator(lo, hi)
-    scale = lcm(*(c.denominator for c in p.coeffs))
     acc_lo = acc_hi = 0
     dp = 1
-    for c in reversed(p.coeffs):
+    for c in reversed(p.ints):
         cands = (acc_lo * a, acc_lo * b, acc_hi * a, acc_hi * b)
-        c = c.numerator * (scale // c.denominator) * dp
+        c *= dp
         acc_lo, acc_hi = min(cands) + c, max(cands) + c
         dp *= d
-    den = scale * (dp // d)
+    den = p.den * (dp // d)
     return Fraction(acc_lo, den), Fraction(acc_hi, den)

@@ -28,6 +28,17 @@ def exact_count(value, what: str) -> int:
     raise InputError(f"{what} must hold integers, got {value!r:.60}")
 
 
+def check_layout(groups: int, largest: int) -> None:
+    """ModelAssumptionError unless the layout has two or more groups and
+    one group of two or more observations: below either, the two variance
+    components are not identified."""
+    if groups < 2:
+        raise ModelAssumptionError("the model needs at least two groups")
+    if largest < 2:
+        raise ModelAssumptionError(
+            "at least one group must have two or more observations")
+
+
 @dataclass(frozen=True)
 class GroupedData:
     """Raw grouped observations; each group is a tuple of Rationals."""
@@ -42,12 +53,7 @@ class GroupedData:
         object.__setattr__(
             self, "groups",
             tuple(tuple(rat(v) for v in g) for g in self.groups))
-        if self.q < 2:
-            raise ModelAssumptionError(
-                "the model needs at least two groups")
-        if all(len(g) == 1 for g in self.groups):
-            raise ModelAssumptionError(
-                "at least one group must have two or more observations")
+        check_layout(self.q, max(map(len, self.groups)))
 
     @property
     def q(self) -> int:
@@ -95,11 +101,7 @@ class OneWayStats:
             if m == 1 and b != 0:
                 raise InputError(
                     "a size class with a single group has zero between-group SS")
-        if self.q < 2:
-            raise ModelAssumptionError("the model needs at least two groups")
-        if max(self.sizes) < 2:
-            raise ModelAssumptionError(
-                "at least one group must have two or more observations")
+        check_layout(self.q, max(self.sizes))
 
     @property
     def M(self) -> int:

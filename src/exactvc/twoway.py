@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .enclosure import Approx, interval_divide, log_enclosure
@@ -39,9 +39,8 @@ from .errors import (
     NongenericDataError,
 )
 from .polynomials import (UniPoly, _int_primitive, _int_pseudo_rem, int_mul,
-                          int_strip_linear, rat, squarefree_part)
-from .profilefit import (_MAX_RANK_ROUNDS, _TIE_WIDTH_CAP, _int_sum,
-                         certified_argmax)
+                          int_strip, int_sum, rat, squarefree_part)
+from .profilefit import _MAX_RANK_ROUNDS, _TIE_WIDTH_CAP, certified_argmax
 from .roots import RootInterval, isolate_real_roots, poly_range, refine_interval
 from .stats import exact_count
 
@@ -280,9 +279,9 @@ def _quadratics(system: TwoWaySystem) -> Tuple[int, Quadratic, Quadratic]:
     om2_ell = [0, 0] + ell
     q1 = s * (stats.q - 1)
     quad_a = ([0, 0, -alpha], [0, 0, s * (stats.r - 1)], ell)
-    quad_b = (_int_sum([(1, int_mul(big_s, big_s)), (q1, [0, 0] + big_s),
-                        (-beta, om2_ell)]),
-              _int_sum([(-2, int_mul(big_s, ell)), (-q1, om2_ell)]),
+    quad_b = (int_sum([(1, int_mul(big_s, big_s)), (q1, [0, 0] + big_s),
+                       (-beta, om2_ell)]),
+              int_sum([(-2, int_mul(big_s, ell)), (-q1, om2_ell)]),
               int_mul(ell, ell))
     return s, quad_a, quad_b
 
@@ -299,17 +298,16 @@ def _eliminated_poly(quad_a: Quadratic, quad_b: Quadratic
     part is taken.
     """
     (a0, a1, a2), (b0, b1, b2) = quad_a, quad_b
-    x = _int_sum([(1, int_mul(a2, b0)), (-1, int_mul(a0, b2))])
-    y = _int_sum([(1, int_mul(a2, b1)), (-1, int_mul(a1, b2))])
-    z = _int_sum([(1, int_mul(a1, b0)), (-1, int_mul(a0, b1))])
-    res = _int_sum([(1, int_mul(x, x)), (-1, int_mul(y, z))])
+    x = int_sum([(1, int_mul(a2, b0)), (-1, int_mul(a0, b2))])
+    y = int_sum([(1, int_mul(a2, b1)), (-1, int_mul(a1, b2))])
+    z = int_sum([(1, int_mul(a1, b0)), (-1, int_mul(a0, b1))])
+    res = int_sum([(1, int_mul(x, x)), (-1, int_mul(y, z))])
     if not res:
         raise NongenericDataError(
             "resultant vanished identically; the equations share a "
             "positive-dimensional component")
     low = next(i for i, c in enumerate(res) if c)
-    c0, c1 = (c // gcd(*a2) for c in a2)
-    res, _ = int_strip_linear(_int_primitive(res[low:]), c0, c1)
+    res, _ = int_strip(_int_primitive(res[low:]), _int_primitive(a2))
     poly = squarefree_part(UniPoly(res, VAR))
     note = None
     if poly.degree != 4:
@@ -319,8 +317,8 @@ def _eliminated_poly(quad_a: Quadratic, quad_b: Quadratic
 
 
 def _quotient_mod(num: List[int], den: List[int],
-                  f: List[int]) -> Optional[List[Fraction]]:
-    """Coefficients of num/den mod f, or None when den is not a unit mod f.
+                  f: Sequence[int]) -> Optional[UniPoly]:
+    """num/den mod f, or None when den is not a unit mod f.
 
     The pseudo-remainders l^k p mod f (l = lc f > 0) of omega^j den,
     j < deg f, and of num are the columns and right side of an integer
@@ -346,17 +344,15 @@ def _quotient_mod(num: List[int], den: List[int],
     for i in range(d - 1, -1, -1):
         y[i] = (prev * m[i][d] - sum(m[i][j] * y[j]
                                      for j in range(i + 1, d))) // m[i][i]
-    return [Fraction(v * lc ** k, prev * lc ** ks[-1])
-            for v, k in zip(y, ks)]
+    return UniPoly([v * lc ** k for v, k in zip(y, ks)], VAR,
+                   prev * lc ** ks[-1])
 
 
 def _relation_from_value(t: UniPoly) -> TauRelation:
-    """Normalize tau = t(omega) to coprime integers u*tau + v = 0."""
-    u = lcm(*(c.denominator for c in t.coeffs))
-    ints = [int(c) for c in (t * Fraction(-u)).coeffs]
-    g = gcd(u, *ints)
-    return TauRelation(tau_coeff=u // g,
-                       omega_part=UniPoly([c // g for c in ints], VAR))
+    """tau = t(omega) as coprime integers u*tau + v = 0: u = t.den and
+    v = -t.ints, coprime by t's normal form."""
+    return TauRelation(tau_coeff=t.den,
+                       omega_part=UniPoly([-c for c in t.ints], VAR))
 
 
 def eliminate_to_quartic(system: TwoWaySystem) -> TwoWayFitReport:
@@ -377,12 +373,12 @@ def eliminate_to_quartic(system: TwoWaySystem) -> TwoWayFitReport:
         # b2 = a2^2, so a2 A - B = slope a + offset; a slope that is not
         # a unit means A and B agree up to scale over some root, as on
         # the tau-swap symmetric strata (r = q, SSA = SSB)
-        slope = _int_sum([(1, int_mul(a2, a1)), (-1, b1)])
-        offset = _int_sum([(1, int_mul(a2, a0)), (-1, b0)])
-        f = poly.integer_coeffs()
+        slope = int_sum([(1, int_mul(a2, a1)), (-1, b1)])
+        offset = int_sum([(1, int_mul(a2, a0)), (-1, b0)])
+        f = poly.ints
         # tau1 = (a - omega)/(qn) with a = -offset/slope, and
         # tau2 = (c - a)/(rn) with c = omega^2/L = s omega^2/a2
-        t1 = _quotient_mod(_int_sum([(-1, offset), (-1, [0] + slope)]),
+        t1 = _quotient_mod(int_sum([(-1, offset), (-1, [0] + slope)]),
                            [stats.q * stats.n * v for v in slope], f)
         if t1 is None:
             raise NongenericDataError(
@@ -390,10 +386,10 @@ def eliminate_to_quartic(system: TwoWaySystem) -> TwoWayFitReport:
                 "a rational function of the eliminated variable on this "
                 "data")
         t2 = _quotient_mod(
-            _int_sum([(s, [0, 0] + slope), (1, int_mul(offset, a2))]),
+            int_sum([(s, [0, 0] + slope), (1, int_mul(offset, a2))]),
             [stats.r * stats.n * v for v in int_mul(a2, slope)], f)
-        tau1_rel = _relation_from_value(UniPoly(t1, VAR))
-        tau2_rel = _relation_from_value(UniPoly(t2, VAR))
+        tau1_rel = _relation_from_value(t1)
+        tau2_rel = _relation_from_value(t2)
 
     presented = poly
     if system.model == "interaction" and poly.degree >= 1:

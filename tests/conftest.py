@@ -41,16 +41,81 @@ def schoolbook_mul(a, b) -> list:
     return out
 
 
+# -- the Fraction-list oracle ------------------------------------------------
+#
+# Polynomials as ascending lists of Fractions, trimmed, with the schoolbook
+# operations written out. UniPoly, which stores integers over one
+# denominator, is checked against them.
+
+def frac_trim(cs) -> list:
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def frac_add(a, b, sign=1) -> list:
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return frac_trim(x + sign * y for x, y in zip(a, b))
+
+
+def frac_mul(a, b) -> list:
+    return frac_trim(schoolbook_mul(a, b))
+
+
+def frac_derivative(a) -> list:
+    return frac_trim(k * c for k, c in enumerate(a) if k)
+
+
+def frac_eval(a, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def frac_compose(a, inner) -> list:
+    acc = []
+    for c in reversed(a):
+        acc = frac_add(frac_mul(acc, inner), [c])
+    return acc
+
+
+def frac_divmod(a, b) -> Tuple[list, list]:
+    """Euclidean division over Q: (quotient, remainder) lists."""
+    if not frac_trim(b):
+        raise ZeroDivisionError("polynomial division by zero")
+    rem, b = frac_trim(a), frac_trim(b)
+    db = len(b) - 1
+    if len(rem) - 1 < db:
+        return [], rem
+    quot = [Fraction(0)] * (len(rem) - db)
+    for k in range(len(rem) - db - 1, -1, -1):
+        c = rem[k + db] / b[-1]
+        if c != 0:
+            quot[k] = c
+            for j, v in enumerate(b):
+                rem[k + j] -= c * v
+    return frac_trim(quot), frac_trim(rem[:db])
+
+
+def poly_divmod(poly: UniPoly, divisor: UniPoly) -> Tuple[UniPoly, UniPoly]:
+    """Euclidean division of UniPolys over Q, by frac_divmod."""
+    quot, rem = frac_divmod(poly.coeffs, divisor.coeffs)
+    return UniPoly(quot, poly.var), UniPoly(rem, poly.var)
+
+
 def strip_factor(poly: UniPoly, factor: UniPoly,
                  cap: Optional[int] = None) -> Tuple[UniPoly, int]:
     """(poly / factor^k, k) for the largest k, at most cap, such that
     factor^k divides poly, by repeated division over Q; factor must have
-    positive degree. The oracle of polynomials.int_strip_linear."""
+    positive degree. The oracle of polynomials.int_strip."""
     if factor.degree < 1:
         raise ValueError("strip_factor needs a factor of positive degree")
     k = 0
     while poly.degree >= factor.degree and (cap is None or k < cap):
-        quot, rem = poly.divmod(factor)
+        quot, rem = poly_divmod(poly, factor)
         if not rem.is_zero():
             break
         poly, k = quot, k + 1
@@ -61,7 +126,7 @@ def divides(divisor: UniPoly, poly: UniPoly) -> bool:
     """Whether divisor divides poly exactly in Q[x]."""
     if divisor.is_zero():
         return poly.is_zero()
-    return poly.divmod(divisor)[1].is_zero()
+    return poly_divmod(poly, divisor)[1].is_zero()
 
 
 def naive_determinant(rows, zero, one):
@@ -343,7 +408,7 @@ def gls_profile_reference(design) -> ProfilePolys:
     sizes, mults = design.size_classes()
     lin = {n: UniPoly([1, n]) for n in sizes}
     d = product(lin[n] for n in sizes)
-    t = UniPoly.variable()
+    t = UniPoly([0, 1])
     # theta * d/(1 + n theta), the coefficient that clears each J block
     toff = {n: t * d.exact_divide(lin[n]) for n in sizes}
 

@@ -47,6 +47,24 @@ def test_degree_rejects_garbage(capsys):
     assert json.loads(out)["error"]["kind"] == "input"
 
 
+def test_degree_refuses_what_fit_oneway_refuses(tmp_path, capsys):
+    # one group, or only singleton groups: no degree law applies, and both
+    # commands exit 3 with the same model-assumption report
+    cases = (("5", {"sizes": [5], "mults": [1], "betweenSS": ["0"]},
+              "the model needs at least two groups"),
+             ("1,1", {"sizes": [1], "mults": [2], "betweenSS": ["1"]},
+              "at least one group must have two or more observations"))
+    for sizes, classes, message in cases:
+        stats = tmp_path / "stats.json"
+        stats.write_text(json.dumps(
+            {**classes, "means": ["1"], "withinSS": "1"}))
+        code, out = run(capsys, "degree", "--sizes", sizes)
+        assert code == 3
+        assert json.loads(out) == {"error": {"kind": "model-assumption",
+                                             "message": message}}
+        assert run(capsys, "fit-oneway", "--stats", str(stats)) == (code, out)
+
+
 def sig6(x):
     return float(f"{float(x):.6g}")
 

@@ -2,11 +2,15 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from conftest import divides, product, schoolbook_mul, strip_factor
+from conftest import (divides, frac_add, frac_compose, frac_derivative,
+                      frac_divmod, frac_eval, frac_mul, frac_trim,
+                      poly_divmod, product, schoolbook_mul, strip_factor)
 from exactvc.errors import DivisibilityError, UndefinedInputError
 from exactvc.polynomials import (
     _PRIME,
@@ -16,7 +20,7 @@ from exactvc.polynomials import (
     descartes_sign_changes,
     int_linear_product,
     int_mul,
-    int_strip_linear,
+    int_strip,
     interpolate,
     poly_gcd,
     rat,
@@ -103,13 +107,14 @@ def test_compose_matches_evaluation():
 
 
 def test_divmod_identity():
+    # the Euclidean division the divisibility oracles use
     rng = random.Random(13)
     for _ in range(100):
         p = rand_poly(rng, max_deg=8)
         q = rand_poly(rng, max_deg=4)
         if q.is_zero():
             continue
-        quot, rem = p.divmod(q)
+        quot, rem = poly_divmod(p, q)
         assert p == quot * q + rem
         assert rem.degree < q.degree
 
@@ -133,7 +138,7 @@ def test_exact_divide_by_a_constant():
     for c in (1, -3, Fraction(2, 3), Fraction(-5, 7)):
         q = p.exact_divide(UniPoly.constant(c, "x"))
         assert q * c == p
-        assert q == p.divmod(UniPoly.constant(c, "x"))[0]
+        assert q == poly_divmod(p, UniPoly.constant(c, "x"))[0]
     assert UniPoly.zero("x").exact_divide(UniPoly.constant(-2, "x")).is_zero()
     with pytest.raises(ValueError):
         p.exact_divide(UniPoly.constant(2, "y"))
@@ -179,7 +184,7 @@ def test_gcd_zero_zero_raises():
 
 
 def test_gcd_known_example():
-    x = UniPoly.variable("x")
+    x = UniPoly([0, 1], "x")
     p = (x - 1) ** 2 * (x + 2)
     q = (x - 1) * (x + 3)
     g = poly_gcd(p, q)
@@ -187,7 +192,7 @@ def test_gcd_known_example():
 
 
 def test_squarefree_part_strips_multiplicities():
-    x = UniPoly.variable("x")
+    x = UniPoly([0, 1], "x")
     p = (x - 1) ** 3 * (x + 2) ** 2 * (2 * x + 5)
     sf = squarefree_part(p)
     expected = ((x - 1) * (x + 2) * (2 * x + 5)).primitive()
@@ -198,7 +203,7 @@ def test_squarefree_part_strips_multiplicities():
 
 
 def test_strip_factor_counts_and_caps_the_multiplicity():
-    x = UniPoly.variable("x")
+    x = UniPoly([0, 1], "x")
     lin = UniPoly([1, 3], "x")
     rest = (x - 2) * (x + 5)
     p = lin ** 3 * rest * Fraction(-7, 2)
@@ -241,7 +246,7 @@ def test_modular_test_decides_coprime_pairs():
 
 
 def test_gcd_falls_back_when_inputs_share_a_factor_mod_p():
-    x = UniPoly.variable("x")
+    x = UniPoly([0, 1], "x")
     c = x * x + 3
     pairs = [
         (x, x - _PRIME),                                  # coprime over Q
@@ -259,7 +264,7 @@ def test_gcd_falls_back_when_inputs_share_a_factor_mod_p():
 
 
 def test_gcd_falls_back_when_prime_divides_a_leading_coefficient():
-    x = UniPoly.variable("x")
+    x = UniPoly([0, 1], "x")
     big = _PRIME * x + 1
     cases = [
         (big, x + 2, UniPoly.constant(1, "x")),
@@ -274,7 +279,7 @@ def test_gcd_falls_back_when_prime_divides_a_leading_coefficient():
 
 
 def test_squarefree_part_of_non_squarefree_product():
-    x = UniPoly.variable("x")
+    x = UniPoly([0, 1], "x")
     rng = random.Random(62)
     for _ in range(15):
         p = UniPoly([rng.randrange(-9, 10) for _ in range(4)] + [1], "x")
@@ -304,14 +309,14 @@ def test_descartes_sign_changes():
 
 
 def test_product_helper():
-    x = UniPoly.variable("x")
+    x = UniPoly([0, 1], "x")
     factors = [x + k for k in range(1, 4)]
     assert product(factors, "x") == (x + 1) * (x + 2) * (x + 3)
     assert product([], "x") == UniPoly.constant(1, "x")
 
 
 def test_int_linear_product_matches_polynomial_product():
-    x = UniPoly.variable("x")
+    x = UniPoly([0, 1], "x")
     sizes = (1, 3, 4, 9)
     assert (UniPoly(int_linear_product(sizes), "x")
             == product((x * n + 1 for n in sizes), "x"))
@@ -387,17 +392,17 @@ def test_int_strip_linear_matches_strip_factor():
                     if rest.is_zero():
                         continue
                     p = rest * lin ** mult
-                    q, k = int_strip_linear(p.integer_coeffs(), 1, n, cap)
+                    q, k = int_strip(p.integer_coeffs(), [1, n], cap)
                     ref, ref_k = strip_factor(p, lin, cap)
                     assert (UniPoly(q, "x"), k) == (ref, ref_k)
                     if cap is None:
                         assert k >= mult
     # a constant and the zero list have no linear factor to lose
-    assert int_strip_linear([5], 1, 3) == ([5], 0)
-    assert int_strip_linear([], 1, 3) == ([], 0)
+    assert int_strip([5], [1, 3]) == ([5], 0)
+    assert int_strip([], [1, 3]) == ([], 0)
     # 2 divides the top coefficient but the division fails further down
-    assert int_strip_linear([1, 0, 2], 1, 2) == ([1, 0, 2], 0)
-    assert int_strip_linear([1, 3, 2], 1, 2) == ([1, 1], 1)
+    assert int_strip([1, 0, 2], [1, 2]) == ([1, 0, 2], 0)
+    assert int_strip([1, 3, 2], [1, 2]) == ([1, 1], 1)
 
 
 def test_int_strip_linear_takes_any_primitive_linear_factor():
@@ -415,20 +420,20 @@ def test_int_strip_linear_takes_any_primitive_linear_factor():
                     if rest.is_zero():
                         continue
                     p = rest * lin ** mult
-                    q, k = int_strip_linear(p.integer_coeffs(), c0, c1, cap)
+                    q, k = int_strip(p.integer_coeffs(), [c0, c1], cap)
                     ref, ref_k = strip_factor(p, lin, cap)
                     assert (UniPoly(q, "x"), k) == (ref, ref_k), (c0, c1)
                     if cap is None:
                         assert k >= mult
         for cs in ([], [7], [-4]):
-            assert int_strip_linear(cs, c0, c1) == (cs, 0)
+            assert int_strip(cs, [c0, c1]) == (cs, 0)
     # 4 divides the top coefficient but not the next carry, 10 + 7 * 1;
     # after two quotients of (4x - 7)^2 (8x^2 + 1) it stops at 0 + 7 * 2
-    assert int_strip_linear([-7, 10, 4], -7, 4) == ([-7, 10, 4], 0)
+    assert int_strip([-7, 10, 4], [-7, 4]) == ([-7, 10, 4], 0)
     p = UniPoly([-7, 4], "x") ** 2 * UniPoly([1, 0, 8], "x")
     assert strip_factor(p, UniPoly([-7, 4], "x"))[1] == 2
-    assert int_strip_linear(p.integer_coeffs(), -7, 4) == ([1, 0, 8], 2)
-    assert int_strip_linear(p.integer_coeffs(), -7, 4, 1) == (
+    assert int_strip(p.integer_coeffs(), [-7, 4]) == ([1, 0, 8], 2)
+    assert int_strip(p.integer_coeffs(), [-7, 4], 1) == (
         (UniPoly([-7, 4], "x") * UniPoly([1, 0, 8], "x")).integer_coeffs(), 1)
 
 
@@ -466,3 +471,94 @@ def test_variable_mismatch_rejected():
     q = UniPoly([1, 2], "y")
     with pytest.raises(ValueError):
         p * q
+
+
+# ----------------------------------------------------------------------
+# Integers over one denominator against the Fraction-list oracle
+# ----------------------------------------------------------------------
+
+RATIONALS = hst.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                          max_denominator=90)
+FRACTION_LISTS = hst.lists(RATIONALS | hst.just(Fraction(0)), max_size=7)
+
+
+def canonical(p):
+    """ints trimmed, den > 0, gcd(content, den) = 1, zero over den 1."""
+    if not p.ints:
+        return p.den == 1
+    return p.ints[-1] != 0 and p.den > 0 and gcd(p.den, *p.ints) == 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(a=FRACTION_LISTS, k=hst.integers(-10 ** 30, 10 ** 30).filter(bool))
+def test_unipoly_has_one_form_from_ints_or_rationals(a, k):
+    p = UniPoly(a, "x")
+    assert canonical(p)
+    assert list(p.coeffs) == frac_trim(a)
+    # the same value from scaled integers over a scaled denominator,
+    # from its Fraction view and from strings
+    for q in (UniPoly([c * k for c in p.ints], "x", p.den * k),
+              UniPoly(p.coeffs, "x"), UniPoly([str(c) for c in a], "x")):
+        assert canonical(q)
+        assert q == p and hash(q) == hash(p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(a=FRACTION_LISTS, b=FRACTION_LISTS, c=RATIONALS, x=RATIONALS,
+       k=hst.integers(0, 4))
+def test_unipoly_arithmetic_matches_the_fraction_oracle(a, b, c, x, k):
+    p, q = UniPoly(a, "x"), UniPoly(b, "x")
+    power = [Fraction(1)]
+    for _ in range(k):
+        power = frac_mul(power, a)
+    results = [(p + q, frac_add(a, b)), (p - q, frac_add(a, b, -1)),
+               (p * q, frac_mul(a, b)), (p * p, frac_mul(a, a)),
+               (p * c, frac_mul(a, [c])), (c * p, frac_mul(a, [c])),
+               (p + c, frac_add(a, [c])), (p ** k, power),
+               (-p, frac_add([], a, -1)), (p.derivative(), frac_derivative(a)),
+               (p.compose(q), frac_compose(a, b))]
+    for got, want in results:
+        assert canonical(got)
+        assert list(got.coeffs) == want
+    assert p(x) == frac_eval(a, x)
+    assert p.leading_coeff() == (frac_trim(a) or [0])[-1]
+    if not p.is_zero():
+        # integer coefficients, content 1, positive lead, a rational
+        # multiple of p
+        prim = p.primitive()
+        assert prim.den == 1 and gcd(*prim.ints) == 1 and prim.ints[-1] > 0
+        r = prim.leading_coeff() / p.leading_coeff()
+        assert list(prim.coeffs) == frac_mul(a, [r])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(a=FRACTION_LISTS, b=FRACTION_LISTS.filter(lambda b: frac_trim(b)))
+def test_exact_divide_matches_euclidean_division(a, b):
+    p, q = UniPoly(a, "x"), UniPoly(b, "x")
+    assert (p * q).exact_divide(q) == p
+    quot, rem = frac_divmod(a, b)
+    if rem:
+        with pytest.raises(DivisibilityError):
+            p.exact_divide(q)
+    else:
+        assert list(p.exact_divide(q).coeffs) == quot
+
+
+def primitive_divisors(degree):
+    lists = hst.lists(hst.integers(-40, 40), min_size=degree + 1,
+                      max_size=degree + 1).filter(lambda f: f[-1])
+    return lists.map(lambda f: [v // gcd(*f) for v in f])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(rest=hst.lists(hst.integers(-10 ** 12, 10 ** 12), max_size=6),
+       f=primitive_divisors(1) | primitive_divisors(2),
+       mult=hst.integers(0, 3), cap=hst.sampled_from([0, 1, None]))
+def test_int_strip_matches_strip_factor_on_linear_and_quadratic_divisors(
+        rest, f, mult, cap):
+    p = UniPoly(rest, "x") * UniPoly(f, "x") ** mult
+    q, k = int_strip(p.integer_coeffs(), f, cap)
+    ref, ref_k = strip_factor(p, UniPoly(f, "x"), cap)
+    assert (UniPoly(q, "x"), k) == (ref, ref_k)
+    if cap is None and not p.is_zero():
+        assert k >= mult

@@ -261,9 +261,10 @@ def log_det(sizes, mults, t, prec):
 
 
 def test_log_det_enclosure_contains_the_sum_of_logs(monkeypatch):
-    # the log-determinant is one log of prod (1 + n theta)^m; its enclosure
-    # must hold the per-size sum of logs, computed at twice the precision,
-    # at both ends of theta's interval
+    # the log-determinant is m log of prod (1 + n theta) over the sizes of
+    # multiplicity m, one log per distinct m; the m-weighted sum of those
+    # enclosures must hold the per-size sum of logs, computed at twice the
+    # precision, at both ends of theta's interval
     rng = random.Random(1300)
     layouts = [((2, 3, 5, 8, 13), (60, 60, 60, 60, 60)),   # 300 groups
                (tuple(range(2, 14)), tuple(1 + i % 2 for i in range(12)))]
@@ -293,17 +294,24 @@ def test_log_det_enclosure_contains_the_sum_of_logs(monkeypatch):
                     monkeypatch.undo()
                     encl = [out for args, out in calls
                             if isinstance(args[0], tuple)]
-                    assert len(calls) == (2 if method == "ML" else 3)
-                    assert len(encl) == 1
+                    classes = sorted(set(mults))
+                    assert len(calls) == (1 + len(classes)
+                                          + (method == "REML"))
+                    assert len(encl) == len(classes)
+                    total = sum((e.scale(m) for m, e in zip(classes, encl)),
+                                Approx.exact(0))
                     want_lo = log_det(sizes, mults, lo, 2 * prec)
                     want_hi = log_det(sizes, mults, hi, 2 * prec)
-                    assert encl[0].lo <= want_lo <= want_hi <= encl[0].hi
+                    assert total.lo <= want_lo <= want_hi <= total.hi
 
 
 def test_lone_maximum_needs_no_ranking_and_two_or_three_logs(monkeypatch):
+    # one log for kappa, one per distinct multiplicity (the ladder has 1
+    # and 2) and, for REML, one for det(X'KX)
     for M in (6, 12):
         prof = oneway.gls_profile(ladder_stats(M, random.Random(M)))
-        for method, logs in (("ML", 2), ("REML", 3)):
+        distinct = len(set(prof.mults))
+        for method, logs in (("ML", 1 + distinct), ("REML", 2 + distinct)):
             ranks = spy(monkeypatch, "certified_argmax")
             calls = spy(monkeypatch, "log_enclosure")
             rep = profile_fit(prof, method, F(1, 10 ** 12))
@@ -313,6 +321,26 @@ def test_lone_maximum_needs_no_ranking_and_two_or_three_logs(monkeypatch):
             assert len(maxima) == 1 and not rep.boundary_is_max
             assert ranks == []
             assert 0 < len(calls) <= logs
+
+
+def test_log_arguments_do_not_grow_with_the_multiplicity(monkeypatch):
+    # 10^5 groups of one size: prod (1 + n theta)^m would carry about 10^5
+    # times the bits of one factor into the log; per class it carries one
+    st = OneWayStats((2, 5), (10 ** 5, 1), (F(1), F(-3, 2)), (F(7, 3), F(0)),
+                     F(5))
+    prof = oneway.gls_profile(st)
+    for method in ("ML", "REML"):
+        loglik, _ = profile_objective(prof, method)
+        for lo, hi in ((F(0), F(0)), (F(1, 3), F(1, 2)), (F(9, 7), F(9, 7))):
+            calls = spy(monkeypatch, "log_enclosure")
+            assert loglik(lo, hi, 192) is not None
+            monkeypatch.undo()
+            assert calls
+            for args, _ in calls:
+                for x in args[:2]:
+                    p, q = x if isinstance(x, tuple) else (x.numerator,
+                                                           x.denominator)
+                    assert max(p.bit_length(), q.bit_length()) < 256
 
 
 def test_trimodal_ml_still_ranks_its_two_maxima(monkeypatch):

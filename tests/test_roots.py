@@ -40,7 +40,7 @@ from exactvc.stats import OneWayStats
 
 
 def poly_with_roots(roots, var="x"):
-    x = UniPoly.variable(var)
+    x = UniPoly([0, 1], var)
     return product([x - r for r in roots], var)
 
 
@@ -93,7 +93,7 @@ def test_isolate_no_nonnegative_roots():
 
 def test_isolate_squarefree_reduction():
     # (x-1)^3 (x-4)^2 has two distinct roots
-    x = UniPoly.variable("x")
+    x = UniPoly([0, 1], "x")
     p = (x - 1) ** 3 * (x - 4) ** 2
     ivs = isolate_real_roots(p, domain="all")
     assert len(ivs) == 2
@@ -299,14 +299,14 @@ def test_differential_random_integer_polynomials(sympy):
     # Mignotte polynomials x^n - 2 (a x - 1)^2: two roots closer than
     # a^(-n/2), which bisection must separate
     for n, a in ((5, 10), (9, 30), (16, 100)):
-        x = UniPoly.variable("x")
+        x = UniPoly([0, 1], "x")
         assert_matches_oracles(sympy, x ** n - 2 * (a * x - 1) ** 2)
 
 
 def test_differential_dyadic_roots_and_root_at_zero(sympy):
     # roots on the bisection grid k/2^j are hit exactly by split points
     rng = random.Random(405)
-    x = UniPoly.variable("x")
+    x = UniPoly([0, 1], "x")
     for _ in range(25):
         roots = {Fraction(rng.randrange(-64, 65), 2 ** rng.randrange(0, 7))
                  for _ in range(rng.randrange(1, 9))}
@@ -323,7 +323,7 @@ def test_differential_dyadic_roots_and_root_at_zero(sympy):
 
 def test_differential_repeated_factors(sympy):
     rng = random.Random(406)
-    x = UniPoly.variable("x")
+    x = UniPoly([0, 1], "x")
     for _ in range(15):
         p = UniPoly.constant(1, "x")
         for _ in range(rng.randrange(1, 5)):
@@ -366,7 +366,7 @@ def test_refine_interval_matches_sturm_on_dyadic_split():
 def test_refine_interval_subdivides_an_inconclusive_count():
     # one real root at 1/3 under a complex pair at 1/2 +- i/10: the
     # Descartes count on (0, 1) is 3, so certification must bisect
-    x = UniPoly.variable("x")
+    x = UniPoly([0, 1], "x")
     p = (3 * x - 1) * (x * x - x + Fraction(26, 100))
     q = p.primitive().integer_coeffs()
     assert _descartes_01(_on_interval(q, Fraction(0), Fraction(1))) > 1
@@ -383,7 +383,7 @@ def test_refine_interval_subdivides_an_inconclusive_count():
 def squarefree_polys(draw):
     """Squarefree integer polynomials, often with roots on the dyadic grid
     (factors 2^j x - m) and a root at 0."""
-    x = UniPoly.variable("x")
+    x = UniPoly([0, 1], "x")
     p = UniPoly([draw(hst.integers(-30, 30))
                  for _ in range(draw(hst.integers(1, 5)))], "x")
     if p.is_zero():
@@ -407,7 +407,7 @@ WIDTHS = hst.one_of(
         lambda t: Fraction(*t)),
 )
 
-_X = UniPoly.variable("x")
+_X = UniPoly([0, 1], "x")
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)

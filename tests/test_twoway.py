@@ -35,6 +35,7 @@ from conftest import (
     divides,
     fixture_path,
     multi_range,
+    poly_divmod,
     random_twoway_stats,
     solution_residuals,
     twoway_cleared_system,
@@ -329,7 +330,7 @@ def sylvester_cascade(stats, model):
             "positive-dimensional component")
     poly = rfinal.to_unipoly("omega").primitive()
     e, E = twoway_residual(stats, model)
-    for factor in (UniPoly.variable("omega"), UniPoly([-E, e], "omega")):
+    for factor in (UniPoly([0, 1], "omega"), UniPoly([-E, e], "omega")):
         while poly.degree >= 1 and divides(factor, poly):
             poly = poly.exact_divide(factor)
     poly = squarefree_part(poly).primitive()
@@ -347,10 +348,10 @@ def reduced_at(eq, t1, t2, modulus):
         inner = UniPoly.zero("omega")
         slice_k = eq.coeff_in("tau2", k)
         for j in range(slice_k.degree_in("tau1"), -1, -1):
-            inner = (inner * t1).rem(modulus) + slice_k.coeff_in(
+            inner = poly_divmod(inner * t1, modulus)[1] + slice_k.coeff_in(
                 "tau1", j).to_unipoly("omega")
-        acc = (acc * t2).rem(modulus) + inner
-    return acc.rem(modulus)
+        acc = poly_divmod(acc * t2, modulus)[1] + inner
+    return poly_divmod(acc, modulus)[1]
 
 
 NO_RELATION = ("no linear back-substitution relation exists: tau1 is not "
