@@ -1,22 +1,19 @@
 """Rigorous numeric enclosures on top of exact rational intervals.
 
 Rational quantities stay exact as long as possible; only logarithms force a
-move to finite precision. Those are evaluated with mpmath and then widened
-by a generous slack (hundreds of ulps), so every Approx produced here is a
-true enclosure and comparisons between disjoint enclosures are certified.
-A log's rational argument, a Fraction or an unreduced integer pair, is
-rounded to the working precision by mpmath's own `from_rational`, as
-`mpmathify` rounds it, and is never reduced by a gcd.
+move to finite precision. A log is bracketed in pure integers by the atanh
+series with a log 2 reduction (Brent & Zimmermann, Modern Computer
+Arithmetic, 2010, sec. 4.4), whose error the code counts, and then widened
+by a generous margin, so every Approx produced here is a true enclosure and
+comparisons between disjoint enclosures are certified.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Tuple
-
-import mpmath
-from mpmath.libmp import from_rational
 
 from .errors import ContractViolationError
 
@@ -79,46 +76,74 @@ class Approx:
         return self.lo <= v <= self.hi
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        if exp == 0:
-            return Fraction(0)
-        raise ValueError("non-finite value in enclosure")
-    v = Fraction(man) * Fraction(2) ** exp
-    return -v if sign else v
-
-
 def _ratio(x) -> Tuple[int, int]:
     """(p, q) of a Fraction or int; an integer pair (p, q > 0) as it is."""
     return x if isinstance(x, tuple) else (x.numerator, x.denominator)
 
 
-def _to_mpf(x: Tuple[int, int], prec: int):
-    """p / q rounded to `prec` bits as mpmathify(Fraction(p, q)) rounds it;
-    the division is correctly rounded, so p and q need no reduction."""
-    return mpmath.mp.make_mpf(from_rational(x[0], x[1], prec))
+def _atanh_floor(num: int, den: int, g: int) -> Tuple[int, int]:
+    """(s, e) with s <= 2^g atanh(num / den) <= s + e, 0 <= num / den <= 1/3.
+
+    Flooring z = num / den to g bits moves atanh(z) by at most 9/8 of a
+    unit. The odd powers of z, floored as they are formed, stay under 3/2
+    of a unit low, so each floored term z^(2j+1)/(2j+1) is under 4 low;
+    once a power floors to 0, the tail is under 3.
+    """
+    z = (num << g) // den
+    z2 = (z * z) >> g
+    s, t, j = 0, z, 1
+    while t:
+        s += t // j
+        t = (t * z2) >> g
+        j += 2
+    return s, 4 * (j // 2) + 3 + 2  # 2 > 9/8 for z's floor
+
+
+@lru_cache(maxsize=64)
+def _atanh_third(g: int) -> Tuple[int, int]:
+    """_atanh_floor(1, 3, g), cached: log 2 = 2 atanh(1/3)."""
+    return _atanh_floor(1, 3, g)
+
+
+def _log_bracket(p: int, q: int, g: int) -> Tuple[int, int]:
+    """Integers L <= 2^g log(p / q) <= H for integers p, q > 0.
+
+    p / q = 2^k y with y in [1, 2), k read from the value, so an unreduced
+    pair and its Fraction give the same bracket; then log(p / q) =
+    2 atanh(z) + 2 k atanh(1/3) with z = (y - 1)/(y + 1) in [0, 1/3).
+    """
+    k = p.bit_length() - q.bit_length()
+    P, Q = (p, q << k) if k >= 0 else (p << -k, q)
+    if P < Q:
+        P, k = P << 1, k - 1
+    s, e = _atanh_floor(P - Q, P + Q, g)
+    t, f = _atanh_third(g)
+    return (2 * (s + k * t + min(k, 0) * f),
+            2 * (s + e + k * t + max(k, 0) * f))
 
 
 def log_enclosure(lo, hi, prec: int = 128) -> Optional[Approx]:
     """Enclosure of {log x : x in [lo, hi]} for a positive rational interval.
 
-    Uses mpmath at `prec` bits and widens each endpoint by a slack of
-    roughly 2^(8-prec) relative, far beyond mpmath's actual rounding
-    error. Returns None when the interval touches the nonpositive axis,
-    signalling the caller to refine its inputs. Each endpoint is a Fraction
-    or an unreduced integer pair (p, q > 0): reducing a product of
-    thousands of bits by its gcd costs more than its logarithm.
+    Brackets each endpoint's log at prec + 32 bits, rounds the bracket
+    outward to multiples of 2^-prec and widens each end by a margin of
+    (|v| + 1) 2^(8-prec), far beyond the bracket's own width. Returns None
+    when the interval touches the nonpositive axis, signalling the caller
+    to refine its inputs. Each endpoint is a Fraction or an unreduced
+    integer pair (p, q > 0): reducing a product of thousands of bits by its
+    gcd costs more than its logarithm.
     """
     lo, hi = _ratio(lo), _ratio(hi)
     if lo[0] <= 0:
         return None
-    with mpmath.workprec(prec):
-        vlo = _mpf_to_fraction(mpmath.log(_to_mpf(lo, prec)))
-        vhi = vlo if hi == lo else _mpf_to_fraction(mpmath.log(_to_mpf(hi, prec)))
-    slack_lo = (abs(vlo) + 1) * Fraction(1, 2 ** (prec - 8))
-    slack_hi = (abs(vhi) + 1) * Fraction(1, 2 ** (prec - 8))
-    return Approx(vlo - slack_lo, vhi + slack_hi)
+    g = prec + 32
+    bot, top = _log_bracket(*lo, g)
+    top = top if hi == lo else _log_bracket(*hi, g)[1]
+    # a / 2^prec <= log lo and log hi <= b / 2^prec; each end then moves
+    # out by its margin (|v| + 1) 2^(8-prec), all over 2^(2 prec)
+    a, b, unit = bot >> 32, -(-top >> 32), 1 << prec
+    return Approx(Fraction((a << prec) - ((abs(a) + unit) << 8), unit * unit),
+                  Fraction((b << prec) + ((abs(b) + unit) << 8), unit * unit))
 
 
 def interval_divide(num: Tuple[Fraction, Fraction],

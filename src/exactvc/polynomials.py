@@ -210,17 +210,10 @@ class UniPoly:
                 terms.append(f"{c}*{self.var}^{k}")
         return "UniPoly(" + " + ".join(terms) + ")"
 
-    # -- calculus and substitution ----------------------------------------
+    # -- calculus ----------------------------------------------------------
 
     def derivative(self) -> "UniPoly":
         return UniPoly(int_derivative(self.ints), self.var, self.den)
-
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """Exact composition self(inner(x)); result uses inner's variable."""
-        acc = UniPoly.zero(inner.var)
-        for c in reversed(self.ints):
-            acc = acc * inner + c
-        return acc * Fraction(1, self.den)
 
     # -- division and normal forms ------------------------------------------
 
@@ -303,6 +296,26 @@ def int_sum(terms) -> List[int]:
 
 def int_derivative(cs: Sequence[int]) -> List[int]:
     return [k * c for k, c in enumerate(cs)][1:]
+
+
+def _common_denominator(x: Fraction, y: Fraction) -> Tuple[int, int, int]:
+    """(a, b, d) with x = a / d and y = b / d, d = lcm of the denominators."""
+    d = lcm(x.denominator, y.denominator)
+    return (x.numerator * (d // x.denominator),
+            y.numerator * (d // y.denominator), d)
+
+
+def int_on_interval(cs: Sequence[int], a: Fraction, b: Fraction) -> List[int]:
+    """Integer coefficients of a positive multiple of p(a + (b - a) x), for
+    the polynomial p with ascending integer coefficients cs."""
+    c0, c1, d = _common_denominator(a, b)
+    c1 -= c0
+    acc, dp = [cs[-1]], 1
+    for c in reversed(cs[:-1]):
+        dp *= d
+        acc = [x * c0 + y * c1 for x, y in zip(acc + [0], [0] + acc)]
+        acc[0] += c * dp
+    return acc
 
 
 def int_strip(cs: Sequence[int], f: Sequence[int],

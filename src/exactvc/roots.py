@@ -28,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 from typing import List, Sequence, Tuple
 
 from .errors import ContractViolationError, UndefinedInputError
-from .polynomials import (UniPoly, _int_primitive, _int_pseudo_rem,
-                          int_derivative, squarefree_part)
+from .polynomials import (UniPoly, _common_denominator, _int_primitive,
+                          _int_pseudo_rem, int_derivative, int_on_interval,
+                          squarefree_part)
 
 
 def sign(x: Fraction) -> int:
@@ -141,13 +141,6 @@ class RootInterval:
             raise ValueError("interval endpoints out of order")
         if self.sign_left not in (-1, 1) or self.sign_right not in (-1, 1):
             raise ValueError("endpoint signs must be -1 or +1")
-
-
-def _common_denominator(x: Fraction, y: Fraction) -> Tuple[int, int, int]:
-    """(a, b, d) with x = a / d and y = b / d, d = lcm of the denominators."""
-    d = lcm(x.denominator, y.denominator)
-    return (x.numerator * (d // x.denominator),
-            y.numerator * (d // y.denominator), d)
 
 
 def _bisect_to_width(q_int, lo: Fraction, hi: Fraction,
@@ -357,39 +350,6 @@ def _brackets(items: List[Tuple[Fraction, Fraction]],
     return out
 
 
-def _on_interval(q_int: Sequence[int], a: Fraction, b: Fraction) -> list:
-    """Integer coefficients of a positive multiple of q(a + (b - a) x)."""
-    c0, c1, d = _common_denominator(a, b)
-    c1 -= c0
-    acc = [q_int[-1]]
-    dp = 1
-    for c in reversed(q_int[:-1]):
-        dp *= d
-        acc = [x * c0 + y * c1 for x, y in zip(acc + [0], [0] + acc)]
-        acc[0] += c * dp
-    return acc
-
-
-def _roots_between(q_int: Sequence[int], a: Fraction, b: Fraction) -> int:
-    """Roots of a squarefree q in (a, b), counted up to 2.
-
-    Descartes counts on (a, b), bisected while a count is above 1; a split
-    point that is a root counts as one.
-    """
-    count = 0
-    todo = [(a, b)]
-    while todo and count < 2:
-        a, b = todo.pop()
-        v = _descartes_01(_on_interval(q_int, a, b))
-        if v < 2:
-            count += v
-            continue
-        m = (a + b) / 2
-        count += _sign_at(q_int, m) == 0
-        todo += [(a, m), (m, b)]
-    return count
-
-
 def isolate_real_roots(p: UniPoly, domain: str = "all",
                        max_width: Fraction = Fraction(1, 4),
                        count_negative: bool = False):
@@ -474,7 +434,7 @@ def refine_interval(p: UniPoly, iv: RootInterval,
         return iv
 
     if (_sign_at(q_int, iv.lo) == 0 or _sign_at(q_int, iv.hi) == 0
-            or _roots_between(q_int, iv.lo, iv.hi) != 1):
+            or len(_unit_roots(int_on_interval(q_int, iv.lo, iv.hi))) != 1):
         raise ContractViolationError(
             "interval is not a certified isolation for this polynomial")
 

@@ -39,7 +39,8 @@ from .errors import (
     NongenericDataError,
 )
 from .polynomials import (UniPoly, _int_primitive, _int_pseudo_rem, int_mul,
-                          int_strip, int_sum, rat, squarefree_part)
+                          int_on_interval, int_strip, int_sum, rat,
+                          squarefree_part)
 from .profilefit import _MAX_RANK_ROUNDS, _TIE_WIDTH_CAP, certified_argmax
 from .roots import RootInterval, isolate_real_roots, poly_range, refine_interval
 from .stats import exact_count
@@ -393,8 +394,9 @@ def eliminate_to_quartic(system: TwoWaySystem) -> TwoWayFitReport:
 
     presented = poly
     if system.model == "interaction" and poly.degree >= 1:
-        inner = UniPoly([system.omega_hat, Fraction(stats.n)], "tau12")
-        presented = poly.compose(inner).primitive()
+        oh = system.omega_hat
+        presented = UniPoly(int_on_interval(poly.ints, oh, oh + stats.n),
+                            "tau12").primitive()
     return TwoWayFitReport(
         model=system.model, mu=system.mu_hat, omega_hat=system.omega_hat,
         quartic=presented, eliminated=poly, observed_degree=poly.degree,

@@ -1,0 +1,65 @@
+"""The library runs on the standard library alone.
+
+mpmath is the tests' oracle for the logarithm brackets, never a runtime
+dependency: no module of src/exactvc imports anything outside the
+standard library and the package, and a process that imports the CLI and
+runs a one-way and a two-way fit never loads mpmath.
+"""
+
+import ast
+import glob
+import os
+import subprocess
+import sys
+
+from conftest import fixture_path
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def outside_imports(path):
+    """Top-level names of the absolute imports in one source file that are
+    not standard-library modules."""
+    with open(path) as f:
+        tree = ast.parse(f.read(), path)
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module)
+    return [n for n in names
+            if n.split(".")[0] not in sys.stdlib_module_names]
+
+
+def test_no_module_imports_a_dependency():
+    modules = sorted(glob.glob(os.path.join(SRC, "exactvc", "*.py")))
+    assert modules
+    offenders = {os.path.basename(path): outside_imports(path)
+                 for path in modules}
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_the_guard_sees_an_mpmath_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import os\nfrom . import x\nimport mpmath\n"
+                     "def f():\n    from mpmath.libmp import from_rational\n")
+    assert outside_imports(str(probe)) == ["mpmath", "mpmath.libmp"]
+
+
+def test_fits_never_load_mpmath():
+    script = f"""
+import contextlib, io, sys
+from exactvc.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["fit-oneway", "--method", "both",
+                   "--csv", {fixture_path("dyestuff.csv")!r}]),
+             main(["fit-twoway", "--stats",
+                   {fixture_path("penicillin.json")!r}])]
+print(codes, "mpmath" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[0,", "0]", "False"]

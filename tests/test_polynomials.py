@@ -20,6 +20,7 @@ from exactvc.polynomials import (
     descartes_sign_changes,
     int_linear_product,
     int_mul,
+    int_on_interval,
     int_strip,
     interpolate,
     poly_gcd,
@@ -94,16 +95,6 @@ def test_derivative_product_rule():
         lhs = (p * q).derivative()
         rhs = p.derivative() * q + p * q.derivative()
         assert lhs == rhs
-
-
-def test_compose_matches_evaluation():
-    rng = random.Random(11)
-    for _ in range(50):
-        p = rand_poly(rng, max_deg=4)
-        inner = rand_poly(rng, max_deg=3)
-        comp = p.compose(inner)
-        for x in (Fraction(-2), Fraction(0), Fraction(1, 2), Fraction(3)):
-            assert comp(x) == p(inner(x))
 
 
 def test_divmod_identity():
@@ -515,8 +506,7 @@ def test_unipoly_arithmetic_matches_the_fraction_oracle(a, b, c, x, k):
                (p * q, frac_mul(a, b)), (p * p, frac_mul(a, a)),
                (p * c, frac_mul(a, [c])), (c * p, frac_mul(a, [c])),
                (p + c, frac_add(a, [c])), (p ** k, power),
-               (-p, frac_add([], a, -1)), (p.derivative(), frac_derivative(a)),
-               (p.compose(q), frac_compose(a, b))]
+               (-p, frac_add([], a, -1)), (p.derivative(), frac_derivative(a))]
     for got, want in results:
         assert canonical(got)
         assert list(got.coeffs) == want
@@ -529,6 +519,22 @@ def test_unipoly_arithmetic_matches_the_fraction_oracle(a, b, c, x, k):
         assert prim.den == 1 and gcd(*prim.ints) == 1 and prim.ints[-1] > 0
         r = prim.leading_coeff() / p.leading_coeff()
         assert list(prim.coeffs) == frac_mul(a, [r])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(cs=hst.lists(hst.integers(-10 ** 40, 10 ** 40), min_size=1,
+                    max_size=7), a=RATIONALS, b=RATIONALS)
+def test_int_on_interval_matches_fraction_composition(cs, a, b):
+    # a positive multiple of p(a + (b - a) x), against Fraction Horner
+    got = int_on_interval(cs, a, b)
+    want = frac_trim(frac_compose(cs, [a, b - a]))
+    assert all(type(c) is int for c in got)
+    got = frac_trim([Fraction(c) for c in got])
+    if not want:
+        assert got == []
+        return
+    r = got[-1] / want[-1]
+    assert r > 0 and got == [r * c for c in want]
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

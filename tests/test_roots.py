@@ -21,13 +21,13 @@ from exactvc.oneway import ml_equation, reml_equation
 from exactvc.polynomials import (
     UniPoly,
     descartes_sign_changes,
+    int_on_interval,
     squarefree_part,
 )
 from exactvc.roots import (
     RootInterval,
     _bisect_to_width,
     _descartes_01,
-    _on_interval,
     cauchy_bound,
     count_roots_between,
     isolate_real_roots,
@@ -369,7 +369,7 @@ def test_refine_interval_subdivides_an_inconclusive_count():
     x = UniPoly([0, 1], "x")
     p = (3 * x - 1) * (x * x - x + Fraction(26, 100))
     q = p.primitive().integer_coeffs()
-    assert _descartes_01(_on_interval(q, Fraction(0), Fraction(1))) > 1
+    assert _descartes_01(int_on_interval(q, Fraction(0), Fraction(1))) > 1
     iv = refine_interval(p, RootInterval(Fraction(0), Fraction(1), -1, 1),
                          Fraction(1, 1000))
     assert iv.lo < Fraction(1, 3) < iv.hi and iv.width() <= Fraction(1, 1000)
