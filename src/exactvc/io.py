@@ -1,7 +1,9 @@
 """Exact ingestion of CSV and JSON inputs, deterministic JSON reports.
 
-Every numeric value is parsed as an exact rational: decimal literals go
-through Fraction so "1.25" is 5/4, never a binary float. Reports carry
+Every numeric value is parsed as an exact rational: one grammar, that of
+fractions.Fraction, reads each literal straight into an integer pair
+(n, d), so "1.25" is (125, 100), never a binary float, and the CSV
+loaders sum those integers over one common denominator. Reports carry
 each numeric field either as an exact "p/q" string or as a float with
 an explicit error bound that is rounded outward, so serialization never
 manufactures precision.
@@ -23,35 +25,62 @@ from .errors import InputError
 from .polynomials import UniPoly, descartes_sign_changes, rat
 from .profilefit import FitReport
 from .roots import RootInterval
-from .stats import GroupedData, OneWayStats, exact_count, summarize
-from .twoway import TwoWayFitReport, TwoWayStats, twoway_stats
+from .stats import OneWayStats, exact_count, summarize_ints
+from .twoway import TwoWayFitReport, TwoWayStats, twoway_stats_ints
 
 
 # Longer literals and JSON integers, or larger decimal exponents, are refused
-# before Fraction builds them: "1e3000000" is a 3-million-digit integer.
+# before they are built: "1e3000000" is a 3-million-digit integer.
 MAX_LITERAL_CHARS = 1000
 MAX_DECIMAL_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE][+-]?([0-9_]+)")
 _MAX_INT = 10 ** MAX_LITERAL_CHARS
+# The grammar of fractions.Fraction(str): sign, digits with _ separators
+# (any Unicode decimal digits), then /q, or a decimal point and exponent.
+_LITERAL = re.compile(r"([-+]?)(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*)"
+                      r"|(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)")
+
+
+def _refusal(text: str, too_large: bool = False) -> InputError:
+    if too_large or len(text) > MAX_LITERAL_CHARS or any(
+            int(e.replace("_", "") or 0) > MAX_DECIMAL_EXPONENT
+            for e in _EXPONENT.findall(text)):
+        return InputError(f"numeric literal too large: {text[:40]!r}")
+    return InputError(f"not a rational number: {text!r}")
+
+
+def _pair(text: str) -> tuple:
+    """(n, d) with d > 0 and n/d the value of the stripped literal text;
+    refused as parse_rational refuses it."""
+    if len(text) > MAX_LITERAL_CHARS or not (m := _LITERAL.fullmatch(text)):
+        raise _refusal(text)
+    sign, num, den, dec, exp = m.groups()
+    if den:
+        n, d = int(num), int(den)
+    elif dec:
+        n, d = int(num + dec), 10 ** (len(dec) - dec.count("_"))
+    else:
+        n, d = int(num), 1
+    e = int(exp or 0)
+    if abs(e) > MAX_DECIMAL_EXPONENT or not d:
+        raise _refusal(text, too_large=abs(e) > MAX_DECIMAL_EXPONENT)
+    if e:
+        n, d = (n * 10 ** e, d) if e > 0 else (n, d * 10 ** -e)
+    return (-n if sign == "-" else n), d
 
 
 def parse_rational(value) -> Fraction:
     """Exact rational from "p/q", integer, or decimal-literal input; a
     literal past MAX_LITERAL_CHARS or MAX_DECIMAL_EXPONENT is refused."""
+    if isinstance(value, str):
+        return Fraction(*_pair(value.strip()))
     if isinstance(value, bool):
         raise InputError(f"not a rational number: {value!r}")
     if isinstance(value, float):
         raise InputError(
             f"refusing inexact float {value!r}; write it as a string "
             "literal such as \"1.25\" or \"5/4\"")
-    if isinstance(value, str):
-        value = value.strip()
-        too_large = len(value) > MAX_LITERAL_CHARS or any(
-            int(e.replace("_", "") or 0) > MAX_DECIMAL_EXPONENT
-            for e in _EXPONENT.findall(value))
-    else:
-        too_large = isinstance(value, int) and abs(value) >= _MAX_INT
-    if too_large:
+    if isinstance(value, int) and abs(value) >= _MAX_INT:
         raise InputError(f"numeric literal too large: {str(value)[:40]!r}")
     try:
         return rat(value)
@@ -111,12 +140,14 @@ def load_oneway_csv(path: str) -> OneWayStats:
     header, body = _read_rows(path)
     if header != ONEWAY_HEADER:
         raise InputError(f"{path}: header must be exactly group,value")
-    groups: Dict[str, List[Fraction]] = {}
+    groups: Dict[str, List[tuple]] = {}
     for idx, row in enumerate(body, 2):
         if len(row) != 2:
             raise InputError(f"{path} line {idx}: expected 2 fields")
-        groups.setdefault(row[0], []).append(parse_rational(row[1]))
-    return summarize(GroupedData(tuple(tuple(v) for v in groups.values())))
+        groups.setdefault(row[0], []).append(_pair(row[1]))
+    s = math.lcm(*{d for g in groups.values() for _, d in g})
+    return summarize_ints(
+        [[n * (s // d) for n, d in g] for g in groups.values()], s)
 
 
 def load_covariates_csv(path: str, add_intercept: bool = False) -> DesignProblem:
@@ -153,14 +184,14 @@ def load_twoway_csv(path: str) -> TwoWayStats:
     header, body = _read_rows(path)
     if header != TWOWAY_HEADER:
         raise InputError(f"{path}: header must be exactly row,col,rep,value")
-    cells: Dict[tuple, Fraction] = {}
+    cells: Dict[tuple, tuple] = {}
     for idx, row in enumerate(body, 2):
         if len(row) != 4:
             raise InputError(f"{path} line {idx}: expected 4 fields")
         key = (row[0], row[1], row[2])
         if key in cells:
             raise InputError(f"{path} line {idx}: duplicate cell {key}")
-        cells[key] = parse_rational(row[3])
+        cells[key] = _pair(row[3])
     rows_ = sorted({k[0] for k in cells})
     cols = sorted({k[1] for k in cells})
     reps = sorted({k[2] for k in cells})
@@ -168,12 +199,10 @@ def load_twoway_csv(path: str) -> TwoWayStats:
         raise InputError(
             f"{path}: incomplete layout; {len(cells)} cells, expected "
             f"{len(rows_)}x{len(cols)}x{len(reps)}")
-    try:
-        array = [[[cells[(a, b, c)] for c in reps] for b in cols]
-                 for a in rows_]
-    except KeyError as exc:
-        raise InputError(f"{path}: missing cell {exc.args[0]}") from exc
-    return twoway_stats(array)
+    s = math.lcm(*{d for _, d in cells.values()})
+    x = {key: n * (s // d) for key, (n, d) in cells.items()}
+    return twoway_stats_ints(
+        [[[x[a, b, c] for c in reps] for b in cols] for a in rows_], s)
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,11 @@ def exact_count(value, what: str) -> int:
     raise InputError(f"{what} must hold integers, got {value!r:.60}")
 
 
+def as_fraction(value) -> Fraction:
+    """value itself when it is a Fraction, else rat(value)."""
+    return value if type(value) is Fraction else rat(value)
+
+
 def check_layout(groups: int, largest: int) -> None:
     """ModelAssumptionError unless the layout has two or more groups and
     one group of two or more observations: below either, the two variance
@@ -82,10 +87,10 @@ class OneWayStats:
             exact_count(n, "sizes") for n in self.sizes))
         object.__setattr__(self, "mults", tuple(
             exact_count(m, "mults") for m in self.mults))
-        object.__setattr__(self, "means", tuple(rat(v) for v in self.means))
+        object.__setattr__(self, "means", tuple(map(as_fraction, self.means)))
         object.__setattr__(self, "betweenSS",
-                           tuple(rat(v) for v in self.betweenSS))
-        object.__setattr__(self, "withinSS", rat(self.withinSS))
+                           tuple(map(as_fraction, self.betweenSS)))
+        object.__setattr__(self, "withinSS", as_fraction(self.withinSS))
         k = len(self.sizes)
         if k == 0:
             raise InputError("no size classes")
@@ -128,19 +133,27 @@ def summarize(data: GroupedData) -> OneWayStats:
     Groups of equal size share one size class; the class mean is the
     average of the per-group means, the between-group SS measures the
     spread of group means inside the class, and the within-group SS pools
-    squared deviations around each group's own mean.
-
-    Sums run on integers x = s v, s the lcm of the value denominators.
-    With S_g a group total and m groups of size n, mean = sum S_g / (nms),
-    betweenSS = (m sum S_g^2 - (sum S_g)^2) / (m n^2 s^2) and withinSS =
-    sum_n sum_g (n sum x^2 - S_g^2) / n / s^2, each built as one Fraction.
+    squared deviations around each group's own mean. The sums run in
+    summarize_ints on x = s v, s the lcm of the value denominators.
     """
     s = lcm(*{v.denominator for g in data.groups for v in g})
+    return summarize_ints(
+        [[v.numerator * (s // v.denominator) for v in g] for g in data.groups],
+        s)
+
+
+def summarize_ints(groups: Sequence[Sequence[int]], s: int) -> OneWayStats:
+    """summarize of nonempty groups of x / s, x integers, s > 0. With S_g a
+    group total and m groups of size n, mean = sum S_g / (nms), betweenSS =
+    (m sum S_g^2 - (sum S_g)^2) / (m n^2 s^2) and withinSS = sum_n sum_g
+    (n sum x^2 - S_g^2) / n / s^2, each built as one Fraction."""
+    if not groups:
+        raise InputError("no groups supplied")
+    check_layout(len(groups), max(map(len, groups)))
     by_size, sum_sq = {}, 0
-    for g in data.groups:
-        xs = [v.numerator * (s // v.denominator) for v in g]
+    for xs in groups:
         sum_sq += sum(x * x for x in xs)
-        by_size.setdefault(len(g), []).append(sum(xs))
+        by_size.setdefault(len(xs), []).append(sum(xs))
     classes = [(n, len(ts), sum(ts), sum(x * x for x in ts))
                for n, ts in sorted(by_size.items())]
     big_l = lcm(*by_size)   # withinSS's denominator over s^2

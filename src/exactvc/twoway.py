@@ -43,7 +43,7 @@ from .polynomials import (UniPoly, _int_primitive, _int_pseudo_rem, int_mul,
                           squarefree_part)
 from .profilefit import _MAX_RANK_ROUNDS, _TIE_WIDTH_CAP, certified_argmax
 from .roots import RootInterval, isolate_real_roots, poly_range, refine_interval
-from .stats import exact_count
+from .stats import as_fraction, exact_count
 
 VAR = "omega"
 
@@ -75,9 +75,10 @@ class TwoWayStats:
             object.__setattr__(self, name,
                                exact_count(getattr(self, name), name))
         for name in ("SSA", "SSB", "SSAB", "SSE"):
-            object.__setattr__(self, name, rat(getattr(self, name)))
+            object.__setattr__(self, name, as_fraction(getattr(self, name)))
         if self.grand_mean is not None:
-            object.__setattr__(self, "grand_mean", rat(self.grand_mean))
+            object.__setattr__(self, "grand_mean",
+                               as_fraction(self.grand_mean))
         if self.r < 2 or self.q < 2:
             raise ModelAssumptionError(
                 "both factors need at least two levels")
@@ -91,18 +92,8 @@ class TwoWayStats:
                 "SSE must vanish when there is a single replicate per cell")
 
 
-def twoway_stats(array: Sequence[Sequence[Sequence]]) -> TwoWayStats:
-    """Exact SS decomposition of a balanced r x q x n array.
-
-    array[i][j][k] is the k-th replicate in row level i and column level
-    j; all cells have the same size. SSA + SSB + SSAB + SSE equals the
-    total centered sum of squares. Sums run on integers x = s v, s the
-    lcm of the value denominators; with cell, row, column and grand
-    totals C, R, K, T and N = rqn, SSE = (n sum x^2 - sum C^2)/(n s^2),
-    SSA = (r sum R^2 - T^2)/(N s^2), SSB = (q sum K^2 - T^2)/(N s^2),
-    SSAB = (rq sum C^2 - r sum R^2 - q sum K^2 + T^2)/(N s^2) and
-    grand_mean = T/(N s), each built as one Fraction.
-    """
+def _layout(array) -> Tuple[int, int, int]:
+    """(r, q, n) of a balanced r x q x n array, r, q >= 2 and n >= 1."""
     r = len(array)
     if r == 0 or len(array[0]) == 0:
         raise InputError("empty layout")
@@ -114,16 +105,33 @@ def twoway_stats(array: Sequence[Sequence[Sequence]]) -> TwoWayStats:
         raise InputError("ragged layout: unequal cell sizes")
     if r < 2 or q < 2:
         raise ModelAssumptionError("both factors need at least two levels")
+    return r, q, n
 
+
+def twoway_stats(array: Sequence[Sequence[Sequence]]) -> TwoWayStats:
+    """Exact SS decomposition of a balanced r x q x n array.
+
+    array[i][j][k] is the k-th replicate in row level i and column level
+    j; all cells have the same size. SSA + SSB + SSAB + SSE equals the
+    total centered sum of squares. twoway_stats_ints sums x = s v, s the
+    lcm of the value denominators."""
+    _layout(array)
     y = [[[rat(v) for v in cell] for cell in row] for row in array]
     s = lcm(*{v.denominator for row in y for cell in row for v in cell})
-    sum_sq, totals = 0, []
-    for row in y:
-        totals.append([])
-        for cell in row:
-            xs = [v.numerator * (s // v.denominator) for v in cell]
-            sum_sq += sum(x * x for x in xs)
-            totals[-1].append(sum(xs))
+    return twoway_stats_ints(
+        [[[v.numerator * (s // v.denominator) for v in cell] for cell in row]
+         for row in y], s)
+
+
+def twoway_stats_ints(array, s: int) -> TwoWayStats:
+    """twoway_stats of the observations x / s, x integers, s > 0. With
+    cell, row, column and grand totals C, R, K, T and N = rqn, SSE =
+    (n sum x^2 - sum C^2)/(n s^2), SSA = (r sum R^2 - T^2)/(N s^2), SSB =
+    (q sum K^2 - T^2)/(N s^2), SSAB = (rq sum C^2 - r sum R^2 - q sum K^2
+    + T^2)/(N s^2) and grand_mean = T/(N s), each built as one Fraction."""
+    r, q, n = _layout(array)
+    sum_sq = sum(x * x for row in array for cell in row for x in cell)
+    totals = [[sum(cell) for cell in row] for row in array]
     t = sum(map(sum, totals))
     cell_sq = sum(c * c for row in totals for c in row)
     row_sq = sum(sum(row) ** 2 for row in totals)
