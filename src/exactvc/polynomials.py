@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd, lcm
+from operator import ne
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DivisibilityError, UndefinedInputError
@@ -468,6 +469,13 @@ def squarefree_part(p: UniPoly) -> UniPoly:
     return p.exact_divide(g).primitive()
 
 
+def int_sign_changes(cs: Sequence[int]) -> int:
+    """Number of strict sign alternations in an integer coefficient list,
+    zeros skipped."""
+    signs = [c > 0 for c in cs if c]
+    return sum(map(ne, signs, signs[1:]))
+
+
 def descartes_sign_changes(p: UniPoly) -> int:
     """Number of strict sign alternations in the coefficient sequence.
 
@@ -476,8 +484,7 @@ def descartes_sign_changes(p: UniPoly) -> int:
     """
     if p.is_zero():
         raise UndefinedInputError("sign changes of the zero polynomial")
-    signs = [c > 0 for c in p.ints if c != 0]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+    return int_sign_changes(p.ints)
 
 
 def int_linear_product(sizes: Iterable[int]) -> list:

@@ -114,7 +114,9 @@ class FitReport:
     global_estimates: Estimates
     sign_changes: int
     tie: bool = False
-    negative_roots: int = 0     # diagnostic only; domain of interest is [0, inf)
+    # distinct roots below 0, counted (not isolated) by continued
+    # fractions; diagnostic only, the domain of interest is [0, inf)
+    negative_roots: int = 0
 
 
 @dataclass(frozen=True)

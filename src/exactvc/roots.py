@@ -19,6 +19,15 @@ grid of the bisection it replaces: it returns the interval bisection
 would, moves only to a subinterval across which q changes sign, and so
 keeps the certificate.
 
+The number of negative roots, a diagnostic of the nonnegative domain, is
+counted without isolating them (`_count_positive_roots` on q(-x)), by
+Vincent-Akritas-Strzebonski continued fractions. The same certificate
+stands behind each count: a node is q under a Moebius map of (0, inf)
+onto an open interval, and a node's Descartes count of 0 or 1 is its
+number of roots. Vincent's theorem guarantees that the expansion of a
+squarefree polynomial reaches such nodes everywhere, so the count
+terminates. The count is never refined and no interval is built for it.
+
 `sturm_chain` and `count_roots_between` are an independent root counter
 kept for cross-checks; isolation and refinement do not use them.
 """
@@ -28,12 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import ContractViolationError, UndefinedInputError
 from .polynomials import (UniPoly, _common_denominator, _int_primitive,
                           _int_pseudo_rem, int_derivative, int_on_interval,
-                          squarefree_part)
+                          int_sign_changes, squarefree_part)
 
 
 def sign(x: Fraction) -> int:
@@ -302,13 +311,14 @@ def _dyadic(m: int, e: int) -> Fraction:
     return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
-def _positive_roots(q_int: Sequence[int]) -> List[Tuple[Fraction, Fraction]]:
-    """Sorted isolating items for the positive roots of a squarefree
-    integer polynomial; (m, m) is an exact root m.
+def _root_bound_exp(q_int: Sequence[int]) -> Optional[int]:
+    """k with every positive root of a nonconstant integer polynomial
+    below 2^k, or None when no coefficient has the sign opposite to the
+    leading one, so that there is no positive root.
 
     Positive roots lie below 2 max |a_(n-i) / a_n|^(1/i) over the
     coefficients of sign opposite to a_n (Kioustelidis' bound), taken here
-    as a power of 2, 2^k, so q(2^k x) has its positive roots in (0, 1).
+    as a power of 2.
     """
     n = len(q_int) - 1
     lc = q_int[-1]
@@ -319,15 +329,81 @@ def _positive_roots(q_int: Sequence[int]) -> List[Tuple[Fraction, Fraction]]:
             # ceil((bits(c) - bits(lc) + 1) / i) bounds log2 |c / lc|^(1/i)
             e = -((lc.bit_length() - c.bit_length() - 1) // i)
             k = e if k is None else max(k, e)
+    return None if k is None else k + 1
+
+
+def _positive_roots(q_int: Sequence[int]) -> List[Tuple[Fraction, Fraction]]:
+    """Sorted isolating items for the positive roots of a squarefree
+    integer polynomial; (m, m) is an exact root m.
+
+    With 2^k the root bound of `_root_bound_exp`, q(2^k x) has its
+    positive roots in (0, 1).
+    """
+    k = _root_bound_exp(q_int)
     if k is None:
         return []
-    k += 1
+    n = len(q_int) - 1
     if k >= 0:
         scaled = [c << (k * i) for i, c in enumerate(q_int)]
     else:
         scaled = [c << (-k * (n - i)) for i, c in enumerate(q_int)]
     return sorted((_dyadic(lo, k - j), _dyadic(hi, k - j))
                   for lo, hi, j in _unit_roots(scaled))
+
+
+def _count_positive_roots(q_int: Sequence[int]) -> int:
+    """Number of positive roots of a squarefree integer polynomial.
+
+    Continued fractions (Vincent-Akritas-Strzebonski; Akritas, Strzebonski
+    & Vigklas, Nonlinear Analysis: Modelling and Control 13, 2008), with
+    no interval built. A node is a polynomial p, p(0) != 0, whose positive
+    roots correspond one to one to the roots of q in one open interval;
+    the first node is q with a root at 0 divided out. With V the sign
+    variations of p, V = 0 and V = 1 are leaves holding that many roots.
+    Otherwise, when the strict root bound 2^-e of the reversed polynomial
+    shows that no root of p lies in (0, 2^e] for some e >= 0, p moves to
+    p(x + 2^e). Then p splits at 1 into p(x + 1), for the roots above 1,
+    and (1 + x)^n p(1 / (1 + x)), for those in (0, 1); a root at exactly
+    1 is counted once and divided out of both. Budan's theorem bounds the
+    roots in (0, 1) by b = V(p) - V(p(x + 1)) - [p(1) = 0], with the same
+    parity, so b = 0 and b = 1 settle that branch without building it.
+    """
+    p = list(q_int)
+    if not p[0]:
+        p = p[1:]
+    count = 0
+    todo = [(p, int_sign_changes(p))]
+    while todo:
+        p, v = todo.pop()
+        if v < 2:
+            count += v
+            continue
+        k = _root_bound_exp(p[::-1])
+        if k <= 0:
+            # p(x + 2^e) = t(x / 2^e) with t(x) = p(2^e (x + 1))
+            e = -k
+            t = _taylor_shift1([c << (e * i) for i, c in enumerate(p)])
+            p = [c >> (e * i) for i, c in enumerate(t)]
+            v = int_sign_changes(p)
+            if v < 2:
+                count += v
+                continue
+        right = _taylor_shift1(p)
+        at_one = not right[0]
+        if at_one:
+            count += 1
+            right = right[1:]
+        v_right = int_sign_changes(right)
+        todo.append((right, v_right))
+        budan = v - v_right - at_one
+        if budan == 1:
+            count += 1
+        elif budan:
+            left = _taylor_shift1(p[::-1])
+            if at_one:
+                left = left[1:]
+            todo.append((left, int_sign_changes(left)))
+    return count
 
 
 def _brackets(items: List[Tuple[Fraction, Fraction]],
@@ -360,7 +436,8 @@ def isolate_real_roots(p: UniPoly, domain: str = "all",
         domain: "all" for the whole line, "nonnegative" for [0, inf).
         max_width: each returned interval is tightened below this width.
         count_negative: also return the number of distinct negative
-            roots, isolated in the same pass but not refined.
+            roots, counted by `_count_positive_roots` and never isolated;
+            only with domain "nonnegative" (ValueError otherwise).
 
     Returns:
         Disjoint RootIntervals, one per distinct root, sorted by position;
@@ -374,13 +451,16 @@ def isolate_real_roots(p: UniPoly, domain: str = "all",
         raise UndefinedInputError("cannot isolate roots of the zero polynomial")
     if domain not in ("all", "nonnegative"):
         raise ValueError(f"unknown domain {domain!r}")
+    if count_negative and domain == "all":
+        raise ValueError("count_negative needs domain='nonnegative'; "
+                         "domain='all' returns the negative roots")
     q_int = squarefree_part(p).ints
     deg = len(q_int) - 1
     positive = negative = []
+    reflected = [-c if i % 2 else c for i, c in enumerate(q_int)]
     if deg > 0:
         positive = _positive_roots(q_int)
-        if domain == "all" or count_negative:
-            reflected = [-c if i % 2 else c for i, c in enumerate(q_int)]
+        if domain == "all":
             negative = [(-hi, -lo)
                         for lo, hi in reversed(_positive_roots(reflected))]
     zero = [(Fraction(0), Fraction(0))] if deg > 0 and q_int[0] == 0 else []
@@ -401,7 +481,7 @@ def isolate_real_roots(p: UniPoly, domain: str = "all",
         results.append(RootInterval(
             a, b, _sign_at(q_int, a), _sign_at(q_int, b)))
     if count_negative:
-        return results, len(negative)
+        return results, _count_positive_roots(reflected)
     return results
 
 

@@ -190,6 +190,18 @@ def random_oneway_stats(rng: random.Random, max_q: int = 10,
         return OneWayStats(tuple(sizes), tuple(mults), means, between, within)
 
 
+def ladder_stats(rng: random.Random, M: int) -> OneWayStats:
+    """The benchmark's one-way ladder: sizes 2, ..., M + 1, every second
+    size shared by two groups, two-decimal values drawn from rng."""
+    mults = tuple(1 + (i % 2) for i in range(M))
+    return OneWayStats(
+        tuple(range(2, M + 2)), mults,
+        tuple(Fraction(rng.randrange(-5000, 5000), 100) for _ in range(M)),
+        tuple(Fraction(rng.randrange(100, 50000), 100) if m >= 2
+              else Fraction(0) for m in mults),
+        Fraction(rng.randrange(10000, 100000), 100))
+
+
 # -- the paper's closed forms ------------------------------------------------
 #
 # The one-way stationarity numerators as the paper writes them, from a

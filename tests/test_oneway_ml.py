@@ -10,6 +10,7 @@ from conftest import (
     closed_forms,
     divides,
     fixture_path,
+    ladder_stats,
     load_stats_fixture,
     random_oneway_stats,
 )
@@ -19,6 +20,7 @@ from exactvc.oneway import (
     gls_profile,
     ml_equation,
     ml_fit,
+    reml_fit,
 )
 from exactvc.polynomials import UniPoly, descartes_sign_changes, poly_gcd
 from exactvc.profilefit import profile_estimates, profile_value, theta_pair
@@ -234,7 +236,15 @@ def test_boundary_fixture_ml_at_zero():
     assert rep.stationary_points == ()
     assert rep.boundary_is_max
     assert rep.global_estimates.theta == 0
-    assert rep.negative_roots > 0
+    assert rep.negative_roots == 4
+
+
+@pytest.mark.parametrize("M", [6, 8, 10, 12, 24, 32])
+def test_ladder_negative_root_counts(M):
+    # the benchmark ladder: ML has M/2 negative roots, REML none
+    s = ladder_stats(random.Random(f"x{M}"), M)
+    assert ml_fit(s).negative_roots == M // 2
+    assert reml_fit(s).negative_roots == 0
 
 
 # -- estimates ---------------------------------------------------------------

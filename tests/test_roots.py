@@ -1,7 +1,8 @@
 """Tests for Descartes-certified root isolation and refinement.
 
 Isolation and refinement certify with Descartes counts on Moebius-mapped
-intervals: 0 or 1 sign variation proves 0 or 1 root in the interval. They
+intervals: 0 or 1 sign variation proves 0 or 1 root in the interval; the
+continued-fraction count of negative roots rests on the same counts. They
 work on the squarefree part, whose squarefreeness is proven when gcd(p, p')
 mod a prime dividing neither leading coefficient has degree 0. These tests
 check the results against two independent oracles: the Sturm counter kept
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from conftest import bisect_to_width_reference, poly_range_reference, product
+from conftest import (bisect_to_width_reference, ladder_stats,
+                      poly_range_reference, product)
 from exactvc.errors import ContractViolationError, UndefinedInputError
 from exactvc.oneway import ml_equation, reml_equation
 from exactvc.polynomials import (
@@ -27,6 +29,7 @@ from exactvc.polynomials import (
 from exactvc.roots import (
     RootInterval,
     _bisect_to_width,
+    _count_positive_roots,
     _descartes_01,
     cauchy_bound,
     count_roots_between,
@@ -36,7 +39,9 @@ from exactvc.roots import (
     sign,
     sturm_chain,
 )
-from exactvc.stats import OneWayStats
+
+
+_X = UniPoly([0, 1], "x")
 
 
 def poly_with_roots(roots, var="x"):
@@ -89,6 +94,13 @@ def test_isolate_handles_root_at_zero():
 def test_isolate_no_nonnegative_roots():
     p = poly_with_roots([-1, Fraction(-5, 2)])
     assert isolate_real_roots(p, domain="nonnegative") == []
+
+
+def test_count_negative_needs_the_nonnegative_domain():
+    # the whole-line domain returns the negative roots themselves
+    p = poly_with_roots([-1, 2])
+    with pytest.raises(ValueError):
+        isolate_real_roots(p, domain="all", count_negative=True)
 
 
 def test_isolate_squarefree_reduction():
@@ -272,7 +284,7 @@ def assert_matches_oracles(sympy, p: UniPoly):
         for a, b in expected:
             eps = min((iv.width() for iv in ivs if not iv.is_point()),
                       default=Fraction(1)) / 4
-            for _ in range(40):
+            for _ in range(300):
                 fa, fb = _frac(a), _frac(b)
                 if any(_inside(iv, fa, fb) for iv in ivs):
                     break
@@ -287,6 +299,7 @@ def assert_matches_oracles(sympy, p: UniPoly):
                                        count_negative=True)
     assert ivs == isolate_real_roots(p, domain="nonnegative")
     assert negative == sum(1 for a, _ in oracle if a < 0)
+    assert _count_positive_roots(q.ints) == sum(1 for _, b in oracle if b > 0)
 
 
 def test_differential_random_integer_polynomials(sympy):
@@ -334,22 +347,68 @@ def test_differential_repeated_factors(sympy):
         assert_matches_oracles(sympy, p * x ** rng.randrange(0, 3))
 
 
-def _ladder_stats(rng: random.Random, M: int) -> OneWayStats:
-    mults = tuple(1 + (i % 2) for i in range(M))
-    return OneWayStats(
-        tuple(range(2, M + 2)), mults,
-        tuple(Fraction(rng.randrange(-5000, 5000), 100) for _ in range(M)),
-        tuple(Fraction(rng.randrange(100, 50000), 100) if m >= 2
-              else Fraction(0) for m in mults),
-        Fraction(rng.randrange(10000, 100000), 100))
-
-
 def test_differential_profile_numerators(sympy):
     rng = random.Random(407)
     for M in range(6, 13):
-        stats = _ladder_stats(rng, M)
+        stats = ladder_stats(rng, M)
         for build in (ml_equation, reml_equation):
             assert_matches_oracles(sympy, build(stats).numerator)
+
+
+@hst.composite
+def negative_side_polys(draw):
+    """Squarefree integer polynomials that stress the negative-root count:
+    real roots and complex pairs clustered beside the poles -1/n, exact
+    roots at -1, -2^k and -1 - 2^-k (the counter's split points on
+    q(-x)) and at 0, a Mignotte-type close pair, and 1,000-bit
+    coefficients."""
+    x = _X
+    p = UniPoly([draw(hst.integers(-30, 30))
+                 for _ in range(draw(hst.integers(1, 4)))], "x")
+    if p.is_zero():
+        p = UniPoly.constant(1, "x")
+    for _ in range(draw(hst.integers(1, 4))):
+        kind = draw(hst.sampled_from(
+            ("cluster", "complex", "split", "mignotte", "wide")))
+        n = draw(hst.integers(2, 64))
+        b = draw(hst.integers(4, 64))
+        if kind == "cluster":
+            # a root -1/n + j / (n 2^b), a few of them per pole
+            for j in draw(hst.sets(hst.integers(-3, 3), min_size=1,
+                                   max_size=3)):
+                p = p * (n * 2 ** b * x + 2 ** b - j)
+        elif kind == "complex":
+            # the pair -1/n +- i / (n 2^b)
+            p = p * ((n * x + 1) ** 2 * 4 ** b + 1)
+        elif kind == "split":
+            k = draw(hst.integers(0, 12))
+            root = draw(hst.sampled_from(
+                (Fraction(-1), Fraction(-2 ** k), -1 - Fraction(1, 2 ** k),
+                 Fraction(0))))
+            p = p * (root.denominator * x - root.numerator)
+        elif kind == "mignotte":
+            # x^m - 2 (a x - 1)^2 at -x: two roots within a^(-m/2) of -1/a
+            m, a = draw(hst.integers(3, 9)), draw(hst.integers(2, 100))
+            p = p * ((-x) ** m - 2 * (a * x + 1) ** 2)
+        else:
+            big = hst.integers(-2 ** 1000, 2 ** 1000)
+            wide = UniPoly([draw(big) for _ in range(draw(hst.integers(2, 4)))],
+                           "x")
+            if wide.degree >= 1:
+                p = p * wide
+    if p.degree < 1:
+        p = p * (x + 1)
+    return squarefree_part(p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(p=negative_side_polys())
+@example(p=_X * (_X + 1) * (2 * _X + 1) * (3 * _X + 1) * (_X + 2))
+@example(p=(_X + 1) * (_X + 4) * (_X + 8) * (4 * _X + 5) * (8 * _X + 9))
+@example(p=((65 * _X + 1) ** 2 * 2 ** 400 + 1) * (64 * _X + 1)
+         * (2 ** 200 * (64 * _X + 1) + 1))
+def test_differential_negative_side(p):
+    assert_matches_oracles(pytest.importorskip("sympy"), p)
 
 
 def test_refine_interval_matches_sturm_on_dyadic_split():
@@ -406,9 +465,6 @@ WIDTHS = hst.one_of(
     hst.tuples(hst.integers(1, 10 ** 6), hst.integers(1, 10 ** 80)).map(
         lambda t: Fraction(*t)),
 )
-
-_X = UniPoly([0, 1], "x")
-
 
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(p=squarefree_polys(), width=WIDTHS, coarse=WIDTHS)
