@@ -111,17 +111,18 @@ def _run_fit_oneway(args) -> int:
         raise InputError("refine width must be positive")
     if args.emit_poly and args.method == "both":
         raise InputError("--emit-poly requires a single method, not both")
-    if not args.csv:
+    kind = xio.detect_csv_kind(args.csv) if args.csv else "stats"
+    if kind == "twoway":
+        raise InputError(f"{args.csv}: two-way CSV given to fit-oneway")
+    if args.add_intercept and kind != "covariates":
+        raise InputError("--add-intercept applies only to a covariates CSV")
+    if kind == "stats":
         subject = xio.load_oneway_stats_json(args.stats)
+    elif kind == "oneway":
+        subject = xio.load_oneway_csv(args.csv)
     else:
-        kind = xio.detect_csv_kind(args.csv)
-        if kind == "oneway":
-            subject = xio.load_oneway_csv(args.csv)
-        elif kind == "covariates":
-            subject = xio.load_covariates_csv(
-                args.csv, add_intercept=args.add_intercept)
-        else:
-            raise InputError(f"{args.csv}: two-way CSV given to fit-oneway")
+        subject = xio.load_covariates_csv(
+            args.csv, add_intercept=args.add_intercept)
     module = oneway if isinstance(subject, OneWayStats) else cov
     prof = module.gls_profile(subject)
     fits = {m: profile_fit(prof, m, width) for m in _methods(args.method)}

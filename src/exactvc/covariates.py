@@ -28,7 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import (
     ContractViolationError,
     InputError,
-    ModelAssumptionError,
     RankDeficiencyError,
 )
 from .polynomials import UniPoly, int_linear_product, interpolate, rat
@@ -39,7 +38,7 @@ from .profilefit import (
     profile_equation,
     profile_fit,
 )
-from .stats import exact_count
+from .stats import check_layout, exact_count
 
 VAR = "theta"
 
@@ -94,14 +93,7 @@ class DesignProblem:
         p = len(x[0])
         if p == 0 or any(len(row) != p for row in x):
             raise InputError("covariate rows must share one positive width")
-        if len(gs) < 2:
-            raise ModelAssumptionError(
-                "at least two groups are required to separate the variance "
-                "components")
-        if max(gs) < 2:
-            raise ModelAssumptionError(
-                "every group is a singleton; the within-group variance is "
-                "not estimable")
+        check_layout(len(gs), max(gs))
         if p >= len(y):
             raise RankDeficiencyError(
                 "design has at least as many columns as observations")

@@ -300,13 +300,13 @@ def theta_pair(theta: Theta) -> Tuple[Fraction, Fraction]:
     return t, t
 
 
-def enclose_at(fn: Callable, theta: Theta, poly: Optional[UniPoly]):
+def enclose_at(fn: Callable, theta: Theta):
     """(theta, fn(lo, hi)), narrowing theta while fn returns None.
 
     fn returns None when its rational-interval step degenerates; an
-    isolating interval is then refined 32x against poly, the polynomial it
-    isolates a root of. An exact theta cannot be narrowed, so a None there
-    is a broken contract, as is a None after _MAX_RETRIES refinements.
+    isolating interval is then refined 32x against the polynomial it
+    carries. An exact theta cannot be narrowed, so a None there is a
+    broken contract, as is a None after _MAX_RETRIES refinements.
     """
     for _ in range(_MAX_RETRIES):
         out = fn(*theta_pair(theta))
@@ -315,7 +315,7 @@ def enclose_at(fn: Callable, theta: Theta, poly: Optional[UniPoly]):
         if not isinstance(theta, RootInterval) or theta.is_point():
             raise ContractViolationError(
                 "enclosure failed at an exact theta")
-        theta = refine_interval(poly, theta, theta.width() / 32)
+        theta = refine_interval(theta, theta.width() / 32)
     raise ContractViolationError("enclosures did not converge")
 
 
@@ -328,8 +328,7 @@ def _leader(thetas: Sequence[Theta], encl: Sequence[Approx]):
                   if i == best or e.hi >= encl[best].lo]
 
 
-def certified_argmax(thetas: Sequence[Theta], poly: UniPoly,
-                     loglik: LoglikFn):
+def certified_argmax(thetas: Sequence[Theta], loglik: LoglikFn):
     """Certify which theta carries the greatest objective value.
 
     Each round encloses the objective at every theta, at a log precision
@@ -338,10 +337,11 @@ def certified_argmax(thetas: Sequence[Theta], poly: UniPoly,
     still overlapping the leader is refined 32x, down to _TIE_WIDTH_CAP.
     After _MAX_RANK_ROUNDS rounds, or once nothing is left to refine and
     the precision is past 1200 bits, the overlap is reported as a tie.
+    Each interval is refined against its own polynomial, so candidates
+    isolated from different equations rank together.
 
     Args:
-        thetas: isolating intervals of roots of poly, or exact rationals.
-        poly: the polynomial the intervals isolate roots of.
+        thetas: isolating intervals, or exact rationals.
         loglik: (theta_lo, theta_hi, prec) -> objective enclosure, or None
             when theta must be narrowed first.
 
@@ -356,7 +356,7 @@ def certified_argmax(thetas: Sequence[Theta], poly: UniPoly,
     for _ in range(_MAX_RANK_ROUNDS):
         for i, theta in enumerate(thetas):
             thetas[i], encl[i] = enclose_at(
-                lambda lo, hi: loglik(lo, hi, prec), theta, poly)
+                lambda lo, hi: loglik(lo, hi, prec), theta)
         best, tied = _leader(thetas, encl)
         if tied == [best]:
             return thetas, encl, best, []
@@ -366,7 +366,7 @@ def certified_argmax(thetas: Sequence[Theta], poly: UniPoly,
             if (isinstance(theta, RootInterval) and not theta.is_point()
                     and theta.width() > _TIE_WIDTH_CAP):
                 thetas[i] = refine_interval(
-                    poly, theta, max(theta.width() / 32, _TIE_WIDTH_CAP))
+                    theta, max(theta.width() / 32, _TIE_WIDTH_CAP))
                 stuck = False
         prec += 96
         if stuck and prec > 1200:
@@ -375,11 +375,10 @@ def certified_argmax(thetas: Sequence[Theta], poly: UniPoly,
     return thetas, encl, best, tied
 
 
-def certified_estimates(theta: Theta, poly: Optional[UniPoly],
-                        loglik: LoglikFn, values: ValuesFn,
+def certified_estimates(theta: Theta, loglik: LoglikFn, values: ValuesFn,
                         prec: int = 256) -> Estimates:
-    """Estimates at theta, narrowing an isolating interval against poly
-    until the objective and every value have a certified enclosure."""
+    """Estimates at theta, narrowing an isolating interval until the
+    objective and every value have a certified enclosure."""
     if not isinstance(theta, RootInterval):
         theta = Fraction(theta)
 
@@ -387,7 +386,7 @@ def certified_estimates(theta: Theta, poly: Optional[UniPoly],
         ll, vals = loglik(lo, hi, prec), values(lo, hi)
         return None if ll is None or vals is None else (ll, vals)
 
-    theta, (ll, (mu, kappa, beta)) = enclose_at(both, theta, poly)
+    theta, (ll, (mu, kappa, beta)) = enclose_at(both, theta)
     omega = kappa.reciprocal()
     return Estimates(theta=theta, mu=mu, kappa=kappa, omega=omega,
                      tau=Approx(*theta_pair(theta)) * omega, loglik=ll,
@@ -405,15 +404,13 @@ def fit_profile(eq: ProfileEquation, loglik: LoglikFn, values: ValuesFn,
             narrower theta interval is needed.
         values: (theta_lo, theta_hi) -> (mu, kappa, beta) enclosures, or
             None likewise.
-        refine_width: width to which reported root intervals are refined.
+        refine_width: positive width to which reported root intervals
+            are refined (isolate_real_roots refuses any other).
 
     Returns:
         FitReport with every nonnegative root classified and the global
         optimum certified (or tie-flagged at the effort cap).
     """
-    refine_width = Fraction(refine_width)
-    if refine_width <= 0:
-        raise ValueError("refine_width must be positive")
     num = eq.numerator
     ivs, n_negative = isolate_real_roots(
         num, domain="nonnegative", max_width=refine_width, count_negative=True)
@@ -433,7 +430,7 @@ def fit_profile(eq: ProfileEquation, loglik: LoglikFn, values: ValuesFn,
     # no supremum at theta -> inf (orientation): a lone candidate is global
     best, tied = 0, []
     if len(thetas) > 1:
-        thetas, _, best, tied = certified_argmax(thetas, num, loglik)
+        thetas, _, best, tied = certified_argmax(thetas, loglik)
 
     # fold ranking-driven refinements back into the reported intervals
     ivs = list(ivs)
@@ -446,7 +443,7 @@ def fit_profile(eq: ProfileEquation, loglik: LoglikFn, values: ValuesFn,
         equation=eq,
         stationary_points=tuple(zip(ivs, labels)),
         boundary_is_max=not isinstance(winner, RootInterval) and winner == 0,
-        global_estimates=certified_estimates(winner, num, loglik, values),
+        global_estimates=certified_estimates(winner, loglik, values),
         sign_changes=descartes_sign_changes(num),
         tie=bool(tied),
         negative_roots=n_negative)
@@ -529,17 +526,14 @@ def profile_fit(prof: ProfilePolys, method: str, refine_width) -> FitReport:
 def profile_estimates(prof: ProfilePolys, theta, method: str,
                       prec: int = 256) -> Estimates:
     """Estimates at an exact theta or an isolating interval of the method's
-    equation; only an interval builds the equation."""
+    equation, which is refined against its own polynomial when an
+    enclosure needs a narrower theta; no equation is built."""
     loglik, values = profile_objective(prof, method)
-    poly = (profile_equation(prof, method).numerator
-            if isinstance(theta, RootInterval) else None)
-    return certified_estimates(theta, poly, loglik, values, prec)
+    return certified_estimates(theta, loglik, values, prec)
 
 
 def profile_value(prof: ProfilePolys, theta, method: str,
                   prec: int = 256) -> Approx:
     """Enclosure of one method's objective at theta, as profile_estimates."""
     loglik, _ = profile_objective(prof, method)
-    poly = (profile_equation(prof, method).numerator
-            if isinstance(theta, RootInterval) else None)
-    return enclose_at(lambda lo, hi: loglik(lo, hi, prec), theta, poly)[1]
+    return enclose_at(lambda lo, hi: loglik(lo, hi, prec), theta)[1]

@@ -12,8 +12,10 @@ For an interval (a, b), let V be the number of sign variations in the
 coefficients of (1 + x)^n q((a + b x)/(1 + x)). V bounds the number of
 roots of q in (a, b) from above and has the same parity, so V = 0 proves
 that (a, b) holds no root and V = 1 proves that it holds exactly one.
-An interval returned here carries that proof: its endpoints are not
-roots, q changes sign across it, and it holds exactly one root.
+An interval returned here carries that proof, and the polynomial it was
+certified for (`RootInterval.poly`): its endpoints are not roots, q
+changes sign across it, and it holds exactly one root. Refinement reads
+the polynomial off the interval, so no caller passes it along.
 Refinement is quadratic interval refinement (Abbott 2006) on the dyadic
 grid of the bisection it replaces: it returns the interval bisection
 would, moves only to a subinterval across which q changes sign, and so
@@ -34,7 +36,7 @@ kept for cross-checks; isolation and refinement do not use them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
@@ -123,18 +125,18 @@ def count_roots_between(chain: List[List[int]], a: Fraction, b: Fraction) -> int
 
 @dataclass(frozen=True)
 class RootInterval:
-    """Isolating interval for one simple real root of a squarefree polynomial.
+    """Isolating interval for one simple real root of poly.
 
     A point interval (lo == hi) records an exact rational root; for a
     regular interval lo < hi and the enclosed root is strictly interior.
-    sign_left and sign_right are the signs of the squarefree polynomial
-    just left and just right of the root, so they always differ.
+    poly is the polynomial the interval was isolated for, the one
+    refine_interval certifies it against; it takes no part in equality,
+    hashing or repr, which see (lo, hi) only.
     """
 
     lo: Fraction
     hi: Fraction
-    sign_left: int              # -1 or +1
-    sign_right: int
+    poly: UniPoly = field(compare=False, repr=False)
 
     def is_point(self) -> bool:
         return self.lo == self.hi
@@ -148,8 +150,6 @@ class RootInterval:
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("interval endpoints out of order")
-        if self.sign_left not in (-1, 1) or self.sign_right not in (-1, 1):
-            raise ValueError("endpoint signs must be -1 or +1")
 
 
 def _bisect_to_width(q_int, lo: Fraction, hi: Fraction,
@@ -434,18 +434,19 @@ def isolate_real_roots(p: UniPoly, domain: str = "all",
     Args:
         p: nonzero polynomial; reduced to its squarefree part internally.
         domain: "all" for the whole line, "nonnegative" for [0, inf).
-        max_width: each returned interval is tightened below this width.
+        max_width: positive; each returned interval is tightened below
+            this width.
         count_negative: also return the number of distinct negative
             roots, counted by `_count_positive_roots` and never isolated;
             only with domain "nonnegative" (ValueError otherwise).
 
     Returns:
-        Disjoint RootIntervals, one per distinct root, sorted by position;
-        with count_negative, the pair (intervals, negative root count).
-        A root exactly at 0 is a degenerate point interval at 0 in the
-        nonnegative domain; every other interval, including one around a
-        dyadic root hit by a split point or a root at 0 in the whole-line
-        domain, has nonzero endpoint signs.
+        Disjoint RootIntervals of p, one per distinct root, sorted by
+        position; with count_negative, the pair (intervals, negative root
+        count). A root exactly at 0 is a degenerate point interval at 0 in
+        the nonnegative domain; every other interval, including one around
+        a dyadic root hit by a split point or a root at 0 in the
+        whole-line domain, has endpoints that are not roots of p.
     """
     if p.is_zero():
         raise UndefinedInputError("cannot isolate roots of the zero polynomial")
@@ -454,6 +455,9 @@ def isolate_real_roots(p: UniPoly, domain: str = "all",
     if count_negative and domain == "all":
         raise ValueError("count_negative needs domain='nonnegative'; "
                          "domain='all' returns the negative roots")
+    width = Fraction(max_width)
+    if width <= 0:
+        raise ValueError("max_width must be positive")
     q_int = squarefree_part(p).ints
     deg = len(q_int) - 1
     positive = negative = []
@@ -468,44 +472,39 @@ def isolate_real_roots(p: UniPoly, domain: str = "all",
     results: List[RootInterval] = []
     if domain == "nonnegative":
         if zero:
-            # theta * q(theta)/theta just right of 0 has the sign of q'(0)
-            s_right = 1 if q_int[1] > 0 else -1
-            results.append(RootInterval(
-                Fraction(0), Fraction(0), -s_right, s_right))
+            results.append(RootInterval(Fraction(0), Fraction(0), p))
         brackets = _brackets(positive, Fraction(0))
     else:
         brackets = _brackets(negative + zero + positive, None)
-    width = Fraction(max_width)
     for a, b in brackets:
-        a, b = _bisect_to_width(q_int, a, b, width)
-        results.append(RootInterval(
-            a, b, _sign_at(q_int, a), _sign_at(q_int, b)))
+        results.append(RootInterval(*_bisect_to_width(q_int, a, b, width), p))
     if count_negative:
         return results, _count_positive_roots(reflected)
     return results
 
 
-def refine_interval(p: UniPoly, iv: RootInterval,
-                    width: Fraction) -> RootInterval:
-    """Shrink a certified isolating interval to the requested width.
+def refine_interval(iv: RootInterval, width: Fraction) -> RootInterval:
+    """Shrink a certified isolating interval of iv.poly to the requested
+    width.
 
     Args:
-        p: the polynomial the interval was certified for.
-        iv: interval to refine.
+        iv: interval to refine; iv.poly is the polynomial it is certified
+            against.
         width: positive target width.
 
     Returns:
-        A nested RootInterval of width <= width containing the same root.
+        A nested RootInterval of iv.poly, of width <= width, containing
+        the same root.
 
     Raises:
         ContractViolationError: the interval does not certify exactly one
-            root of p's squarefree part (for example, an interval for a
-            different polynomial).
+            root of iv.poly's squarefree part (for example, a hand-built
+            interval around two roots or none).
     """
     width = Fraction(width)
     if width <= 0:
         raise ValueError("target width must be positive")
-    q_int = squarefree_part(p).ints
+    q_int = squarefree_part(iv.poly).ints
 
     if iv.is_point():
         if _sign_at(q_int, iv.lo) != 0:
@@ -519,7 +518,7 @@ def refine_interval(p: UniPoly, iv: RootInterval,
             "interval is not a certified isolation for this polynomial")
 
     lo, hi = _bisect_to_width(q_int, iv.lo, iv.hi, width)
-    return RootInterval(lo, hi, _sign_at(q_int, lo), _sign_at(q_int, hi))
+    return RootInterval(lo, hi, iv.poly)
 
 
 # ----------------------------------------------------------------------

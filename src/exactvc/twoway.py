@@ -458,7 +458,7 @@ def _loglik_box(system: TwoWaySystem, lo: Fraction, hi: Fraction,
     return total
 
 
-def _decide_nonneg(value_fn, iv: RootInterval, modulus: UniPoly,
+def _decide_nonneg(value_fn, iv: RootInterval,
                    strict: bool) -> Tuple[Optional[bool], RootInterval]:
     """Sign decision for a quantity over a shrinking root interval.
 
@@ -475,27 +475,26 @@ def _decide_nonneg(value_fn, iv: RootInterval, modulus: UniPoly,
             return (not strict), iv
         if iv.is_point() or iv.width() <= _TIE_WIDTH_CAP:
             break
-        iv = refine_interval(modulus, iv, iv.width() / 32)
+        iv = refine_interval(iv, iv.width() / 32)
     return None, iv
 
 
-def _build_solution(system: TwoWaySystem, iv: RootInterval, poly: UniPoly,
-                    t1: UniPoly, t2: UniPoly) -> TwoWaySolution:
+def _build_solution(system: TwoWaySystem, iv: RootInterval, t1: UniPoly,
+                    t2: UniPoly) -> TwoWaySolution:
     stats = system.stats
     decisions = []
     # the eliminated variable must be positive (w > 0 covers omega > 0)
-    dec, iv = _decide_nonneg(lambda j: (j.lo, j.hi), iv, poly, strict=True)
+    dec, iv = _decide_nonneg(lambda j: (j.lo, j.hi), iv, strict=True)
     decisions.append(dec)
     for tp in (t1, t2):
         dec, iv = _decide_nonneg(
-            lambda j, tp=tp: poly_range(tp, j.lo, j.hi), iv, poly,
-            strict=False)
+            lambda j, tp=tp: poly_range(tp, j.lo, j.hi), iv, strict=False)
         decisions.append(dec)
     tau12 = None
     if system.model == "interaction":
         oh = system.omega_hat
         dec, iv = _decide_nonneg(
-            lambda j: (j.lo - oh, j.hi - oh), iv, poly, strict=False)
+            lambda j: (j.lo - oh, j.hi - oh), iv, strict=False)
         decisions.append(dec)
         tau12 = (Approx(iv.lo, iv.hi) - Approx.exact(oh)).scale(
             Fraction(1, stats.n))
@@ -515,14 +514,14 @@ def _build_solution(system: TwoWaySystem, iv: RootInterval, poly: UniPoly,
 
 
 def _rank_feasible(system: TwoWaySystem, sols: List[TwoWaySolution],
-                   poly: UniPoly, t1: UniPoly,
-                   t2: UniPoly) -> Tuple[List[TwoWaySolution], Optional[int], bool]:
+                   t1: UniPoly, t2: UniPoly
+                   ) -> Tuple[List[TwoWaySolution], Optional[int], bool]:
     """Attach objective enclosures and pick the certified best index."""
     idxs = [i for i, s in enumerate(sols) if s.feasible]
     if not idxs:
         return sols, None, False
     ivs, encl, best, tied = certified_argmax(
-        [sols[i].var_value for i in idxs], poly,
+        [sols[i].var_value for i in idxs],
         lambda lo, hi, prec: _loglik_box(system, lo, hi, t1, t2, prec))
     for i, iv, e in zip(idxs, ivs, encl):
         sols[i] = replace(sols[i], var_value=iv, tau1=_tau_box(t1, iv),
@@ -557,8 +556,8 @@ def fit_twoway(stats: TwoWayStats, model: str = "additive",
     t1 = skeleton.tau1_relation.value_poly()
     t2 = skeleton.tau2_relation.value_poly()
     ivs = isolate_real_roots(poly, domain="all", max_width=refine_width)
-    sols = [_build_solution(system, iv, poly, t1, t2) for iv in ivs]
-    sols, best, tie = _rank_feasible(system, sols, poly, t1, t2)
+    sols = [_build_solution(system, iv, t1, t2) for iv in ivs]
+    sols, best, tie = _rank_feasible(system, sols, t1, t2)
     # boundary is only asserted when every stationary point is certifiably
     # infeasible; an undecided feasibility flag leaves it unset and marks
     # the fit tied instead

@@ -431,5 +431,5 @@ def test_criterion_9_language_diversity_dataset():
         roots = isolate_real_roots(eq.numerator, domain="nonnegative")
         roots = [iv for iv in roots if iv.hi > 0]
         assert len(roots) == 1
-        iv = refine_interval(eq.numerator, roots[0], Fraction(1, 10 ** 8))
+        iv = refine_interval(roots[0], Fraction(1, 10 ** 8))
         assert round(float(iv.midpoint()), 4) == pin

@@ -116,6 +116,20 @@ def test_emit_poly_needs_single_method(capsys):
     assert json.loads(out)["error"]["kind"] == "input"
 
 
+def test_add_intercept_needs_a_covariates_csv(tmp_path, capsys):
+    # statistics and a one-way CSV have no design to prepend a column to
+    oneway = tmp_path / "oneway.csv"
+    oneway.write_text("group,value\nA,1\nA,2\nB,3\nB,5\nC,7\n")
+    for source in (("--stats", fixture_path("trimodal.json")),
+                   ("--csv", str(oneway))):
+        code, out = run(capsys, "fit-oneway", *source, "--add-intercept")
+        assert code == 2
+        assert json.loads(out) == {"error": {
+            "kind": "input",
+            "message": "--add-intercept applies only to a covariates CSV"}}
+        assert run(capsys, "fit-oneway", *source)[0] == 0
+
+
 def test_byte_identical_reports(capsys):
     _, out1 = run(capsys, "fit-oneway", "--method", "both",
                   "--stats", fixture_path("trimodal.json"))

@@ -137,9 +137,12 @@ def test_design_validation():
     one = Fraction(1)
     with pytest.raises(InputError):
         DesignProblem((one,), ((one,),), (2,))
-    with pytest.raises(ModelAssumptionError):
+    # the one-way layout rule (stats.check_layout), with its messages
+    with pytest.raises(ModelAssumptionError,
+                       match="^the model needs at least two groups$"):
         DesignProblem((one, one), ((one,), (one,)), (2,))
-    with pytest.raises(ModelAssumptionError):
+    with pytest.raises(ModelAssumptionError, match="^at least one group "
+                       "must have two or more observations$"):
         DesignProblem((one, one), ((one,), (one,)), (1, 1))
     # duplicate column
     with pytest.raises(RankDeficiencyError):

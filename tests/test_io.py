@@ -156,7 +156,8 @@ def test_ser_values():
     d = ser_approx(Approx(F(1, 3), F(2, 3)))
     assert set(d) == {"value", "error_bound"}
     assert ser_theta(F(0)) == "0"
-    assert ser_theta(RootInterval(F(1, 2), F(1, 2), -1, 1)) == "1/2"
+    assert ser_theta(RootInterval(F(1, 2), F(1, 2),
+                                 UniPoly([-1, 2], "x"))) == "1/2"
 
 
 def test_dumps_deterministic_and_emit_poly():

@@ -22,11 +22,12 @@ from exactvc.profilefit import (
     certified_argmax,
     enclose_at,
     profile_equation,
+    profile_estimates,
     profile_fit,
     profile_objective,
     theta_pair,
 )
-from exactvc.roots import isolate_real_roots
+from exactvc.roots import RootInterval, isolate_real_roots
 
 def test_profile_equation_matches_the_closed_forms():
     # the singleton classes d1 divide raw_ml once and raw_reml twice, and
@@ -151,6 +152,14 @@ def test_profile_equation_matches_the_oracle_on_wide_ladders(M):
         check_against_oracle(prof, method)
 
 
+def test_nonpositive_refine_width_is_refused():
+    prof = oneway.gls_profile(OneWayStats((2, 3, 5), (2, 1, 1), (1, 2, 3),
+                                          (1, 0, 0), 5))
+    for width in (0, F(-1, 3)):
+        with pytest.raises(ValueError):
+            profile_fit(prof, "ML", width)
+
+
 def test_degree_laws_hold_on_the_64_size_ladder():
     s = ladder_stats(64, random.Random(64))
     prof = oneway.gls_profile(s)
@@ -171,7 +180,7 @@ def roots():
 
 def test_separated_objective_certifies_a_winner():
     thetas, encl, best, tied = certified_argmax(
-        roots(), POLY, lambda lo, hi, prec: Approx(lo, hi))
+        roots(), lambda lo, hi, prec: Approx(lo, hi))
     assert tied == []
     assert thetas[best].lo <= 3 <= thetas[best].hi
     assert encl[best].lo > encl[1 - best].hi
@@ -179,7 +188,7 @@ def test_separated_objective_certifies_a_winner():
 
 def test_overlapping_objective_is_a_tie_at_the_width_cap():
     thetas, encl, best, tied = certified_argmax(
-        roots(), POLY, lambda lo, hi, prec: Approx(F(0), F(1)))
+        roots(), lambda lo, hi, prec: Approx(F(0), F(1)))
     assert tied == [0, 1]
     # equal bounds break toward the lowest left endpoint
     assert best == 0 and thetas[0].lo <= 1 <= thetas[0].hi
@@ -190,8 +199,23 @@ def test_overlapping_objective_is_a_tie_at_the_width_cap():
 
 def test_exact_thetas_rank_without_refinement():
     thetas, _, best, tied = certified_argmax(
-        [F(0), F(5, 2)], POLY, lambda lo, hi, prec: Approx(-lo, -lo))
+        [F(0), F(5, 2)], lambda lo, hi, prec: Approx(-lo, -lo))
     assert thetas == [F(0), F(5, 2)] and best == 0 and tied == []
+
+
+def test_intervals_of_different_polynomials_rank_together():
+    # 3 isolated from (x - 1)(x - 3) and sqrt(10) from x^2 - 10, by
+    # overlapping hand-built intervals: each must be refined against its
+    # own polynomial (the other's would refuse it) until they separate
+    other = UniPoly([-10, 0, 1], "x")
+    start = [RootInterval(F(2), F(4), POLY), RootInterval(F(3), F(4), other)]
+    thetas, encl, best, tied = certified_argmax(
+        start, lambda lo, hi, prec: Approx(lo, hi))
+    assert best == 1 and tied == [] and encl[1].lo > encl[0].hi
+    assert thetas[0].lo < 3 < thetas[0].hi and thetas[0].poly is POLY
+    assert thetas[1].lo ** 2 < 10 < thetas[1].hi ** 2
+    assert thetas[1].poly is other
+    assert all(t.width() < s.width() for t, s in zip(thetas, start))
 
 
 def test_enclosure_failure_raises_at_an_exact_theta_at_once():
@@ -202,7 +226,7 @@ def test_enclosure_failure_raises_at_an_exact_theta_at_once():
         return None
 
     with pytest.raises(ContractViolationError):
-        enclose_at(never, F(1), POLY)
+        enclose_at(never, F(1))
     assert calls == [(F(1), F(1))]
 
 
@@ -214,7 +238,7 @@ def test_enclosure_failure_raises_after_the_retry_cap():
         return None
 
     with pytest.raises(ContractViolationError):
-        enclose_at(never, roots()[1], POLY)
+        enclose_at(never, roots()[1])
     assert len(calls) == _MAX_RETRIES
     # every retry narrowed the interval
     assert all(b < a for a, b in zip(calls, calls[1:]))
@@ -226,7 +250,7 @@ def test_enclose_at_returns_the_narrowed_theta():
     def narrow_enough(lo, hi):
         return "ok" if hi - lo < iv.width() / 1000 else None
 
-    theta, out = enclose_at(narrow_enough, iv, POLY)
+    theta, out = enclose_at(narrow_enough, iv)
     assert out == "ok" and theta.lo <= 3 <= theta.hi
     assert theta.width() < iv.width() / 1000
     assert theta_pair(theta) == (theta.lo, theta.hi)
@@ -341,6 +365,23 @@ def test_log_arguments_do_not_grow_with_the_multiplicity(monkeypatch):
                     p, q = x if isinstance(x, tuple) else (x.numerator,
                                                            x.denominator)
                     assert max(p.bit_length(), q.bit_length()) < 256
+
+
+def test_estimates_at_an_interval_build_no_equation(monkeypatch):
+    # the interval carries the polynomial it isolates a root of, so the
+    # drivers need not rebuild the stationarity equation to refine it
+    prof = oneway.gls_profile(load_stats_fixture("trimodal.json"))
+    for method in ("ML", "REML"):
+        rep = profile_fit(prof, method, F(1, 10 ** 12))
+        theta = rep.global_estimates.theta
+        assert isinstance(theta, RootInterval)
+        assert theta.poly == rep.equation.numerator
+        built = spy(monkeypatch, "profile_equation")
+        est = profile_estimates(prof, theta, method)
+        value = profilefit.profile_value(prof, theta, method)
+        monkeypatch.undo()
+        assert built == []
+        assert est == rep.global_estimates and value == est.loglik
 
 
 def test_trimodal_ml_still_ranks_its_two_maxima(monkeypatch):

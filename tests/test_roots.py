@@ -71,7 +71,8 @@ def test_isolate_sqrt2():
     assert len(ivs) == 1
     iv = ivs[0]
     assert Fraction(1) <= iv.lo and iv.hi <= Fraction(2)
-    assert iv.sign_left != iv.sign_right
+    assert sign(p(iv.lo)) == -sign(p(iv.hi)) != 0
+    assert iv.poly is p
 
 
 def test_isolate_all_domain_finds_both_signs():
@@ -86,8 +87,7 @@ def test_isolate_handles_root_at_zero():
     p = UniPoly([0, -2, 1], "x")
     ivs = isolate_real_roots(p, domain="nonnegative")
     assert len(ivs) == 2
-    assert ivs[0].is_point() and ivs[0].lo == 0
-    assert ivs[0].sign_left != ivs[0].sign_right
+    assert ivs[0].is_point() and ivs[0].lo == 0 == p(ivs[0].lo)
     assert ivs[1].lo < 2 < ivs[1].hi or (ivs[1].lo > 0)
 
 
@@ -101,6 +101,18 @@ def test_count_negative_needs_the_nonnegative_domain():
     p = poly_with_roots([-1, 2])
     with pytest.raises(ValueError):
         isolate_real_roots(p, domain="all", count_negative=True)
+
+
+def test_nonpositive_max_width_is_refused():
+    # no dyadic level reaches a width of 0 or below, so isolation refuses
+    # it as refinement does
+    p = poly_with_roots([-1, 2])
+    for width in (0, -1, Fraction(-1, 3)):
+        for domain in ("all", "nonnegative"):
+            with pytest.raises(ValueError):
+                isolate_real_roots(p, domain=domain, max_width=width)
+        with pytest.raises(ValueError):
+            refine_interval(isolate_real_roots(p)[0], width)
 
 
 def test_isolate_squarefree_reduction():
@@ -142,33 +154,33 @@ def test_refine_interval_nests_and_narrows():
     p = UniPoly([-2, 0, 1], "x")
     iv = isolate_real_roots(p, domain="nonnegative")[0]
     target = Fraction(1, 1024)
-    fine = refine_interval(p, iv, target)
+    fine = refine_interval(iv, target)
     assert fine.width() <= target
     assert iv.lo <= fine.lo and fine.hi <= iv.hi
     # sqrt(2) still inside
     assert fine.lo ** 2 < 2 < fine.hi ** 2
     # refining an already-narrow interval does not widen it
-    again = refine_interval(p, fine, Fraction(1, 2))
+    again = refine_interval(fine, Fraction(1, 2))
     assert again.width() <= fine.width()
 
 
 def test_refine_interval_hits_exact_root():
     # root exactly at 3/2 inside the interval
     p = poly_with_roots([Fraction(3, 2)])
-    iv = RootInterval(Fraction(1), Fraction(2), -1, 1)
-    fine = refine_interval(p, iv, Fraction(1, 10 ** 12))
+    iv = RootInterval(Fraction(1), Fraction(2), p)
+    fine = refine_interval(iv, Fraction(1, 10 ** 12))
     assert fine.lo < Fraction(3, 2) < fine.hi
     assert fine.width() <= Fraction(1, 10 ** 12)
 
 
 def test_refine_rejects_uncertified_interval():
     p = UniPoly([-2, 0, 1], "x")
-    bogus = RootInterval(Fraction(5), Fraction(6), -1, 1)
+    bogus = RootInterval(Fraction(5), Fraction(6), p)
     with pytest.raises(ContractViolationError):
-        refine_interval(p, bogus, Fraction(1, 4))
-    two_roots = RootInterval(Fraction(-2), Fraction(2), -1, 1)
+        refine_interval(bogus, Fraction(1, 4))
+    two_roots = RootInterval(Fraction(-2), Fraction(2), p)
     with pytest.raises(ContractViolationError):
-        refine_interval(p, two_roots, Fraction(1, 4))
+        refine_interval(two_roots, Fraction(1, 4))
 
 
 def test_zero_polynomial_rejected():
@@ -275,10 +287,8 @@ def assert_matches_oracles(sympy, p: UniPoly):
                 assert iv.lo >= 0
             if iv.is_point():
                 assert domain == "nonnegative" and iv.lo == 0 == q(0)
-                assert iv.sign_left == -iv.sign_right
                 continue
-            assert iv.sign_left == sign(q(iv.lo)) != 0
-            assert iv.sign_right == sign(q(iv.hi)) == -iv.sign_left
+            assert sign(q(iv.lo)) == -sign(q(iv.hi)) != 0
             assert count_roots_between(chain, iv.lo, iv.hi) == 1
         # every sympy root lies in exactly one of our intervals
         for a, b in expected:
@@ -415,10 +425,10 @@ def test_refine_interval_matches_sturm_on_dyadic_split():
     # the certificate must see both roots beside a dyadic split point
     p = poly_with_roots([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
     with pytest.raises(ContractViolationError):
-        refine_interval(p, RootInterval(Fraction(1, 8), Fraction(5, 8),
-                                        -1, 1), Fraction(1, 100))
-    iv = refine_interval(p, RootInterval(Fraction(3, 8), Fraction(5, 8),
-                                         1, -1), Fraction(1, 100))
+        refine_interval(RootInterval(Fraction(1, 8), Fraction(5, 8), p),
+                        Fraction(1, 100))
+    iv = refine_interval(RootInterval(Fraction(3, 8), Fraction(5, 8), p),
+                         Fraction(1, 100))
     assert iv.lo < Fraction(1, 2) < iv.hi and iv.width() <= Fraction(1, 100)
 
 
@@ -429,7 +439,7 @@ def test_refine_interval_subdivides_an_inconclusive_count():
     p = (3 * x - 1) * (x * x - x + Fraction(26, 100))
     q = p.primitive().integer_coeffs()
     assert _descartes_01(int_on_interval(q, Fraction(0), Fraction(1))) > 1
-    iv = refine_interval(p, RootInterval(Fraction(0), Fraction(1), -1, 1),
+    iv = refine_interval(RootInterval(Fraction(0), Fraction(1), p),
                          Fraction(1, 1000))
     assert iv.lo < Fraction(1, 3) < iv.hi and iv.width() <= Fraction(1, 1000)
 
@@ -488,9 +498,9 @@ def test_refinement_matches_bisection(p, width, coarse):
     for iv in isolate_real_roots(p, domain="nonnegative", max_width=coarse):
         if iv.is_point():
             continue
-        for start in (iv, refine_interval(p, iv, coarse / 7)):
+        for start in (iv, refine_interval(iv, coarse / 7)):
             expected = bisect_to_width_reference(q, start.lo, start.hi, width)
             assert _bisect_to_width(q, start.lo, start.hi, width) == expected
-            fine = refine_interval(p, start, width)
+            fine = refine_interval(start, width)
             assert (fine.lo, fine.hi) == expected
 
