@@ -46,22 +46,14 @@ VAR = "theta"
 def _full_column_rank(rows: Sequence[Sequence[Fraction]]) -> bool:
     """Whether rational rows have full column rank: exactly when the
     Gram matrix A = R'R of the rows R cleared by one scale is positive
-    definite. Fraction-free elimination without swaps has the leading
-    minors of A as pivots; A is semidefinite, so a zero one is singular."""
+    definite, which _bordered_values decides on A read as bordered at
+    order p - 1: every leading minor, det A last, must be positive."""
     s = lcm(*(v.denominator for row in rows for v in row))
     R = [[v.numerator * (s // v.denominator) for v in row] for row in rows]
     p = len(R[0])
     a = [[sum(r[i] * r[j] for r in R) for j in range(p)] for i in range(p)]
-    prev = 1
-    for k in range(p):
-        pivot = a[k][k]
-        if pivot <= 0:
-            return False
-        for i in range(k + 1, p):
-            for j in range(k + 1, p):
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = pivot
-    return True
+    out = _bordered_values(a, p - 1)
+    return out is not None and out[1] > 0
 
 
 @dataclass(frozen=True)
@@ -123,13 +115,15 @@ class DesignProblem:
         return not _full_column_rank([row + (Fraction(1),) for row in self.x])
 
 
-def _bordered_values(m: List[List[int]], p: int) -> Tuple[int, int, List[int]]:
+def _bordered_values(m: List[List[int]], p: int
+                     ) -> Optional[Tuple[int, int, List[int]]]:
     """(det A, det B, det A * A^-1 b) for the symmetric integer matrix
-    B = [[A, b], [b', c]] of order p + 1, upper triangle stored in m.
+    B = [[A, b], [b', c]] of order p + 1, upper triangle stored in m, or
+    None when A is not positive definite.
 
     Fraction-free Bareiss without row swaps: step k pivots on the leading
-    (k+1)-minor of A, which is positive when A is positive definite, so a
-    pivot <= 0 is a broken contract. Each update keeps the trailing block
+    (k+1)-minor of A, all of which are positive exactly when A is positive
+    definite, so a pivot <= 0 ends it. Each update keeps the trailing block
     symmetric, and a row is final once it has been the pivot row. After
     the last step the last entry is det B. Back-substitution on the first
     p rows then gives each det A * x_j in integers: every division is exact
@@ -140,8 +134,7 @@ def _bordered_values(m: List[List[int]], p: int) -> Tuple[int, int, List[int]]:
         rk = m[k]
         pivot = rk[k]
         if pivot <= 0:
-            raise ContractViolationError(
-                "X'KX is not positive definite at a nonnegative theta")
+            return None
         for i in range(k + 1, p + 1):
             ri, a = m[i], rk[i]
             for j in range(i, p + 1):
@@ -179,17 +172,19 @@ def profile_from_sums(N: int, sizes: Tuple[int, ...], mults: Tuple[int, ...],
     """
     p = len(Z) - 1
     order = range(p + 1)
-    gram, bordered, cramer = [], [], []
+    values = []
     for t in range((p + 1) * len(sizes) + 1):
         lin = [1 + n * t for n in sizes]
         dt = prod(lin)
         w = [t * (dt // f) for f in lin]
         m = [[dt * Z[i][j] - sum(wn * Vn[i][j] for wn, Vn in zip(w, Vs))
               if j >= i else 0 for j in order] for i in order]
-        g, pv, y = _bordered_values(m, p)
-        gram.append(g)
-        bordered.append(pv)
-        cramer.append(y)
+        out = _bordered_values(m, p)
+        if out is None:
+            raise ContractViolationError(
+                "X'KX is not positive definite at a nonnegative theta")
+        values.append(out)
+    gram, bordered, cramer = zip(*values)
 
     Lp = L ** p
     return ProfilePolys(

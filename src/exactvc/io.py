@@ -16,8 +16,7 @@ import json
 import math
 import re
 from fractions import Fraction
-from itertools import islice
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from .covariates import DesignProblem
 from .enclosure import Approx
@@ -96,24 +95,28 @@ ONEWAY_HEADER = ["group", "value"]
 TWOWAY_HEADER = ["row", "col", "rep", "value"]
 
 
-def _csv_rows(path: str, limit: Optional[int] = None) -> List[List[str]]:
-    """The first limit non-blank rows (all when None), cells stripped."""
+def _csv_rows(path: str) -> Iterator[List[str]]:
+    """The non-blank rows, cells stripped, read lazily: a loader refuses a
+    bad row before the rest of the file is read or decoded."""
+    empty = True
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(islice(([cell.strip() for cell in row]
-                                for row in csv.reader(fh) if row), limit))
+            for row in csv.reader(fh):
+                if row:
+                    empty = False
+                    yield [cell.strip() for cell in row]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"{path}: malformed CSV: {exc}") from exc
-    if not rows:
+    if empty:
         raise InputError(f"{path}: empty CSV file")
-    return rows
 
 
 def _read_rows(path: str):
+    """(header, iterator over the remaining rows)."""
     rows = _csv_rows(path)
-    return rows[0], rows[1:]
+    return next(rows), rows
 
 
 def _is_covariates_header(header: List[str]) -> bool:
@@ -123,7 +126,7 @@ def _is_covariates_header(header: List[str]) -> bool:
 
 def detect_csv_kind(path: str) -> str:
     """oneway, covariates or twoway, read off the first non-blank row alone."""
-    header, = _csv_rows(path, 1)
+    header = next(_csv_rows(path))
     if header == ONEWAY_HEADER:
         return "oneway"
     if header == TWOWAY_HEADER:

@@ -13,7 +13,8 @@ Roots are isolated and classified by exact derivative signs, and the
 global optimum is chosen by comparing rigorous objective enclosures that
 are refined until the comparison is decisive; a lone candidate needs no
 comparison. The log-determinant in each enclosure takes one logarithm
-per distinct group multiplicity.
+per distinct group multiplicity. Every refinement cap, the two-way
+fit's included, is applied here alone.
 
 The objective, its stationarity equation and the three drivers
 (profile_fit, profile_estimates, profile_value) are defined here once for
@@ -56,8 +57,8 @@ LOCAL_MAX = "local_max"
 LOCAL_MIN = "local_min"
 SADDLE = "saddle"
 
-# Ranking effort caps: interval widths shrink by 32x per round while the
-# log precision climbs; past the cap the report carries a tie flag.
+# Refinement effort caps of ranking and sign decisions: widths shrink 32x
+# per round; past the cap a tie or an undecided sign is reported.
 _TIE_WIDTH_CAP = Fraction(1, 10 ** 40)
 _MAX_RANK_ROUNDS = 40
 
@@ -373,6 +374,31 @@ def certified_argmax(thetas: Sequence[Theta], loglik: LoglikFn):
             break
     best, tied = _leader(thetas, encl)
     return thetas, encl, best, tied
+
+
+def _sign(a: Approx) -> Optional[int]:
+    """+1 or -1 when a excludes 0, 0 when a is exactly 0, else None."""
+    if a.lo > 0:
+        return 1
+    if a.hi < 0:
+        return -1
+    return 0 if a.lo == a.hi == 0 else None
+
+
+def certified_signs(theta: RootInterval,
+                    enclose: Callable[[RootInterval], Sequence[Approx]]
+                    ) -> Tuple[RootInterval, List[Optional[int]]]:
+    """(theta, signs): theta refined 32x, under the ranking caps, while an
+    enclosure in enclose(theta) straddles 0, and each sign (+1, -1, 0 when
+    exactly 0, None past the caps). Refined intervals are nested, so a
+    decided sign stays decided: one pass serves every quantity."""
+    for _ in range(_MAX_RANK_ROUNDS):
+        signs = [_sign(a) for a in enclose(theta)]
+        if (None not in signs or theta.is_point()
+                or theta.width() <= _TIE_WIDTH_CAP):
+            break
+        theta = refine_interval(theta, theta.width() / 32)
+    return theta, signs
 
 
 def certified_estimates(theta: Theta, loglik: LoglikFn, values: ValuesFn,

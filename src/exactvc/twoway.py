@@ -22,6 +22,9 @@ closed form and the remaining three equations are the additive system
 in the inflated variance w = omega_hat + n tau12, with its own residual
 weight and sum of squares. The same elimination runs in w and the
 quartic is presented in tau12 by composition.
+
+Each root's TwoWaySolution is built by _solution over its current
+interval; feasibility is one pass of profilefit.certified_signs.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from .errors import (
 from .polynomials import (UniPoly, _int_primitive, _int_pseudo_rem, int_mul,
                           int_on_interval, int_strip, int_sum, rat,
                           squarefree_part)
-from .profilefit import _MAX_RANK_ROUNDS, _TIE_WIDTH_CAP, certified_argmax
-from .roots import RootInterval, isolate_real_roots, poly_range, refine_interval
+from .profilefit import certified_argmax, certified_signs
+from .roots import RootInterval, isolate_real_roots, poly_range
 from .stats import as_fraction, exact_count
 
 VAR = "omega"
@@ -417,8 +420,19 @@ def eliminate_to_quartic(system: TwoWaySystem) -> TwoWayFitReport:
 # Fitting
 # ----------------------------------------------------------------------
 
-def _tau_box(t_poly: UniPoly, iv: RootInterval) -> Approx:
-    return Approx(*poly_range(t_poly, iv.lo, iv.hi))
+def _solution(system: TwoWaySystem, iv: RootInterval, t1: UniPoly,
+              t2: UniPoly, feasible: Optional[bool],
+              loglik: Optional[Approx] = None) -> TwoWaySolution:
+    """The solution at iv: every enclosure is taken over iv itself."""
+    var = Approx(iv.lo, iv.hi)
+    omega, tau12 = var, None
+    if system.model == "interaction":
+        omega = Approx.exact(system.omega_hat)
+        tau12 = (var - omega).scale(Fraction(1, system.stats.n))
+    return TwoWaySolution(
+        var_value=iv, omega=omega, tau1=Approx(*poly_range(t1, iv.lo, iv.hi)),
+        tau2=Approx(*poly_range(t2, iv.lo, iv.hi)), tau12=tau12,
+        feasible=feasible, loglik=loglik)
 
 
 def _loglik_box(system: TwoWaySystem, lo: Fraction, hi: Fraction,
@@ -458,59 +472,20 @@ def _loglik_box(system: TwoWaySystem, lo: Fraction, hi: Fraction,
     return total
 
 
-def _decide_nonneg(value_fn, iv: RootInterval,
-                   strict: bool) -> Tuple[Optional[bool], RootInterval]:
-    """Sign decision for a quantity over a shrinking root interval.
-
-    Returns (decision, refined interval); None when the effort cap is
-    reached before the sign of the quantity is determined.
-    """
-    for _ in range(_MAX_RANK_ROUNDS):
-        lo, hi = value_fn(iv)
-        if lo > 0:
-            return True, iv
-        if hi < 0:
-            return False, iv
-        if lo == hi == 0:
-            return (not strict), iv
-        if iv.is_point() or iv.width() <= _TIE_WIDTH_CAP:
-            break
-        iv = refine_interval(iv, iv.width() / 32)
-    return None, iv
-
-
 def _build_solution(system: TwoWaySystem, iv: RootInterval, t1: UniPoly,
                     t2: UniPoly) -> TwoWaySolution:
-    stats = system.stats
-    decisions = []
-    # the eliminated variable must be positive (w > 0 covers omega > 0)
-    dec, iv = _decide_nonneg(lambda j: (j.lo, j.hi), iv, strict=True)
-    decisions.append(dec)
-    for tp in (t1, t2):
-        dec, iv = _decide_nonneg(
-            lambda j, tp=tp: poly_range(tp, j.lo, j.hi), iv, strict=False)
-        decisions.append(dec)
-    tau12 = None
-    if system.model == "interaction":
-        oh = system.omega_hat
-        dec, iv = _decide_nonneg(
-            lambda j: (j.lo - oh, j.hi - oh), iv, strict=False)
-        decisions.append(dec)
-        tau12 = (Approx(iv.lo, iv.hi) - Approx.exact(oh)).scale(
-            Fraction(1, stats.n))
-        omega = Approx.exact(oh)
-    else:
-        omega = Approx(iv.lo, iv.hi)
-    feasible: Optional[bool]
-    if any(d is False for d in decisions):
-        feasible = False
-    elif any(d is None for d in decisions):
-        feasible = None
-    else:
-        feasible = True
-    return TwoWaySolution(
-        var_value=iv, omega=omega, tau1=_tau_box(t1, iv),
-        tau2=_tau_box(t2, iv), tau12=tau12, feasible=feasible)
+    """The solution at iv, refined until it is feasible (the eliminated
+    variable > 0, which covers omega > 0, and every tau >= 0) or not."""
+
+    def enclosures(j: RootInterval) -> List[Approx]:
+        sol = _solution(system, j, t1, t2, None)
+        return [a for a in (Approx(j.lo, j.hi), sol.tau1, sol.tau2, sol.tau12)
+                if a is not None]
+
+    iv, signs = certified_signs(iv, enclosures)
+    feasible = (False if signs[0] == 0 or -1 in signs
+                else None if None in signs else True)
+    return _solution(system, iv, t1, t2, feasible)
 
 
 def _rank_feasible(system: TwoWaySystem, sols: List[TwoWaySolution],
@@ -524,8 +499,7 @@ def _rank_feasible(system: TwoWaySystem, sols: List[TwoWaySolution],
         [sols[i].var_value for i in idxs],
         lambda lo, hi, prec: _loglik_box(system, lo, hi, t1, t2, prec))
     for i, iv, e in zip(idxs, ivs, encl):
-        sols[i] = replace(sols[i], var_value=iv, tau1=_tau_box(t1, iv),
-                          tau2=_tau_box(t2, iv), loglik=e)
+        sols[i] = _solution(system, iv, t1, t2, sols[i].feasible, e)
     return sols, idxs[best], bool(tied)
 
 

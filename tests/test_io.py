@@ -65,6 +65,25 @@ def test_detect_csv_kind(tmp_path):
         detect_csv_kind(d)
 
 
+@pytest.mark.parametrize("loader,header,good,bad", [
+    (load_oneway_csv, "group,value", "g{},1", "g,abc"),
+    (load_covariates_csv, "group,y,x1", "g{},1,{}", "g,1,abc"),
+    (load_twoway_csv, "row,col,rep,value", "r,c,{},1", "r,c,x,abc"),
+])
+def test_csv_rows_are_read_lazily(tmp_path, loader, header, good, bad):
+    # a bad cell on line 3, then valid rows, then an undecodable byte well
+    # past the text reader's first 8 KB chunk: the cell is refused before
+    # the byte is read, so the message names the cell, not the encoding
+    rows = [header, good.format(0, 0), bad]
+    rows += [good.format(i, i) for i in range(1, 4000)]
+    data = ("\n".join(rows) + "\n").encode() + b"\xff\n"
+    assert data.index(b"\xff") > 2 * 8192
+    p = tmp_path / "lazy.csv"
+    p.write_bytes(data)
+    with pytest.raises(InputError, match="not a rational number: 'abc'"):
+        loader(str(p))
+
+
 def test_load_oneway_csv_groups_by_appearance(tmp_path):
     p = write(tmp_path, "g.csv",
               "group,value\nB,1\nA,2.5\nB,3\nA,1\nA,4\n")

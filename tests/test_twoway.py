@@ -13,6 +13,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from exactvc import profilefit
+from exactvc.enclosure import Approx
 from exactvc.errors import (
     DegenerateDataError,
     InputError,
@@ -21,6 +23,7 @@ from exactvc.errors import (
 )
 from exactvc.multipoly import resultant_eliminate
 from exactvc.polynomials import UniPoly, squarefree_part
+from exactvc.roots import poly_range
 from exactvc.twoway import (
     TwoWayStats,
     eliminate_to_quartic,
@@ -491,6 +494,60 @@ def test_fit_rejects_bad_refine_width():
     st = TwoWayStats(2, 2, 1, 1, 2, 3, 0)
     with pytest.raises(ValueError):
         fit_twoway(st, refine_width=0)
+
+
+@pytest.mark.parametrize("model,stats", [
+    ("interaction", TwoWayStats(2, 3, 3, F(140, 3), F(202, 3), F(180, 7),
+                                F(84))),
+    ("additive", TwoWayStats(2, 2, 1, F(70, 3), F(137, 6), F(10, 3), F(0))),
+])
+def test_solution_enclosures_follow_the_refined_interval(model, stats):
+    # at a coarse width ranking refines the candidates' intervals; every
+    # reported enclosure must be taken over the interval reported beside it
+    rep = fit_twoway(stats, model=model, refine_width=F(1, 4))
+    assert rep.global_solution is not None
+    n = stats.n
+    for sol in rep.solutions:
+        lo, hi = sol.var_value.lo, sol.var_value.hi
+        var = Approx(lo, hi)
+        taus = [Approx(*poly_range(rel.value_poly(), lo, hi))
+                for rel in (rep.tau1_relation, rep.tau2_relation)]
+        assert [sol.tau1, sol.tau2] == taus
+        if model == "additive":
+            assert sol.omega == var and sol.tau12 is None
+        else:
+            oh = Approx.exact(rep.omega_hat)
+            assert sol.omega == oh
+            assert sol.tau12 == (var - oh).scale(F(1, n))
+
+
+def test_coarse_width_feasibility_is_decided_by_refinement(monkeypatch):
+    refinements = []
+    refine = profilefit.refine_interval
+
+    def spy(iv, width):
+        refinements.append(width)
+        return refine(iv, width)
+
+    monkeypatch.setattr(profilefit, "refine_interval", spy)
+    rng = random.Random(2121)
+    fits = 0
+    for _ in range(30):
+        st = random_twoway_stats(rng)
+        for model, width in itertools.product(
+                ("additive", "interaction"), (F(1, 4), F(10))):
+            try:
+                rep = fit_twoway(st, model=model, refine_width=width)
+            except (NongenericDataError, ModelAssumptionError,
+                    DegenerateDataError):
+                continue
+            fits += 1
+            for sol in rep.solutions:
+                if sol.feasible is True:
+                    assert sol.omega.lo > 0
+                    assert sol.tau1.lo >= 0 and sol.tau2.lo >= 0
+                    assert sol.tau12 is None or sol.tau12.lo >= 0
+    assert fits > 0 and len(refinements) > 0
 
 
 # ----------------------------------------------------------------------
