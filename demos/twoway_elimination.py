@@ -31,8 +31,8 @@ print("eliminated polynomial (degree %d in %s):"
       % (sk.eliminated.degree, sk.eliminated.var))
 print(" ", sk.eliminated.integer_coeffs())
 print("tau1 = -(omega part)/%d mod quartic, omega part coefficients:"
-      % sk.tau1_relation.tau_coeff)
-print(" ", sk.tau1_relation.omega_part.integer_coeffs())
+      % sk.tau1_relation.den)
+print(" ", [-c for c in sk.tau1_relation.ints])
 
 # The full fit isolates all four real roots, decides feasibility of
 # each candidate (omega > 0, both taus >= 0) by certified interval

@@ -16,7 +16,7 @@ import json
 import math
 import re
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .covariates import DesignProblem
 from .enclosure import Approx
@@ -95,28 +95,48 @@ ONEWAY_HEADER = ["group", "value"]
 TWOWAY_HEADER = ["row", "col", "rep", "value"]
 
 
-def _csv_rows(path: str) -> Iterator[List[str]]:
-    """The non-blank rows, cells stripped, read lazily: a loader refuses a
-    bad row before the rest of the file is read or decoded."""
-    empty = True
+def _csv_rows(path: str) -> Iterator[Tuple[int, List[str]]]:
+    """(line, cells) of each non-blank row, cells stripped, read lazily so a
+    loader refuses a bad row before the rest of the file is decoded. line
+    is where the row starts, as csv counts lines; every row is as wide as
+    the header. A decode fault is placed by its file offset: the bytes the
+    reader failed on (exc.object) end where its binary buffer stands."""
+    width = None
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            for row in csv.reader(fh):
-                if row:
-                    empty = False
-                    yield [cell.strip() for cell in row]
+            reader, line = csv.reader(fh), 1
+            try:
+                for row in reader:
+                    if row:
+                        width = width or len(row)
+                        if len(row) != width:
+                            raise _at(path, line, f"expected {width} fields")
+                        yield line, [cell.strip() for cell in row]
+                    line = reader.line_num + 1
+            except UnicodeDecodeError as exc:
+                if not fh.seekable():
+                    raise InputError(f"{path}: malformed CSV: {exc}") from exc
+                at = fh.buffer.tell() - len(exc.object) + exc.start
+                raise InputError(
+                    f"{path}: malformed CSV: 'utf-8' codec can't decode "
+                    f"byte 0x{exc.object[exc.start]:02x} at file offset "
+                    f"{at}: {exc.reason}") from exc
+            except csv.Error as exc:
+                raise _at(path, line, f"malformed CSV: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise InputError(f"{path}: malformed CSV: {exc}") from exc
-    if empty:
+    if width is None:
         raise InputError(f"{path}: empty CSV file")
 
 
+def _at(path: str, line: int, what) -> InputError:
+    return InputError(f"{path} line {line}: {what}")
+
+
 def _read_rows(path: str):
-    """(header, iterator over the remaining rows)."""
+    """(header, iterator over the remaining (line, cells) rows)."""
     rows = _csv_rows(path)
-    return next(rows), rows
+    return next(rows)[1], rows
 
 
 def _is_covariates_header(header: List[str]) -> bool:
@@ -126,7 +146,7 @@ def _is_covariates_header(header: List[str]) -> bool:
 
 def detect_csv_kind(path: str) -> str:
     """oneway, covariates or twoway, read off the first non-blank row alone."""
-    header = next(_csv_rows(path))
+    header = next(_csv_rows(path))[1]
     if header == ONEWAY_HEADER:
         return "oneway"
     if header == TWOWAY_HEADER:
@@ -144,10 +164,12 @@ def load_oneway_csv(path: str) -> OneWayStats:
     if header != ONEWAY_HEADER:
         raise InputError(f"{path}: header must be exactly group,value")
     groups: Dict[str, List[tuple]] = {}
-    for idx, row in enumerate(body, 2):
-        if len(row) != 2:
-            raise InputError(f"{path} line {idx}: expected 2 fields")
-        groups.setdefault(row[0], []).append(_pair(row[1]))
+    for line, row in body:
+        try:
+            pair = _pair(row[1])
+        except InputError as exc:
+            raise _at(path, line, exc) from None
+        groups.setdefault(row[0], []).append(pair)
     s = math.lcm(*{d for g in groups.values() for _, d in g})
     return summarize_ints(
         [[n * (s // d) for n, d in g] for g in groups.values()], s)
@@ -158,12 +180,12 @@ def load_covariates_csv(path: str, add_intercept: bool = False) -> DesignProblem
     header, body = _read_rows(path)
     if not _is_covariates_header(header):
         raise InputError(f"{path}: header must be group,y,x1,...")
-    width = len(header)
     by_group: Dict[str, List[List[Fraction]]] = {}
-    for idx, row in enumerate(body, 2):
-        if len(row) != width:
-            raise InputError(f"{path} line {idx}: expected {width} fields")
-        vals = [parse_rational(v) for v in row[1:]]
+    for line, row in body:
+        try:
+            vals = [parse_rational(v) for v in row[1:]]
+        except InputError as exc:
+            raise _at(path, line, exc) from None
         by_group.setdefault(row[0], []).append(vals)
     y: List[Fraction] = []
     x: List[List[Fraction]] = []
@@ -188,13 +210,14 @@ def load_twoway_csv(path: str) -> TwoWayStats:
     if header != TWOWAY_HEADER:
         raise InputError(f"{path}: header must be exactly row,col,rep,value")
     cells: Dict[tuple, tuple] = {}
-    for idx, row in enumerate(body, 2):
-        if len(row) != 4:
-            raise InputError(f"{path} line {idx}: expected 4 fields")
+    for line, row in body:
         key = (row[0], row[1], row[2])
         if key in cells:
-            raise InputError(f"{path} line {idx}: duplicate cell {key}")
-        cells[key] = _pair(row[3])
+            raise _at(path, line, f"duplicate cell {key}")
+        try:
+            cells[key] = _pair(row[3])
+        except InputError as exc:
+            raise _at(path, line, exc) from None
     rows_ = sorted({k[0] for k in cells})
     cols = sorted({k[1] for k in cells})
     reps = sorted({k[2] for k in cells})
@@ -334,7 +357,7 @@ def oneway_report(rep: FitReport, method: str) -> dict:
             "coeffs": eq.numerator.primitive().integer_coeffs(),
             "degree": eq.observed_degree,
             "expected_degree": eq.expected_degree,
-            "sign_changes": rep.sign_changes,
+            "sign_changes": descartes_sign_changes(eq.numerator),
         },
         "roots": [
             {"lo": _text(iv.lo), "hi": _text(iv.hi), "class": label}
@@ -378,16 +401,16 @@ def twoway_report(rep: TwoWayFitReport) -> dict:
             "variable": quartic.var,
             "degree": rep.observed_degree,
             "expected_degree": 4,
-            "sign_changes": descartes_sign_changes(quartic)
-            if not quartic.is_zero() else 0,
+            "sign_changes": descartes_sign_changes(quartic),
         },
+        # tau = t(omega) as t.den * tau - t.ints(omega) = 0
         "relations": {
-            name: None if rel is None else {
-                "tau_coeff": rel.tau_coeff,
-                "omega_coeffs": rel.omega_part.integer_coeffs(),
+            name: None if t is None else {
+                "tau_coeff": t.den,
+                "omega_coeffs": [-c for c in t.ints],
             }
-            for name, rel in (("tau1", rep.tau1_relation),
-                              ("tau2", rep.tau2_relation))
+            for name, t in (("tau1", rep.tau1_relation),
+                            ("tau2", rep.tau2_relation))
         },
         "solutions": [_ser_solution(s) for s in rep.solutions],
         "global": None if rep.global_solution is None

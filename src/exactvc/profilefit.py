@@ -34,7 +34,6 @@ from .enclosure import Approx, interval_divide, log_enclosure
 from .errors import ContractViolationError, DegenerateDesignError
 from .polynomials import (
     UniPoly,
-    descartes_sign_changes,
     int_derivative,
     int_linear_product,
     int_mul,
@@ -82,7 +81,6 @@ class ProfileEquation:
     denominator: UniPoly
     expected_degree: Optional[int]
     observed_degree: int
-    method_tag: str
     orientation: int
 
     def degree_matches(self) -> bool:
@@ -113,7 +111,6 @@ class FitReport:
     stationary_points: Tuple[Tuple[RootInterval, str], ...]
     boundary_is_max: bool
     global_estimates: Estimates
-    sign_changes: int
     tie: bool = False
     # distinct roots below 0, counted (not isolated) by continued
     # fractions; diagnostic only, the domain of interest is [0, inf)
@@ -174,7 +171,6 @@ def build_profile_equation(num: UniPoly, den: UniPoly, prof: ProfilePolys,
         denominator=den,
         expected_degree=expected,
         observed_degree=num_p.degree,
-        method_tag=method,
         orientation=orientation)
 
 
@@ -470,7 +466,6 @@ def fit_profile(eq: ProfileEquation, loglik: LoglikFn, values: ValuesFn,
         stationary_points=tuple(zip(ivs, labels)),
         boundary_is_max=not isinstance(winner, RootInterval) and winner == 0,
         global_estimates=certified_estimates(winner, loglik, values),
-        sign_changes=descartes_sign_changes(num),
         tie=bool(tied),
         negative_roots=n_negative)
 

@@ -166,7 +166,6 @@ class TwoWaySystem:
     stats: TwoWayStats
     weight: int
     resid_ss: Fraction
-    mu_hat: Optional[Fraction]
     omega_hat: Optional[Fraction]
 
 
@@ -207,30 +206,12 @@ def ml_system(stats: TwoWayStats, model: str = "additive") -> TwoWaySystem:
         omega_hat = stats.SSE / denom
     return TwoWaySystem(
         model=model, stats=stats, weight=weight, resid_ss=resid,
-        mu_hat=stats.grand_mean, omega_hat=omega_hat)
+        omega_hat=omega_hat)
 
 
 # ----------------------------------------------------------------------
 # Elimination
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TauRelation:
-    """Linear relation tau_coeff * tau + omega_part(omega) = 0.
-
-    Coefficients are coprime integers with tau_coeff > 0; value_poly
-    is the solved rational form tau = value_poly(omega).
-    """
-
-    tau_coeff: int
-    omega_part: UniPoly
-
-    def value_poly(self) -> UniPoly:
-        return self.omega_part * Fraction(-1, self.tau_coeff)
-
-    def integer_coeffs(self) -> List[int]:
-        return [self.tau_coeff] + self.omega_part.integer_coeffs()
-
 
 @dataclass(frozen=True)
 class TwoWaySolution:
@@ -252,14 +233,23 @@ class TwoWaySolution:
 
 @dataclass(frozen=True)
 class TwoWayFitReport:
+    """One model's elimination and fit.
+
+    tau1_relation and tau2_relation are UniPolys t, reduced modulo
+    eliminated, with tau = t(v) at each root v of eliminated; None when
+    eliminated is constant. By UniPoly's normal form, t.den * tau =
+    t.ints(v) is the relation in coprime integers, as the JSON report
+    writes it. mu is the stats' grand mean, None for direct stats.
+    """
+
     model: str
     mu: Optional[Fraction]
     omega_hat: Optional[Fraction]       # interaction only
     quartic: UniPoly                    # presented variable (omega or tau12)
     eliminated: UniPoly                 # always in the eliminated variable
     observed_degree: int
-    tau1_relation: Optional[TauRelation]
-    tau2_relation: Optional[TauRelation]
+    tau1_relation: Optional[UniPoly]
+    tau2_relation: Optional[UniPoly]
     solutions: Tuple[TwoWaySolution, ...]
     global_solution: Optional[TwoWaySolution]
     boundary: bool
@@ -360,26 +350,20 @@ def _quotient_mod(num: List[int], den: List[int],
                    prev * lc ** ks[-1])
 
 
-def _relation_from_value(t: UniPoly) -> TauRelation:
-    """tau = t(omega) as coprime integers u*tau + v = 0: u = t.den and
-    v = -t.ints, coprime by t's normal form."""
-    return TauRelation(tau_coeff=t.den,
-                       omega_part=UniPoly([-c for c in t.ints], VAR))
-
-
 def eliminate_to_quartic(system: TwoWaySystem) -> TwoWayFitReport:
     """Eliminate to the univariate polynomial and solve for both taus.
 
-    Returns a report skeleton: quartic and tau relations filled in,
-    solutions empty. tau1 = (a - omega)/(qn) with a the common root of
-    the two quadratics; tau2 = (c - a)/(rn) with c = omega^2/L, where
-    L = e omega - E is a unit modulo the cleaned polynomial because it
-    was divided out.
+    Returns a report skeleton: quartic and the tau polynomials t1, t2
+    filled in (tau = t(omega) modulo the cleaned polynomial), solutions
+    empty. tau1 = (a - omega)/(qn) with a the common root of the two
+    quadratics; tau2 = (c - a)/(rn) with c = omega^2/L, where L = e omega
+    - E is a unit modulo the cleaned polynomial because it was divided
+    out.
     """
     s, quad_a, quad_b = _quadratics(system)
     poly, note = _eliminated_poly(quad_a, quad_b)
     stats = system.stats
-    tau1_rel = tau2_rel = None
+    t1 = t2 = None
     if poly.degree >= 1:
         (a0, a1, a2), (b0, b1, _) = quad_a, quad_b
         # b2 = a2^2, so a2 A - B = slope a + offset; a slope that is not
@@ -400,8 +384,6 @@ def eliminate_to_quartic(system: TwoWaySystem) -> TwoWayFitReport:
         t2 = _quotient_mod(
             int_sum([(s, [0, 0] + slope), (1, int_mul(offset, a2))]),
             [stats.r * stats.n * v for v in int_mul(a2, slope)], f)
-        tau1_rel = _relation_from_value(t1)
-        tau2_rel = _relation_from_value(t2)
 
     presented = poly
     if system.model == "interaction" and poly.degree >= 1:
@@ -409,9 +391,9 @@ def eliminate_to_quartic(system: TwoWaySystem) -> TwoWayFitReport:
         presented = UniPoly(int_on_interval(poly.ints, oh, oh + stats.n),
                             "tau12").primitive()
     return TwoWayFitReport(
-        model=system.model, mu=system.mu_hat, omega_hat=system.omega_hat,
+        model=system.model, mu=stats.grand_mean, omega_hat=system.omega_hat,
         quartic=presented, eliminated=poly, observed_degree=poly.degree,
-        tau1_relation=tau1_rel, tau2_relation=tau2_rel,
+        tau1_relation=t1, tau2_relation=t2,
         solutions=(), global_solution=None, boundary=False,
         nongeneric=note)
 
@@ -527,8 +509,7 @@ def fit_twoway(stats: TwoWayStats, model: str = "additive",
     poly = skeleton.eliminated
     if poly.degree < 1:
         return replace(skeleton, boundary=True)
-    t1 = skeleton.tau1_relation.value_poly()
-    t2 = skeleton.tau2_relation.value_poly()
+    t1, t2 = skeleton.tau1_relation, skeleton.tau2_relation
     ivs = isolate_real_roots(poly, domain="all", max_width=refine_width)
     sols = [_build_solution(system, iv, t1, t2) for iv in ivs]
     sols, best, tie = _rank_feasible(system, sols, t1, t2)

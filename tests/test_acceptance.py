@@ -335,10 +335,12 @@ def test_criterion_5_penicillin_quartic_relations_and_solution():
     quartic_display = UniPoly([139045932165, -1070402996440, 2545119731943,
                                -1801205257140, 204808595904], "omega")
     assert positively_proportional(sk.eliminated, quartic_display)
-    assert sk.tau1_relation.integer_coeffs() == [
+    # tau = t(omega) as coprime integers t.den * tau - t.ints(omega) = 0
+    t1, t2 = sk.tau1_relation, sk.tau2_relation
+    assert [t1.den] + [-c for c in t1.ints] == [
         2481278604010272, -1133204709683307975, 4998133978544934251,
         -4309720916424828084, 507582172417738176]
-    assert sk.tau2_relation.integer_coeffs() == [
+    assert [t2.den] + [-c for c in t2.ints] == [
         2481278604010272, -1201351121037374475, 5270402449572117709,
         -4538697213124439100, 534435082556924736]
 

@@ -314,23 +314,34 @@ REFUSALS = [
      "model-assumption", "both factors need at least two levels"),
     # a bad cell on line 3 is reported before a short row on line 5
     ("fit-oneway", "group,value\nA,1\nA,x1\nB,2\nB\n", 2, "input",
-     "not a rational number: 'x1'"),
+     "{path} line 3: not a rational number: 'x1'"),
     ("fit-oneway", "group,y,x1\nA,1,2\nA,1/0,3\nB,2,1\nB,3\n", 2, "input",
-     "not a rational number: '1/0'"),
+     "{path} line 3: not a rational number: '1/0'"),
     ("fit-twoway", "row,col,rep,value\na,x,1,2\na,y,1,1.2.3\nb,x,1,4\nb,y\n",
-     2, "input", "not a rational number: '1.2.3'"),
+     2, "input", "{path} line 3: not a rational number: '1.2.3'"),
     # a p/0 cell and over-cap literals
     ("fit-oneway", "group,value\nA,1\nA,3/0\nB,2\nB,5\n", 2, "input",
-     "not a rational number: '3/0'"),
+     "{path} line 3: not a rational number: '3/0'"),
     ("fit-twoway", "row,col,rep,value\na,x,1,2\na,y,1,7/0\nb,x,1,4\nb,y,1,5\n",
-     2, "input", "not a rational number: '7/0'"),
+     2, "input", "{path} line 3: not a rational number: '7/0'"),
     ("fit-oneway", 'group,value\nA,1\nA,"1\n2"\nB,2\nB,5\n', 2, "input",
-     "not a rational number: '1\\n2'"),
+     "{path} line 3: not a rational number: '1\\n2'"),
     ("fit-oneway", "group,value\nA,1\nA,1e1001\nB,2\nB,5\n", 2, "input",
-     "numeric literal too large: '1e1001'"),
+     "{path} line 3: numeric literal too large: '1e1001'"),
     ("fit-twoway",
      "row,col,rep,value\na,x,1,2\na,y,1," + "9" * 1001 + "\nb,x,1,4\nb,y,1,5\n",
-     2, "input", "numeric literal too large: '" + "9" * 40 + "'"),
+     2, "input",
+     "{path} line 3: numeric literal too large: '" + "9" * 40 + "'"),
+    # a row is named by the line it starts on: blank lines and quoted cells
+    # that span lines count
+    ("fit-oneway", "group,value\n\na,1\na,2\n\nb,3,4\n", 2, "input",
+     "{path} line 6: expected 2 fields"),
+    ("fit-oneway", "group,value\na,1\na,2\nb,3\nb,x\n", 2, "input",
+     "{path} line 5: not a rational number: 'x'"),
+    ("fit-oneway", 'group,value\n"A\nB",1\n"A\nB",x\n', 2, "input",
+     "{path} line 4: not a rational number: 'x'"),
+    ("fit-oneway", "group,value\na,1\na," + "9" * 131073 + "\n", 2, "input",
+     "{path} line 3: malformed CSV: field larger than field limit (131072)"),
 ]
 
 

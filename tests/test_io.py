@@ -1,6 +1,8 @@
 """Ingestion and serialization: exactness, validation, determinism."""
 
 import json
+import os
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -82,6 +84,41 @@ def test_csv_rows_are_read_lazily(tmp_path, loader, header, good, bad):
     p.write_bytes(data)
     with pytest.raises(InputError, match="not a rational number: 'abc'"):
         loader(str(p))
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_decode_fault_names_its_file_offset(tmp_path, bom):
+    # the text reader decodes 8 KB chunks and the codec's position is one
+    # inside the chunk; the refusal names the byte's offset in the file
+    body = "".join(f"\u00e9{i % 5},{i}\n" for i in range(4000))
+    data = bom + ("group,value\n" + body).encode()
+    k = data.index(b"\n", 3 * 8192 + 100) + 1
+    data = data[:k] + b"\xff" + data[k:]
+    p = tmp_path / "bad_byte.csv"
+    p.write_bytes(data)
+    with pytest.raises(InputError) as exc:
+        load_oneway_csv(str(p))
+    assert str(exc.value) == (
+        f"{p}: malformed CSV: 'utf-8' codec can't decode byte 0xff at file "
+        f"offset {k}: invalid start byte")
+
+
+def test_decode_fault_in_a_pipe_is_refused_as_input(tmp_path):
+    # a pipe has no file offset to name; the refusal is still a malformed
+    # CSV, not a failed read
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(b"group,value\na,1\na,\xff\n")
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    with pytest.raises(InputError, match=r"malformed CSV: .* byte 0xff in "
+                                         r"position 18"):
+        load_oneway_csv(str(fifo))
+    writer.join(5)
 
 
 def test_load_oneway_csv_groups_by_appearance(tmp_path):

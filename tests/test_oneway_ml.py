@@ -304,8 +304,7 @@ def test_profile_loglik_decreases_beyond_roots():
 def test_fit_report_shape():
     s = load_stats_fixture("trimodal.json")
     rep = ml_fit(s)
-    assert rep.sign_changes >= 1
-    assert rep.equation.method_tag == "ML"
+    assert descartes_sign_changes(rep.equation.numerator) >= 1
     for iv, label in rep.stationary_points:
         assert iv.lo >= 0
         assert label in ("local_max", "local_min", "saddle")

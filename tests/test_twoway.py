@@ -191,7 +191,7 @@ def test_stats_validation():
 def test_direct_stats_have_no_grand_mean():
     s = TwoWayStats(2, 3, 1, 1, 2, 3, 0)
     assert s.grand_mean is None
-    assert ml_system(s).mu_hat is None
+    assert eliminate_to_quartic(ml_system(s)).mu is None
 
 
 # ----------------------------------------------------------------------
@@ -244,8 +244,8 @@ def test_planted_root_survives_elimination():
         st = planted_stats(r, q, n, w0, t10, t20)
         rep = eliminate_to_quartic(ml_system(st))
         assert rep.eliminated(w0) == 0
-        for rel, tv in ((rep.tau1_relation, t10), (rep.tau2_relation, t20)):
-            assert rel.tau_coeff * tv + rel.omega_part(w0) == 0
+        for t, tv in ((rep.tau1_relation, t10), (rep.tau2_relation, t20)):
+            assert t.den * tv - UniPoly(t.ints, t.var)(w0) == 0
         assert rep.eliminated.degree == rep.observed_degree
         assert rep.solutions == () and rep.global_solution is None
 
@@ -253,14 +253,14 @@ def test_planted_root_survives_elimination():
 def test_relations_are_primitive_normal_forms():
     st = planted_stats(3, 4, 2, F(2), F(1, 3), F(3, 2))
     rep = eliminate_to_quartic(ml_system(st))
-    for rel in (rep.tau1_relation, rep.tau2_relation):
-        assert rel.tau_coeff > 0
-        coeffs = rel.integer_coeffs()
+    for t in (rep.tau1_relation, rep.tau2_relation):
+        assert t.den > 0
+        coeffs = [t.den] + [-c for c in t.ints]
         g = 0
         for c in coeffs:
             g = _gcd(g, abs(c))
         assert g == 1
-        assert rel.value_poly()(F(2)) == -rel.omega_part(F(2)) / rel.tau_coeff
+        assert t(F(2)) == UniPoly(t.ints, t.var)(F(2)) / t.den
 
 
 def _gcd(a, b):
@@ -407,8 +407,7 @@ def test_eliminant_matches_sylvester_cascade():
         assert rep.nongeneric == note
         if poly.degree >= 1:
             related += 1
-            t1 = rep.tau1_relation.value_poly()
-            t2 = rep.tau2_relation.value_poly()
+            t1, t2 = rep.tau1_relation, rep.tau2_relation
             for eq in twoway_cleared_system(st, model):
                 assert reduced_at(eq, t1, t2, poly).is_zero(), (st, model)
     assert compared > 400 and 0 < raised < compared
@@ -510,8 +509,8 @@ def test_solution_enclosures_follow_the_refined_interval(model, stats):
     for sol in rep.solutions:
         lo, hi = sol.var_value.lo, sol.var_value.hi
         var = Approx(lo, hi)
-        taus = [Approx(*poly_range(rel.value_poly(), lo, hi))
-                for rel in (rep.tau1_relation, rep.tau2_relation)]
+        taus = [Approx(*poly_range(t, lo, hi))
+                for t in (rep.tau1_relation, rep.tau2_relation)]
         assert [sol.tau1, sol.tau2] == taus
         if model == "additive":
             assert sol.omega == var and sol.tau12 is None
@@ -577,8 +576,9 @@ PENICILLIN_TAU2 = [2481278604010272, -1201351121037374475,
 def test_penicillin_quartic_and_relations():
     rep = eliminate_to_quartic(ml_system(load_penicillin()))
     assert rep.eliminated == PENICILLIN_QUARTIC.primitive()
-    assert rep.tau1_relation.integer_coeffs() == PENICILLIN_TAU1
-    assert rep.tau2_relation.integer_coeffs() == PENICILLIN_TAU2
+    for t, pinned in ((rep.tau1_relation, PENICILLIN_TAU1),
+                      (rep.tau2_relation, PENICILLIN_TAU2)):
+        assert [t.den] + [-c for c in t.ints] == pinned
 
 
 def test_penicillin_unique_feasible_solution():
