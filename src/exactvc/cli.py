@@ -111,7 +111,8 @@ def _run_fit_oneway(args) -> int:
         raise InputError("refine width must be positive")
     if args.emit_poly and args.method == "both":
         raise InputError("--emit-poly requires a single method, not both")
-    kind = xio.detect_csv_kind(args.csv) if args.csv else "stats"
+    rows = xio.read_csv_rows(args.csv) if args.csv else None
+    kind = xio.detect_csv_kind(args.csv, rows[0]) if rows else "stats"
     if kind == "twoway":
         raise InputError(f"{args.csv}: two-way CSV given to fit-oneway")
     if args.add_intercept and kind != "covariates":
@@ -119,10 +120,10 @@ def _run_fit_oneway(args) -> int:
     if kind == "stats":
         subject = xio.load_oneway_stats_json(args.stats)
     elif kind == "oneway":
-        subject = xio.load_oneway_csv(args.csv)
+        subject = xio.load_oneway_csv(args.csv, rows)
     else:
         subject = xio.load_covariates_csv(
-            args.csv, add_intercept=args.add_intercept)
+            args.csv, add_intercept=args.add_intercept, rows=rows)
     module = oneway if isinstance(subject, OneWayStats) else cov
     prof = module.gls_profile(subject)
     fits = {m: profile_fit(prof, m, width) for m in _methods(args.method)}

@@ -5,7 +5,10 @@ move to finite precision. A log is bracketed in pure integers by the atanh
 series with a log 2 reduction (Brent & Zimmermann, Modern Computer
 Arithmetic, 2010, sec. 4.4), whose error the code counts, and then widened
 by a generous margin, so every Approx produced here is a true enclosure and
-comparisons between disjoint enclosures are certified.
+comparisons between disjoint enclosures are certified. The objective stays
+in integers up to its reported ends: log_bounds reads unreduced integer
+pairs and returns integers over 4^prec, which callers sum as they are, and
+range_quotient reduces each end of a quotient of integer ranges once.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Optional, Tuple
 
 from .errors import ContractViolationError
@@ -54,11 +58,6 @@ class Approx:
 
     def __neg__(self) -> "Approx":
         return Approx(-self.hi, -self.lo)
-
-    def __mul__(self, other: "Approx") -> "Approx":
-        cands = (self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi)
-        return Approx(min(cands), max(cands))
 
     def scale(self, c) -> "Approx":
         c = Fraction(c)
@@ -122,16 +121,14 @@ def _log_bracket(p: int, q: int, g: int) -> Tuple[int, int]:
             2 * (s + e + k * t + max(k, 0) * f))
 
 
-def log_enclosure(lo, hi, prec: int = 128) -> Optional[Approx]:
-    """Enclosure of {log x : x in [lo, hi]} for a positive rational interval.
+def log_bounds(lo, hi, prec: int = 128) -> Optional[Tuple[int, int]]:
+    """Integers (A, B), A <= 4^prec log x <= B for every x in [lo, hi], or
+    None when lo <= 0, signalling the caller to refine its inputs.
 
     Brackets each endpoint's log at prec + 32 bits, rounds the bracket
     outward to multiples of 2^-prec and widens each end by a margin of
-    (|v| + 1) 2^(8-prec), far beyond the bracket's own width. Returns None
-    when the interval touches the nonpositive axis, signalling the caller
-    to refine its inputs. Each endpoint is a Fraction or an unreduced
-    integer pair (p, q > 0): reducing a product of thousands of bits by its
-    gcd costs more than its logarithm.
+    (|v| + 1) 2^(8-prec), far beyond the bracket's own width. Each endpoint
+    is a Fraction or an unreduced integer pair (p, q > 0).
     """
     lo, hi = _ratio(lo), _ratio(hi)
     if lo[0] <= 0:
@@ -142,17 +139,26 @@ def log_enclosure(lo, hi, prec: int = 128) -> Optional[Approx]:
     # a / 2^prec <= log lo and log hi <= b / 2^prec; each end then moves
     # out by its margin (|v| + 1) 2^(8-prec), all over 2^(2 prec)
     a, b, unit = bot >> 32, -(-top >> 32), 1 << prec
-    return Approx(Fraction((a << prec) - ((abs(a) + unit) << 8), unit * unit),
-                  Fraction((b << prec) + ((abs(b) + unit) << 8), unit * unit))
+    return ((a << prec) - ((abs(a) + unit) << 8),
+            (b << prec) + ((abs(b) + unit) << 8))
 
 
-def interval_divide(num: Tuple[Fraction, Fraction],
-                    den: Tuple[Fraction, Fraction]) -> Optional[Approx]:
-    """Quotient enclosure; None when the denominator interval straddles 0.
-    A nonnegative numerator over a positive denominator needs no reciprocal."""
-    dlo, dhi = den
-    if dlo <= 0 <= dhi:
+def log_enclosure(lo, hi, prec: int = 128) -> Optional[Approx]:
+    """log_bounds as an Approx, or None."""
+    ends = log_bounds(lo, hi, prec)
+    return None if ends is None else Approx(
+        Fraction(ends[0], 1 << 2 * prec), Fraction(ends[1], 1 << 2 * prec))
+
+
+def range_quotient(num: Tuple[int, int, int],
+                   den: Tuple[int, int, int]) -> Optional[Approx]:
+    """x / y for integer ranges (L, H, E > 0) of x and y, as int_range gives
+    them, or None unless y's L > 0. The two E share a power of the interval's
+    denominator: cancelled first, it halves what each Fraction reduces."""
+    (nl, nh, ne), (dl, dh, de) = num, den
+    if dl <= 0:
         return None
-    if num[0] >= 0 and dlo > 0:
-        return Approx(num[0] / dhi, num[1] / dlo)
-    return Approx(*num) * Approx(dlo, dhi).reciprocal()
+    g = gcd(ne, de)
+    ne, de = ne // g, de // g
+    return Approx(Fraction(nl * de, ne * (dl if nl < 0 else dh)),
+                  Fraction(nh * de, ne * (dh if nh < 0 else dl)))

@@ -133,8 +133,9 @@ def _at(path: str, line: int, what) -> InputError:
     return InputError(f"{path} line {line}: {what}")
 
 
-def _read_rows(path: str):
-    """(header, iterator over the remaining (line, cells) rows)."""
+def read_csv_rows(path: str) -> Tuple[List[str], Iterator]:
+    """(header, iterator over the remaining (line, cells) rows): one pass,
+    which detect_csv_kind and a loader given rows share, as a pipe needs."""
     rows = _csv_rows(path)
     return next(rows)[1], rows
 
@@ -144,9 +145,9 @@ def _is_covariates_header(header: List[str]) -> bool:
             and all(h == f"x{i}" for i, h in enumerate(header[2:], 1)))
 
 
-def detect_csv_kind(path: str) -> str:
-    """oneway, covariates or twoway, read off the first non-blank row alone."""
-    header = next(_csv_rows(path))[1]
+def detect_csv_kind(path: str, header: Optional[List[str]] = None) -> str:
+    """oneway, covariates or twoway, read off header or path's first row."""
+    header = header or next(_csv_rows(path))[1]
     if header == ONEWAY_HEADER:
         return "oneway"
     if header == TWOWAY_HEADER:
@@ -158,9 +159,9 @@ def detect_csv_kind(path: str) -> str:
         "group,value or group,y,x1,... or row,col,rep,value")
 
 
-def load_oneway_csv(path: str) -> OneWayStats:
+def load_oneway_csv(path: str, rows=None) -> OneWayStats:
     """Long-format "group,value" rows, groups in order of appearance."""
-    header, body = _read_rows(path)
+    header, body = rows or read_csv_rows(path)
     if header != ONEWAY_HEADER:
         raise InputError(f"{path}: header must be exactly group,value")
     groups: Dict[str, List[tuple]] = {}
@@ -175,9 +176,10 @@ def load_oneway_csv(path: str) -> OneWayStats:
         [[n * (s // d) for n, d in g] for g in groups.values()], s)
 
 
-def load_covariates_csv(path: str, add_intercept: bool = False) -> DesignProblem:
+def load_covariates_csv(path: str, add_intercept: bool = False,
+                        rows=None) -> DesignProblem:
     """Long-format "group,y,x1,...,xp" rows; groups pooled by label."""
-    header, body = _read_rows(path)
+    header, body = rows or read_csv_rows(path)
     if not _is_covariates_header(header):
         raise InputError(f"{path}: header must be group,y,x1,...")
     by_group: Dict[str, List[List[Fraction]]] = {}
@@ -206,7 +208,7 @@ def load_twoway_csv(path: str) -> TwoWayStats:
     Levels are ordered by sorted label; every (row, col, rep) cell must
     appear exactly once.
     """
-    header, body = _read_rows(path)
+    header, body = read_csv_rows(path)
     if header != TWOWAY_HEADER:
         raise InputError(f"{path}: header must be exactly row,col,rep,value")
     cells: Dict[tuple, tuple] = {}

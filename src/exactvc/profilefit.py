@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import prod
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .enclosure import Approx, interval_divide, log_enclosure
+from .enclosure import Approx, log_bounds, range_quotient
 from .errors import ContractViolationError, DegenerateDesignError
 from .polynomials import (
     UniPoly,
@@ -45,15 +45,14 @@ from .roots import (
     RootInterval,
     _sign_at,
     cauchy_bound,
+    int_range,
     isolate_real_roots,
-    poly_range,
     refine_interval,
     sign,
 )
 from .stats import ml_degree, reml_degree
 
 LOCAL_MAX = "local_max"
-LOCAL_MIN = "local_min"
 SADDLE = "saddle"
 
 # Refinement effort caps of ranking and sign decisions: widths shrink 32x
@@ -80,8 +79,11 @@ class ProfileEquation:
     numerator: UniPoly
     denominator: UniPoly
     expected_degree: Optional[int]
-    observed_degree: int
     orientation: int
+
+    @property
+    def observed_degree(self) -> int:
+        return self.numerator.degree
 
     def degree_matches(self) -> bool:
         return (self.expected_degree is None
@@ -170,7 +172,6 @@ def build_profile_equation(num: UniPoly, den: UniPoly, prof: ProfilePolys,
         numerator=num_p,
         denominator=den,
         expected_degree=expected,
-        observed_degree=num_p.degree,
         orientation=orientation)
 
 
@@ -409,9 +410,10 @@ def certified_estimates(theta: Theta, loglik: LoglikFn, values: ValuesFn,
         return None if ll is None or vals is None else (ll, vals)
 
     theta, (ll, (mu, kappa, beta)) = enclose_at(both, theta)
-    omega = kappa.reciprocal()
+    # theta >= 0 and omega > 0: the product's ends are the ends' products
+    (lo, hi), omega = theta_pair(theta), kappa.reciprocal()
     return Estimates(theta=theta, mu=mu, kappa=kappa, omega=omega,
-                     tau=Approx(*theta_pair(theta)) * omega, loglik=ll,
+                     tau=Approx(lo * omega.lo, hi * omega.hi), loglik=ll,
                      beta=beta)
 
 
@@ -490,7 +492,6 @@ def profile_objective(prof: ProfilePolys, method: str):
     P, G = prof.p_poly, prof.gram_det
     D = prof.d * G
     dp = prof.d ** prof.p
-    kd_weighted = D * Fraction(weight)
     by_mult = {}
     for n, m in zip(prof.sizes, prof.mults):
         by_mult.setdefault(m, []).append(n)
@@ -503,34 +504,39 @@ def profile_objective(prof: ProfilePolys, method: str):
         return [(prod(b + n * a for n in ns), b ** len(ns))
                 for _, ns in classes]
 
+    def ratio_args(num: UniPoly, den: UniPoly, lo, hi, scale: int = 1):
+        # unreduced (lo, hi) pairs of scale * num / den, or None unless the
+        # integer range of den starts above 0 (log_bounds checks num's)
+        (nl, nh, ne), (dl, dh, de) = (int_range(f, lo, hi) for f in (num, den))
+        if dl > 0:
+            return (scale * nl * de, dh * ne), (scale * nh * de, dl * ne)
+
     def loglik(lo: Fraction, hi: Fraction, prec: int) -> Optional[Approx]:
+        # every log term is summed as an integer over 4^prec
         if lo < 0:
             raise ValueError("theta must be nonnegative")
-        kap = interval_divide(poly_range(D, lo, hi), poly_range(P, lo, hi))
-        lk = None if kap is None else log_enclosure(
-            kap.lo * weight, kap.hi * weight, prec)
-        if lk is None:
-            return None
-        total = lk.scale(weight) - Approx.exact(weight)
-        for (m, _), at_lo, at_hi in zip(classes, log_det_args(lo),
-                                        log_det_args(hi)):
-            total = total - log_enclosure(at_lo, at_hi, prec).scale(m)
+        terms = [(weight, ratio_args(D, P, lo, hi, weight))]
+        terms += [(-m, args) for (m, _), args in zip(
+            classes, zip(log_det_args(lo), log_det_args(hi)))]
         if method == "REML":
-            r = interval_divide(poly_range(G, lo, hi), poly_range(dp, lo, hi))
-            lr = None if r is None else log_enclosure(r.lo, r.hi, prec)
-            if lr is None:
+            terms.append((-1, ratio_args(G, dp, lo, hi)))
+        unit = 1 << 2 * prec
+        bot = top = -weight * unit
+        for c, args in terms:
+            ends = None if args is None else log_bounds(*args, prec)
+            if ends is None:
                 return None
-            total = total - lr
-        return total
+            bot += c * ends[c < 0]  # a negative c takes the other end
+            top += c * ends[c > 0]
+        return Approx(Fraction(bot, unit), Fraction(top, unit))
 
     def values(lo: Fraction, hi: Fraction):
-        prange, grange = poly_range(P, lo, hi), poly_range(G, lo, hi)
-        if prange[0] <= 0 or grange[0] <= 0:
+        prange, grange = int_range(P, lo, hi), int_range(G, lo, hi)
+        dl, dh, de = int_range(D, lo, hi)
+        if prange[0] <= 0 or grange[0] <= 0 or dl <= 0:
             return None
-        kappa = interval_divide(poly_range(kd_weighted, lo, hi), prange)
-        if kappa.lo <= 0:
-            return None
-        coef = tuple(interval_divide(poly_range(c, lo, hi), grange)
+        kappa = range_quotient((weight * dl, weight * dh, de), prange)
+        coef = tuple(range_quotient(int_range(c, lo, hi), grange)
                      for c in prof.cramer)
         return (coef[0], kappa, None) if prof.mean else (None, kappa, coef)
 

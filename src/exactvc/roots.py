@@ -525,23 +525,21 @@ def refine_interval(iv: RootInterval, width: Fraction) -> RootInterval:
 # Rigorous range enclosure
 # ----------------------------------------------------------------------
 
-def poly_range(p: UniPoly, lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fraction]:
-    """Rigorous enclosure of {p(x) : x in [lo, hi]} by interval Horner.
-
-    The returned rational interval contains the exact range (it may be
-    wider). Exact endpoints for degenerate input lo == hi.
+def int_range(p: UniPoly, lo: Fraction, hi: Fraction) -> Tuple[int, int, int]:
+    """Integers (L, H, E), E > 0, with L / E <= p(x) <= H / E on [lo, hi],
+    by interval Horner; L = H = E p(lo) when lo == hi.
 
     The Horner sum runs on integers: with lo = A/D, hi = B/D and p =
     ints / den, the accumulator after j steps is den D^j times the rational
     one (step j adds ints_k D^j), a positive scale, so the same candidate
-    wins each min/max and one Fraction is built at the end.
+    wins each min/max. Nothing is reduced: callers that only compare or
+    take logs need no gcd.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if lo > hi:
         raise ValueError("interval endpoints out of order")
-    if lo == hi or p.is_zero():
-        v = p(lo)
-        return v, v
+    if p.is_zero():
+        return 0, 0, 1
     a, b, d = _common_denominator(lo, hi)
     acc_lo = acc_hi = 0
     dp = 1
@@ -550,5 +548,10 @@ def poly_range(p: UniPoly, lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fracti
         c *= dp
         acc_lo, acc_hi = min(cands) + c, max(cands) + c
         dp *= d
-    den = p.den * (dp // d)
-    return Fraction(acc_lo, den), Fraction(acc_hi, den)
+    return acc_lo, acc_hi, p.den * (dp // d)
+
+
+def poly_range(p: UniPoly, lo: Fraction, hi: Fraction) -> Tuple[Fraction, Fraction]:
+    """Enclosure of {p(x) : x in [lo, hi]}: int_range as Fractions."""
+    L, H, E = int_range(p, lo, hi)
+    return Fraction(L, E), Fraction(H, E)

@@ -34,18 +34,18 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .enclosure import Approx, interval_divide, log_enclosure
+from .enclosure import Approx, log_bounds, range_quotient
 from .errors import (
     DegenerateDataError,
     InputError,
     ModelAssumptionError,
     NongenericDataError,
 )
-from .polynomials import (UniPoly, _int_primitive, _int_pseudo_rem, int_mul,
-                          int_on_interval, int_strip, int_sum, rat,
-                          squarefree_part)
+from .polynomials import (UniPoly, _common_denominator, _int_primitive,
+                          _int_pseudo_rem, int_mul, int_on_interval, int_strip,
+                          int_sum, rat, squarefree_part)
 from .profilefit import certified_argmax, certified_signs
-from .roots import RootInterval, isolate_real_roots, poly_range
+from .roots import RootInterval, int_range, isolate_real_roots, poly_range
 from .stats import as_fraction, exact_count
 
 VAR = "omega"
@@ -247,7 +247,6 @@ class TwoWayFitReport:
     omega_hat: Optional[Fraction]       # interaction only
     quartic: UniPoly                    # presented variable (omega or tau12)
     eliminated: UniPoly                 # always in the eliminated variable
-    observed_degree: int
     tau1_relation: Optional[UniPoly]
     tau2_relation: Optional[UniPoly]
     solutions: Tuple[TwoWaySolution, ...]
@@ -255,6 +254,10 @@ class TwoWayFitReport:
     boundary: bool
     nongeneric: Optional[str]
     tie: bool = False
+
+    @property
+    def observed_degree(self) -> int:
+        return self.eliminated.degree
 
 
 Quadratic = Tuple[List[int], List[int], List[int]]
@@ -392,7 +395,7 @@ def eliminate_to_quartic(system: TwoWaySystem) -> TwoWayFitReport:
                             "tau12").primitive()
     return TwoWayFitReport(
         model=system.model, mu=stats.grand_mean, omega_hat=system.omega_hat,
-        quartic=presented, eliminated=poly, observed_degree=poly.degree,
+        quartic=presented, eliminated=poly,
         tau1_relation=t1, tau2_relation=t2,
         solutions=(), global_solution=None, boundary=False,
         nongeneric=note)
@@ -428,30 +431,29 @@ def _loglik_box(system: TwoWaySystem, lo: Fraction, hi: Fraction,
     """
     stats = system.stats
     r, q, n = stats.r, stats.q, stats.n
-    v = (lo, hi)
-    tau1 = Approx(*poly_range(t1, lo, hi))
-    tau2 = Approx(*poly_range(t2, lo, hi))
-    a = (v[0] + q * n * tau1.lo, v[1] + q * n * tau1.hi)
-    b = (v[0] + r * n * tau2.lo, v[1] + r * n * tau2.hi)
-    c = (a[0] + r * n * tau2.lo, a[1] + r * n * tau2.hi)
-    total = Approx.exact(0)
-    for box, wt, ss in ((a, r - 1, stats.SSA), (b, q - 1, stats.SSB),
-                        (v, system.weight, system.resid_ss), (c, 1, None)):
-        lg = log_enclosure(box[0], box[1], prec)
-        if lg is None:
-            return None
-        total = total - lg.scale(wt)
-        if ss is not None:
-            quad = interval_divide((ss, ss), box)
-            if quad is None:
-                return None
-            total = total - quad
+    (l1, h1, e1), (l2, h2, e2) = int_range(t1, lo, hi), int_range(t2, lo, hi)
+    vl, vh, d = v = _common_denominator(lo, hi)
+    # integer ranges of a = v + qn tau1, b = v + rn tau2, c = a + rn tau2
+    f, s1, s2 = e1 * e2, q * n * d * e2, r * n * d * e1
+    a = (vl * f + s1 * l1, vh * f + s1 * h1, d * f)
+    b = (vl * f + s2 * l2, vh * f + s2 * h2, d * f)
+    c = (a[0] + s2 * l2, a[1] + s2 * h2, d * f)
+    terms = [(a, r - 1, stats.SSA), (b, q - 1, stats.SSB),
+             (v, system.weight, system.resid_ss), (c, 1, Fraction(0))]
     if system.model == "interaction":
         oh = system.omega_hat
-        lg = log_enclosure(oh, oh, prec)
-        total = total - lg.scale(r * q * (n - 1)) - Approx.exact(
-            stats.SSE / oh)
-    return total
+        terms.append((_common_denominator(oh, oh), r * q * (n - 1), stats.SSE))
+    # the logs are summed as integers over 4^prec, the quotients as Approx
+    bot, top, quad = 0, 0, Approx.exact(0)
+    for (xl, xh, e), wt, ss in terms:
+        ends = log_bounds((xl, e), (xh, e), prec)
+        if ends is None:
+            return None
+        bot, top = bot - wt * ends[1], top - wt * ends[0]
+        quad = quad + range_quotient(
+            (ss.numerator, ss.numerator, ss.denominator), (xl, xh, e))
+    unit = 1 << 2 * prec
+    return Approx(Fraction(bot, unit), Fraction(top, unit)) - quad
 
 
 def _build_solution(system: TwoWaySystem, iv: RootInterval, t1: UniPoly,

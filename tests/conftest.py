@@ -380,6 +380,13 @@ def twoway_cleared_system(stats, model="additive"):
     return p0, p1, p2
 
 
+def interval_product(a: Approx, b: Approx) -> Approx:
+    """The general interval product: the least and greatest of the four
+    products of ends, for ends of any sign."""
+    cands = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return Approx(min(cands), max(cands))
+
+
 def multi_range(mp, bounds):
     """Rigorous range enclosure (lo, hi) of a sparse polynomial over a box."""
     total = Approx.exact(0)
@@ -387,7 +394,7 @@ def multi_range(mp, bounds):
         term = Approx.exact(coef)
         for var, exp in zip(mp.vars, mono):
             for _ in range(exp):
-                term = term * Approx(*bounds[var])
+                term = interval_product(term, Approx(*bounds[var]))
         total = total + term
     return total.lo, total.hi
 

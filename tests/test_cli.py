@@ -216,14 +216,14 @@ def test_zero_within_ss_is_refused_under_every_method(tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["dyestuff.csv", "covariates.csv"])
 def test_fit_oneway_parses_its_csv_once(name, monkeypatch, capsys):
-    # detect_csv_kind reads the header row alone; the loader reads the
-    # file in full, once (the loader and the header probe each parsed
-    # every row before)
+    # one pass reads the file: detect_csv_kind reads the header that pass
+    # yields and the loader the rows after it (the loader and the header
+    # probe each parsed every row before, then each opened the file)
     path = fixture_path(name)
     with open(path) as fh:
         lines = sum(1 for _ in fh)
     seen = {"read_rows": 0, "open": 0, "lines": 0}
-    read_rows = xio._read_rows
+    read_rows = xio.read_csv_rows
 
     def counted_read_rows(p):
         seen["read_rows"] += 1
@@ -253,11 +253,32 @@ def test_fit_oneway_parses_its_csv_once(name, monkeypatch, capsys):
 
     assert main(["fit-oneway", "--csv", path]) == 0
     report = capsys.readouterr().out
-    monkeypatch.setattr(xio, "_read_rows", counted_read_rows)
+    monkeypatch.setattr(xio, "read_csv_rows", counted_read_rows)
     monkeypatch.setattr(xio, "open", counted_open, raising=False)
     assert main(["fit-oneway", "--csv", path]) == 0
     assert capsys.readouterr().out == report
-    assert seen == {"read_rows": 1, "open": 2, "lines": lines + 1}
+    assert seen == {"read_rows": 1, "open": 1, "lines": lines}
+
+
+def test_csv_on_a_pipe_fits_like_the_file(tmp_path):
+    # the header probe and the loader share one pass, so a stream that can
+    # be read only once still gives the file's report
+    text = "group,value\na,1\na,2\nb,3\nb,5\nc,4\nc,9\n"
+    p = tmp_path / "pipe.csv"
+    p.write_text(text)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        q for q in (src, env.get("PYTHONPATH")) if q)
+    outs = []
+    for path, stdin in ((str(p), None), ("/dev/stdin", text)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "exactvc", "fit-oneway", "--csv", path,
+             "--method", "ML"], input=stdin, env=env, capture_output=True,
+            text=True, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_covariates_csv_fit(tmp_path, capsys):

@@ -31,7 +31,8 @@ from exactvc.polynomials import poly_gcd
 from exactvc.profilefit import profile_estimates, profile_value
 from exactvc.stats import GroupedData, summarize
 
-from conftest import column_rank_reference, gls_profile_reference
+from conftest import (column_rank_reference, gls_profile_reference,
+                      interval_product)
 
 
 # -- oracles -----------------------------------------------------------------
@@ -472,7 +473,7 @@ def test_fit_end_to_end():
         for rep in (ml_fit(d), reml_fit(d)):
             g = rep.global_estimates
             assert g.beta is not None and len(g.beta) == d.p
-            prod = g.omega * g.kappa
+            prod = interval_product(g.omega, g.kappa)
             assert prod.lo <= 1 <= prod.hi
             assert g.tau.lo >= 0
             for iv, label in rep.stationary_points:

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import mpmath
 
-from exactvc.enclosure import (Approx, _log_bracket, interval_divide,
-                               log_enclosure)
+from conftest import interval_product
+from exactvc.enclosure import (Approx, _log_bracket, log_enclosure,
+                               range_quotient)
+from exactvc.polynomials import _common_denominator
 
 # the ranking rounds' log precisions, and the defaults of the estimates
 # and of log_enclosure
@@ -108,12 +110,14 @@ def test_unreduced_pair_encloses_like_its_fraction():
 
 
 def general_divide(num, den):
-    """num * (1 / den) by interval products: the formula interval_divide
-    uses for intervals of any sign."""
-    return Approx(*num) * Approx(*den).reciprocal()
+    """num * (1 / den) by interval products: the formula for intervals of
+    any sign."""
+    return interval_product(Approx(*num), Approx(*den).reciprocal())
 
 
 def test_sign_aware_divide_matches_the_general_formula():
+    # range_quotient takes integer ranges (L, H, E) over a positive
+    # denominator range; a negative one is divided as (-num) / (-den)
     rng = random.Random(14)
 
     def value():
@@ -129,15 +133,23 @@ def test_sign_aware_divide_matches_the_general_formula():
         a, b = sorted((value(), value()))
         return a, b
 
+    def as_range(iv, scale=1):
+        # unreduced: both ends and their denominator times scale
+        return tuple(v * scale for v in _common_denominator(*iv))
+
     checked = 0
     for _ in range(3000):
         num, den = interval(), interval()
-        got = interval_divide(num, den)
+        if den[1] < 0:
+            num_r, den_r = (-num[1], -num[0]), (-den[1], -den[0])
+        else:
+            num_r, den_r = num, den
+        got = range_quotient(as_range(num_r, rng.randrange(1, 9)),
+                             as_range(den_r, rng.randrange(1, 9)))
         if den[0] <= 0 <= den[1]:
             assert got is None
             continue
         assert got == general_divide(num, den)
         checked += num[0] >= 0 and den[0] > 0
     assert checked > 200
-    assert interval_divide((Fraction(0), Fraction(0)),
-                           (Fraction(2), Fraction(3))) == Approx.exact(0)
+    assert range_quotient((0, 0, 1), (2, 3, 1)) == Approx.exact(0)

@@ -10,6 +10,7 @@ from conftest import (
     closed_forms,
     divides,
     fixture_path,
+    interval_product,
     ladder_stats,
     load_stats_fixture,
     random_oneway_stats,
@@ -268,7 +269,7 @@ def test_estimates_invariants():
     rep = ml_fit(s)
     g = rep.global_estimates
     # omega = 1/kappa and tau = theta*omega as enclosure identities
-    prod = g.omega * g.kappa
+    prod = interval_product(g.omega, g.kappa)
     assert prod.lo <= 1 <= prod.hi
     tlo, thi = theta_pair(g.theta)
     assert g.tau.lo <= thi * g.omega.hi and g.tau.hi >= tlo * g.omega.lo

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     closed_forms,
     divides,
+    interval_product,
     load_stats_fixture,
     random_oneway_stats,
 )
@@ -144,5 +145,5 @@ def test_reml_estimates_at_root():
     g = rep.global_estimates
     est = profile_estimates(gls_profile(s), g.theta, "REML")
     assert est.omega.lo > 0
-    prod = est.omega * est.kappa
+    prod = interval_product(est.omega, est.kappa)
     assert prod.lo <= 1 <= prod.hi

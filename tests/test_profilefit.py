@@ -313,14 +313,17 @@ def test_log_det_enclosure_contains_the_sum_of_logs(monkeypatch):
             loglik, _ = profile_objective(prof, method)
             for lo, hi in intervals:
                 for prec in (192, 672):
-                    calls = spy(monkeypatch, "log_enclosure")
+                    calls = spy(monkeypatch, "log_bounds")
                     assert loglik(lo, hi, prec) is not None
                     monkeypatch.undo()
-                    encl = [out for args, out in calls
-                            if isinstance(args[0], tuple)]
                     classes = sorted(set(mults))
                     assert len(calls) == (1 + len(classes)
                                           + (method == "REML"))
+                    # kappa's log comes first, then one per class; every
+                    # argument is an integer pair, so order tells them apart
+                    unit = 4 ** prec
+                    encl = [Approx(F(a, unit), F(b, unit))
+                            for _, (a, b) in calls[1:1 + len(classes)]]
                     assert len(encl) == len(classes)
                     total = sum((e.scale(m) for m, e in zip(classes, encl)),
                                 Approx.exact(0))
@@ -337,7 +340,7 @@ def test_lone_maximum_needs_no_ranking_and_two_or_three_logs(monkeypatch):
         distinct = len(set(prof.mults))
         for method, logs in (("ML", 1 + distinct), ("REML", 2 + distinct)):
             ranks = spy(monkeypatch, "certified_argmax")
-            calls = spy(monkeypatch, "log_enclosure")
+            calls = spy(monkeypatch, "log_bounds")
             rep = profile_fit(prof, method, F(1, 10 ** 12))
             monkeypatch.undo()
             maxima = [iv for iv, label in rep.stationary_points
@@ -356,7 +359,7 @@ def test_log_arguments_do_not_grow_with_the_multiplicity(monkeypatch):
     for method in ("ML", "REML"):
         loglik, _ = profile_objective(prof, method)
         for lo, hi in ((F(0), F(0)), (F(1, 3), F(1, 2)), (F(9, 7), F(9, 7))):
-            calls = spy(monkeypatch, "log_enclosure")
+            calls = spy(monkeypatch, "log_bounds")
             assert loglik(lo, hi, 192) is not None
             monkeypatch.undo()
             assert calls
