@@ -40,8 +40,6 @@ from .profilefit import (
 )
 from .stats import check_layout, exact_count
 
-VAR = "theta"
-
 
 def _full_column_rank(rows: Sequence[Sequence[Fraction]]) -> bool:
     """Whether rational rows have full column rank: exactly when the
@@ -189,10 +187,10 @@ def profile_from_sums(N: int, sizes: Tuple[int, ...], mults: Tuple[int, ...],
     Lp = L ** p
     return ProfilePolys(
         N=N, p=p, sizes=sizes, mults=mults,
-        d=UniPoly(int_linear_product(sizes), VAR),
-        gram_det=interpolate(gram, Lp, VAR),
-        p_poly=interpolate(bordered, Lp * L, VAR),
-        cramer=tuple(interpolate(col, Lp, VAR) for col in zip(*cramer)),
+        d=UniPoly(int_linear_product(sizes)),
+        gram_det=interpolate(gram, Lp),
+        p_poly=interpolate(bordered, Lp * L),
+        cramer=tuple(interpolate(col, Lp) for col in zip(*cramer)),
         mean=mean)
 
 

@@ -145,9 +145,8 @@ def _is_covariates_header(header: List[str]) -> bool:
             and all(h == f"x{i}" for i, h in enumerate(header[2:], 1)))
 
 
-def detect_csv_kind(path: str, header: Optional[List[str]] = None) -> str:
-    """oneway, covariates or twoway, read off header or path's first row."""
-    header = header or next(_csv_rows(path))[1]
+def detect_csv_kind(path: str, header: List[str]) -> str:
+    """oneway, covariates or twoway, read off the header of path."""
     if header == ONEWAY_HEADER:
         return "oneway"
     if header == TWOWAY_HEADER:
@@ -237,7 +236,8 @@ def load_twoway_csv(path: str) -> TwoWayStats:
 # Stats JSON ingestion
 # ----------------------------------------------------------------------
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, required: set) -> dict:
+    """The JSON object in path, whose keys must be exactly required."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
@@ -248,6 +248,10 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a JSON object")
+    if set(doc) != required:
+        raise InputError(
+            f"{path}: keys must be exactly {sorted(required)}, "
+            f"got {sorted(doc)}")
     return doc
 
 
@@ -270,12 +274,8 @@ def _array(doc: dict, path: str, key: str) -> list:
 
 
 def load_oneway_stats_json(path: str) -> OneWayStats:
-    doc = _load_json(path)
-    required = {"sizes", "mults", "means", "betweenSS", "withinSS"}
-    if set(doc) != required:
-        raise InputError(
-            f"{path}: keys must be exactly {sorted(required)}, "
-            f"got {sorted(doc)}")
+    doc = _load_json(path, {"sizes", "mults", "means", "betweenSS",
+                            "withinSS"})
     return OneWayStats(
         tuple(_count(n, path, "sizes") for n in _array(doc, path, "sizes")),
         tuple(_count(m, path, "mults") for m in _array(doc, path, "mults")),
@@ -285,12 +285,7 @@ def load_oneway_stats_json(path: str) -> OneWayStats:
 
 
 def load_twoway_stats_json(path: str) -> TwoWayStats:
-    doc = _load_json(path)
-    required = {"r", "q", "n", "SSA", "SSB", "SSAB", "SSE"}
-    if set(doc) != required:
-        raise InputError(
-            f"{path}: keys must be exactly {sorted(required)}, "
-            f"got {sorted(doc)}")
+    doc = _load_json(path, {"r", "q", "n", "SSA", "SSB", "SSAB", "SSE"})
     return TwoWayStats(
         *(_count(doc[k], path, k) for k in ("r", "q", "n")),
         parse_rational(doc["SSA"]), parse_rational(doc["SSB"]),

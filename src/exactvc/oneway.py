@@ -1,6 +1,6 @@
 """The one-way layout as a profilefit record, both estimation methods.
 
-With kappa = 1/omega and theta = tau/omega, profiling the mean and kappa
+With theta = tau/omega, profiling the mean and the error variance omega
 out of the (scaled) log-likelihood leaves a univariate objective in theta
 whose derivative is a rational function with an everywhere-positive
 denominator on [0, inf). The plain layout is the covariate model with

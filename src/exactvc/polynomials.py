@@ -495,10 +495,9 @@ def int_linear_product(sizes: Iterable[int]) -> list:
     return out
 
 
-def interpolate(values: Sequence[int], den: int,
-                var: str = "theta") -> UniPoly:
-    """The polynomial of degree at most D taking values[k] / den at
-    k = 0..D, for integer values and a positive integer den.
+def interpolate(values: Sequence[int], den: int) -> UniPoly:
+    """The polynomial in theta of degree at most D taking values[k] / den
+    at k = 0..D, for integer values and a positive integer den.
 
     Newton forward differences in integers: with a_k = Delta^k f(0),
     f = sum_k a_k C(theta, k), and the nesting T_D = a_D,
@@ -521,4 +520,4 @@ def interpolate(values: Sequence[int], den: int,
             nxt[i] -= k * c
         nxt[0] += scale * a[k]
         poly = nxt
-    return UniPoly(poly, var, scale * den)
+    return UniPoly(poly, den=scale * den)

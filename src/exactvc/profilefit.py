@@ -6,9 +6,10 @@ function whose denominator is strictly positive on [0, inf). Everything
 here works off that one fact. The raw numerator is built on integer
 coefficient lists with Kronecker products, sheds the denominator's known
 factors (1 + n theta) by synthetic division and one gcd cancels the rest.
-The one global orientation sign is read off the leading coefficient: every
-factor of the denominator is positive on [0, inf) with a positive leading
-coefficient, so cancelling never changes the sign of the derivative there.
+Every factor of the denominator is positive on [0, inf) with a positive
+leading coefficient, so cancelling never changes the sign of the
+derivative there; a fittable objective falls off for large theta, so the
+derivative's sign is minus the numerator's (see ProfileEquation).
 Roots are isolated and classified by exact derivative signs, and the
 global optimum is chosen by comparing rigorous objective enclosures that
 are refined until the comparison is decisive; a lone candidate needs no
@@ -48,7 +49,6 @@ from .roots import (
     int_range,
     isolate_real_roots,
     refine_interval,
-    sign,
 )
 from .stats import ml_degree, reml_degree
 
@@ -68,18 +68,15 @@ class ProfileEquation:
     numerator is in primitive normal form (coprime integer coefficients,
     positive leading coefficient). denominator is what remains of the raw
     denominator after cancellation, up to a positive constant; it is
-    strictly positive on [0, inf).
-    orientation is the sign s such that
+    strictly positive on [0, inf). The raw numerator's leading coefficient
+    is negative, so for every theta >= 0 off the numerator's roots
 
-        sign(d/dtheta objective) = s * sign(numerator(theta))
-
-    for every theta >= 0 off the numerator's roots.
+        sign(d/dtheta objective) = -sign(numerator(theta)).
     """
 
     numerator: UniPoly
     denominator: UniPoly
     expected_degree: Optional[int]
-    orientation: int
 
     @property
     def observed_degree(self) -> int:
@@ -100,7 +97,6 @@ class Estimates:
 
     theta: Union[RootInterval, Fraction]
     mu: Optional[Approx]
-    kappa: Approx
     omega: Approx
     tau: Approx
     loglik: Approx
@@ -147,18 +143,16 @@ class ProfilePolys:
 
 def build_profile_equation(num: UniPoly, den: UniPoly, prof: ProfilePolys,
                            method: str) -> ProfileEquation:
-    """Cancel, normalize and orient the derivative num / den of prof's
-    objective under method ("ML" or "REML").
+    """Cancel and normalize the derivative num / den of prof's objective
+    under method ("ML" or "REML").
 
-    Every factor of den is positive on [0, inf) with a positive leading
-    coefficient, so the orientation is the sign of lc(num) (see the module
-    docstring); one that is not negative leaves no maximizer and breaks
-    the caller's contract. One gcd cancels the fraction: in Q[theta] the
-    quotients by a gcd are coprime. Only the plain layout (prof.mean) has
-    a degree law: ml_degree or reml_degree of its M sizes, M2 repeated.
+    lc(num) must be negative (see ProfileEquation): any other leaves no
+    maximizer and breaks the caller's contract. One gcd cancels the
+    fraction: in Q[theta] the quotients by a gcd are coprime. Only the
+    plain layout (prof.mean) has a degree law: ml_degree or reml_degree of
+    its M sizes, M2 repeated.
     """
-    orientation = sign(num.leading_coeff())
-    if orientation >= 0:
+    if num.leading_coeff() >= 0:
         raise ContractViolationError(
             "objective does not decrease for large theta")
     g = poly_gcd(num, den)
@@ -171,8 +165,7 @@ def build_profile_equation(num: UniPoly, den: UniPoly, prof: ProfilePolys,
     return ProfileEquation(
         numerator=num_p,
         denominator=den,
-        expected_degree=expected,
-        orientation=orientation)
+        expected_degree=expected)
 
 
 def _weight(prof: ProfilePolys, method: str) -> int:
@@ -252,25 +245,25 @@ def classify_stationary_points(eq: ProfileEquation,
                                ivs: Sequence[RootInterval]) -> List[str]:
     """Label each isolated nonnegative root by the derivative's sign flip.
 
-    The derivative sign just left/right of a root is the orientation times
-    the numerator's sign at the isolating interval's endpoints (which are
-    never roots). A +/- flip is a local maximum of the profile; a -/+ flip
-    is a profile minimum, which the full objective sees as a saddle; no
-    flip is a degenerate saddle.
+    The derivative sign just left/right of a root is minus the numerator's
+    sign at the isolating interval's endpoints (which are never roots). A
+    +/- flip is a local maximum of the profile; a -/+ flip is a profile
+    minimum, which the full objective sees as a saddle; no flip is a
+    degenerate saddle.
     """
     num = eq.numerator
     cs = num.ints
     labels = []
     for i, iv in enumerate(ivs):
         if not iv.is_point():
-            s_left, right = eq.orientation * _sign_at(cs, iv.lo), iv.hi
+            s_left, right = -_sign_at(cs, iv.lo), iv.hi
         else:
             # exact root (at the origin): only the right side is in-domain,
             # probed short of the next interval or past every root
             s_left = 1
             right = ((iv.hi + ivs[i + 1].lo) / 2 if i + 1 < len(ivs)
                      else cauchy_bound(num) + 1)
-        s_right = eq.orientation * _sign_at(cs, right)
+        s_right = -_sign_at(cs, right)
         labels.append(LOCAL_MAX if s_left > 0 > s_right else SADDLE)
     return labels
 
@@ -282,12 +275,14 @@ def classify_stationary_points(eq: ProfileEquation,
 Theta = Union[RootInterval, Fraction]
 # (theta_lo, theta_hi, prec) -> objective enclosure over the interval
 LoglikFn = Callable[[Fraction, Fraction, int], Optional[Approx]]
-# (theta_lo, theta_hi) -> (mu, kappa, beta) enclosures
+# (theta_lo, theta_hi) -> (mu, omega, beta) enclosures
 ValuesFn = Callable[[Fraction, Fraction], Optional[tuple]]
 
 # An isolating interval is narrowed 32x per failed enclosure, at most this
 # many times.
 _MAX_RETRIES = 80
+# Log precision, in bits, of the reported estimates' objective enclosure.
+_ESTIMATE_PREC = 256
 
 
 def theta_pair(theta: Theta) -> Tuple[Fraction, Fraction]:
@@ -398,21 +393,21 @@ def certified_signs(theta: RootInterval,
     return theta, signs
 
 
-def certified_estimates(theta: Theta, loglik: LoglikFn, values: ValuesFn,
-                        prec: int = 256) -> Estimates:
+def certified_estimates(theta: Theta, loglik: LoglikFn,
+                        values: ValuesFn) -> Estimates:
     """Estimates at theta, narrowing an isolating interval until the
     objective and every value have a certified enclosure."""
     if not isinstance(theta, RootInterval):
         theta = Fraction(theta)
 
     def both(lo, hi):
-        ll, vals = loglik(lo, hi, prec), values(lo, hi)
+        ll, vals = loglik(lo, hi, _ESTIMATE_PREC), values(lo, hi)
         return None if ll is None or vals is None else (ll, vals)
 
-    theta, (ll, (mu, kappa, beta)) = enclose_at(both, theta)
+    theta, (ll, (mu, omega, beta)) = enclose_at(both, theta)
     # theta >= 0 and omega > 0: the product's ends are the ends' products
-    (lo, hi), omega = theta_pair(theta), kappa.reciprocal()
-    return Estimates(theta=theta, mu=mu, kappa=kappa, omega=omega,
+    lo, hi = theta_pair(theta)
+    return Estimates(theta=theta, mu=mu, omega=omega,
                      tau=Approx(lo * omega.lo, hi * omega.hi), loglik=ll,
                      beta=beta)
 
@@ -422,11 +417,11 @@ def fit_profile(eq: ProfileEquation, loglik: LoglikFn, values: ValuesFn,
     """Shared fitting driver: isolate, classify, select, estimate.
 
     Args:
-        eq: cancelled and oriented profile equation.
+        eq: cancelled profile equation.
         loglik: (theta_lo, theta_hi, prec) -> objective enclosure, or
             None when the rational-interval step degenerates and a
             narrower theta interval is needed.
-        values: (theta_lo, theta_hi) -> (mu, kappa, beta) enclosures, or
+        values: (theta_lo, theta_hi) -> (mu, omega, beta) enclosures, or
             None likewise.
         refine_width: positive width to which reported root intervals
             are refined (isolate_real_roots refuses any other).
@@ -437,21 +432,23 @@ def fit_profile(eq: ProfileEquation, loglik: LoglikFn, values: ValuesFn,
     """
     num = eq.numerator
     ivs, n_negative = isolate_real_roots(
-        num, domain="nonnegative", max_width=refine_width, count_negative=True)
+        num, domain="nonnegative", max_width=refine_width)
     labels = classify_stationary_points(eq, ivs)
 
     # candidates: every local maximum (an exact root as its rational) and,
-    # when the objective is nonincreasing from the boundary, theta = 0
+    # when the objective is nonincreasing from the boundary (the numerator
+    # is positive there), theta = 0
     slots = [i for i, label in enumerate(labels) if label == LOCAL_MAX]
     thetas: List[Theta] = [ivs[i].lo if ivs[i].is_point() else ivs[i]
                            for i in slots]
-    if eq.orientation * sign(num.ints[0]) < 0:
+    if num.ints[0] > 0:
         thetas.append(Fraction(0))
     if not thetas:
         raise ContractViolationError(
-            "no maximum candidate found; orientation contract broken")
+            "no maximum candidate found; sign contract broken")
 
-    # no supremum at theta -> inf (orientation): a lone candidate is global
+    # no supremum at theta -> inf (the objective falls off there): a lone
+    # candidate is global
     best, tied = 0, []
     if len(thetas) > 1:
         thetas, _, best, tied = certified_argmax(thetas, loglik)
@@ -479,13 +476,13 @@ def fit_profile(eq: ProfileEquation, loglik: LoglikFn, values: ValuesFn,
 def profile_objective(prof: ProfilePolys, method: str):
     """(loglik, values) of one method's objective over theta intervals.
 
-    With weight w = N (ML) or N - p (REML) and kappa_hat = w d G / P,
-    loglik(lo, hi, prec) encloses w log kappa_hat - sum m_i log(1 + n_i
+    With weight w = N (ML) or N - p (REML) and omega_hat = P / (w d G),
+    loglik(lo, hi, prec) encloses -w log omega_hat - sum m_i log(1 + n_i
     theta) - w, less log(G / d^p) = log det(X'KX) for REML. The sum takes
     one log per distinct multiplicity m, of the product of (1 + n_i theta)
     over that class, scaled by m; so a log's argument does not grow with m,
     and the objective needs 1 + (distinct multiplicities) logs, plus 1 for
-    REML. values(lo, hi) encloses (mu, kappa, beta). Either returns None when
+    REML. values(lo, hi) encloses (mu, omega, beta). Either returns None when
     its interval step degenerates, or when P or G is not positive.
     """
     weight = _weight(prof, method)
@@ -535,10 +532,10 @@ def profile_objective(prof: ProfilePolys, method: str):
         dl, dh, de = int_range(D, lo, hi)
         if prange[0] <= 0 or grange[0] <= 0 or dl <= 0:
             return None
-        kappa = range_quotient((weight * dl, weight * dh, de), prange)
+        omega = range_quotient(prange, (weight * dl, weight * dh, de))
         coef = tuple(range_quotient(int_range(c, lo, hi), grange)
                      for c in prof.cramer)
-        return (coef[0], kappa, None) if prof.mean else (None, kappa, coef)
+        return (coef[0], omega, None) if prof.mean else (None, omega, coef)
 
     return loglik, values
 
@@ -550,17 +547,15 @@ def profile_fit(prof: ProfilePolys, method: str, refine_width) -> FitReport:
                        refine_width)
 
 
-def profile_estimates(prof: ProfilePolys, theta, method: str,
-                      prec: int = 256) -> Estimates:
+def profile_estimates(prof: ProfilePolys, theta, method: str) -> Estimates:
     """Estimates at an exact theta or an isolating interval of the method's
     equation, which is refined against its own polynomial when an
     enclosure needs a narrower theta; no equation is built."""
     loglik, values = profile_objective(prof, method)
-    return certified_estimates(theta, loglik, values, prec)
+    return certified_estimates(theta, loglik, values)
 
 
-def profile_value(prof: ProfilePolys, theta, method: str,
-                  prec: int = 256) -> Approx:
+def profile_value(prof: ProfilePolys, theta, method: str) -> Approx:
     """Enclosure of one method's objective at theta, as profile_estimates."""
     loglik, _ = profile_objective(prof, method)
-    return enclose_at(lambda lo, hi: loglik(lo, hi, prec), theta)[1]
+    return enclose_at(lambda lo, hi: loglik(lo, hi, _ESTIMATE_PREC), theta)[1]

@@ -427,8 +427,7 @@ def _brackets(items: List[Tuple[Fraction, Fraction]],
 
 
 def isolate_real_roots(p: UniPoly, domain: str = "all",
-                       max_width: Fraction = Fraction(1, 4),
-                       count_negative: bool = False):
+                       max_width: Fraction = Fraction(1, 4)):
     """Isolate the distinct real roots of p in the requested domain.
 
     Args:
@@ -436,25 +435,20 @@ def isolate_real_roots(p: UniPoly, domain: str = "all",
         domain: "all" for the whole line, "nonnegative" for [0, inf).
         max_width: positive; each returned interval is tightened below
             this width.
-        count_negative: also return the number of distinct negative
-            roots, counted by `_count_positive_roots` and never isolated;
-            only with domain "nonnegative" (ValueError otherwise).
 
     Returns:
         Disjoint RootIntervals of p, one per distinct root, sorted by
-        position; with count_negative, the pair (intervals, negative root
-        count). A root exactly at 0 is a degenerate point interval at 0 in
-        the nonnegative domain; every other interval, including one around
-        a dyadic root hit by a split point or a root at 0 in the
-        whole-line domain, has endpoints that are not roots of p.
+        position; for "nonnegative", the pair (intervals, number of
+        distinct negative roots), counted by `_count_positive_roots` and
+        never isolated. A root exactly at 0 is a degenerate point interval
+        at 0 in the nonnegative domain; every other interval, including
+        one around a dyadic root hit by a split point or a root at 0 in
+        the whole-line domain, has endpoints that are not roots of p.
     """
     if p.is_zero():
         raise UndefinedInputError("cannot isolate roots of the zero polynomial")
     if domain not in ("all", "nonnegative"):
         raise ValueError(f"unknown domain {domain!r}")
-    if count_negative and domain == "all":
-        raise ValueError("count_negative needs domain='nonnegative'; "
-                         "domain='all' returns the negative roots")
     width = Fraction(max_width)
     if width <= 0:
         raise ValueError("max_width must be positive")
@@ -478,7 +472,7 @@ def isolate_real_roots(p: UniPoly, domain: str = "all",
         brackets = _brackets(negative + zero + positive, None)
     for a, b in brackets:
         results.append(RootInterval(*_bisect_to_width(q_int, a, b, width), p))
-    if count_negative:
+    if domain == "nonnegative":
         return results, _count_positive_roots(reflected)
     return results
 

@@ -302,7 +302,8 @@ def test_criterion_3_boundary_fixture_ml_at_zero_reml_interior():
 def test_criterion_4_dyestuff_pinned_polynomials_and_root():
     # Davies (1972) dyestuff yields, observations 1, 2 and 6 dropped.
     # The displayed stationarity polynomials were transcribed by hand;
-    # orientation * numerator must match them up to positive scale.
+    # minus the numerator (the derivative's sign) must match them up to
+    # positive scale.
     if not os.path.exists(fixture_path("dyestuff.csv")):
         pytest.skip("dyestuff.csv fixture absent; pinned dyestuff gate "
                     "not exercised")
@@ -316,8 +317,8 @@ def test_criterion_4_dyestuff_pinned_polynomials_and_root():
                             -6811774200, -17047800000], "theta")
     ml = ml_equation(st)
     rm = reml_equation(st)
-    assert positively_proportional(ml.numerator * ml.orientation, ml_display)
-    assert positively_proportional(rm.numerator * rm.orientation, reml_display)
+    assert positively_proportional(-ml.numerator, ml_display)
+    assert positively_proportional(-rm.numerator, reml_display)
     assert descartes_sign_changes(ml.numerator) == 1
     assert descartes_sign_changes(rm.numerator) == 1
 
@@ -407,7 +408,8 @@ def test_criterion_8_all_ones_design_reduces_to_plain_oneway():
                               (covariates.reml_equation(ones),
                                reml_equation(st))):
             assert positively_proportional(with_x.numerator, plain.numerator)
-            assert with_x.orientation == plain.orientation
+            assert positively_proportional(with_x.denominator,
+                                           plain.denominator)
 
 
 def test_criterion_9_language_diversity_dataset():
@@ -430,7 +432,7 @@ def test_criterion_9_language_diversity_dataset():
     assert ml.observed_degree == 83
     assert rm.observed_degree == 71
     for eq, pin in ((ml, 0.3706), (rm, 0.3853)):
-        roots = isolate_real_roots(eq.numerator, domain="nonnegative")
+        roots, _ = isolate_real_roots(eq.numerator, domain="nonnegative")
         roots = [iv for iv in roots if iv.hi > 0]
         assert len(roots) == 1
         iv = refine_interval(roots[0], Fraction(1, 10 ** 8))

@@ -368,7 +368,7 @@ def test_ones_design_reduces_to_oneway():
         for mine, plain in ((ml_equation(ones), oneway.ml_equation(s)),
                             (reml_equation(ones), oneway.reml_equation(s))):
             assert mine.numerator == plain.numerator
-            assert mine.orientation == plain.orientation
+            assert mine.denominator == plain.denominator
         for mine, plain in ((ml_fit(ones), oneway.ml_fit(s)),
                             (reml_fit(ones), oneway.reml_fit(s))):
             assert mine.stationary_points == plain.stationary_points
@@ -452,7 +452,7 @@ def test_estimates_at_exact_theta_match_oracle():
     assert est.mu is None
     assert [b.lo for b in est.beta] == beta_oracle
     assert all(b.is_exact for b in est.beta)
-    assert est.kappa.lo == Fraction(d.N) / rss_oracle
+    assert est.omega.reciprocal().lo == Fraction(d.N) / rss_oracle
     with pytest.raises(ValueError):
         profile_estimates(gls_profile(d), Fraction(-1), "ML")
 
@@ -473,7 +473,7 @@ def test_fit_end_to_end():
         for rep in (ml_fit(d), reml_fit(d)):
             g = rep.global_estimates
             assert g.beta is not None and len(g.beta) == d.p
-            prod = interval_product(g.omega, g.kappa)
+            prod = interval_product(g.omega, g.omega.reciprocal())
             assert prod.lo <= 1 <= prod.hi
             assert g.tau.lo >= 0
             for iv, label in rep.stationary_points:

@@ -47,6 +47,43 @@ def test_the_guard_sees_an_mpmath_import(tmp_path):
     assert outside_imports(str(probe)) == ["mpmath", "mpmath.libmp"]
 
 
+def unread_imports(path):
+    """Names bound by the top-level imports of one source file, other than
+    from __future__, that the file never reads."""
+    with open(path) as f:
+        tree = ast.parse(f.read(), path)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0]
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_imported_name_is_read():
+    # __init__.py is exempt: its imports are the package's exports
+    modules = sorted(glob.glob(os.path.join(SRC, "exactvc", "*.py")))
+    offenders = {os.path.basename(path): unread_imports(path)
+                 for path in modules
+                 if os.path.basename(path) != "__init__.py"}
+    assert len(offenders) == len(modules) - 1
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_the_guard_sees_an_unread_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\n"
+                     "import os.path\nimport re as regex\n"
+                     "from .roots import cauchy_bound, sign\n"
+                     "def f(p) -> int:\n    from math import gcd\n"
+                     "    return cauchy_bound(os.path.join(p))\n")
+    assert unread_imports(str(probe)) == ["regex", "sign"]
+
+
 def test_fits_never_load_mpmath():
     script = f"""
 import contextlib, io, sys

@@ -70,7 +70,8 @@ def reference_objective(prof, method):
             return None
         coef = tuple(divide(poly_range_reference(c, lo, hi), grange)
                      for c in prof.cramer)
-        return (coef[0], kappa, None) if prof.mean else (None, kappa, coef)
+        omega = kappa.reciprocal()
+        return (coef[0], omega, None) if prof.mean else (None, omega, coef)
 
     return loglik, values
 
@@ -148,8 +149,9 @@ def test_profile_objective_matches_the_fraction_formulas():
 
 def test_certified_estimates_match_the_fraction_formulas():
     # tau = theta omega by the general interval product, over the theta
-    # the estimates report; an isolating interval around a planted root c
-    # is narrowed when its enclosures degenerate
+    # the estimates report, and the objective at the estimates' precision;
+    # an isolating interval around a planted root c is narrowed when its
+    # enclosures degenerate
     rng = random.Random(2324)
     for prof in profiles(rng, 8):
         for method in ("ML", "REML"):
@@ -159,15 +161,12 @@ def test_certified_estimates_match_the_fraction_formulas():
             planted = UniPoly([-c.numerator, c.denominator])
             for theta in (F(0), c, RootInterval(c / 2, 2 * c + 1, planted),
                           RootInterval(c - TINY, c + TINY, planted)):
-                for prec in PRECISIONS:
-                    est = certified_estimates(theta, loglik, values, prec)
-                    lo, hi = profilefit.theta_pair(est.theta)
-                    assert est.loglik == ref_loglik(lo, hi, prec)
-                    assert (est.mu, est.kappa, est.beta) == \
-                        ref_values(lo, hi)
-                    assert est.omega == est.kappa.reciprocal()
-                    assert est.tau == interval_product(Approx(lo, hi),
-                                                       est.omega)
+                est = certified_estimates(theta, loglik, values)
+                lo, hi = profilefit.theta_pair(est.theta)
+                assert est.loglik == ref_loglik(lo, hi,
+                                                profilefit._ESTIMATE_PREC)
+                assert (est.mu, est.omega, est.beta) == ref_values(lo, hi)
+                assert est.tau == interval_product(Approx(lo, hi), est.omega)
 
 
 def test_twoway_loglik_box_matches_the_fraction_formulas():

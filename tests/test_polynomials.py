@@ -437,14 +437,14 @@ def test_interpolate_recovers_polynomials_from_values_at_naturals():
                       for _ in range(deg)]
             coeffs.append(Fraction(rng.choice([-1, 1]) * rng.randint(1, 99),
                                    rng.randint(1, 60) if rational else 1))
-            f = UniPoly(coeffs, "x")
+            f = UniPoly(coeffs)
             assert f.degree == deg
             # D above the true degree: the high coefficients trim to zero
             for D in (deg, deg + 1, deg + rng.randint(2, 9)):
                 vals = [f(k) for k in range(D + 1)]
                 den = lcm(*(v.denominator for v in vals))
                 ints = [v.numerator * (den // v.denominator) for v in vals]
-                assert interpolate(ints, den, "x") == f
+                assert interpolate(ints, den) == f
     for D in (0, 1, 7):
         assert interpolate([0] * (D + 1), 7).is_zero()
     with pytest.raises(UndefinedInputError):

@@ -32,7 +32,8 @@ from exactvc.roots import RootInterval, isolate_real_roots
 def test_profile_equation_matches_the_closed_forms():
     # the singleton classes d1 divide raw_ml once and raw_reml twice, and
     # nothing else cancels (the degree laws), so the cancelled numerator
-    # is raw / d1^k in primitive form, oriented by raw's leading sign
+    # is raw / d1^k in primitive form, and raw's leading coefficient is
+    # negative
     rng = random.Random(20260518)
     singletons = repeated = 0
     for _ in range(120):
@@ -43,7 +44,7 @@ def test_profile_equation_matches_the_closed_forms():
         for method, raw, k in (("ML", cf.raw_ml, 1), ("REML", cf.raw_reml, 2)):
             eq = profile_equation(prof, method)
             assert eq.numerator == raw.exact_divide(cf.d1 ** k).primitive()
-            assert eq.orientation == (1 if raw.leading_coeff() > 0 else -1)
+            assert raw.leading_coeff() < 0
     assert singletons >= 20 and repeated >= 20
 
 
@@ -98,7 +99,7 @@ def check_against_oracle(prof, method):
         # refused: objective' is zero or positive for large theta
         assert num.is_zero or num.LC() > 0
         return
-    lib = sympy_poly(eq.numerator * eq.orientation, t)
+    lib = sympy_poly(-eq.numerator, t)
     ratio = num.LC() / lib.LC()
     assert ratio > 0 and lib * ratio == num
     lib_den = sympy_poly(eq.denominator, t)

@@ -67,7 +67,7 @@ def test_sturm_count_known_roots():
 
 def test_isolate_sqrt2():
     p = UniPoly([-2, 0, 1], "x")
-    ivs = isolate_real_roots(p, domain="nonnegative")
+    ivs, _ = isolate_real_roots(p, domain="nonnegative")
     assert len(ivs) == 1
     iv = ivs[0]
     assert Fraction(1) <= iv.lo and iv.hi <= Fraction(2)
@@ -85,7 +85,7 @@ def test_isolate_all_domain_finds_both_signs():
 def test_isolate_handles_root_at_zero():
     # x * (x - 2): nonnegative domain must report 0 as a point interval
     p = UniPoly([0, -2, 1], "x")
-    ivs = isolate_real_roots(p, domain="nonnegative")
+    ivs, _ = isolate_real_roots(p, domain="nonnegative")
     assert len(ivs) == 2
     assert ivs[0].is_point() and ivs[0].lo == 0 == p(ivs[0].lo)
     assert ivs[1].lo < 2 < ivs[1].hi or (ivs[1].lo > 0)
@@ -93,14 +93,7 @@ def test_isolate_handles_root_at_zero():
 
 def test_isolate_no_nonnegative_roots():
     p = poly_with_roots([-1, Fraction(-5, 2)])
-    assert isolate_real_roots(p, domain="nonnegative") == []
-
-
-def test_count_negative_needs_the_nonnegative_domain():
-    # the whole-line domain returns the negative roots themselves
-    p = poly_with_roots([-1, 2])
-    with pytest.raises(ValueError):
-        isolate_real_roots(p, domain="all", count_negative=True)
+    assert isolate_real_roots(p, domain="nonnegative") == ([], 2)
 
 
 def test_nonpositive_max_width_is_refused():
@@ -144,7 +137,7 @@ def test_descartes_dominates_positive_root_count():
         p = UniPoly([rng.randrange(-9, 10) for _ in range(deg + 1)], "x")
         if p.is_zero() or p(Fraction(0)) == 0:
             continue
-        npos = len(isolate_real_roots(p, domain="nonnegative"))
+        npos = len(isolate_real_roots(p, domain="nonnegative")[0])
         changes = descartes_sign_changes(p)
         assert changes >= npos
         assert (changes - npos) % 2 == 0
@@ -152,7 +145,7 @@ def test_descartes_dominates_positive_root_count():
 
 def test_refine_interval_nests_and_narrows():
     p = UniPoly([-2, 0, 1], "x")
-    iv = isolate_real_roots(p, domain="nonnegative")[0]
+    iv = isolate_real_roots(p, domain="nonnegative")[0][0]
     target = Fraction(1, 1024)
     fine = refine_interval(iv, target)
     assert fine.width() <= target
@@ -278,6 +271,8 @@ def assert_matches_oracles(sympy, p: UniPoly):
 
     for domain in ("all", "nonnegative"):
         ivs = isolate_real_roots(p, domain=domain)
+        if domain == "nonnegative":
+            ivs, negative = ivs
         expected = [ab for ab in oracle if in_domain(*ab, domain)]
         assert len(ivs) == len(expected), (domain, ivs, expected)
         for a, b in zip(ivs, ivs[1:]):
@@ -305,9 +300,6 @@ def assert_matches_oracles(sympy, p: UniPoly):
             assert sum(_inside(iv, fa, fb) for iv in ivs) == 1, (fa, fb)
     bound = cauchy_bound(q)
     assert count_roots_between(chain, -bound, bound) == len(oracle)
-    ivs, negative = isolate_real_roots(p, domain="nonnegative",
-                                       count_negative=True)
-    assert ivs == isolate_real_roots(p, domain="nonnegative")
     assert negative == sum(1 for a, _ in oracle if a < 0)
     assert _count_positive_roots(q.ints) == sum(1 for _, b in oracle if b > 0)
 
@@ -495,7 +487,8 @@ def test_refinement_matches_bisection(p, width, coarse):
         assert (iv.lo, iv.hi) == bisect_to_width_reference(
             q, br.lo, br.hi, width)
     # intervals from isolation and from an earlier refinement
-    for iv in isolate_real_roots(p, domain="nonnegative", max_width=coarse):
+    for iv in isolate_real_roots(p, domain="nonnegative",
+                                 max_width=coarse)[0]:
         if iv.is_point():
             continue
         for start in (iv, refine_interval(iv, coarse / 7)):

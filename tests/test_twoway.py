@@ -14,6 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from exactvc import profilefit
+from exactvc.cli import main
 from exactvc.enclosure import Approx
 from exactvc.errors import (
     DegenerateDataError,
@@ -547,6 +548,34 @@ def test_coarse_width_feasibility_is_decided_by_refinement(monkeypatch):
                     assert sol.tau1.lo >= 0 and sol.tau2.lo >= 0
                     assert sol.tau12 is None or sol.tau12.lo >= 0
     assert fits > 0 and len(refinements) > 0
+
+
+def test_stationary_point_on_the_tau1_face_stays_undecided(tmp_path, capsys):
+    # a stationary point on the tau1 = 0 face, at the rational root
+    # omega = (SSA + E)/(e + r - 1) = 2/5: isolation never lands on a
+    # non-dyadic root, so tau1's enclosure straddles 0 down to the width
+    # cap and feasibility stays undecided; the fit is tied, not boundary
+    st = TwoWayStats(3, 3, 2, F(1), F(12, 5), F(3), F(2))
+    rep = fit_twoway(st, "additive")
+    face = F(2, 5)
+    assert rep.eliminated(face) == 0
+    assert rep.tau1_relation(face) == 0
+    assert rep.tau2_relation(face) == F(1, 15)
+    assert len(rep.solutions) == 2
+    undecided, other = rep.solutions
+    assert undecided.feasible is None
+    assert undecided.var_value.lo < face < undecided.var_value.hi
+    assert undecided.tau1.contains(0)
+    assert other.feasible is False
+    assert rep.global_solution is None
+    assert rep.tie and not rep.boundary
+    path = tmp_path / "face.json"
+    path.write_text(json.dumps({"r": 3, "q": 3, "n": 2, "SSA": "1",
+                                "SSB": "12/5", "SSAB": "3", "SSE": "2"}))
+    assert main(["fit-twoway", "--stats", str(path)]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["tie"] is True and report["global"] is None
+    assert [s["feasible"] for s in report["solutions"]] == [None, False]
 
 
 # ----------------------------------------------------------------------
