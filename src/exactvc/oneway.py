@@ -35,20 +35,26 @@ def basis_polynomials(stats: OneWayStats):
     Over the groups of a size class, sum (1, ybar, ybar^2) is
     (m, m Y, m Y^2 + B), so V_n = n^2 [[m, m Y], [m Y, m Y^2 + B]], and
     Z = [[N, sum n m Y], [sum n m Y, W + sum n (m Y^2 + B)]] with W the
-    within-group SS. The name predates this meaning and is kept because
-    the benchmark's span recorder traces the one-way stage under it.
+    within-group SS. With every Y = a / s over one s, L = lcm(s^2, the
+    denominators of W and the B's) makes each sum an integer; the record
+    does not depend on which such L is used. The name predates this
+    meaning and is kept because the benchmark's span recorder traces the
+    one-way stage under it.
     """
     n, W = stats.sizes, stats.withinSS
-    firsts = [mi * yi for mi, yi in zip(stats.mults, stats.means)]
-    seconds = [mi * yi * yi + b for mi, yi, b in
-               zip(stats.mults, stats.means, stats.betweenSS)]
-    L = lcm(W.denominator, *(v.denominator for v in firsts + seconds))
+    s = lcm(*(y.denominator for y in stats.means))
+    L = lcm(s * s, W.denominator, *(b.denominator for b in stats.betweenSS))
+    a = [y.numerator * (s // y.denominator) for y in stats.means]
+    firsts = [mi * ai * (L // s) for mi, ai in zip(stats.mults, a)]
+    seconds = [mi * ai * ai * (L // (s * s))
+               + b.numerator * (L // b.denominator)
+               for mi, ai, b in zip(stats.mults, a, stats.betweenSS)]
     sy = sum(ni * v for ni, v in zip(n, firsts))
-    syy = W + sum(ni * v for ni, v in zip(n, seconds))
-    Z = [[stats.N * L, int(sy * L)], [int(sy * L), int(syy * L)]]
-    Vs = [[[ni * ni * mi * L, int(ni * ni * a * L)],
-           [int(ni * ni * a * L), int(ni * ni * b * L)]]
-          for ni, mi, a, b in zip(n, stats.mults, firsts, seconds)]
+    syy = W.numerator * (L // W.denominator) + sum(
+        ni * v for ni, v in zip(n, seconds))
+    Z = [[stats.N * L, sy], [sy, syy]]
+    Vs = [[[ni * ni * mi * L, ni * ni * f], [ni * ni * f, ni * ni * g]]
+          for ni, mi, f, g in zip(n, stats.mults, firsts, seconds)]
     return Z, Vs, L
 
 

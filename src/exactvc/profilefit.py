@@ -483,7 +483,10 @@ def profile_objective(prof: ProfilePolys, method: str):
     over that class, scaled by m; so a log's argument does not grow with m,
     and the objective needs 1 + (distinct multiplicities) logs, plus 1 for
     REML. values(lo, hi) encloses (mu, omega, beta). Either returns None when
-    its interval step degenerates, or when P or G is not positive.
+    its interval step degenerates, or when P or G is not positive. Both read
+    the polynomials' integer ranges through one store kept for the last
+    interval asked, so values right after loglik at the same theta (as in
+    certified_estimates) evaluates each of D, P and G once.
     """
     weight = _weight(prof, method)
     P, G = prof.p_poly, prof.gram_det
@@ -493,6 +496,16 @@ def profile_objective(prof: ProfilePolys, method: str):
     for n, m in zip(prof.sizes, prof.mults):
         by_mult.setdefault(m, []).append(n)
     classes = sorted(by_mult.items())
+    last = {}
+
+    def range_at(f: UniPoly, lo: Fraction, hi: Fraction):
+        # int_range(f, lo, hi), kept until another interval is asked for
+        if last.get("at") != (lo, hi):
+            last.clear()
+            last["at"] = (lo, hi)
+        if id(f) not in last:
+            last[id(f)] = int_range(f, lo, hi)
+        return last[id(f)]
 
     def log_det_args(t: Fraction) -> List[Tuple[int, int]]:
         # prod (1 + n t) over b^k per class of k sizes, for t = a/b: each
@@ -504,7 +517,7 @@ def profile_objective(prof: ProfilePolys, method: str):
     def ratio_args(num: UniPoly, den: UniPoly, lo, hi, scale: int = 1):
         # unreduced (lo, hi) pairs of scale * num / den, or None unless the
         # integer range of den starts above 0 (log_bounds checks num's)
-        (nl, nh, ne), (dl, dh, de) = (int_range(f, lo, hi) for f in (num, den))
+        (nl, nh, ne), (dl, dh, de) = (range_at(f, lo, hi) for f in (num, den))
         if dl > 0:
             return (scale * nl * de, dh * ne), (scale * nh * de, dl * ne)
 
@@ -528,12 +541,12 @@ def profile_objective(prof: ProfilePolys, method: str):
         return Approx(Fraction(bot, unit), Fraction(top, unit))
 
     def values(lo: Fraction, hi: Fraction):
-        prange, grange = int_range(P, lo, hi), int_range(G, lo, hi)
-        dl, dh, de = int_range(D, lo, hi)
+        prange, grange = range_at(P, lo, hi), range_at(G, lo, hi)
+        dl, dh, de = range_at(D, lo, hi)
         if prange[0] <= 0 or grange[0] <= 0 or dl <= 0:
             return None
         omega = range_quotient(prange, (weight * dl, weight * dh, de))
-        coef = tuple(range_quotient(int_range(c, lo, hi), grange)
+        coef = tuple(range_quotient(range_at(c, lo, hi), grange)
                      for c in prof.cramer)
         return (coef[0], omega, None) if prof.mean else (None, omega, coef)
 

@@ -41,6 +41,29 @@ def schoolbook_mul(a, b) -> list:
     return out
 
 
+
+def gcd_degree_mod_reference(a, b, m) -> int:
+    """Degree of gcd(a mod m, b mod m) over Z/m by the scalar Euclid loop,
+    one reduction per coefficient update; the oracle of
+    polynomials._gcd_degree_mod. Both leading coefficients must be
+    nonzero mod m."""
+    a = [v % m for v in a]
+    b = [v % m for v in b]
+    while b:
+        inv = pow(b[-1], -1, m)
+        db = len(b) - 1
+        while len(a) > db:
+            c = a[-1] * inv % m
+            if c:
+                off = len(a) - 1 - db
+                for j in range(db):
+                    a[off + j] = (a[off + j] - c * b[j]) % m
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
 # -- the Fraction-list oracle ------------------------------------------------
 #
 # Polynomials as ascending lists of Fractions, trimmed, with the schoolbook

@@ -3,6 +3,7 @@ structure, degree law, classification, and estimate consistency."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -15,6 +16,7 @@ from conftest import (
     load_stats_fixture,
     random_oneway_stats,
 )
+from exactvc.covariates import profile_from_sums
 from exactvc.errors import DegenerateDataError
 from exactvc.oneway import (
     basis_polynomials,
@@ -110,6 +112,38 @@ def test_profile_record_matches_closed_forms():
     L = basis_polynomials(record_cases()[-1])[2]
     assert L == (3 * 5 * 7) ** 2 * 11 * 13 * 17 * 23
 
+
+
+def basis_reference(stats):
+    """basis_polynomials' sums by Fraction arithmetic, scaled by the lcm
+    of the reduced sums' denominators."""
+    n, W = stats.sizes, stats.withinSS
+    firsts = [mi * yi for mi, yi in zip(stats.mults, stats.means)]
+    seconds = [mi * yi * yi + b for mi, yi, b in
+               zip(stats.mults, stats.means, stats.betweenSS)]
+    L = lcm(W.denominator, *(v.denominator for v in firsts + seconds))
+    sy = sum(ni * v for ni, v in zip(n, firsts))
+    syy = W + sum(ni * v for ni, v in zip(n, seconds))
+    Z = [[stats.N * L, int(sy * L)], [int(sy * L), int(syy * L)]]
+    Vs = [[[ni * ni * mi * L, int(ni * ni * a * L)],
+           [int(ni * ni * a * L), int(ni * ni * b * L)]]
+          for ni, mi, a, b in zip(n, stats.mults, firsts, seconds)]
+    return Z, Vs, L
+
+
+def test_integer_sums_match_the_fraction_formulas():
+    # the same sums over a possibly different scale, and the same record
+    rng = random.Random(2525)
+    cases = record_cases() + [ladder_stats(random.Random(f"x{M}"), M)
+                              for M in (4, 8, 12, 32)]
+    cases += [random_oneway_stats(rng, max_size=60) for _ in range(20)]
+    for s in cases:
+        (Z, Vs, L), (rZ, rVs, rL) = basis_polynomials(s), basis_reference(s)
+        for got, ref in zip([Z] + Vs, [rZ] + rVs):
+            assert [[Fraction(v, L) for v in row] for row in got] == \
+                [[Fraction(v, rL) for v in row] for row in ref]
+        assert gls_profile(s) == profile_from_sums(
+            s.N, s.sizes, s.mults, rZ, rVs, rL, mean=True)
 
 def test_basis_positivity():
     # d and G have no root on [0, inf) and are positive at 0

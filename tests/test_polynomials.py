@@ -10,7 +10,9 @@ from hypothesis import strategies as hst
 
 from conftest import (divides, frac_add, frac_compose, frac_derivative,
                       frac_divmod, frac_eval, frac_mul, frac_trim,
-                      poly_divmod, product, schoolbook_mul, strip_factor)
+                      gcd_degree_mod_reference, ladder_stats, poly_divmod,
+                      product, schoolbook_mul, strip_factor)
+from exactvc import oneway
 from exactvc.errors import DivisibilityError, UndefinedInputError
 from exactvc.polynomials import (
     _PRIME,
@@ -18,15 +20,18 @@ from exactvc.polynomials import (
     _gcd_degree_mod,
     _int_prs_gcd,
     descartes_sign_changes,
+    int_derivative,
     int_linear_product,
     int_mul,
     int_on_interval,
     int_strip,
+    int_sum,
     interpolate,
     poly_gcd,
     rat,
     squarefree_part,
 )
+from exactvc.profilefit import profile_equation
 
 
 def rand_poly(rng, max_deg=6, var="x"):
@@ -287,6 +292,94 @@ def test_squarefree_part_of_non_squarefree_product():
     f = (x - 1) ** 2 * (x - 1 - _PRIME)
     assert squarefree_part(f) == ((x - 1) * (x - 1 - _PRIME)).primitive()
 
+
+
+def residue_coeffs(rng, k):
+    """k coefficients mixing big random values with ones that are 0, 1 or
+    m - 1 mod m = _PRIME, in several representatives."""
+    m = _PRIME
+    special = (0, m, -m, 1, m + 1, m - 1, -1, 2 * m - 1)
+    return [rng.choice(special) if rng.random() < 0.4
+            else rng.randint(-(1 << 200), 1 << 200) for _ in range(k)]
+
+
+def with_lead(rng, cs):
+    """cs with a leading coefficient that is nonzero mod _PRIME."""
+    while cs[-1] % _PRIME == 0:
+        cs[-1] += rng.randint(1, 5)
+    return cs
+
+
+def test_packed_gcd_degree_matches_the_scalar_loop():
+    # random pairs of any lengths (a constant b and len b > len a among
+    # them), planted common factors, factors shared only mod m, and
+    # remainders whose leading coefficient vanishes mod m mid-run
+    rng = random.Random(2525)
+    m = _PRIME
+    nontrivial = 0
+    for trial in range(400):
+        kind = ("random", "planted", "mod_only", "vanishing")[trial % 4]
+        def part(lo, hi):
+            return with_lead(rng, residue_coeffs(rng, rng.randint(lo, hi)))
+
+        if kind == "random":
+            a, b = part(1, 40), part(1, 40)
+        elif kind == "planted":
+            # a long first pass fills the slots the most
+            f = part(2, 6)
+            a, b = int_mul(f, part(1, 60)), int_mul(f, part(1, 8))
+        elif kind == "mod_only":
+            # (x - r) times a cofactor, plus m times noise in each
+            r = rng.randrange(m)
+            a, b = (int_sum([(1, int_mul([-r, 1], part(k, k))),
+                             (m, residue_coeffs(rng, k + 1))])
+                    for k in (12, 9))
+        else:
+            # a = q b + rem with rem's top coefficient a multiple of m: the
+            # first remainder mod m is shorter than deg b by two or more
+            b = part(3, 15)
+            rem = residue_coeffs(rng, len(b) - 1)
+            rem[-1] = m * rng.randint(-3, 3)
+            a = int_sum([(1, int_mul(part(1, 10), b)), (1, rem)])
+        got = _gcd_degree_mod(a, b, m)
+        assert got == gcd_degree_mod_reference(a, b, m), (kind, a, b)
+        nontrivial += got > 0
+    assert nontrivial > 100
+    assert _gcd_degree_mod([5, 7, 1], [3], m) == 0
+    assert _gcd_degree_mod([3], [5, 7, 1], m) == 0
+    assert _gcd_degree_mod([-1, 0, 1], [1, 1], m) == 1
+
+
+@pytest.mark.parametrize("M", [6, 12, 24, 32, 64, 96])
+def test_packed_gcd_certifies_ladder_numerators(M):
+    # the coprimality and squarefree certificates of the benchmark
+    # ladder's ML and REML numerators come out of the modular test
+    prof = oneway.gls_profile(ladder_stats(random.Random(f"x{M}"), M))
+    for method in ("ML", "REML"):
+        eq = profile_equation(prof, method)
+        num = list(eq.numerator.ints)
+        for other in (int_derivative(num), list(eq.denominator.ints)):
+            assert _gcd_degree_mod(num, other, _PRIME) == 0
+            assert gcd_degree_mod_reference(num, other, _PRIME) == 0
+
+
+def test_the_modulus_is_prime():
+    # deterministic Miller-Rabin: bases 2..37 decide every n < 3.3e24
+    n = _PRIME
+    assert n < 1 << 31
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            pytest.fail(f"{base} witnesses that {n} is composite")
 
 def test_descartes_sign_changes():
     # x^2 - 3x + 2 = (x-1)(x-2): two positive roots, two changes

@@ -388,6 +388,20 @@ def test_estimates_at_an_interval_build_no_equation(monkeypatch):
         assert est == rep.global_estimates and value == est.loglik
 
 
+
+def test_estimates_evaluate_each_range_once(monkeypatch):
+    # loglik and values at the final theta share their integer ranges:
+    # D and P, then G and the one Cramer numerator (ML), plus d^p (REML)
+    prof = oneway.gls_profile(ladder_stats(6, random.Random(6)))
+    for method, count in (("ML", 4), ("REML", 5)):
+        rep = profile_fit(prof, method, F(1, 10 ** 12))
+        ranges = spy(monkeypatch, "int_range")
+        est = profile_estimates(prof, rep.global_estimates.theta, method)
+        monkeypatch.undo()
+        assert est == rep.global_estimates
+        assert len(ranges) == count
+        assert len({(id(args[0]),) + args[1:] for args, _ in ranges}) == count
+
 def test_trimodal_ml_still_ranks_its_two_maxima(monkeypatch):
     # the trimodal fixture has three local maxima: two under ML, which
     # need the ranking pass, and one under REML, which does not
