@@ -56,9 +56,6 @@ class Approx:
     def __sub__(self, other: "Approx") -> "Approx":
         return Approx(self.lo - other.hi, self.hi - other.lo)
 
-    def __neg__(self) -> "Approx":
-        return Approx(-self.hi, -self.lo)
-
     def scale(self, c) -> "Approx":
         c = Fraction(c)
         if c >= 0:

@@ -334,11 +334,7 @@ def ser_approx(a: Optional[Approx]):
 
 
 def ser_theta(t: Union[RootInterval, Fraction]):
-    if isinstance(t, Fraction):
-        return _text(t)
-    if t.is_point():
-        return _text(t.lo)
-    return float_with_bound(t.midpoint(), t.width() / 2)
+    return _text(t) if isinstance(t, Fraction) else ser_approx(t)
 
 
 # ----------------------------------------------------------------------

@@ -189,14 +189,9 @@ class UniPoly:
         return hash((self.ints, self.den))
 
     def __call__(self, x) -> Fraction:
-        """Exact evaluation: homogeneous Horner on integers, one Fraction."""
-        x = rat(x)
-        n, d = x.numerator, x.denominator
-        acc, dp = 0, 1
-        for c in reversed(self.ints):
-            acc = acc * n + c * dp
-            dp *= d
-        return Fraction(acc, self.den * (dp // d)) if self.ints else ZERO
+        """Exact evaluation: int_eval's Horner sum, one Fraction."""
+        acc, scale = int_eval(self.ints, rat(x))
+        return Fraction(acc, self.den * scale)
 
     def __repr__(self):
         if self.is_zero():
@@ -310,6 +305,18 @@ def int_sum(terms) -> List[int]:
 
 def int_derivative(cs: Sequence[int]) -> List[int]:
     return [k * c for k, c in enumerate(cs)][1:]
+
+
+def int_eval(cs: Sequence[int], x: Fraction) -> Tuple[int, int]:
+    """(d^deg p(n/d), d^deg) for x = n/d, d > 0, and the polynomial p with
+    ascending integer coefficients cs: homogeneous Horner on integers."""
+    n, d = x.numerator, x.denominator
+    it = reversed(cs)
+    acc, dp = next(it, 0), 1
+    for c in it:
+        dp *= d
+        acc = acc * n + c * dp
+    return acc, dp
 
 
 def _common_denominator(x: Fraction, y: Fraction) -> Tuple[int, int, int]:

@@ -41,6 +41,7 @@ from .polynomials import (
     int_strip,
     int_sum,
     poly_gcd,
+    rat,
 )
 from .roots import (
     RootInterval,
@@ -289,7 +290,7 @@ def theta_pair(theta: Theta) -> Tuple[Fraction, Fraction]:
     """(lo, hi) of an isolating interval, or (t, t) for an exact theta."""
     if isinstance(theta, RootInterval):
         return theta.lo, theta.hi
-    t = Fraction(theta)
+    t = rat(theta)
     return t, t
 
 
@@ -398,7 +399,7 @@ def certified_estimates(theta: Theta, loglik: LoglikFn,
     """Estimates at theta, narrowing an isolating interval until the
     objective and every value have a certified enclosure."""
     if not isinstance(theta, RootInterval):
-        theta = Fraction(theta)
+        theta = rat(theta)
 
     def both(lo, hi):
         ll, vals = loglik(lo, hi, _ESTIMATE_PREC), values(lo, hi)

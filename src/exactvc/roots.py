@@ -14,8 +14,10 @@ roots of q in (a, b) from above and has the same parity, so V = 0 proves
 that (a, b) holds no root and V = 1 proves that it holds exactly one.
 An interval returned here carries that proof, and the polynomial it was
 certified for (`RootInterval.poly`): its endpoints are not roots, q
-changes sign across it, and it holds exactly one root. Refinement reads
-the polynomial off the interval, so no caller passes it along.
+changes sign across it, and it holds exactly one root. A `RootInterval`
+is an `enclosure.Approx`, whose ends, width, midpoint, exactness and
+printed form it shares, plus that polynomial. Refinement reads the
+polynomial off the interval, so no caller passes it along.
 Refinement is quadratic interval refinement (Abbott 2006) on the dyadic
 grid of the bisection it replaces: it returns the interval bisection
 would, moves only to a subinterval across which q changes sign, and so
@@ -41,10 +43,11 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
+from .enclosure import Approx
 from .errors import ContractViolationError, UndefinedInputError
 from .polynomials import (UniPoly, _common_denominator, _int_primitive,
-                          _int_pseudo_rem, int_derivative, int_on_interval,
-                          int_sign_changes, squarefree_part)
+                          _int_pseudo_rem, int_derivative, int_eval,
+                          int_on_interval, int_sign_changes, squarefree_part)
 
 
 def sign(x: Fraction) -> int:
@@ -56,19 +59,10 @@ def sign(x: Fraction) -> int:
 
 
 def _sign_at(int_coeffs: Sequence[int], x: Fraction) -> int:
-    """Sign of an integer polynomial at a rational point, integer-only.
-
-    For x = n/d with d > 0, sign(p(n/d)) = sign(sum c_k n^k d^(deg-k)).
-    """
-    n, d = x.numerator, x.denominator
-    acc = 0
-    dp = 1
-    # Horner in n, tracking the power of d for homogenization;
-    # the final acc equals d^deg * p(n/d)
-    for c in reversed(int_coeffs):
-        acc = acc * n + c * dp
-        dp *= d
-    return 1 if acc > 0 else (-1 if acc < 0 else 0)
+    """Sign of an integer polynomial at a rational point, integer-only:
+    the sign of int_eval's d^deg p(n/d)."""
+    v = int_eval(int_coeffs, x)[0]
+    return (v > 0) - (v < 0)
 
 
 def cauchy_bound(p: UniPoly) -> Fraction:
@@ -124,8 +118,9 @@ def count_roots_between(chain: List[List[int]], a: Fraction, b: Fraction) -> int
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RootInterval:
-    """Isolating interval for one simple real root of poly.
+class RootInterval(Approx):
+    """Isolating interval for one simple real root of poly: an Approx,
+    whose ordered ends, width, midpoint and exactness it shares.
 
     A point interval (lo == hi) records an exact rational root; for a
     regular interval lo < hi and the enclosed root is strictly interior.
@@ -134,22 +129,10 @@ class RootInterval:
     hashing or repr, which see (lo, hi) only.
     """
 
-    lo: Fraction
-    hi: Fraction
     poly: UniPoly = field(compare=False, repr=False)
 
     def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("interval endpoints out of order")
+        return self.is_exact
 
 
 def _bisect_to_width(q_int, lo: Fraction, hi: Fraction,

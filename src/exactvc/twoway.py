@@ -463,7 +463,7 @@ def _build_solution(system: TwoWaySystem, iv: RootInterval, t1: UniPoly,
 
     def enclosures(j: RootInterval) -> List[Approx]:
         sol = _solution(system, j, t1, t2, None)
-        return [a for a in (Approx(j.lo, j.hi), sol.tau1, sol.tau2, sol.tau12)
+        return [a for a in (j, sol.tau1, sol.tau2, sol.tau12)
                 if a is not None]
 
     iv, signs = certified_signs(iv, enclosures)

@@ -100,6 +100,24 @@ def test_fit_oneway_boundary_fixture(capsys):
         0.00492193, rel=1e-6)
 
 
+@pytest.mark.parametrize("method, within_ss",
+                         [("ML", "1381/24"), ("REML", "2731/34")])
+def test_fit_oneway_reports_a_root_at_zero_as_a_point(tmp_path, capsys,
+                                                      method, within_ss):
+    stats = tmp_path / "stats.json"
+    stats.write_text(json.dumps({
+        "sizes": [2, 3, 5], "mults": [2, 1, 1], "means": ["1", "2", "-1"],
+        "betweenSS": ["1/2", "0", "0"], "withinSS": within_ss}))
+    code, out = run(capsys, "fit-oneway", "--method", method,
+                    "--stats", str(stats))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["equation"]["coeffs"][0] == 0
+    assert rep["roots"] == [{"class": "local_max", "hi": "0", "lo": "0"}]
+    assert rep["boundary_is_max"] and not rep["tie"]
+    assert rep["global"]["theta"] == "0" and rep["global"]["tau"] == "0"
+
+
 def test_emit_poly_dyestuff(capsys):
     code, out = run(capsys, "fit-oneway", "--method", "ML", "--emit-poly",
                     "--csv", fixture_path("dyestuff.csv"))

@@ -19,7 +19,9 @@ from test_covariates import rational_designs
 from exactvc.profilefit import (
     _MAX_RETRIES,
     _TIE_WIDTH_CAP,
+    ProfileEquation,
     certified_argmax,
+    classify_stationary_points,
     enclose_at,
     profile_equation,
     profile_estimates,
@@ -419,3 +421,54 @@ def test_trimodal_ml_still_ranks_its_two_maxima(monkeypatch):
         assert maxima[0].lo <= g.lo and g.hi <= maxima[0].hi
         for _, (_, encl, best, tied) in ranks:
             assert best == 0 and tied == [] and encl[0].lo > encl[1].hi
+
+
+def test_an_exact_theta_refuses_float_and_bool():
+    # 0.1 was once evaluated at its binary float, and True as theta = 1;
+    # every other exact entry point refuses both
+    prof = oneway.gls_profile(load_stats_fixture("trimodal.json"))
+    for theta in (0.1, True):
+        with pytest.raises(TypeError):
+            profilefit.profile_value(prof, theta, "ML")
+        with pytest.raises(TypeError):
+            profile_estimates(prof, theta, "ML")
+    assert (profilefit.profile_value(prof, "1/10", "ML")
+            == profilefit.profile_value(prof, F(1, 10), "ML"))
+    assert (profile_estimates(prof, 1, "ML")
+            == profile_estimates(prof, F(1), "ML"))
+
+
+@pytest.mark.parametrize("method, within_ss",
+                         [("ML", F(1381, 24)), ("REML", F(2731, 34))])
+def test_a_root_at_zero_is_the_boundary_maximum(method, within_ss):
+    # the numerator vanishes at 0 and has no positive root: the point
+    # interval [0, 0] is the one local maximum, and theta = 0 wins
+    s = OneWayStats((2, 3, 5), (2, 1, 1), (1, 2, -1), (F(1, 2), 0, 0),
+                    within_ss)
+    rep = profile_fit(oneway.gls_profile(s), method, F(1, 10 ** 12))
+    num = rep.equation.numerator
+    assert num.ints[0] == 0 and num.ints[1] > 0
+    assert rep.stationary_points == ((RootInterval(F(0), F(0), num),
+                                      "local_max"),)
+    assert rep.boundary_is_max and not rep.tie
+    assert rep.global_estimates.theta == 0
+    assert rep.global_estimates.tau == Approx.exact(0)
+
+
+@pytest.mark.parametrize("positive_roots, labels", [
+    ((1, 2), ["local_max", "saddle", "local_max"]),
+    ((1,), ["saddle", "local_max"]),
+])
+def test_a_root_at_zero_is_probed_short_of_the_next_root(positive_roots,
+                                                         labels):
+    # numerator theta * prod (theta - r): the point interval at 0 is
+    # probed halfway to the next interval; for theta (theta - 1) a probe
+    # past every root would read the opposite sign
+    num = UniPoly([0, 1])
+    for r in positive_roots:
+        num = num * UniPoly([-r, 1])
+    ivs, _ = isolate_real_roots(num, domain="nonnegative")
+    assert ivs[0] == RootInterval(F(0), F(0), num)
+    assert len(ivs) == 1 + len(positive_roots)
+    eq = ProfileEquation(num, UniPoly([1]), None)
+    assert classify_stationary_points(eq, ivs) == labels

@@ -18,6 +18,7 @@ from hypothesis import strategies as hst
 
 from conftest import (bisect_to_width_reference, ladder_stats,
                       poly_range_reference, product)
+from exactvc.enclosure import Approx
 from exactvc.errors import ContractViolationError, UndefinedInputError
 from exactvc.oneway import ml_equation, reml_equation
 from exactvc.polynomials import (
@@ -174,6 +175,19 @@ def test_refine_rejects_uncertified_interval():
     two_roots = RootInterval(Fraction(-2), Fraction(2), p)
     with pytest.raises(ContractViolationError):
         refine_interval(two_roots, Fraction(1, 4))
+
+
+def test_refine_interval_keeps_a_point_interval_on_a_root():
+    # a point interval is already as narrow as it gets: it comes back as
+    # it is when it sits on a root, and is refused when it does not
+    p = poly_with_roots([Fraction(0), Fraction(3, 2)])
+    at_zero = isolate_real_roots(p, domain="nonnegative")[0][0]
+    for iv in (at_zero, RootInterval(Fraction(3, 2), Fraction(3, 2), p)):
+        assert iv.is_point()
+        assert refine_interval(iv, Fraction(1, 10 ** 12)) is iv
+    with pytest.raises(ContractViolationError):
+        refine_interval(RootInterval(Fraction(1), Fraction(1), p),
+                        Fraction(1, 4))
 
 
 def test_zero_polynomial_rejected():
@@ -497,3 +511,35 @@ def test_refinement_matches_bisection(p, width, coarse):
             fine = refine_interval(start, width)
             assert (fine.lo, fine.hi) == expected
 
+
+
+# ----------------------------------------------------------------------
+# The record: an isolating interval is an Approx that carries its polynomial
+# ----------------------------------------------------------------------
+
+def test_a_root_interval_is_an_approx_with_the_same_ends():
+    p = UniPoly([-2, 0, 1], "x")
+    ivs = [RootInterval(Fraction(1), Fraction(3, 2), p),
+           RootInterval(Fraction(-7, 5), Fraction(-4, 3), p),
+           RootInterval(Fraction(5, 2), Fraction(5, 2), p),
+           *isolate_real_roots(p, domain="all")]
+    for iv in ivs:
+        assert isinstance(iv, Approx)
+        assert iv.width() == iv.hi - iv.lo
+        assert iv.midpoint() == (iv.lo + iv.hi) / 2
+        assert iv.is_point() == (iv.lo == iv.hi) == iv.is_exact
+    assert [iv.is_point() for iv in ivs] == [False, False, True, False, False]
+    # an out-of-order interval is an empty enclosure
+    with pytest.raises(ValueError):
+        RootInterval(Fraction(2), Fraction(1), p)
+
+
+def test_root_interval_equality_hash_and_repr_ignore_the_polynomial():
+    a = RootInterval(Fraction(1), Fraction(2), UniPoly([-2, 0, 1], "x"))
+    b = RootInterval(Fraction(1), Fraction(2), UniPoly([-3, 0, 1], "x"))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == (
+        "RootInterval(lo=Fraction(1, 1), hi=Fraction(2, 1))")
+    assert a != RootInterval(Fraction(1), Fraction(3), a.poly)
+    # an Approx with the same ends is a different record
+    assert a != Approx(Fraction(1), Fraction(2))
