@@ -33,7 +33,6 @@ rep = covariates.ml_fit(design)
 g = rep.global_estimates
 print("\nglobal fit:")
 print("  theta ~", float(g.theta.midpoint())
-      if not isinstance(g.theta, F) else f"{g.theta} (boundary)")
+      if not g.theta.is_exact else f"{g.theta.lo} (boundary)")
 for j, b in enumerate(g.beta):
-    val = float(b.midpoint()) if hasattr(b, "midpoint") else float(b)
-    print(f"  beta[{j}] ~ {val:.6f}")
+    print(f"  beta[{j}] ~ {float(b.midpoint()):.6f}")

@@ -28,7 +28,7 @@ from .errors import (
     RankDeficiencyError,
     UndefinedInputError,
 )
-from .profilefit import profile_equation, profile_fit
+from .profilefit import REFINE_WIDTH, profile_equation, profile_fit
 from .stats import (OneWayStats, check_layout, ml_degree, multiplicity_profile,
                     reml_degree)
 from .twoway import fit_twoway
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="long-format CSV input")
         src.add_argument("--stats", metavar="PATH",
                          help="sufficient-statistics JSON input")
-        p.add_argument("--refine-width", default="1/1000000000000",
+        p.add_argument("--refine-width", default=str(REFINE_WIDTH),
                        metavar="RAT",
                        help="width to which root enclosures are refined "
                             "(exact rational, default 10^-12)")

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .polynomials import UniPoly, int_linear_product, interpolate, rat
 from .profilefit import (
+    REFINE_WIDTH,
     FitReport,
     ProfileEquation,
     ProfilePolys,
@@ -249,12 +250,12 @@ def reml_equation(design: DesignProblem) -> ProfileEquation:
 
 
 def ml_fit(design: DesignProblem,
-           refine_width: Fraction = Fraction(1, 10 ** 12)) -> FitReport:
+           refine_width: Fraction = REFINE_WIDTH) -> FitReport:
     """Global covariate profile optimum with certified classification."""
     return profile_fit(gls_profile(design), "ML", refine_width)
 
 
 def reml_fit(design: DesignProblem,
-             refine_width: Fraction = Fraction(1, 10 ** 12)) -> FitReport:
+             refine_width: Fraction = REFINE_WIDTH) -> FitReport:
     """Global restricted optimum with certified classification."""
     return profile_fit(gls_profile(design), "REML", refine_width)

@@ -16,14 +16,13 @@ import json
 import math
 import re
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .covariates import DesignProblem
 from .enclosure import Approx
 from .errors import InputError
 from .polynomials import UniPoly, descartes_sign_changes, rat
 from .profilefit import FitReport
-from .roots import RootInterval
 from .stats import OneWayStats, exact_count, summarize_ints
 from .twoway import TwoWayFitReport, TwoWayStats, twoway_stats_ints
 
@@ -333,10 +332,6 @@ def ser_approx(a: Optional[Approx]):
     return float_with_bound(a.midpoint(), a.width() / 2)
 
 
-def ser_theta(t: Union[RootInterval, Fraction]):
-    return _text(t) if isinstance(t, Fraction) else ser_approx(t)
-
-
 # ----------------------------------------------------------------------
 # Reports
 # ----------------------------------------------------------------------
@@ -357,7 +352,7 @@ def oneway_report(rep: FitReport, method: str) -> dict:
             for iv, label in rep.stationary_points
         ],
         "global": {
-            "theta": ser_theta(est.theta),
+            "theta": ser_approx(est.theta),
             "mu": ser_approx(est.mu),
             "omega": ser_approx(est.omega),
             "tau": ser_approx(est.tau),

@@ -19,6 +19,7 @@ from math import lcm
 from .covariates import profile_from_sums
 from .errors import DegenerateDataError
 from .profilefit import (
+    REFINE_WIDTH,
     FitReport,
     ProfileEquation,
     ProfilePolys,
@@ -86,12 +87,12 @@ def reml_equation(stats: OneWayStats) -> ProfileEquation:
 
 
 def ml_fit(stats: OneWayStats,
-           refine_width: Fraction = Fraction(1, 10 ** 12)) -> FitReport:
+           refine_width: Fraction = REFINE_WIDTH) -> FitReport:
     """Global profile-criterion optimum with certified classification."""
     return profile_fit(gls_profile(stats), "ML", refine_width)
 
 
 def reml_fit(stats: OneWayStats,
-             refine_width: Fraction = Fraction(1, 10 ** 12)) -> FitReport:
+             refine_width: Fraction = REFINE_WIDTH) -> FitReport:
     """Global restricted-criterion optimum with certified classification."""
     return profile_fit(gls_profile(stats), "REML", refine_width)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .enclosure import Approx, log_bounds, range_quotient
 from .errors import ContractViolationError, DegenerateDesignError
@@ -46,7 +46,6 @@ from .polynomials import (
 from .roots import (
     RootInterval,
     _sign_at,
-    cauchy_bound,
     int_range,
     isolate_real_roots,
     refine_interval,
@@ -56,6 +55,9 @@ from .stats import ml_degree, reml_degree
 LOCAL_MAX = "local_max"
 SADDLE = "saddle"
 
+# Width to which every fit refines its reported root enclosures unless
+# told otherwise.
+REFINE_WIDTH = Fraction(1, 10 ** 12)
 # Refinement effort caps of ranking and sign decisions: widths shrink 32x
 # per round; past the cap a tie or an undecided sign is reported.
 _TIE_WIDTH_CAP = Fraction(1, 10 ** 40)
@@ -92,11 +94,12 @@ class ProfileEquation:
 class Estimates:
     """Point estimates at one value of theta, each with a certified bound.
 
-    theta is an isolating interval, or an exact rational for boundary and
-    degenerate cases. beta is only populated by covariate fits.
+    theta is an Approx: an isolating interval, or a point for the
+    boundary, a root at 0 or a theta the caller gives exactly. beta is only
+    populated by covariate fits.
     """
 
-    theta: Union[RootInterval, Fraction]
+    theta: Approx
     mu: Optional[Approx]
     omega: Approx
     tau: Approx
@@ -250,21 +253,17 @@ def classify_stationary_points(eq: ProfileEquation,
     sign at the isolating interval's endpoints (which are never roots). A
     +/- flip is a local maximum of the profile; a -/+ flip is a profile
     minimum, which the full objective sees as a saddle; no flip is a
-    degenerate saddle.
+    degenerate saddle. The one exact root, at the origin, has only a right
+    side in the domain, where the numerator takes the sign of its lowest
+    nonzero coefficient.
     """
-    num = eq.numerator
-    cs = num.ints
+    cs = eq.numerator.ints
     labels = []
-    for i, iv in enumerate(ivs):
-        if not iv.is_point():
-            s_left, right = -_sign_at(cs, iv.lo), iv.hi
+    for iv in ivs:
+        if iv.is_exact:
+            s_left, s_right = 1, -next(c for c in cs if c)
         else:
-            # exact root (at the origin): only the right side is in-domain,
-            # probed short of the next interval or past every root
-            s_left = 1
-            right = ((iv.hi + ivs[i + 1].lo) / 2 if i + 1 < len(ivs)
-                     else cauchy_bound(num) + 1)
-        s_right = -_sign_at(cs, right)
+            s_left, s_right = -_sign_at(cs, iv.lo), -_sign_at(cs, iv.hi)
         labels.append(LOCAL_MAX if s_left > 0 > s_right else SADDLE)
     return labels
 
@@ -273,7 +272,6 @@ def classify_stationary_points(eq: ProfileEquation,
 # Certified selection
 # ----------------------------------------------------------------------
 
-Theta = Union[RootInterval, Fraction]
 # (theta_lo, theta_hi, prec) -> objective enclosure over the interval
 LoglikFn = Callable[[Fraction, Fraction, int], Optional[Approx]]
 # (theta_lo, theta_hi) -> (mu, omega, beta) enclosures
@@ -286,43 +284,38 @@ _MAX_RETRIES = 80
 _ESTIMATE_PREC = 256
 
 
-def theta_pair(theta: Theta) -> Tuple[Fraction, Fraction]:
-    """(lo, hi) of an isolating interval, or (t, t) for an exact theta."""
-    if isinstance(theta, RootInterval):
-        return theta.lo, theta.hi
-    t = rat(theta)
-    return t, t
-
-
-def enclose_at(fn: Callable, theta: Theta):
+def enclose_at(fn: Callable, theta):
     """(theta, fn(lo, hi)), narrowing theta while fn returns None.
 
+    theta is an Approx, or an exact rational, taken as its point Approx.
     fn returns None when its rational-interval step degenerates; an
     isolating interval is then refined 32x against the polynomial it
     carries. An exact theta cannot be narrowed, so a None there is a
     broken contract, as is a None after _MAX_RETRIES refinements.
     """
+    if not isinstance(theta, Approx):
+        theta = Approx.exact(rat(theta))
     for _ in range(_MAX_RETRIES):
-        out = fn(*theta_pair(theta))
+        out = fn(theta.lo, theta.hi)
         if out is not None:
             return theta, out
-        if not isinstance(theta, RootInterval) or theta.is_point():
+        if theta.is_exact:
             raise ContractViolationError(
                 "enclosure failed at an exact theta")
         theta = refine_interval(theta, theta.width() / 32)
     raise ContractViolationError("enclosures did not converge")
 
 
-def _leader(thetas: Sequence[Theta], encl: Sequence[Approx]):
+def _leader(thetas: Sequence[Approx], encl: Sequence[Approx]):
     """Index with the greatest lower bound (lowest left endpoint on equal
     bounds), and every index whose enclosure reaches that bound."""
     best = max(range(len(thetas)),
-               key=lambda i: (encl[i].lo, -theta_pair(thetas[i])[0]))
+               key=lambda i: (encl[i].lo, -thetas[i].lo))
     return best, [i for i, e in enumerate(encl)
                   if i == best or e.hi >= encl[best].lo]
 
 
-def certified_argmax(thetas: Sequence[Theta], loglik: LoglikFn):
+def certified_argmax(thetas: Sequence, loglik: LoglikFn):
     """Certify which theta carries the greatest objective value.
 
     Each round encloses the objective at every theta, at a log precision
@@ -335,7 +328,8 @@ def certified_argmax(thetas: Sequence[Theta], loglik: LoglikFn):
     isolated from different equations rank together.
 
     Args:
-        thetas: isolating intervals, or exact rationals.
+        thetas: isolating intervals, or exact thetas (each a point
+            Approx or a rational, returned as its point Approx).
         loglik: (theta_lo, theta_hi, prec) -> objective enclosure, or None
             when theta must be narrowed first.
 
@@ -357,8 +351,7 @@ def certified_argmax(thetas: Sequence[Theta], loglik: LoglikFn):
         stuck = True
         for i in tied:
             theta = thetas[i]
-            if (isinstance(theta, RootInterval) and not theta.is_point()
-                    and theta.width() > _TIE_WIDTH_CAP):
+            if theta.width() > _TIE_WIDTH_CAP:
                 thetas[i] = refine_interval(
                     theta, max(theta.width() / 32, _TIE_WIDTH_CAP))
                 stuck = False
@@ -387,19 +380,17 @@ def certified_signs(theta: RootInterval,
     decided sign stays decided: one pass serves every quantity."""
     for _ in range(_MAX_RANK_ROUNDS):
         signs = [_sign(a) for a in enclose(theta)]
-        if (None not in signs or theta.is_point()
-                or theta.width() <= _TIE_WIDTH_CAP):
+        if None not in signs or theta.width() <= _TIE_WIDTH_CAP:
             break
         theta = refine_interval(theta, theta.width() / 32)
     return theta, signs
 
 
-def certified_estimates(theta: Theta, loglik: LoglikFn,
+def certified_estimates(theta, loglik: LoglikFn,
                         values: ValuesFn) -> Estimates:
-    """Estimates at theta, narrowing an isolating interval until the
-    objective and every value have a certified enclosure."""
-    if not isinstance(theta, RootInterval):
-        theta = rat(theta)
+    """Estimates at theta (as enclose_at takes it), narrowing an isolating
+    interval until the objective and every value have a certified
+    enclosure."""
 
     def both(lo, hi):
         ll, vals = loglik(lo, hi, _ESTIMATE_PREC), values(lo, hi)
@@ -407,14 +398,13 @@ def certified_estimates(theta: Theta, loglik: LoglikFn,
 
     theta, (ll, (mu, omega, beta)) = enclose_at(both, theta)
     # theta >= 0 and omega > 0: the product's ends are the ends' products
-    lo, hi = theta_pair(theta)
     return Estimates(theta=theta, mu=mu, omega=omega,
-                     tau=Approx(lo * omega.lo, hi * omega.hi), loglik=ll,
-                     beta=beta)
+                     tau=Approx(theta.lo * omega.lo, theta.hi * omega.hi),
+                     loglik=ll, beta=beta)
 
 
 def fit_profile(eq: ProfileEquation, loglik: LoglikFn, values: ValuesFn,
-                refine_width: Fraction = Fraction(1, 10 ** 12)) -> FitReport:
+                refine_width: Fraction) -> FitReport:
     """Shared fitting driver: isolate, classify, select, estimate.
 
     Args:
@@ -436,14 +426,13 @@ def fit_profile(eq: ProfileEquation, loglik: LoglikFn, values: ValuesFn,
         num, domain="nonnegative", max_width=refine_width)
     labels = classify_stationary_points(eq, ivs)
 
-    # candidates: every local maximum (an exact root as its rational) and,
-    # when the objective is nonincreasing from the boundary (the numerator
-    # is positive there), theta = 0
+    # candidates: every local maximum and, when the objective is
+    # nonincreasing from the boundary (the numerator is positive there),
+    # theta = 0
     slots = [i for i, label in enumerate(labels) if label == LOCAL_MAX]
-    thetas: List[Theta] = [ivs[i].lo if ivs[i].is_point() else ivs[i]
-                           for i in slots]
+    thetas: List[Approx] = [ivs[i] for i in slots]
     if num.ints[0] > 0:
-        thetas.append(Fraction(0))
+        thetas.append(Approx.exact(0))
     if not thetas:
         raise ContractViolationError(
             "no maximum candidate found; sign contract broken")
@@ -457,14 +446,13 @@ def fit_profile(eq: ProfileEquation, loglik: LoglikFn, values: ValuesFn,
     # fold ranking-driven refinements back into the reported intervals
     ivs = list(ivs)
     for i, theta in zip(slots, thetas):
-        if isinstance(theta, RootInterval):
-            ivs[i] = theta
+        ivs[i] = theta
 
     winner = thetas[best]
     return FitReport(
         equation=eq,
         stationary_points=tuple(zip(ivs, labels)),
-        boundary_is_max=not isinstance(winner, RootInterval) and winner == 0,
+        boundary_is_max=winner.hi == 0,
         global_estimates=certified_estimates(winner, loglik, values),
         tie=bool(tied),
         negative_roots=n_negative)

@@ -47,15 +47,8 @@ from .enclosure import Approx
 from .errors import ContractViolationError, UndefinedInputError
 from .polynomials import (UniPoly, _common_denominator, _int_primitive,
                           _int_pseudo_rem, int_derivative, int_eval,
-                          int_on_interval, int_sign_changes, squarefree_part)
-
-
-def sign(x: Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+                          int_on_interval, int_sign_changes, rat,
+                          squarefree_part)
 
 
 def _sign_at(int_coeffs: Sequence[int], x: Fraction) -> int:
@@ -130,9 +123,6 @@ class RootInterval(Approx):
     """
 
     poly: UniPoly = field(compare=False, repr=False)
-
-    def is_point(self) -> bool:
-        return self.is_exact
 
 
 def _bisect_to_width(q_int, lo: Fraction, hi: Fraction,
@@ -432,7 +422,7 @@ def isolate_real_roots(p: UniPoly, domain: str = "all",
         raise UndefinedInputError("cannot isolate roots of the zero polynomial")
     if domain not in ("all", "nonnegative"):
         raise ValueError(f"unknown domain {domain!r}")
-    width = Fraction(max_width)
+    width = rat(max_width)
     if width <= 0:
         raise ValueError("max_width must be positive")
     q_int = squarefree_part(p).ints
@@ -478,12 +468,12 @@ def refine_interval(iv: RootInterval, width: Fraction) -> RootInterval:
             root of iv.poly's squarefree part (for example, a hand-built
             interval around two roots or none).
     """
-    width = Fraction(width)
+    width = rat(width)
     if width <= 0:
         raise ValueError("target width must be positive")
     q_int = squarefree_part(iv.poly).ints
 
-    if iv.is_point():
+    if iv.is_exact:
         if _sign_at(q_int, iv.lo) != 0:
             raise ContractViolationError(
                 "point interval does not sit on a root of the polynomial")

@@ -44,7 +44,7 @@ from .errors import (
 from .polynomials import (UniPoly, _common_denominator, _int_primitive,
                           _int_pseudo_rem, int_mul, int_on_interval, int_strip,
                           int_sum, rat, squarefree_part)
-from .profilefit import certified_argmax, certified_signs
+from .profilefit import REFINE_WIDTH, certified_argmax, certified_signs
 from .roots import RootInterval, int_range, isolate_real_roots, poly_range
 from .stats import as_fraction, exact_count
 
@@ -488,7 +488,7 @@ def _rank_feasible(system: TwoWaySystem, sols: List[TwoWaySolution],
 
 
 def fit_twoway(stats: TwoWayStats, model: str = "additive",
-               refine_width: Fraction = Fraction(1, 10 ** 12)) -> TwoWayFitReport:
+               refine_width: Fraction = REFINE_WIDTH) -> TwoWayFitReport:
     """Solve the critical equations and certify the feasible optimum.
 
     Args:
@@ -503,7 +503,7 @@ def fit_twoway(stats: TwoWayStats, model: str = "additive",
         solution with the largest certified objective is selected, or
         the boundary flag is set when no interior point is feasible.
     """
-    refine_width = Fraction(refine_width)
+    refine_width = rat(refine_width)
     if refine_width <= 0:
         raise ValueError("refine_width must be positive")
     system = ml_system(stats, model)

@@ -30,6 +30,7 @@ from conftest import (
 )
 from exactvc import covariates, oneway
 from exactvc.covariates import DesignProblem
+from exactvc.enclosure import Approx
 from exactvc.oneway import ml_equation, ml_fit, reml_equation, reml_fit
 from exactvc.polynomials import UniPoly, descartes_sign_changes, poly_gcd
 from exactvc.stats import (
@@ -284,8 +285,7 @@ def test_criterion_3_boundary_fixture_ml_at_zero_reml_interior():
     ml = ml_fit(st)
     assert len(ml.stationary_points) == 0
     assert ml.boundary_is_max
-    assert isinstance(ml.global_estimates.theta, Fraction)
-    assert ml.global_estimates.theta == 0
+    assert ml.global_estimates.theta == Approx.exact(0)
 
     rm = reml_fit(st)
     rpts = rm.stationary_points

@@ -9,6 +9,7 @@ runs a one-way and a two-way fit never loads mpmath.
 import ast
 import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -82,6 +83,57 @@ def test_the_guard_sees_an_unread_import(tmp_path):
                      "def f(p) -> int:\n    from math import gcd\n"
                      "    return cauchy_bound(os.path.join(p))\n")
     assert unread_imports(str(probe)) == ["regex", "sign"]
+
+
+def unnamed_definitions(sources, trees):
+    """(file, name) of each function, class or method defined in the files
+    sources, dunders aside, whose name is on no line of the .py files under
+    the directories trees other than the line that defines it."""
+    files = sorted({os.path.abspath(f) for root in trees for f in
+                    glob.glob(os.path.join(root, "**", "*.py"),
+                              recursive=True)})
+    lines_of = {}
+    for path in files:
+        with open(path) as f:
+            for number, line in enumerate(f, 1):
+                for word in set(re.findall(r"\w+", line)):
+                    lines_of.setdefault(word, set()).add((path, number))
+    dead = []
+    for path in sources:
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not re.fullmatch(r"__\w+__", node.name)
+                    and not lines_of.get(node.name, set())
+                    - {(os.path.abspath(path), node.lineno)}):
+                dead.append((os.path.basename(path), node.name))
+    return sorted(dead)
+
+
+def test_every_defined_name_is_used():
+    root = os.path.join(SRC, os.pardir)
+    modules = sorted(glob.glob(os.path.join(SRC, "exactvc", "*.py")))
+    trees = [os.path.join(root, d) for d in ("src", "tests", "perfbench",
+                                             "demos")]
+    assert unnamed_definitions(modules, trees) == []
+
+
+def test_the_guard_sees_an_unnamed_definition(tmp_path):
+    # a name counts as used on a line of another file, or another line of
+    # its own; the line that defines it and longer words that contain it
+    # do not count
+    probe = tmp_path / "probe.py"
+    probe.write_text("class Box:\n"
+                     "    def __init__(self):\n        self.n = 0\n"
+                     "    def empty(self):\n        return 0\n"
+                     "def solo(): return solo\n"
+                     "def inner():\n    return 1\n"
+                     "def outer():\n    return inner()\n")
+    (tmp_path / "caller.py").write_text("Box()\nouter()\nsolo_too()\n")
+    assert unnamed_definitions([str(probe)], [str(tmp_path)]) == [
+        ("probe.py", "empty"), ("probe.py", "solo")]
 
 
 def test_fits_never_load_mpmath():

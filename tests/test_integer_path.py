@@ -162,7 +162,7 @@ def test_certified_estimates_match_the_fraction_formulas():
             for theta in (F(0), c, RootInterval(c / 2, 2 * c + 1, planted),
                           RootInterval(c - TINY, c + TINY, planted)):
                 est = certified_estimates(theta, loglik, values)
-                lo, hi = profilefit.theta_pair(est.theta)
+                lo, hi = est.theta.lo, est.theta.hi
                 assert est.loglik == ref_loglik(lo, hi,
                                                 profilefit._ESTIMATE_PREC)
                 assert (est.mu, est.omega, est.beta) == ref_values(lo, hi)

@@ -22,7 +22,6 @@ from exactvc.io import (
     parse_rational,
     read_csv_rows,
     ser_approx,
-    ser_theta,
 )
 from exactvc.polynomials import UniPoly
 from exactvc.roots import RootInterval
@@ -212,9 +211,9 @@ def test_ser_values():
     assert ser_approx(None) is None
     d = ser_approx(Approx(F(1, 3), F(2, 3)))
     assert set(d) == {"value", "error_bound"}
-    assert ser_theta(F(0)) == "0"
-    assert ser_theta(RootInterval(F(1, 2), F(1, 2),
-                                 UniPoly([-1, 2], "x"))) == "1/2"
+    assert ser_approx(Approx.exact(F(0))) == "0"
+    assert ser_approx(RootInterval(F(1, 2), F(1, 2),
+                                  UniPoly([-1, 2], "x"))) == "1/2"
 
 
 def test_dumps_deterministic_and_emit_poly():

@@ -17,6 +17,7 @@ from conftest import (
     random_oneway_stats,
 )
 from exactvc.covariates import profile_from_sums
+from exactvc.enclosure import Approx
 from exactvc.errors import DegenerateDataError
 from exactvc.oneway import (
     basis_polynomials,
@@ -26,7 +27,7 @@ from exactvc.oneway import (
     reml_fit,
 )
 from exactvc.polynomials import UniPoly, descartes_sign_changes, poly_gcd
-from exactvc.profilefit import profile_estimates, profile_value, theta_pair
+from exactvc.profilefit import profile_estimates, profile_value
 from exactvc.roots import isolate_real_roots
 from exactvc.stats import GroupedData, OneWayStats, ml_degree, summarize
 
@@ -231,7 +232,7 @@ def test_balanced_no_between_variation_boundary():
     s = OneWayStats((3,), (4,), (Fraction(2),), (Fraction(0),), Fraction(10))
     rep = ml_fit(s)
     assert rep.boundary_is_max
-    assert rep.global_estimates.theta == 0
+    assert rep.global_estimates.theta == Approx.exact(0)
     assert rep.global_estimates.tau.lo == rep.global_estimates.tau.hi == 0
 
 
@@ -270,7 +271,7 @@ def test_boundary_fixture_ml_at_zero():
     rep = ml_fit(s)
     assert rep.stationary_points == ()
     assert rep.boundary_is_max
-    assert rep.global_estimates.theta == 0
+    assert rep.global_estimates.theta == Approx.exact(0)
     assert rep.negative_roots == 4
 
 
@@ -305,7 +306,7 @@ def test_estimates_invariants():
     # omega = 1/kappa and tau = theta*omega as enclosure identities
     prod = interval_product(g.omega, g.omega.reciprocal())
     assert prod.lo <= 1 <= prod.hi
-    tlo, thi = theta_pair(g.theta)
+    tlo, thi = g.theta.lo, g.theta.hi
     assert g.tau.lo <= thi * g.omega.hi and g.tau.hi >= tlo * g.omega.lo
     assert g.tau.lo >= 0 and g.omega.lo > 0
 

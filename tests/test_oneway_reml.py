@@ -12,6 +12,7 @@ from conftest import (
     load_stats_fixture,
     random_oneway_stats,
 )
+from exactvc.enclosure import Approx
 from exactvc.errors import DegenerateDataError
 from exactvc.oneway import gls_profile, reml_equation, reml_fit
 from exactvc.polynomials import poly_gcd
@@ -91,7 +92,7 @@ def test_reml_balanced_no_between_variation():
     s = OneWayStats((3,), (4,), (Fraction(2),), (Fraction(0),), Fraction(10))
     rep = reml_fit(s)
     assert rep.boundary_is_max
-    assert rep.global_estimates.theta == 0
+    assert rep.global_estimates.theta == Approx.exact(0)
 
 
 def sigdigits(x, k=6):

@@ -27,9 +27,9 @@ from exactvc.profilefit import (
     profile_estimates,
     profile_fit,
     profile_objective,
-    theta_pair,
 )
-from exactvc.roots import RootInterval, isolate_real_roots
+from exactvc.roots import RootInterval, isolate_real_roots, refine_interval
+from exactvc.twoway import TwoWayStats, fit_twoway
 
 def test_profile_equation_matches_the_closed_forms():
     # the singleton classes d1 divide raw_ml once and raw_reml twice, and
@@ -163,6 +163,23 @@ def test_nonpositive_refine_width_is_refused():
             profile_fit(prof, "ML", width)
 
 
+def test_a_float_or_bool_refine_width_is_refused():
+    # True once fitted at width 1 and 0.1 at its binary float; a width is
+    # an exact rational, as theta is
+    s = OneWayStats((2, 3, 5), (2, 1, 1), (1, 2, 3), (1, 0, 0), 5)
+    iv = isolate_real_roots(UniPoly([-2, 0, 1]))[0]
+    for width in (True, 0.1):
+        with pytest.raises(TypeError):
+            oneway.ml_fit(s, refine_width=width)
+        with pytest.raises(TypeError):
+            fit_twoway(TwoWayStats(2, 2, 1, 1, 2, 3, 0), refine_width=width)
+        with pytest.raises(TypeError):
+            isolate_real_roots(iv.poly, max_width=width)
+        with pytest.raises(TypeError):
+            refine_interval(iv, width)
+    assert oneway.ml_fit(s, refine_width="1/4") == oneway.ml_fit(s, F(1, 4))
+
+
 def test_degree_laws_hold_on_the_64_size_ladder():
     s = ladder_stats(64, random.Random(64))
     prof = oneway.gls_profile(s)
@@ -177,7 +194,7 @@ POLY = UniPoly([3, -4, 1], "x")
 
 def roots():
     ivs = isolate_real_roots(POLY, domain="all")
-    assert len(ivs) == 2 and not any(iv.is_point() for iv in ivs)
+    assert len(ivs) == 2 and not any(iv.is_exact for iv in ivs)
     return ivs
 
 
@@ -203,7 +220,8 @@ def test_overlapping_objective_is_a_tie_at_the_width_cap():
 def test_exact_thetas_rank_without_refinement():
     thetas, _, best, tied = certified_argmax(
         [F(0), F(5, 2)], lambda lo, hi, prec: Approx(-lo, -lo))
-    assert thetas == [F(0), F(5, 2)] and best == 0 and tied == []
+    assert thetas == [Approx.exact(0), Approx.exact(F(5, 2))]
+    assert best == 0 and tied == []
 
 
 def test_intervals_of_different_polynomials_rank_together():
@@ -256,8 +274,11 @@ def test_enclose_at_returns_the_narrowed_theta():
     theta, out = enclose_at(narrow_enough, iv)
     assert out == "ok" and theta.lo <= 3 <= theta.hi
     assert theta.width() < iv.width() / 1000
-    assert theta_pair(theta) == (theta.lo, theta.hi)
-    assert theta_pair(2) == (F(2), F(2))
+    # an exact rational is its point Approx, handed over as (t, t)
+    calls = []
+    theta, out = enclose_at(lambda lo, hi: calls.append((lo, hi)) or "ok", 2)
+    assert calls == [(F(2), F(2))] and out == "ok"
+    assert theta == Approx.exact(2)
 
 
 # ----------------------------------------------------------------------
@@ -451,20 +472,45 @@ def test_a_root_at_zero_is_the_boundary_maximum(method, within_ss):
     assert rep.stationary_points == ((RootInterval(F(0), F(0), num),
                                       "local_max"),)
     assert rep.boundary_is_max and not rep.tie
-    assert rep.global_estimates.theta == 0
+    assert rep.global_estimates.theta == RootInterval(F(0), F(0), num)
     assert rep.global_estimates.tau == Approx.exact(0)
 
 
-@pytest.mark.parametrize("positive_roots, labels", [
-    ((1, 2), ["local_max", "saddle", "local_max"]),
-    ((1,), ["saddle", "local_max"]),
+def test_estimates_theta_is_an_approx_on_every_path():
+    # the boundary, a root at 0, a caller's exact theta and an isolating
+    # interval: one form, read through lo and hi alone
+    boundary = oneway.ml_fit(load_stats_fixture("boundary.json"))
+    assert boundary.global_estimates.theta == Approx.exact(0)
+    s = OneWayStats((2, 3, 5), (2, 1, 1), (1, 2, -1), (F(1, 2), 0, 0),
+                    F(1381, 24))
+    at_zero = oneway.ml_fit(s).global_estimates.theta
+    assert type(at_zero) is RootInterval and at_zero.is_exact
+    assert (at_zero.lo, at_zero.hi) == (0, 0)
+    prof = oneway.gls_profile(load_stats_fixture("trimodal.json"))
+    assert (profile_estimates(prof, "1/3", "ML").theta
+            == Approx.exact(F(1, 3)))
+    interval = oneway.ml_fit(load_stats_fixture("trimodal.json"))
+    theta = interval.global_estimates.theta
+    assert type(theta) is RootInterval and theta.lo < theta.hi
+    for rep in (boundary, interval):
+        g = rep.global_estimates
+        assert g.tau == Approx(g.theta.lo * g.omega.lo,
+                               g.theta.hi * g.omega.hi)
+
+
+@pytest.mark.parametrize("power, positive_roots, labels", [
+    (1, (1, 2), ["local_max", "saddle", "local_max"]),
+    (1, (1,), ["saddle", "local_max"]),
+    (2, (1, 2), ["local_max", "saddle", "local_max"]),
 ])
-def test_a_root_at_zero_is_probed_short_of_the_next_root(positive_roots,
+def test_a_root_at_zero_is_probed_short_of_the_next_root(power,
+                                                         positive_roots,
                                                          labels):
-    # numerator theta * prod (theta - r): the point interval at 0 is
-    # probed halfway to the next interval; for theta (theta - 1) a probe
-    # past every root would read the opposite sign
-    num = UniPoly([0, 1])
+    # numerator theta^power * prod (theta - r): right of the point interval
+    # at 0 it takes the sign of its lowest nonzero coefficient; for
+    # theta (theta - 1) the sign past every root is the opposite one, and
+    # for theta^2 (theta - 1)(theta - 2) the theta coefficient is 0
+    num = UniPoly([0] * power + [1])
     for r in positive_roots:
         num = num * UniPoly([-r, 1])
     ivs, _ = isolate_real_roots(num, domain="nonnegative")

@@ -37,9 +37,12 @@ from exactvc.roots import (
     isolate_real_roots,
     poly_range,
     refine_interval,
-    sign,
     sturm_chain,
 )
+
+
+def sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
 
 
 _X = UniPoly([0, 1], "x")
@@ -88,7 +91,7 @@ def test_isolate_handles_root_at_zero():
     p = UniPoly([0, -2, 1], "x")
     ivs, _ = isolate_real_roots(p, domain="nonnegative")
     assert len(ivs) == 2
-    assert ivs[0].is_point() and ivs[0].lo == 0 == p(ivs[0].lo)
+    assert ivs[0].is_exact and ivs[0].lo == 0 == p(ivs[0].lo)
     assert ivs[1].lo < 2 < ivs[1].hi or (ivs[1].lo > 0)
 
 
@@ -126,7 +129,7 @@ def test_isolated_intervals_disjoint_and_complete():
         ivs = isolate_real_roots(p, domain="all")
         assert len(ivs) == k
         for iv, r in zip(ivs, roots):
-            assert iv.lo < r < iv.hi or (iv.is_point() and iv.lo == r)
+            assert iv.lo < r < iv.hi or (iv.is_exact and iv.lo == r)
         for a, b in zip(ivs, ivs[1:]):
             assert a.hi <= b.lo
 
@@ -183,7 +186,7 @@ def test_refine_interval_keeps_a_point_interval_on_a_root():
     p = poly_with_roots([Fraction(0), Fraction(3, 2)])
     at_zero = isolate_real_roots(p, domain="nonnegative")[0][0]
     for iv in (at_zero, RootInterval(Fraction(3, 2), Fraction(3, 2), p)):
-        assert iv.is_point()
+        assert iv.is_exact
         assert refine_interval(iv, Fraction(1, 10 ** 12)) is iv
     with pytest.raises(ContractViolationError):
         refine_interval(RootInterval(Fraction(1), Fraction(1), p),
@@ -264,7 +267,7 @@ def _frac(r) -> Fraction:
 
 def _inside(iv: RootInterval, a: Fraction, b: Fraction) -> bool:
     """[a, b], which holds one root, lies in iv (a point iv must equal it)."""
-    if iv.is_point():
+    if iv.is_exact:
         return a == b == iv.lo
     return iv.lo < a and b < iv.hi
 
@@ -294,14 +297,14 @@ def assert_matches_oracles(sympy, p: UniPoly):
         for iv in ivs:
             if domain == "nonnegative":
                 assert iv.lo >= 0
-            if iv.is_point():
+            if iv.is_exact:
                 assert domain == "nonnegative" and iv.lo == 0 == q(0)
                 continue
             assert sign(q(iv.lo)) == -sign(q(iv.hi)) != 0
             assert count_roots_between(chain, iv.lo, iv.hi) == 1
         # every sympy root lies in exactly one of our intervals
         for a, b in expected:
-            eps = min((iv.width() for iv in ivs if not iv.is_point()),
+            eps = min((iv.width() for iv in ivs if not iv.is_exact),
                       default=Fraction(1)) / 4
             for _ in range(300):
                 fa, fb = _frac(a), _frac(b)
@@ -503,7 +506,7 @@ def test_refinement_matches_bisection(p, width, coarse):
     # intervals from isolation and from an earlier refinement
     for iv in isolate_real_roots(p, domain="nonnegative",
                                  max_width=coarse)[0]:
-        if iv.is_point():
+        if iv.is_exact:
             continue
         for start in (iv, refine_interval(iv, coarse / 7)):
             expected = bisect_to_width_reference(q, start.lo, start.hi, width)
@@ -527,8 +530,8 @@ def test_a_root_interval_is_an_approx_with_the_same_ends():
         assert isinstance(iv, Approx)
         assert iv.width() == iv.hi - iv.lo
         assert iv.midpoint() == (iv.lo + iv.hi) / 2
-        assert iv.is_point() == (iv.lo == iv.hi) == iv.is_exact
-    assert [iv.is_point() for iv in ivs] == [False, False, True, False, False]
+        assert iv.is_exact == (iv.lo == iv.hi)
+    assert [iv.is_exact for iv in ivs] == [False, False, True, False, False]
     # an out-of-order interval is an empty enclosure
     with pytest.raises(ValueError):
         RootInterval(Fraction(2), Fraction(1), p)
