@@ -7,10 +7,10 @@ the normal equations into a linear system with polynomial entries. Two
 determinants then carry the whole profile: G = det(d X' K X) and the
 bordered determinant P with the response attached, giving the profiled
 residual sum of squares as P / (d G). They form the profilefit record,
-and profile_from_sums is its one builder, by evaluation at integer theta
-and exact interpolation: gls_profile reduces a design to integer
-cross-product sums and oneway.gls_profile feeds it the sums of the plain
-layout, the design X = 1. So one profile objective, one stationarity
+which profile_from_sums builds by evaluation at integer theta and exact
+interpolation from the integer cross-product sums gls_profile reduces a
+design to; the plain layout X = 1 has closed forms instead
+(oneway.gls_profile). So one profile objective, one stationarity
 equation and one set of profilefit drivers serve both fits, each taking
 the record and a method; ml_equation, reml_equation, ml_fit and reml_fit
 remain as one-line entry points. No closed-form degree law is known for
@@ -149,7 +149,7 @@ def _bordered_values(m: List[List[int]], p: int
 
 def profile_from_sums(N: int, sizes: Tuple[int, ...], mults: Tuple[int, ...],
                       Z: List[List[int]], Vs: Sequence[List[List[int]]],
-                      L: int, mean: bool) -> ProfilePolys:
+                      L: int) -> ProfilePolys:
     """The profile record of a design from its scaled cross-product sums:
     G = det A, the Cramer numerators of beta_hat and the bordered
     determinant P = det [[A, b], [b', c]] of the cleared normal equations
@@ -166,8 +166,7 @@ def profile_from_sums(N: int, sizes: Tuple[int, ...], mults: Tuple[int, ...],
     theta = 0..(p+1)M gives L^p G, L^(p+1) P and the L^p cramer_j there.
     Every entry of B has degree at most M, so G and each cramer_j have
     degree at most pM and P at most (p+1)M: the (p+1)M + 1 nodes determine
-    all of them exactly. mean marks the design X = 1, whose one Cramer
-    numerator is reported as mu.
+    all of them exactly.
     """
     p = len(Z) - 1
     order = range(p + 1)
@@ -191,8 +190,7 @@ def profile_from_sums(N: int, sizes: Tuple[int, ...], mults: Tuple[int, ...],
         d=UniPoly(int_linear_product(sizes)),
         gram_det=interpolate(gram, Lp),
         p_poly=interpolate(bordered, Lp * L),
-        cramer=tuple(interpolate(col, Lp) for col in zip(*cramer)),
-        mean=mean)
+        cramer=tuple(interpolate(col, Lp) for col in zip(*cramer)))
 
 
 def gls_profile(design: DesignProblem) -> ProfilePolys:
@@ -219,7 +217,7 @@ def gls_profile(design: DesignProblem) -> ProfilePolys:
             for j in range(i, p + 1):
                 Vn[i][j] += u[i] * u[j]
     return profile_from_sums(design.N, sizes, mults, Z, [V[n] for n in sizes],
-                             s * s, mean=False)
+                             s * s)
 
 
 def conjecture_bound(design: DesignProblem, method: str) -> Optional[int]:

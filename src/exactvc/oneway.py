@@ -5,10 +5,9 @@ out of the (scaled) log-likelihood leaves a univariate objective in theta
 whose derivative is a rational function with an everywhere-positive
 denominator on [0, inf). The plain layout is the covariate model with
 design X = 1: gls_profile refuses data without residual variation and
-hands the cross-product sums to covariates.profile_from_sums, the one
-builder of the record. The profilefit drivers take it from there, and
-profile_equation attaches the degree law 3M + M2 - 3 (ML) or 2M + 2M2 - 3
-(REML) to a record marked as the plain layout.
+builds the record from the paper's simple-pole sums, with no evaluation
+or interpolation. The profilefit drivers take it from there, and attach
+the degree law 3M + M2 - 3 (ML) or 2M + 2M2 - 3 (REML) to it.
 """
 
 from __future__ import annotations
@@ -16,8 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .covariates import profile_from_sums
 from .errors import DegenerateDataError
+from .polynomials import (UniPoly, int_linear_product, int_mul, int_strip,
+                          int_sum)
 from .profilefit import (
     REFINE_WIDTH,
     FitReport,
@@ -30,33 +30,28 @@ from .stats import OneWayStats
 
 
 def basis_polynomials(stats: OneWayStats):
-    """(Z, Vs, L): the X = 1 cross-product sums that profile_from_sums
-    reads, scaled to integers by one common denominator L.
+    """(d, G, F, H, s, L): the paper's simple-pole sums as integer lists.
 
-    Over the groups of a size class, sum (1, ybar, ybar^2) is
-    (m, m Y, m Y^2 + B), so V_n = n^2 [[m, m Y], [m Y, m Y^2 + B]], and
-    Z = [[N, sum n m Y], [sum n m Y, W + sum n (m Y^2 + B)]] with W the
-    within-group SS. With every Y = a / s over one s, L = lcm(s^2, the
-    denominators of W and the B's) makes each sum an integer; the record
-    does not depend on which such L is used. The name predates this
-    meaning and is kept because the benchmark's span recorder traces the
-    one-way stage under it.
+    With d = prod (1 + n_k theta), d_k = d / (1 + n_k theta), Y_k = a_k / s
+    and L = lcm(s^2, the denominators of W and the B's), the design X = 1
+    has G = d X'KX = sum m_k n_k d_k, s F = s d X'KY = sum m_k n_k a_k d_k
+    and L H = L d Y'KY = L W d + sum n_k (m_k a_k^2 L / s^2 + L B_k) d_k,
+    as a size class's groups sum (1, ybar, ybar^2) to (m, m Y, m Y^2 + B).
     """
     n, W = stats.sizes, stats.withinSS
     s = lcm(*(y.denominator for y in stats.means))
     L = lcm(s * s, W.denominator, *(b.denominator for b in stats.betweenSS))
     a = [y.numerator * (s // y.denominator) for y in stats.means]
-    firsts = [mi * ai * (L // s) for mi, ai in zip(stats.mults, a)]
-    seconds = [mi * ai * ai * (L // (s * s))
-               + b.numerator * (L // b.denominator)
-               for mi, ai, b in zip(stats.mults, a, stats.betweenSS)]
-    sy = sum(ni * v for ni, v in zip(n, firsts))
-    syy = W.numerator * (L // W.denominator) + sum(
-        ni * v for ni, v in zip(n, seconds))
-    Z = [[stats.N * L, sy], [sy, syy]]
-    Vs = [[[ni * ni * mi * L, ni * ni * f], [ni * ni * f, ni * ni * g]]
-          for ni, mi, f, g in zip(n, stats.mults, firsts, seconds)]
-    return Z, Vs, L
+    d = int_linear_product(n)
+    dk = [int_strip(d, (1, nk), 1)[0] for nk in n]
+    G = int_sum((mk * nk, c) for nk, mk, c in zip(n, stats.mults, dk))
+    F = int_sum((mk * nk * ak, c)
+                for nk, mk, ak, c in zip(n, stats.mults, a, dk))
+    H = int_sum([(W.numerator * (L // W.denominator), d)] + [
+        (nk * (mk * ak * ak * (L // (s * s))
+               + b.numerator * (L // b.denominator)), c)
+        for nk, mk, ak, b, c in zip(n, stats.mults, a, stats.betweenSS, dk)])
+    return d, G, F, H, s, L
 
 
 # ----------------------------------------------------------------------
@@ -64,16 +59,18 @@ def basis_polynomials(stats: OneWayStats):
 # ----------------------------------------------------------------------
 
 def gls_profile(stats: OneWayStats) -> ProfilePolys:
-    """The X = 1 profile record: G = d sum m n / (1 + n theta),
-    P = d G rss(mu_hat) and mu = cramer[0] / G. Data with a zero
-    within-group sum of squares raise DegenerateDataError."""
+    """The X = 1 profile record from basis_polynomials: G, P = G H - F^2
+    = d G rss(mu_hat) and mu = F / G. Data with a zero within-group sum
+    of squares raise DegenerateDataError."""
     if stats.withinSS == 0:
         raise DegenerateDataError(
             "within-group sum of squares is zero; the profile analysis "
             "assumes residual variation")
-    Z, Vs, L = basis_polynomials(stats)
-    return profile_from_sums(stats.N, stats.sizes, stats.mults, Z, Vs, L,
-                             mean=True)
+    d, G, F, H, s, L = basis_polynomials(stats)
+    P = int_sum([(1, int_mul(G, H)), (-(L // (s * s)), int_mul(F, F))])
+    return ProfilePolys(stats.N, 1, stats.sizes, stats.mults, UniPoly(d),
+                        UniPoly(G), UniPoly(P, den=L), (UniPoly(F, den=s),),
+                        mean=True)
 
 
 def ml_equation(stats: OneWayStats) -> ProfileEquation:

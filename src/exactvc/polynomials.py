@@ -340,26 +340,29 @@ def int_on_interval(cs: Sequence[int], a: Fraction, b: Fraction) -> List[int]:
 
 
 def int_strip(cs: Sequence[int], f: Sequence[int],
-              cap: Optional[int] = None) -> Tuple[List[int], int]:
+              cap: Optional[int] = None) -> Tuple[Sequence[int], int]:
     """(cs / f^k, k) on ascending integer lists, k the largest, at most
-    cap, with f^k | cs; f must be primitive, of degree m >= 1 or, with a
-    cap, m = 0. Its quotient is then integral (Gauss's lemma), so
-    synthetic division from the top, q_i = (r_(i+m) - ...) / f_m, stops at
-    the first step f_m does not divide; the m low entries left over are
-    the remainder.
+    cap, with f^k | cs (cs itself when k = 0); f must be primitive, of
+    degree m >= 1 or, with a cap, m = 0. The quotient is then integral
+    (Gauss's lemma), so each power of f is one synthetic division from
+    the top, q_i = (cs_(i+m) - due_(i+m)) / f_m, that stops at the first
+    step f_m does not divide; each q_i adds its pending products q_i f_j
+    to the window due_(i..i+m-1) below it, and the remainder, cs - due on
+    the m low entries, must vanish.
     """
-    cs, k = list(cs), 0
+    k = 0
     m, lead, low = len(f) - 1, f[-1], f[:-1]
+    window = range(m)
     while len(cs) > m and (cap is None or k < cap):
-        r, q = list(cs), [0] * (len(cs) - m)
+        q, due = [0] * (len(cs) - m), [0] * len(cs)
         for i in range(len(q) - 1, -1, -1):
-            q[i], rest = divmod(r[i + m], lead)
+            t, rest = divmod(cs[i + m] - due[i + m], lead)
             if rest:
                 return cs, k
-            if q[i]:
-                for j, v in enumerate(low, i):
-                    r[j] -= q[i] * v
-        if any(r[:m]):
+            q[i] = t
+            for j in window:
+                due[i + j] += t * low[j]
+        if any(map(ne, due[:m], cs)):
             return cs, k
         cs, k = q, k + 1
     return cs, k

@@ -125,9 +125,9 @@ class ProfilePolys:
 
     d = prod (1 + n theta) over the distinct sizes; G = det(d X'KX) and the
     bordered determinant P are positive on [0, inf), rss = P / (d G) and
-    beta_j = cramer[j] / G. covariates.profile_from_sums is the one builder
-    of the record, for a covariate design and for the plain layout X = 1,
-    whose one Cramer numerator is reported as mu (mean is set).
+    beta_j = cramer[j] / G. covariates.profile_from_sums builds the record
+    of a covariate design and oneway.gls_profile that of the plain layout
+    X = 1, whose one Cramer numerator is reported as mu (mean is set).
     """
 
     N: int
@@ -287,14 +287,16 @@ _ESTIMATE_PREC = 256
 def enclose_at(fn: Callable, theta):
     """(theta, fn(lo, hi)), narrowing theta while fn returns None.
 
-    theta is an Approx, or an exact rational, taken as its point Approx.
-    fn returns None when its rational-interval step degenerates; an
-    isolating interval is then refined 32x against the polynomial it
-    carries. An exact theta cannot be narrowed, so a None there is a
-    broken contract, as is a None after _MAX_RETRIES refinements.
+    theta is an isolating interval, an exact Approx or an exact rational,
+    taken as its point Approx. fn returns None when its rational-interval
+    step degenerates; an isolating interval is then refined 32x against
+    the polynomial it carries. No other Approx can be narrowed, so one is
+    refused, as is a None at an exact theta or after _MAX_RETRIES.
     """
     if not isinstance(theta, Approx):
         theta = Approx.exact(rat(theta))
+    elif not (theta.is_exact or isinstance(theta, RootInterval)):
+        raise ContractViolationError("theta cannot be narrowed")
     for _ in range(_MAX_RETRIES):
         out = fn(theta.lo, theta.hi)
         if out is not None:

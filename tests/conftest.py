@@ -133,9 +133,11 @@ def strip_factor(poly: UniPoly, factor: UniPoly,
                  cap: Optional[int] = None) -> Tuple[UniPoly, int]:
     """(poly / factor^k, k) for the largest k, at most cap, such that
     factor^k divides poly, by repeated division over Q; factor must have
-    positive degree. The oracle of polynomials.int_strip."""
-    if factor.degree < 1:
-        raise ValueError("strip_factor needs a factor of positive degree")
+    positive degree, or be a nonzero constant under a cap. The oracle of
+    polynomials.int_strip."""
+    if factor.degree < (0 if cap is not None else 1):
+        raise ValueError("strip_factor needs a factor of positive degree, "
+                         "or a nonzero constant and a cap")
     k = 0
     while poly.degree >= factor.degree and (cap is None or k < cap):
         quot, rem = poly_divmod(poly, factor)

@@ -476,23 +476,29 @@ def test_audit_covariates(capsys):
 
 
 def test_audit_builds_one_record_per_instance(monkeypatch, capsys):
-    # oneway binds profile_from_sums by name, so both bindings are counted
+    # a one-way record is built from oneway.basis_polynomials' sums, a
+    # covariate record by covariates.profile_from_sums; both are counted
     calls = []
-    build = covariates.profile_from_sums
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return build(*args, **kwargs)
+    def counted(module, name):
+        build = getattr(module, name)
 
-    monkeypatch.setattr(covariates, "profile_from_sums", counted)
-    monkeypatch.setattr(oneway, "profile_from_sums", counted)
-    for argv, trials in ((("--q", "4", "--trials", "6", "--seed", "1"), 6),
-                         (("--q", "3", "--trials", "5", "--seed", "2",
-                           "--covariates", "2"), 5)):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(covariates, "profile_from_sums")
+    counted(oneway, "basis_polynomials")
+    for argv, want in ((("--q", "4", "--trials", "6", "--seed", "1"),
+                        ["basis_polynomials"] * 6),
+                       (("--q", "3", "--trials", "5", "--seed", "2",
+                         "--covariates", "2"), ["profile_from_sums"] * 5)):
         calls.clear()
         code, _ = run(capsys, "audit", *argv)
         assert code == 0
-        assert len(calls) == trials
+        assert calls == want
 
 
 def test_audit_refuses_covariates_no_design_can_hold(capsys):

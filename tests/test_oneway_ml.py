@@ -2,6 +2,7 @@
 structure, degree law, classification, and estimate consistency."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -108,16 +109,25 @@ def test_profile_record_matches_closed_forms():
         assert prof.gram_det == cf.f1
         assert prof.cramer == (cf.fY,)
         assert prof.p_poly == cf.bracket
-    # coprime odd denominators give the sums a large common scale: the
-    # squared means', B's and W's
-    L = basis_polynomials(record_cases()[-1])[2]
+        # the simple-pole sums themselves, over their scales s and L
+        d, G, F, H, sc, L = basis_polynomials(s)
+        assert (UniPoly(d), UniPoly(G)) == (cf.d, cf.f1)
+        assert UniPoly(F, den=sc) == cf.fY
+        assert UniPoly(H, den=L) == cf.d * s.withinSS + cf.fY2 + cf.fBm
+    # coprime odd denominators give the sums large scales: the means' s,
+    # and L from the squared means', B's and W's
+    *_, sc, L = basis_polynomials(record_cases()[-1])
+    assert sc == 3 * 5 * 7
     assert L == (3 * 5 * 7) ** 2 * 11 * 13 * 17 * 23
 
 
 
 def basis_reference(stats):
-    """basis_polynomials' sums by Fraction arithmetic, scaled by the lcm
-    of the reduced sums' denominators."""
+    """The X = 1 cross-product sums (Z, Vs, L) that
+    covariates.profile_from_sums reads, by Fraction arithmetic, scaled by
+    the lcm L of the reduced sums' denominators: Z is L times
+    [[N, sum n m Y], [sum n m Y, W + sum n (m Y^2 + B)]] and Vs[k] is
+    L n^2 [[m, m Y], [m Y, m Y^2 + B]] for size class k."""
     n, W = stats.sizes, stats.withinSS
     firsts = [mi * yi for mi, yi in zip(stats.mults, stats.means)]
     seconds = [mi * yi * yi + b for mi, yi, b in
@@ -133,18 +143,17 @@ def basis_reference(stats):
 
 
 def test_integer_sums_match_the_fraction_formulas():
-    # the same sums over a possibly different scale, and the same record
+    # the record from the integer simple-pole sums is the one that
+    # evaluation and interpolation give from the Fraction cross-product
+    # sums of the same statistics
     rng = random.Random(2525)
     cases = record_cases() + [ladder_stats(random.Random(f"x{M}"), M)
                               for M in (4, 8, 12, 32)]
     cases += [random_oneway_stats(rng, max_size=60) for _ in range(20)]
     for s in cases:
-        (Z, Vs, L), (rZ, rVs, rL) = basis_polynomials(s), basis_reference(s)
-        for got, ref in zip([Z] + Vs, [rZ] + rVs):
-            assert [[Fraction(v, L) for v in row] for row in got] == \
-                [[Fraction(v, rL) for v in row] for row in ref]
-        assert gls_profile(s) == profile_from_sums(
-            s.N, s.sizes, s.mults, rZ, rVs, rL, mean=True)
+        ref = profile_from_sums(s.N, s.sizes, s.mults, *basis_reference(s))
+        assert gls_profile(s) == replace(ref, mean=True)
+
 
 def test_basis_positivity():
     # d and G have no root on [0, inf) and are positive at 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from conftest import (divides, frac_add, frac_compose, frac_derivative,
@@ -661,3 +661,35 @@ def test_int_strip_matches_strip_factor_on_linear_and_quadratic_divisors(
     assert (UniPoly(q, "x"), k) == (ref, ref_k)
     if cap is None and not p.is_zero():
         assert k >= mult
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(rest=hst.lists(hst.integers(-10 ** 12, 10 ** 12), max_size=6),
+       f=hst.integers(0, 3).flatmap(primitive_divisors),
+       mult=hst.integers(0, 3), cap=hst.sampled_from([0, 1, 2, None]),
+       nudge=hst.tuples(hst.integers(0, 16), hst.integers(-3, 3)))
+# the cap stops a strip that would go on
+@example(rest=[1, 2], f=[1, 3], mult=3, cap=2, nudge=(0, 0))
+@example(rest=[5, -1], f=[-1], mult=0, cap=2, nudge=(0, 0))
+# lc(f) = 2 does not divide the top entry: the first step is inexact
+@example(rest=[1, 1], f=[1, 2], mult=0, cap=None, nudge=(0, 0))
+# every step divides, but the low entry is 1 off: (1 + x)(1 + 2x) + 1
+@example(rest=[1, 1], f=[1, 2], mult=1, cap=None, nudge=(0, 1))
+# a cubic divisor twice, then a quadratic with a low remainder
+@example(rest=[3, 0, 1], f=[2, 0, -1, 5], mult=2, cap=None, nudge=(0, 0))
+@example(rest=[3, 0, 1], f=[1, -1, 3], mult=2, cap=None, nudge=(1, 3))
+def test_int_strip_matches_strip_factor_on_divisors_of_degree_0_to_3(
+        rest, f, mult, cap, nudge):
+    # a multiple of f^mult, one entry nudged, against repeated division
+    # over Q; a constant divisor (degree 0) is only ever stripped under a
+    # cap
+    if len(f) == 1 and cap is None:
+        cap = mult
+    cs = list((UniPoly(rest, "x") * UniPoly(f, "x") ** mult).ints)
+    if cs:
+        cs[nudge[0] % len(cs)] += nudge[1]
+    p = UniPoly(cs, "x")
+    q, k = int_strip(p.integer_coeffs(), f, cap)
+    ref, ref_k = strip_factor(p, UniPoly(f, "x"), cap)
+    assert (UniPoly(q, "x"), k) == (ref, ref_k)
+    assert all(type(c) is int for c in q)

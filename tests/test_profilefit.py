@@ -281,6 +281,20 @@ def test_enclose_at_returns_the_narrowed_theta():
     assert theta == Approx.exact(2)
 
 
+def test_enclose_at_refuses_an_approx_it_cannot_narrow():
+    # only an isolating interval carries the polynomial a retry refines
+    # against: a plain wide Approx is refused before fn runs, whether fn
+    # would fail (an AttributeError once) or succeed (a silent interval)
+    calls = []
+    for fn in (lambda lo, hi: calls.append(1), lambda lo, hi: "ok"):
+        with pytest.raises(ContractViolationError):
+            enclose_at(fn, Approx(F(1), F(2)))
+    assert calls == []
+    s = load_stats_fixture("trimodal.json")
+    with pytest.raises(ContractViolationError):
+        profile_estimates(oneway.gls_profile(s), Approx(F(1), F(2)), "ML")
+
+
 # ----------------------------------------------------------------------
 # The objective's logarithms and the ranking pass
 
