@@ -19,8 +19,6 @@ from functools import lru_cache
 from math import gcd
 from typing import Optional, Tuple
 
-from .errors import ContractViolationError
-
 
 @dataclass(frozen=True)
 class Approx:
@@ -61,15 +59,6 @@ class Approx:
         if c >= 0:
             return Approx(self.lo * c, self.hi * c)
         return Approx(self.hi * c, self.lo * c)
-
-    def reciprocal(self) -> "Approx":
-        if self.lo <= 0 <= self.hi:
-            raise ContractViolationError("reciprocal of interval through 0")
-        return Approx(1 / self.hi, 1 / self.lo)
-
-    def contains(self, v) -> bool:
-        v = Fraction(v)
-        return self.lo <= v <= self.hi
 
 
 def _ratio(x) -> Tuple[int, int]:

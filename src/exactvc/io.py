@@ -1,12 +1,13 @@
 """Exact ingestion of CSV and JSON inputs, deterministic JSON reports.
 
 Every numeric value is parsed as an exact rational: one grammar, that of
-fractions.Fraction, reads each literal straight into an integer pair
-(n, d), so "1.25" is (125, 100), never a binary float, and the CSV
-loaders sum those integers over one common denominator. Reports carry
-each numeric field either as an exact "p/q" string or as a float with
-an explicit error bound that is rounded outward, so serialization never
-manufactures precision.
+fractions.Fraction, reads each literal into an integer pair (n, d), so
+"1.25" is (125, 100), never a binary float. A block of CSV rows whose
+values are plain decimals with one number of places skips it: each
+column is read as integers in one pass. The loaders sum the integers
+over one common denominator. Reports carry each numeric field as an
+exact "p/q" string or as a float with an outward-rounded error bound,
+so serialization never manufactures precision.
 """
 
 from __future__ import annotations
@@ -92,40 +93,52 @@ def parse_rational(value) -> Fraction:
 
 ONEWAY_HEADER = ["group", "value"]
 TWOWAY_HEADER = ["row", "col", "rep", "value"]
+# Rows read and converted at a time; at most one block past a refused row.
+BLOCK_ROWS = 512
 
 
-def _csv_rows(path: str) -> Iterator[Tuple[int, List[str]]]:
-    """(line, cells) of each non-blank row, cells stripped, read lazily so a
-    loader refuses a bad row before the rest of the file is decoded. line
-    is where the row starts, as csv counts lines; every row is as wide as
-    the header. A decode fault is placed by its file offset: the bytes the
-    reader failed on (exc.object) end where its binary buffer stands."""
-    width = None
+def _csv_rows(path: str) -> Iterator:
+    """The stripped header, then (lines, rows) blocks of up to BLOCK_ROWS
+    non-blank rows as wide as it, rows[i] starting on line lines[i]. A csv
+    fault, a row of another width or a non-UTF-8 byte ends a block and is
+    raised after it, so a loader checks the rows above the fault first. A
+    decode fault is placed by its file offset: the bytes the reader failed
+    on (exc.object) end where its binary buffer stands."""
+    width = fault = None
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader, line = csv.reader(fh), 1
+            reader, line, lines, rows = csv.reader(fh), 1, [], []
             try:
                 for row in reader:
-                    if row:
-                        width = width or len(row)
-                        if len(row) != width:
-                            raise _at(path, line, f"expected {width} fields")
-                        yield line, [cell.strip() for cell in row]
+                    if len(row) == width:
+                        lines.append(line)
+                        rows.append(row)
+                        if len(rows) == BLOCK_ROWS:
+                            yield lines, rows
+                            lines, rows = [], []
+                    elif row and width is None:
+                        width = len(row)
+                        yield [cell.strip() for cell in row]
+                    elif row:
+                        fault = _at(path, line, f"expected {width} fields")
+                        break
                     line = reader.line_num + 1
             except UnicodeDecodeError as exc:
-                if not fh.seekable():
-                    raise InputError(f"{path}: malformed CSV: {exc}") from exc
-                at = fh.buffer.tell() - len(exc.object) + exc.start
-                raise InputError(
-                    f"{path}: malformed CSV: 'utf-8' codec can't decode "
-                    f"byte 0x{exc.object[exc.start]:02x} at file offset "
-                    f"{at}: {exc.reason}") from exc
+                fault = InputError(f"{path}: malformed CSV: {exc}")
+                if fh.seekable():
+                    at = fh.buffer.tell() - len(exc.object) + exc.start
+                    fault = InputError(
+                        f"{path}: malformed CSV: 'utf-8' codec can't decode "
+                        f"byte 0x{exc.object[exc.start]:02x} at file offset "
+                        f"{at}: {exc.reason}")
             except csv.Error as exc:
-                raise _at(path, line, f"malformed CSV: {exc}") from exc
+                fault = _at(path, line, f"malformed CSV: {exc}")
+            if rows:
+                yield lines, rows
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if width is None:
-        raise InputError(f"{path}: empty CSV file")
+    if fault or width is None:
+        raise fault or InputError(f"{path}: empty CSV file")
 
 
 def _at(path: str, line: int, what) -> InputError:
@@ -133,10 +146,41 @@ def _at(path: str, line: int, what) -> InputError:
 
 
 def read_csv_rows(path: str) -> Tuple[List[str], Iterator]:
-    """(header, iterator over the remaining (line, cells) rows): one pass,
-    which detect_csv_kind and a loader given rows share, as a pipe needs."""
+    """(header, blocks): one pass, shared by detect_csv_kind and a loader."""
     rows = _csv_rows(path)
-    return next(rows)[1], rows
+    return next(rows), rows
+
+
+def _columns(path: str, lines: List[int], columns) -> List[tuple]:
+    """(xs, s) for each value column of a block, xs[i] / s the value of its
+    stripped i-th cell. Each column of ASCII decimals with the k places of
+    its first cell, all with room for a sign and a point under the literal
+    cap, is one bulk int conversion. Any other block is read row by row,
+    each cell through _pair, so its first bad cell is refused by line."""
+    columns = [list(map(str.strip, col)) for col in columns]
+    out = []
+    for col in columns:
+        k = len(col[0].partition(".")[2]) if col else 0
+        cell = (f"[-+]?[0-9]{{1,{MAX_LITERAL_CHARS - 2 - k}}}"
+                + (f"\\.[0-9]{{{k}}}" if k else ""))
+        text = "\n".join(col)
+        if k > MAX_LITERAL_CHARS - 3 or not re.fullmatch(
+                f"(?:{cell}(?:\n{cell})*+)?", text):
+            break
+        out.append((list(map(int, text.replace(".", "").split())), 10 ** k))
+        if len(out[-1][0]) != len(col):     # a quoted cell held a newline
+            break
+    else:
+        return out
+    pairs = []
+    for line, row in zip(lines, zip(*columns)):
+        try:
+            pairs.append([_pair(cell) for cell in row])
+        except InputError as exc:
+            raise _at(path, line, exc) from None
+    scales = [math.lcm(*(d for _, d in col)) for col in zip(*pairs)]
+    return [([n * (s // d) for n, d in col], s)
+            for col, s in zip(zip(*pairs), scales)]
 
 
 def _is_covariates_header(header: List[str]) -> bool:
@@ -159,76 +203,74 @@ def detect_csv_kind(path: str, header: List[str]) -> str:
 
 def load_oneway_csv(path: str, rows=None) -> OneWayStats:
     """Long-format "group,value" rows, groups in order of appearance."""
-    header, body = rows or read_csv_rows(path)
+    header, blocks = rows or read_csv_rows(path)
     if header != ONEWAY_HEADER:
         raise InputError(f"{path}: header must be exactly group,value")
-    groups: Dict[str, List[tuple]] = {}
-    for line, row in body:
-        try:
-            pair = _pair(row[1])
-        except InputError as exc:
-            raise _at(path, line, exc) from None
-        groups.setdefault(row[0], []).append(pair)
-    s = math.lcm(*{d for g in groups.values() for _, d in g})
-    return summarize_ints(
-        [[n * (s // d) for n, d in g] for g in groups.values()], s)
+    groups: Dict[str, List[int]] = {}
+    s = 1                   # every value is held over s, the lcm of scales
+    for lines, block in blocks:
+        labels, cells = zip(*block)
+        [(xs, t)] = _columns(path, lines, [cells])
+        if t != s:
+            u = math.lcm(s, t)
+            groups = {g: [x * (u // s) for x in v] for g, v in groups.items()}
+            xs, s = [x * (u // t) for x in xs], u
+        for label, x in zip(map(str.strip, labels), xs):
+            groups.setdefault(label, []).append(x)
+    return summarize_ints(list(groups.values()), s)
 
 
 def load_covariates_csv(path: str, add_intercept: bool = False,
                         rows=None) -> DesignProblem:
     """Long-format "group,y,x1,...,xp" rows; groups pooled by label."""
-    header, body = rows or read_csv_rows(path)
+    header, blocks = rows or read_csv_rows(path)
     if not _is_covariates_header(header):
         raise InputError(f"{path}: header must be group,y,x1,...")
-    by_group: Dict[str, List[List[Fraction]]] = {}
-    for line, row in body:
-        try:
-            vals = [parse_rational(v) for v in row[1:]]
-        except InputError as exc:
-            raise _at(path, line, exc) from None
-        by_group.setdefault(row[0], []).append(vals)
-    y: List[Fraction] = []
-    x: List[List[Fraction]] = []
-    sizes: List[int] = []
-    for label in by_group:
-        rows = by_group[label]
-        sizes.append(len(rows))
-        for vals in rows:
-            y.append(vals[0])
-            covs = vals[1:]
-            x.append([Fraction(1)] + covs if add_intercept else covs)
-    return DesignProblem(tuple(y), tuple(tuple(r) for r in x), tuple(sizes))
+    by_group: Dict[str, List[tuple]] = {}
+    for lines, block in blocks:
+        labels, *cells = zip(*block)
+        values = [[Fraction(x, s) for x in xs]
+                  for xs, s in _columns(path, lines, cells)]
+        for label, vals in zip(map(str.strip, labels), zip(*values)):
+            by_group.setdefault(label, []).append(vals)
+    obs = [vals for group in by_group.values() for vals in group]
+    one = (Fraction(1),) if add_intercept else ()
+    return DesignProblem(tuple(v[0] for v in obs),
+                         tuple(one + v[1:] for v in obs),
+                         tuple(map(len, by_group.values())))
 
 
 def load_twoway_csv(path: str) -> TwoWayStats:
-    """Long-format "row,col,rep,value" for a complete balanced layout.
-
-    Levels are ordered by sorted label; every (row, col, rep) cell must
-    appear exactly once.
-    """
-    header, body = read_csv_rows(path)
+    """Long-format "row,col,rep,value" for a complete balanced layout:
+    levels in sorted label order, each (row, col, rep) cell exactly once."""
+    header, blocks = read_csv_rows(path)
     if header != TWOWAY_HEADER:
         raise InputError(f"{path}: header must be exactly row,col,rep,value")
-    cells: Dict[tuple, tuple] = {}
-    for line, row in body:
-        key = (row[0], row[1], row[2])
-        if key in cells:
-            raise _at(path, line, f"duplicate cell {key}")
-        try:
-            cells[key] = _pair(row[3])
-        except InputError as exc:
-            raise _at(path, line, exc) from None
-    rows_ = sorted({k[0] for k in cells})
-    cols = sorted({k[1] for k in cells})
-    reps = sorted({k[2] for k in cells})
+    cells: Dict[tuple, int] = {}
+    s = 1                   # every value is held over s, the lcm of scales
+    for lines, block in blocks:
+        *factors, values = zip(*block)
+        keys = list(zip(*(map(str.strip, f) for f in factors)))
+        j = len(keys)
+        if len(set(keys)) < j or not cells.keys().isdisjoint(keys):
+            j = next(i for i, key in enumerate(keys)
+                     if key in cells or keys.index(key) < i)
+        # the cells above a repeated key are checked before it is refused
+        [(xs, t)] = _columns(path, lines[:j], [values[:j]])
+        if j < len(keys):
+            raise _at(path, lines[j], f"duplicate cell {keys[j]}")
+        if t != s:
+            u = math.lcm(s, t)
+            cells = {key: x * (u // s) for key, x in cells.items()}
+            xs, s = [x * (u // t) for x in xs], u
+        cells.update(zip(keys, xs))
+    rows_, cols, reps = (sorted({key[i] for key in cells}) for i in range(3))
     if len(cells) != len(rows_) * len(cols) * len(reps):
         raise InputError(
             f"{path}: incomplete layout; {len(cells)} cells, expected "
             f"{len(rows_)}x{len(cols)}x{len(reps)}")
-    s = math.lcm(*{d for _, d in cells.values()})
-    x = {key: n * (s // d) for key, (n, d) in cells.items()}
     return twoway_stats_ints(
-        [[[x[a, b, c] for c in reps] for b in cols] for a in rows_], s)
+        [[[cells[a, b, c] for c in reps] for b in cols] for a in rows_], s)
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +422,7 @@ def _ser_solution(sol) -> dict:
 
 def twoway_report(rep: TwoWayFitReport) -> dict:
     quartic = rep.quartic.primitive()
-    out = {
+    return {
         "model": rep.model,
         "mu": None if rep.mu is None else _text(rep.mu),
         "omega_hat": None if rep.omega_hat is None else _text(rep.omega_hat),
@@ -407,7 +449,6 @@ def twoway_report(rep: TwoWayFitReport) -> dict:
         "nongeneric": rep.nongeneric,
         "tie": rep.tie,
     }
-    return out
 
 
 def error_report(kind: str, message: str) -> dict:

@@ -219,13 +219,17 @@ class UniPoly:
         """Quotient when the division is exact; DivisibilityError otherwise.
 
         With divisor = c f / den, f primitive and c its positive content,
-        self / divisor = int_strip(self.ints, f, 1) den / (self.den c).
+        self / divisor = int_strip(self.ints, f, 1) den / (self.den c); a
+        constant divisor only rescales.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         self._check_var(divisor)
         if self.is_zero():
             return self
+        if not divisor.degree:
+            return UniPoly([v * divisor.den for v in self.ints], self.var,
+                           self.den * divisor.ints[0])
         c = _int_content(divisor.ints)
         quot, k = int_strip(self.ints, [v // c for v in divisor.ints], 1)
         if k != 1:

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import csv
 import json
 import os
 import random
@@ -8,12 +9,15 @@ from math import lcm
 from types import SimpleNamespace
 from typing import Iterable, Optional, Tuple
 
+from exactvc import io as xio
+from exactvc.covariates import DesignProblem
 from exactvc.enclosure import Approx
+from exactvc.errors import InputError
 from exactvc.multipoly import MultiPoly, bareiss_determinant
 from exactvc.polynomials import UniPoly, rat
 from exactvc.profilefit import ProfilePolys
-from exactvc.stats import GroupedData, OneWayStats
-from exactvc.twoway import TwoWayStats
+from exactvc.stats import GroupedData, OneWayStats, summarize_ints
+from exactvc.twoway import TwoWayStats, twoway_stats_ints
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -405,6 +409,18 @@ def twoway_cleared_system(stats, model="additive"):
     return p0, p1, p2
 
 
+def reciprocal(a: Approx) -> Approx:
+    """The enclosure 1 / a of an enclosure a that excludes 0."""
+    if a.lo <= 0 <= a.hi:
+        raise ValueError("reciprocal of an interval through 0")
+    return Approx(1 / a.hi, 1 / a.lo)
+
+
+def contains(a: Approx, v) -> bool:
+    """Whether the enclosure a holds the rational v."""
+    return a.lo <= Fraction(v) <= a.hi
+
+
 def interval_product(a: Approx, b: Approx) -> Approx:
     """The general interval product: the least and greatest of the four
     products of ends, for ends of any sign."""
@@ -598,3 +614,107 @@ def poly_range_reference(p: UniPoly, lo: Fraction,
         cands = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
         acc_lo, acc_hi = min(cands) + c, max(cands) + c
     return acc_lo, acc_hi
+
+
+# ----------------------------------------------------------------------
+# Per-row CSV loaders
+#
+# The CSV loaders as they were before rows were read a block at a time:
+# a lazy reader of one row per step and, in each loader, one io._pair (or
+# io.parse_rational) call per cell, so every refusal is raised at its row.
+# The block loaders of exactvc.io must give the same stats, or the same
+# InputError message, on every file.
+
+def csv_rows_reference(path: str):
+    """(line, stripped cells) of each non-blank row, read lazily; a row
+    must be as wide as the first, the header."""
+    width = None
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader, line = csv.reader(fh), 1
+            try:
+                for row in reader:
+                    if row:
+                        width = width or len(row)
+                        if len(row) != width:
+                            raise InputError(f"{path} line {line}: "
+                                             f"expected {width} fields")
+                        yield line, [cell.strip() for cell in row]
+                    line = reader.line_num + 1
+            except UnicodeDecodeError as exc:
+                if not fh.seekable():
+                    raise InputError(f"{path}: malformed CSV: {exc}") from exc
+                at = fh.buffer.tell() - len(exc.object) + exc.start
+                raise InputError(
+                    f"{path}: malformed CSV: 'utf-8' codec can't decode "
+                    f"byte 0x{exc.object[exc.start]:02x} at file offset "
+                    f"{at}: {exc.reason}") from exc
+            except csv.Error as exc:
+                raise InputError(
+                    f"{path} line {line}: malformed CSV: {exc}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    if width is None:
+        raise InputError(f"{path}: empty CSV file")
+
+
+def _pair_at(path, line, text):
+    try:
+        return xio._pair(text)
+    except InputError as exc:
+        raise InputError(f"{path} line {line}: {exc}") from None
+
+
+def load_oneway_csv_reference(path: str) -> OneWayStats:
+    rows = csv_rows_reference(path)
+    if next(rows)[1] != xio.ONEWAY_HEADER:
+        raise InputError(f"{path}: header must be exactly group,value")
+    groups = {}
+    for line, row in rows:
+        groups.setdefault(row[0], []).append(_pair_at(path, line, row[1]))
+    s = lcm(*{d for g in groups.values() for _, d in g})
+    return summarize_ints(
+        [[n * (s // d) for n, d in g] for g in groups.values()], s)
+
+
+def load_covariates_csv_reference(path: str,
+                                  add_intercept: bool = False):
+    rows = csv_rows_reference(path)
+    if not xio._is_covariates_header(next(rows)[1]):
+        raise InputError(f"{path}: header must be group,y,x1,...")
+    by_group = {}
+    for line, row in rows:
+        try:
+            vals = [xio.parse_rational(v) for v in row[1:]]
+        except InputError as exc:
+            raise InputError(f"{path} line {line}: {exc}") from None
+        by_group.setdefault(row[0], []).append(vals)
+    y, x, sizes = [], [], []
+    for group in by_group.values():
+        sizes.append(len(group))
+        for vals in group:
+            y.append(vals[0])
+            x.append([Fraction(1)] + vals[1:] if add_intercept else vals[1:])
+    return DesignProblem(tuple(y), tuple(tuple(r) for r in x), tuple(sizes))
+
+
+def load_twoway_csv_reference(path: str) -> TwoWayStats:
+    rows = csv_rows_reference(path)
+    if next(rows)[1] != xio.TWOWAY_HEADER:
+        raise InputError(f"{path}: header must be exactly row,col,rep,value")
+    cells = {}
+    for line, row in rows:
+        key = (row[0], row[1], row[2])
+        if key in cells:
+            raise InputError(f"{path} line {line}: duplicate cell {key}")
+        cells[key] = _pair_at(path, line, row[3])
+    levels = [sorted({k[i] for k in cells}) for i in range(3)]
+    if len(cells) != len(levels[0]) * len(levels[1]) * len(levels[2]):
+        raise InputError(
+            f"{path}: incomplete layout; {len(cells)} cells, expected "
+            + "x".join(str(len(v)) for v in levels))
+    s = lcm(*{d for _, d in cells.values()})
+    x = {key: n * (s // d) for key, (n, d) in cells.items()}
+    rows_, cols, reps = levels
+    return twoway_stats_ints(
+        [[[x[a, b, c] for c in reps] for b in cols] for a in rows_], s)

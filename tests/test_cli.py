@@ -27,7 +27,8 @@ from exactvc.cli import main
 from exactvc.enclosure import Approx
 from exactvc.twoway import TwoWayStats
 
-from conftest import fixture_path, solution_residuals, twoway_cleared_system
+from conftest import (contains, fixture_path, solution_residuals,
+                      twoway_cleared_system)
 
 
 def run(capsys, *argv):
@@ -588,7 +589,7 @@ def test_fit_twoway_random_stats_exit_cleanly(doc):
                     var = (reported_box(sol["tau12"]).scale(stats.n)
                            + Approx.exact(F(rep["omega_hat"])))
                 box = SimpleNamespace(var_value=var, tau1=tau1, tau2=tau2)
-                assert all(a.contains(0)
+                assert all(contains(a, 0)
                            for a in solution_residuals(eqs, box)), (doc, model)
 
 

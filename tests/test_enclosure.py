@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 
-from conftest import interval_product
+from conftest import interval_product, reciprocal
 from exactvc.enclosure import (Approx, _log_bracket, log_enclosure,
                                range_quotient)
 from exactvc.polynomials import _common_denominator
@@ -112,7 +112,7 @@ def test_unreduced_pair_encloses_like_its_fraction():
 def general_divide(num, den):
     """num * (1 / den) by interval products: the formula for intervals of
     any sign."""
-    return interval_product(Approx(*num), Approx(*den).reciprocal())
+    return interval_product(Approx(*num), reciprocal(Approx(*den)))
 
 
 def test_sign_aware_divide_matches_the_general_formula():

@@ -3,8 +3,9 @@ path, and the refusals a user sees.
 
 Every literal is read once into an integer pair (n, d). These tests hold
 that pair parser to fractions.Fraction(str) behind the literal caps, the
-loaders to the Fraction-sum oracles of tests/conftest.py, and the command
-line to its pinned refusal reports.
+loaders to the Fraction-sum oracles of tests/conftest.py, the block
+loaders to the per-row loaders kept there, and the command line to its
+pinned refusal reports.
 """
 
 import contextlib
@@ -12,9 +13,13 @@ import dataclasses
 import fractions
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +28,13 @@ from hypothesis import strategies as hst
 from exactvc import io as xio
 from exactvc import stats, twoway
 from exactvc.cli import main
-from exactvc.errors import InputError
+from exactvc.errors import ExactVCError, InputError
 from exactvc.stats import GroupedData, summarize
 from exactvc.twoway import twoway_stats
 
-from conftest import summarize_reference, twoway_stats_reference
+from conftest import (load_covariates_csv_reference,
+                      load_oneway_csv_reference, load_twoway_csv_reference,
+                      summarize_reference, twoway_stats_reference)
 
 
 # -- the literal grammar ------------------------------------------------------
@@ -281,6 +288,227 @@ def test_csv_loaders_convert_no_cell_to_a_fraction(tmp_path, monkeypatch):
     assert one_stats.q == 300 and (two_stats.r, two_stats.q) == (40, 25)
     assert calls == {"exactvc.stats.rat": 0, "exactvc.twoway.rat": 0,
                      "exactvc.io.rat": 0, "exactvc.io.parse_rational": 0}
+
+
+# -- blocks of rows against the per-row loaders ---------------------------------
+
+LOADERS = {
+    "oneway": (xio.load_oneway_csv, load_oneway_csv_reference),
+    "covariates": (xio.load_covariates_csv, load_covariates_csv_reference),
+    "twoway": (xio.load_twoway_csv, load_twoway_csv_reference),
+}
+HEADERS = {"oneway": "group,value", "covariates": "group,y,x1,x2",
+           "twoway": "row,col,rep,value"}
+FAULTS = ["blank", "spanning", "padded", "places", "ratio", "exponent",
+          "underscore", "arabic", "bad", "short", "long", "duplicate",
+          "byte"]
+BAD_CELLS = ["x", "1.2.3", "", "3/0", "1e1001", "9" * 1001, "-", "1.", "½"]
+
+
+def plain(rng, k):
+    """A plain decimal with k places."""
+    units = rng.randrange(-99999, 99999)
+    if not k:
+        return str(units)
+    sign = "-" if units < 0 else ""
+    return f"{sign}{abs(units) // 10 ** k}.{abs(units) % 10 ** k:0{k}d}"
+
+
+def base_rows(kind, rng, n, k):
+    """About n clean rows of a CSV kind, values with k places; a two-way
+    layout is complete, its rows shuffled."""
+    if kind == "twoway":
+        q, reps = rng.randint(1, 5), rng.randint(1, 2)
+        r = max(1, -(-n // (q * reps)))
+        rows = [[f"r{a}", f"c{b}", f"k{c}", plain(rng, k)]
+                for a in range(r) for b in range(q) for c in range(reps)]
+        rng.shuffle(rows)
+        return rows[:max(n, 1)] if rng.random() < 0.2 else rows
+    groups = max(2, n // 3)
+    if kind == "oneway":
+        return [[f"g{rng.randrange(groups)}", plain(rng, k)]
+                for _ in range(n)]
+    return [[f"g{rng.randrange(groups)}", plain(rng, k),
+             str(rng.randint(-20, 20)), plain(rng, k)] for _ in range(n)]
+
+
+def fault_row(row, fault, rng, k, rows):
+    """The row with one fault in it; spanning and blank faults act on the
+    line text, byte faults on its bytes."""
+    row = list(row)
+    if len(row) < 2:                # a row shortened before
+        return row
+    v = len(row) - 1 if rng.random() < 0.7 else 1
+    if fault == "padded":
+        row[v] = " " * rng.randint(1, 2) + row[v] + "\t"
+    elif fault == "places":
+        row[v] = plain(rng, k + 1 if k < 3 or rng.random() < 0.5 else k - 1)
+    elif fault == "ratio":
+        row[v] = f"{rng.randint(-60, 60)}/{rng.randint(1, 48)}"
+    elif fault == "exponent":
+        row[v] = f"{rng.randint(-999, 999)}e{rng.randint(-3, 3)}"
+    elif fault == "underscore":
+        row[v] = f"{rng.randint(1, 9)}_{rng.randint(100, 999)}"
+    elif fault == "arabic":
+        row[v] = rng.choice(["٣", "٣.٥", "1.٥"])
+    elif fault == "bad":
+        row[v] = rng.choice(BAD_CELLS)
+    elif fault == "short":
+        row.pop()
+    elif fault == "long":
+        row.append("1")
+    elif fault == "duplicate" and rows:
+        row[:-1] = rng.choice(rows)[:-1]
+    return row
+
+
+@hst.composite
+def csv_files(draw):
+    """(kind, block size, file bytes): a CSV of one kind with faults placed
+    on random rows and on the first and last rows of blocks."""
+    kind = draw(hst.sampled_from(sorted(LOADERS)))
+    block = draw(hst.sampled_from([1, 2, 3, 5] + [xio.BLOCK_ROWS] * 3))
+    n = block * draw(hst.integers(0, 3)) + draw(hst.integers(-2, 2))
+    k = draw(hst.integers(0, 3))
+    rng = random.Random(draw(hst.integers(0, 2 ** 32)))
+    rows = base_rows(kind, rng, max(n, 0), k)
+    edges = [i for i in (0, block - 1, block, 2 * block - 1, 2 * block,
+                         len(rows) - 1) if 0 <= i < len(rows)]
+    at = (hst.sampled_from(edges) | hst.integers(0, len(rows) - 1)
+          if rows else hst.nothing())
+    faults = draw(hst.lists(hst.tuples(at, hst.sampled_from(FAULTS)),
+                            max_size=4 if rows else 0))
+    marks = {}
+    for i, fault in faults:
+        rows[i] = fault_row(rows[i], fault, rng, k, rows[:i])
+        marks.setdefault(i, set()).add(fault)
+    crlf = "\r\n" if draw(hst.booleans()) else "\n"
+    data = b"\xef\xbb\xbf" if draw(hst.booleans()) else b""
+    data += (HEADERS[kind] + crlf).encode()
+    for i, row in enumerate(rows):
+        line = ",".join(row)
+        if "spanning" in marks.get(i, ()):
+            line = f'"{row[0]}\nx{rng.randint(0, 3)}",' + ",".join(row[1:])
+        if "blank" in marks.get(i, ()):
+            line = crlf * rng.randint(1, 2) + line
+        raw = (line + crlf).encode()
+        if "byte" in marks.get(i, ()):
+            raw = b"\xff" + raw
+        data += raw
+    return kind, block, data
+
+
+def outcome(load, path):
+    try:
+        return "ok", load(path)
+    except ExactVCError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=csv_files())
+def test_block_loaders_match_the_per_row_loaders(tmp_path_factory, case):
+    # equal stats, or the same refusal: the first faulty row in file order,
+    # named by the same message and line, whatever block it falls in
+    kind, block, data = case
+    path = tmp_path_factory.getbasetemp() / f"blocks-{kind}.csv"
+    path.write_bytes(data)
+    load, reference = LOADERS[kind]
+    with mock.patch.object(xio, "BLOCK_ROWS", block):
+        got = outcome(load, str(path))
+    assert got == outcome(reference, str(path))
+
+
+def test_clean_files_take_no_call_per_cell(tmp_path, monkeypatch):
+    # the benchmark-shaped one-way and 2,000-row two-way files are plain
+    # two-place decimals: every block takes the bulk conversion
+    one, two = benchmark_shaped_csvs(random.Random(29))
+    assert len(two.splitlines()) == 2001
+    one_path = write(tmp_path, "oneway.csv", one)
+    two_path = write(tmp_path, "twoway.csv", two)
+    expected = (load_oneway_csv_reference(one_path),
+                load_twoway_csv_reference(two_path))
+    calls = []
+    real = xio._pair
+    monkeypatch.setattr(xio, "_pair", lambda text: calls.append(text)
+                        or real(text))
+    assert (xio.load_oneway_csv(one_path),
+            xio.load_twoway_csv(two_path)) == expected
+    assert calls == []
+
+
+def test_a_bad_cell_is_refused_before_a_bad_byte_two_blocks_on(tmp_path):
+    # the bad cell is in the second block and the byte in the fourth, past
+    # the text reader's 8 KB chunk beyond the second block: the reader
+    # stops after the block that holds the cell
+    b = xio.BLOCK_ROWS
+    rows = [f"group-{i % 50:03d},{i}.5" for i in range(5 * b)]
+    rows[b + 7] = "group-001,x"
+    head = ("group,value\n" + "".join(r + "\n" for r in rows[:3 * b + 3]))
+    tail = "".join(r + "\n" for r in rows[3 * b + 3:])
+    data = head.encode() + b"\xff" + tail.encode()
+    end_of_block_2 = len(("group,value\n" + "".join(
+        r + "\n" for r in rows[:2 * b])).encode())
+    assert data.index(b"\xff") > end_of_block_2 + 8192
+    p = tmp_path / "late_byte.csv"
+    p.write_bytes(data)
+    with pytest.raises(InputError) as exc:
+        xio.load_oneway_csv(str(p))
+    assert str(exc.value) == (f"{p} line {b + 9}: not a rational number: "
+                              "'x'")
+    # with the cell mended, the byte is what the reader refuses
+    p.write_bytes(data.replace(b"group-001,x\n", b"group-001,1\n"))
+    with pytest.raises(InputError, match="byte 0xff at file offset"):
+        xio.load_oneway_csv(str(p))
+
+
+def test_decimal_places_change_between_blocks(tmp_path):
+    # one place in the first block, two in the second, none in the third:
+    # the loader's scale grows to 100 and earlier blocks are rescaled
+    b = xio.BLOCK_ROWS
+    rng = random.Random(2929)
+    values = ([plain(rng, 1) for _ in range(b)] + [plain(rng, 2) for _ in
+                                                   range(b)]
+              + [plain(rng, 0) for _ in range(b // 2)])
+    labels = [f"g{rng.randrange(200)}" for _ in values]
+    text = "group,value\n" + "".join(f"{g},{v}\n" for g, v in
+                                     zip(labels, values))
+    groups = {}
+    for g, v in zip(labels, values):
+        groups.setdefault(g, []).append(F(v))
+    path = write(tmp_path, "places.csv", text)
+    got = xio.load_oneway_csv(path)
+    assert_same_stats(got, summarize_reference(GroupedData(
+        [tuple(g) for g in groups.values()])))
+    assert got == load_oneway_csv_reference(path)
+    cells = [f"r{a},c{c},k{n},{v}" for a, c, n, v in zip(
+        (i // 4 for i in range(2 * b + 8)), (i // 2 % 2 for i in
+                                             range(2 * b + 8)),
+        (i % 2 for i in range(2 * b + 8)), values[b - 8:])]
+    path = write(tmp_path, "places2.csv", "row,col,rep,value\n"
+                 + "".join(c + "\n" for c in cells))
+    assert xio.load_twoway_csv(path) == load_twoway_csv_reference(path)
+
+
+def test_csv_on_stdin_longer_than_a_block_fits_like_the_file(tmp_path):
+    one, two = benchmark_shaped_csvs(random.Random(2930))
+    assert len(one.splitlines()) > 2 * xio.BLOCK_ROWS
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        q for q in (src, env.get("PYTHONPATH")) if q)
+    for command, text in (("fit-oneway", one), ("fit-twoway", two)):
+        path = write(tmp_path, f"{command}.csv", text)
+        outs = []
+        for arg, stdin in ((path, None), ("/dev/stdin", text)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "exactvc", command, "--csv", arg],
+                input=stdin, env=env, capture_output=True, text=True,
+                timeout=120)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 # -- pinned refusals ------------------------------------------------------------

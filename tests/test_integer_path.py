@@ -9,7 +9,7 @@ from fractions import Fraction as F
 from math import prod
 
 from conftest import (interval_product, poly_range_reference,
-                      random_oneway_stats, random_twoway_stats)
+                      random_oneway_stats, random_twoway_stats, reciprocal)
 from exactvc import covariates, oneway, profilefit, roots, twoway
 from exactvc.enclosure import Approx, log_enclosure
 from exactvc.errors import NongenericDataError
@@ -27,7 +27,7 @@ def divide(num, den):
     holds 0."""
     if den[0] <= 0 <= den[1]:
         return None
-    return interval_product(Approx(*num), Approx(*den).reciprocal())
+    return interval_product(Approx(*num), reciprocal(Approx(*den)))
 
 
 def reference_objective(prof, method):
@@ -70,7 +70,7 @@ def reference_objective(prof, method):
             return None
         coef = tuple(divide(poly_range_reference(c, lo, hi), grange)
                      for c in prof.cramer)
-        omega = kappa.reciprocal()
+        omega = reciprocal(kappa)
         return (coef[0], omega, None) if prof.mean else (None, omega, coef)
 
     return loglik, values

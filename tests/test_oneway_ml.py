@@ -16,6 +16,7 @@ from conftest import (
     ladder_stats,
     load_stats_fixture,
     random_oneway_stats,
+    reciprocal,
 )
 from exactvc.covariates import profile_from_sums
 from exactvc.enclosure import Approx
@@ -313,7 +314,7 @@ def test_estimates_invariants():
     rep = ml_fit(s)
     g = rep.global_estimates
     # omega = 1/kappa and tau = theta*omega as enclosure identities
-    prod = interval_product(g.omega, g.omega.reciprocal())
+    prod = interval_product(g.omega, reciprocal(g.omega))
     assert prod.lo <= 1 <= prod.hi
     tlo, thi = g.theta.lo, g.theta.hi
     assert g.tau.lo <= thi * g.omega.hi and g.tau.hi >= tlo * g.omega.lo

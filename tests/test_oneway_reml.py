@@ -11,6 +11,7 @@ from conftest import (
     interval_product,
     load_stats_fixture,
     random_oneway_stats,
+    reciprocal,
 )
 from exactvc.enclosure import Approx
 from exactvc.errors import DegenerateDataError
@@ -146,5 +147,5 @@ def test_reml_estimates_at_root():
     g = rep.global_estimates
     est = profile_estimates(gls_profile(s), g.theta, "REML")
     assert est.omega.lo > 0
-    prod = interval_product(est.omega, est.omega.reciprocal())
+    prod = interval_product(est.omega, reciprocal(est.omega))
     assert prod.lo <= 1 <= prod.hi

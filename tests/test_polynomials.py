@@ -140,6 +140,29 @@ def test_exact_divide_by_a_constant():
         p.exact_divide(UniPoly.constant(2, "y"))
 
 
+def test_exact_divide_by_a_constant_rescales_as_the_strip_did():
+    # a constant divisor c / den is a rescale: the same ints and den as the
+    # degree-0 strip by sign(c), which divided each coefficient by +-1
+    rng = random.Random(2929)
+    for _ in range(200):
+        p = rand_poly(rng, max_deg=6)
+        c = rng.choice([rng.randint(1, 40), -rng.randint(1, 40),
+                        Fraction(rng.randint(-40, 40) or 1,
+                                 rng.randint(1, 30))])
+        divisor = UniPoly.constant(c, p.var)
+        got = p.exact_divide(divisor)
+        if p.is_zero():
+            assert got.is_zero()
+            continue
+        n = divisor.ints[0]
+        quot, k = int_strip(p.ints, [1 if n > 0 else -1], 1)
+        strip = UniPoly([v * divisor.den for v in quot], p.var,
+                        p.den * abs(n))
+        assert k == 1
+        assert (got.ints, got.den, got.var) == (strip.ints, strip.den, p.var)
+        assert got * c == p
+
+
 def test_primitive_normal_form():
     p = UniPoly([Fraction(-2, 3), Fraction(4, 3), Fraction(-2)], "x")
     prim = p.primitive()

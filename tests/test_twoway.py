@@ -36,6 +36,7 @@ from exactvc.twoway import (
 from conftest import random_summary_value, twoway_stats_reference
 
 from conftest import (
+    contains,
     divides,
     fixture_path,
     multi_range,
@@ -430,7 +431,7 @@ def test_fit_recovers_planted_additive_solution():
         assert len(hits) == 1
         sol = hits[0]
         assert sol.feasible is True
-        assert sol.tau1.contains(t10) and sol.tau2.contains(t20)
+        assert contains(sol.tau1, t10) and contains(sol.tau2, t20)
 
 
 def test_fit_marks_negative_tau_infeasible():
@@ -457,7 +458,7 @@ def test_fit_residuals_enclose_zero():
         rep = fit_twoway(st)
         assert not rep.tie
         for sol in rep.solutions:
-            assert all(a.contains(0) for a in solution_residuals(eqs, sol))
+            assert all(contains(a, 0) for a in solution_residuals(eqs, sol))
         if rep.global_solution is not None:
             g = rep.global_solution
             assert g.feasible is True and g.loglik is not None
@@ -482,8 +483,8 @@ def test_fit_interaction_round_trip():
     g = rep.global_solution
     assert g is not None and g.feasible is True
     assert g.omega.is_exact and g.omega.lo == oh
-    assert g.tau12 is not None and g.tau12.contains((w0 - oh) / n)
-    assert g.tau1.contains(t10) and g.tau2.contains(t20)
+    assert g.tau12 is not None and contains(g.tau12, (w0 - oh) / n)
+    assert contains(g.tau1, t10) and contains(g.tau2, t20)
     # the quartic is presented in the interaction component
     assert rep.quartic.var == "tau12"
     assert rep.quartic((w0 - oh) / n) == 0
@@ -565,7 +566,7 @@ def test_stationary_point_on_the_tau1_face_stays_undecided(tmp_path, capsys):
     undecided, other = rep.solutions
     assert undecided.feasible is None
     assert undecided.var_value.lo < face < undecided.var_value.hi
-    assert undecided.tau1.contains(0)
+    assert contains(undecided.tau1, 0)
     assert other.feasible is False
     assert rep.global_solution is None
     assert rep.tie and not rep.boundary
