@@ -17,6 +17,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .covariates import DesignProblem
@@ -99,11 +100,9 @@ BLOCK_ROWS = 512
 
 def _csv_rows(path: str) -> Iterator:
     """The stripped header, then (lines, rows) blocks of up to BLOCK_ROWS
-    non-blank rows as wide as it, rows[i] starting on line lines[i]. A csv
-    fault, a row of another width or a non-UTF-8 byte ends a block and is
-    raised after it, so a loader checks the rows above the fault first. A
-    decode fault is placed by its file offset: the bytes the reader failed
-    on (exc.object) end where its binary buffer stands."""
+    non-blank rows as wide as it, rows[i] on line lines[i]. A csv, width or
+    UTF-8 fault ends a block and is raised after it, so the rows above it
+    are checked first; a decode fault is placed by its file offset."""
     width = fault = None
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -125,7 +124,7 @@ def _csv_rows(path: str) -> Iterator:
                     line = reader.line_num + 1
             except UnicodeDecodeError as exc:
                 fault = InputError(f"{path}: malformed CSV: {exc}")
-                if fh.seekable():
+                if fh.seekable():   # exc.object ends where the buffer stands
                     at = fh.buffer.tell() - len(exc.object) + exc.start
                     fault = InputError(
                         f"{path}: malformed CSV: 'utf-8' codec can't decode "
@@ -152,11 +151,9 @@ def read_csv_rows(path: str) -> Tuple[List[str], Iterator]:
 
 
 def _columns(path: str, lines: List[int], columns) -> List[tuple]:
-    """(xs, s) for each value column of a block, xs[i] / s the value of its
-    stripped i-th cell. Each column of ASCII decimals with the k places of
-    its first cell, all with room for a sign and a point under the literal
-    cap, is one bulk int conversion. Any other block is read row by row,
-    each cell through _pair, so its first bad cell is refused by line."""
+    """(xs, t) for each value column of a block, xs[i] / t its stripped i-th
+    cell. A column of ASCII decimals with the k places of its first cell, all
+    under the literal cap, is one bulk int conversion; else _pair per cell."""
     columns = [list(map(str.strip, col)) for col in columns]
     out = []
     for col in columns:
@@ -165,22 +162,31 @@ def _columns(path: str, lines: List[int], columns) -> List[tuple]:
                 + (f"\\.[0-9]{{{k}}}" if k else ""))
         text = "\n".join(col)
         if k > MAX_LITERAL_CHARS - 3 or not re.fullmatch(
-                f"(?:{cell}(?:\n{cell})*+)?", text):
+                f"(?:{cell}(?:\n{cell})*)?", text):
             break
         out.append((list(map(int, text.replace(".", "").split())), 10 ** k))
         if len(out[-1][0]) != len(col):     # a quoted cell held a newline
             break
     else:
         return out
-    pairs = []
-    for line, row in zip(lines, zip(*columns)):
-        try:
-            pairs.append([_pair(cell) for cell in row])
-        except InputError as exc:
-            raise _at(path, line, exc) from None
-    scales = [math.lcm(*(d for _, d in col)) for col in zip(*pairs)]
-    return [([n * (s // d) for n, d in col], s)
-            for col, s in zip(zip(*pairs), scales)]
+    try:
+        cols = [list(map(_pair, col)) for col in columns]
+    except InputError:              # the first bad cell in row order
+        for line, row in zip(lines, zip(*columns)):
+            try:
+                list(map(_pair, row))
+            except InputError as exc:
+                raise _at(path, line, exc) from None
+        raise
+    return [([n * (s // d) for n, d in col], s) for col in cols
+            for s in [math.lcm(*{d for _, d in col})]]
+
+
+def _one_scale(parts: List[tuple]) -> tuple:
+    """(xs, s): the values of the (xs, t) blocks over s, the lcm of all t."""
+    s = math.lcm(*(t for _, t in parts))
+    return list(chain.from_iterable(
+        xs if t == s else [x * (s // t) for x in xs] for xs, t in parts)), s
 
 
 def _is_covariates_header(header: List[str]) -> bool:
@@ -206,17 +212,15 @@ def load_oneway_csv(path: str, rows=None) -> OneWayStats:
     header, blocks = rows or read_csv_rows(path)
     if header != ONEWAY_HEADER:
         raise InputError(f"{path}: header must be exactly group,value")
-    groups: Dict[str, List[int]] = {}
-    s = 1                   # every value is held over s, the lcm of scales
+    labels, parts = [], []          # parts: the (xs, t) of each block
     for lines, block in blocks:
-        labels, cells = zip(*block)
-        [(xs, t)] = _columns(path, lines, [cells])
-        if t != s:
-            u = math.lcm(s, t)
-            groups = {g: [x * (u // s) for x in v] for g, v in groups.items()}
-            xs, s = [x * (u // t) for x in xs], u
-        for label, x in zip(map(str.strip, labels), xs):
-            groups.setdefault(label, []).append(x)
+        names, cells = zip(*block)
+        labels += map(str.strip, names)
+        parts += _columns(path, lines, [cells])
+    xs, s = _one_scale(parts)
+    groups: Dict[str, List[int]] = {}
+    for label, x in zip(labels, xs):
+        groups.setdefault(label, []).append(x)
     return summarize_ints(list(groups.values()), s)
 
 
@@ -246,24 +250,20 @@ def load_twoway_csv(path: str) -> TwoWayStats:
     header, blocks = read_csv_rows(path)
     if header != TWOWAY_HEADER:
         raise InputError(f"{path}: header must be exactly row,col,rep,value")
-    cells: Dict[tuple, int] = {}
-    s = 1                   # every value is held over s, the lcm of scales
+    keys, parts = {}, []            # the cells in file order, their blocks
     for lines, block in blocks:
         *factors, values = zip(*block)
-        keys = list(zip(*(map(str.strip, f) for f in factors)))
-        j = len(keys)
-        if len(set(keys)) < j or not cells.keys().isdisjoint(keys):
-            j = next(i for i, key in enumerate(keys)
-                     if key in cells or keys.index(key) < i)
-        # the cells above a repeated key are checked before it is refused
-        [(xs, t)] = _columns(path, lines[:j], [values[:j]])
-        if j < len(keys):
-            raise _at(path, lines[j], f"duplicate cell {keys[j]}")
-        if t != s:
-            u = math.lcm(s, t)
-            cells = {key: x * (u // s) for key, x in cells.items()}
-            xs, s = [x * (u // t) for x in xs], u
-        cells.update(zip(keys, xs))
+        new = list(zip(*(map(str.strip, f) for f in factors)))
+        j = len(new)
+        if len(set(new)) < j or not keys.keys().isdisjoint(new):
+            j = next(i for i, key in enumerate(new)
+                     if key in keys or new.index(key) < i)
+        parts += _columns(path, lines[:j], [values[:j]])  # before a repeat
+        if j < len(new):
+            raise _at(path, lines[j], f"duplicate cell {new[j]}")
+        keys.update(dict.fromkeys(new))
+    xs, s = _one_scale(parts)
+    cells = dict(zip(keys, xs))
     rows_, cols, reps = (sorted({key[i] for key in cells}) for i in range(3))
     if len(cells) != len(rows_) * len(cols) * len(reps):
         raise InputError(
@@ -422,7 +422,7 @@ def _ser_solution(sol) -> dict:
 
 def twoway_report(rep: TwoWayFitReport) -> dict:
     quartic = rep.quartic.primitive()
-    return {
+    out = {
         "model": rep.model,
         "mu": None if rep.mu is None else _text(rep.mu),
         "omega_hat": None if rep.omega_hat is None else _text(rep.omega_hat),
@@ -449,6 +449,7 @@ def twoway_report(rep: TwoWayFitReport) -> dict:
         "nongeneric": rep.nongeneric,
         "tie": rep.tie,
     }
+    return out
 
 
 def error_report(kind: str, message: str) -> dict:

@@ -14,10 +14,12 @@ import fractions
 import io
 import json
 import os
+import pathlib
 import random
 import re
 import subprocess
 import sys
+import tokenize
 from fractions import Fraction as F
 from unittest import mock
 
@@ -464,7 +466,7 @@ def test_a_bad_cell_is_refused_before_a_bad_byte_two_blocks_on(tmp_path):
 
 def test_decimal_places_change_between_blocks(tmp_path):
     # one place in the first block, two in the second, none in the third:
-    # the loader's scale grows to 100 and earlier blocks are rescaled
+    # the block scales 10, 100 and 1 are merged once, to 100
     b = xio.BLOCK_ROWS
     rng = random.Random(2929)
     values = ([plain(rng, 1) for _ in range(b)] + [plain(rng, 2) for _ in
@@ -488,6 +490,47 @@ def test_decimal_places_change_between_blocks(tmp_path):
     path = write(tmp_path, "places2.csv", "row,col,rep,value\n"
                  + "".join(c + "\n" for c in cells))
     assert xio.load_twoway_csv(path) == load_twoway_csv_reference(path)
+
+
+def test_block_scales_are_merged_once_per_load(tmp_path, monkeypatch):
+    # places 1, 0, 2, 0, then a block of p/q cells over 3 and 7: each block
+    # is rescaled once, to the lcm of all block scales, after the last block
+    # is read, however often the scale changes from block to block
+    b = xio.BLOCK_ROWS
+    rng = random.Random(2931)
+    values = ([plain(rng, k) for k in (1, 0, 2, 0) for _ in range(b)]
+              + [f"{rng.randint(-50, 50)}/{rng.choice([3, 7])}"
+                 for _ in range(b)])
+    one = write(tmp_path, "one.csv", "group,value\n" + "".join(
+        f"g{i % 7},{v}\n" for i, v in enumerate(values)))
+    two = write(tmp_path, "two.csv", "row,col,rep,value\n" + "".join(
+        f"r{i // 10},c{i // 2 % 5},k{i % 2},{v}\n"
+        for i, v in enumerate(values)))
+    calls = []
+    real = xio._one_scale
+    monkeypatch.setattr(xio, "_one_scale", lambda parts: calls.append(
+        [t for _, t in parts]) or real(parts))
+    for path, load, reference in ((one, xio.load_oneway_csv,
+                                   load_oneway_csv_reference),
+                                  (two, xio.load_twoway_csv,
+                                   load_twoway_csv_reference)):
+        calls.clear()
+        assert load(path) == reference(path)
+        assert calls == [[10, 1, 100, 1, 21]]
+
+
+def test_no_regex_needs_a_newer_python_than_3_10():
+    # possessive quantifiers and atomic groups are Python 3.11 syntax; on
+    # 3.10, the oldest the project supports, re raises "multiple repeat"
+    newer = re.compile(r"[*+?}]\+|\(\?>")
+    kinds = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", None)}
+    found = []
+    for path in sorted(pathlib.Path(xio.__file__).parent.glob("*.py")):
+        with open(path, "rb") as fh:
+            found += [(path.name, tok.start[0]) for tok in
+                      tokenize.tokenize(fh.readline)
+                      if tok.type in kinds and newer.search(tok.string)]
+    assert found == []
 
 
 def test_csv_on_stdin_longer_than_a_block_fits_like_the_file(tmp_path):
