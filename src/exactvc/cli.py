@@ -1,9 +1,10 @@
 """Command-line surface: fit commands, degree formulas, randomized audit.
 
 Exit codes: 0 success, 2 malformed input, 3 model-assumption violation,
-4 degenerate-data or tie diagnostics. All reports go to standard output
-as deterministic JSON (sorted keys); --emit-poly switches a fit command
-to bare coefficient lines for diff-based comparison.
+4 degenerate-data or tie diagnostics, 1 a failed internal certificate (a
+bug). All reports go to standard output as deterministic JSON (sorted
+keys); --emit-poly switches a fit command to bare coefficient lines for
+diff-based comparison.
 """
 
 from __future__ import annotations
@@ -18,25 +19,18 @@ from typing import List, Optional
 from . import covariates as cov
 from . import io as xio
 from . import oneway
-from .errors import (
-    DegenerateDataError,
-    DegenerateDesignError,
-    ExactVCError,
-    InputError,
-    ModelAssumptionError,
-    NongenericDataError,
-    RankDeficiencyError,
-    UndefinedInputError,
-)
+from .errors import (DegenerateDesignError, ExactVCError, InputError,
+                     ModelAssumptionError)
 from .profilefit import REFINE_WIDTH, profile_equation, profile_fit
 from .stats import (OneWayStats, check_layout, ml_degree, multiplicity_profile,
                     reml_degree)
 from .twoway import fit_twoway
 
 EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_MODEL = 3
 EXIT_DIAGNOSTIC = 4
+# the exit code of each error kind (ExactVCError.kind)
+EXIT_CODES = {"input": 2, "model-assumption": 3,
+              "degenerate": EXIT_DIAGNOSTIC, "internal": 1}
 
 
 @cache
@@ -250,7 +244,7 @@ def _random_design(rng: random.Random, q: int, p_extra: int) -> cov.DesignProble
             for _ in range(n))
         try:
             return cov.DesignProblem(y, x, tuple(sizes))
-        except (RankDeficiencyError, ModelAssumptionError):
+        except ModelAssumptionError:
             continue
     raise InputError(
         f"no full-rank design with more rows than its {p_extra + 1} columns "
@@ -331,20 +325,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (InputError, UndefinedInputError) as exc:
-        sys.stdout.write(xio.dumps(xio.error_report("input", str(exc))))
-        return EXIT_INPUT
-    except (DegenerateDataError, DegenerateDesignError,
-            NongenericDataError) as exc:
-        sys.stdout.write(xio.dumps(xio.error_report("degenerate", str(exc))))
-        return EXIT_DIAGNOSTIC
-    except ModelAssumptionError as exc:
-        sys.stdout.write(xio.dumps(
-            xio.error_report("model-assumption", str(exc))))
-        return EXIT_MODEL
     except ExactVCError as exc:
-        sys.stdout.write(xio.dumps(xio.error_report("internal", str(exc))))
-        return 1
+        sys.stdout.write(xio.dumps(xio.error_report(exc.kind, str(exc))))
+        return EXIT_CODES[exc.kind]
 
 
 if __name__ == "__main__":

@@ -5,9 +5,9 @@ move to finite precision. A log is bracketed in pure integers by the atanh
 series with a log 2 reduction (Brent & Zimmermann, Modern Computer
 Arithmetic, 2010, sec. 4.4), whose error the code counts, and then widened
 by a generous margin, so every Approx produced here is a true enclosure and
-comparisons between disjoint enclosures are certified. The objective stays
-in integers up to its reported ends: log_bounds reads unreduced integer
-pairs and returns integers over 4^prec, which callers sum as they are, and
+comparisons between disjoint enclosures are certified. Approx is a record,
+with no arithmetic: the objective stays in integers up to its reported ends.
+log_bounds returns integers over 4^prec, which callers sum as they are, and
 range_quotient reduces each end of a quotient of integer ranges once.
 """
 
@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Optional, Tuple
+
+from .polynomials import rat
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,7 @@ class Approx:
 
     @classmethod
     def exact(cls, v) -> "Approx":
-        v = Fraction(v)
+        v = rat(v)
         return cls(v, v)
 
     @property
@@ -45,20 +47,6 @@ class Approx:
 
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    # -- interval arithmetic -------------------------------------------------
-
-    def __add__(self, other: "Approx") -> "Approx":
-        return Approx(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "Approx") -> "Approx":
-        return Approx(self.lo - other.hi, self.hi - other.lo)
-
-    def scale(self, c) -> "Approx":
-        c = Fraction(c)
-        if c >= 0:
-            return Approx(self.lo * c, self.hi * c)
-        return Approx(self.hi * c, self.lo * c)
 
 
 def _ratio(x) -> Tuple[int, int]:

@@ -41,7 +41,6 @@ from .polynomials import (
     int_strip,
     int_sum,
     poly_gcd,
-    rat,
 )
 from .roots import (
     RootInterval,
@@ -294,7 +293,7 @@ def enclose_at(fn: Callable, theta):
     refused, as is a None at an exact theta or after _MAX_RETRIES.
     """
     if not isinstance(theta, Approx):
-        theta = Approx.exact(rat(theta))
+        theta = Approx.exact(theta)
     elif not (theta.is_exact or isinstance(theta, RootInterval)):
         raise ContractViolationError("theta cannot be narrowed")
     for _ in range(_MAX_RETRIES):

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .enclosure import Approx, log_bounds, range_quotient
+from .enclosure import Approx, log_bounds
 from .errors import (
     DegenerateDataError,
     InputError,
@@ -409,11 +409,11 @@ def _solution(system: TwoWaySystem, iv: RootInterval, t1: UniPoly,
               t2: UniPoly, feasible: Optional[bool],
               loglik: Optional[Approx] = None) -> TwoWaySolution:
     """The solution at iv: every enclosure is taken over iv itself."""
-    var = Approx(iv.lo, iv.hi)
-    omega, tau12 = var, None
+    omega, tau12 = Approx(iv.lo, iv.hi), None
     if system.model == "interaction":
-        omega = Approx.exact(system.omega_hat)
-        tau12 = (var - omega).scale(Fraction(1, system.stats.n))
+        oh, n = system.omega_hat, system.stats.n
+        omega, tau12 = Approx.exact(oh), Approx((iv.lo - oh) / n,
+                                                (iv.hi - oh) / n)
     return TwoWaySolution(
         var_value=iv, omega=omega, tau1=Approx(*poly_range(t1, iv.lo, iv.hi)),
         tau2=Approx(*poly_range(t2, iv.lo, iv.hi)), tau12=tau12,
@@ -443,17 +443,18 @@ def _loglik_box(system: TwoWaySystem, lo: Fraction, hi: Fraction,
     if system.model == "interaction":
         oh = system.omega_hat
         terms.append((_common_denominator(oh, oh), r * q * (n - 1), stats.SSE))
-    # the logs are summed as integers over 4^prec, the quotients as Approx
-    bot, top, quad = 0, 0, Approx.exact(0)
+    # the logs are summed as integers over 4^prec; once its log is bounded
+    # x > 0, so with ss >= 0 each quotient ss/x lies in [ss e/xh, ss e/xl]
+    bot, top, low, high = 0, 0, 0, 0
     for (xl, xh, e), wt, ss in terms:
         ends = log_bounds((xl, e), (xh, e), prec)
         if ends is None:
             return None
         bot, top = bot - wt * ends[1], top - wt * ends[0]
-        quad = quad + range_quotient(
-            (ss.numerator, ss.numerator, ss.denominator), (xl, xh, e))
+        low += Fraction(ss.numerator * e, ss.denominator * xh)
+        high += Fraction(ss.numerator * e, ss.denominator * xl)
     unit = 1 << 2 * prec
-    return Approx(Fraction(bot, unit), Fraction(top, unit)) - quad
+    return Approx(Fraction(bot, unit) - high, Fraction(top, unit) - low)
 
 
 def _build_solution(system: TwoWaySystem, iv: RootInterval, t1: UniPoly,

@@ -421,6 +421,24 @@ def contains(a: Approx, v) -> bool:
     return a.lo <= Fraction(v) <= a.hi
 
 
+def interval_sum(a: Approx, b: Approx) -> Approx:
+    """The enclosure a + b."""
+    return Approx(a.lo + b.lo, a.hi + b.hi)
+
+
+def interval_difference(a: Approx, b: Approx) -> Approx:
+    """The enclosure a - b."""
+    return Approx(a.lo - b.hi, a.hi - b.lo)
+
+
+def interval_scale(a: Approx, c) -> Approx:
+    """The enclosure c a for a rational c >= 0."""
+    c = Fraction(c)
+    if c < 0:
+        raise ValueError("interval_scale takes a nonnegative factor")
+    return Approx(a.lo * c, a.hi * c)
+
+
 def interval_product(a: Approx, b: Approx) -> Approx:
     """The general interval product: the least and greatest of the four
     products of ends, for ends of any sign."""
@@ -436,7 +454,7 @@ def multi_range(mp, bounds):
         for var, exp in zip(mp.vars, mono):
             for _ in range(exp):
                 term = interval_product(term, Approx(*bounds[var]))
-        total = total + term
+        total = interval_sum(total, term)
     return total.lo, total.hi
 
 

@@ -21,14 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from exactvc import covariates, oneway
+from exactvc import covariates, errors, oneway
 from exactvc import io as xio
 from exactvc.cli import main
 from exactvc.enclosure import Approx
 from exactvc.twoway import TwoWayStats
 
-from conftest import (contains, fixture_path, solution_residuals,
-                      twoway_cleared_system)
+from conftest import (contains, fixture_path, interval_scale, interval_sum,
+                      solution_residuals, twoway_cleared_system)
 
 
 def run(capsys, *argv):
@@ -206,6 +206,18 @@ def test_exit_codes(tmp_path, capsys):
                     "--stats", fixture_path("trimodal.json"))
     assert code == 2
 
+    code, out = run(capsys, "fit-twoway", "--refine-width", "0",
+                    "--stats", fixture_path("penicillin.json"))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "input"
+
+    twoway_csv = fixture_path("replicated_2x3x2.csv")
+    code, out = run(capsys, "fit-oneway", "--csv", twoway_csv)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "input",
+        "message": f"{twoway_csv}: two-way CSV given to fit-oneway"}
+
     # symmetric two-way stratum: back-substitution degenerates
     # values planted at omega=7/3, tau1=tau2=1/2, so tau-swapped solution
     # pairs share their omega root
@@ -216,6 +228,32 @@ def test_exit_codes(tmp_path, capsys):
     code, out = run(capsys, "fit-twoway", "--stats", str(sym))
     assert code == 4
     assert json.loads(out)["error"]["kind"] == "degenerate"
+
+
+@pytest.mark.parametrize("error,kind,code", [
+    (errors.InputError, "input", 2),
+    (errors.UndefinedInputError, "input", 2),
+    (errors.ModelAssumptionError, "model-assumption", 3),
+    (errors.RankDeficiencyError, "model-assumption", 3),
+    (errors.DegenerateDataError, "degenerate", 4),
+    (errors.DegenerateDesignError, "degenerate", 4),
+    (errors.NongenericDataError, "degenerate", 4),
+    (errors.DivisibilityError, "internal", 1),
+    (errors.ContractViolationError, "internal", 1),
+    (errors.ExactVCError, "internal", 1),
+])
+def test_each_error_class_ends_in_its_kind_and_exit_code(
+        error, kind, code, monkeypatch, capsys):
+    # the degenerate classes subclass ModelAssumptionError and must still
+    # report degenerate (exit 4); ContractViolationError is a bug (exit 1)
+    def refuse(path):
+        raise error("planted")
+
+    monkeypatch.setattr(xio, "load_oneway_stats_json", refuse)
+    got, out = run(capsys, "fit-oneway",
+                   "--stats", fixture_path("trimodal.json"))
+    assert got == code
+    assert json.loads(out) == {"error": {"kind": kind, "message": "planted"}}
 
 
 def test_zero_within_ss_is_refused_under_every_method(tmp_path, capsys):
@@ -586,8 +624,9 @@ def test_fit_twoway_random_stats_exit_cleanly(doc):
                 if model == "additive":
                     var = reported_box(sol["omega"])
                 else:
-                    var = (reported_box(sol["tau12"]).scale(stats.n)
-                           + Approx.exact(F(rep["omega_hat"])))
+                    var = interval_sum(
+                        interval_scale(reported_box(sol["tau12"]), stats.n),
+                        Approx.exact(F(rep["omega_hat"])))
                 box = SimpleNamespace(var_value=var, tau1=tau1, tau2=tau2)
                 assert all(contains(a, 0)
                            for a in solution_residuals(eqs, box)), (doc, model)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import pytest
 
 from conftest import interval_product, reciprocal
 from exactvc.enclosure import (Approx, _log_bracket, log_enclosure,
@@ -153,3 +154,17 @@ def test_sign_aware_divide_matches_the_general_formula():
         checked += num[0] >= 0 and den[0] > 0
     assert checked > 200
     assert range_quotient((0, 0, 1), (2, 3, 1)) == Approx.exact(0)
+
+
+def test_exact_goes_through_rat():
+    # an exact point is never a binary float: 0.1 and True are refused as
+    # rat refuses them, and an int, a decimal string and a Fraction of the
+    # same value give the same point
+    for bad in (0.1, 2.0, True):
+        with pytest.raises(TypeError):
+            Approx.exact(bad)
+    point = Approx(Fraction(5, 2), Fraction(5, 2))
+    assert Approx.exact("2.5") == Approx.exact("5/2") == point
+    assert Approx.exact(Fraction(5, 2)) == point
+    assert Approx.exact(3) == Approx(Fraction(3), Fraction(3))
+    assert isinstance(Approx.exact(3).lo, Fraction)

@@ -31,6 +31,10 @@ CASES = {
     "oneway_dyestuff_reml_poly": ["fit-oneway", "--method", "REML",
                                   "--emit-poly", "--csv", "dyestuff.csv"],
     "twoway_penicillin": ["fit-twoway", "--stats", "penicillin.json"],
+    "twoway_penicillin_poly": ["fit-twoway", "--emit-poly",
+                               "--stats", "penicillin.json"],
+    "twoway_replicated_interaction": ["fit-twoway", "--model", "interaction",
+                                      "--csv", "replicated_2x3x2.csv"],
     "covariates_intercept_both": ["fit-oneway", "--method", "both",
                                   "--add-intercept",
                                   "--csv", "covariates.csv"],

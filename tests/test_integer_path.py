@@ -8,8 +8,9 @@ from dataclasses import replace
 from fractions import Fraction as F
 from math import prod
 
-from conftest import (interval_product, poly_range_reference,
-                      random_oneway_stats, random_twoway_stats, reciprocal)
+from conftest import (interval_difference, interval_product, interval_scale,
+                      poly_range_reference, random_oneway_stats,
+                      random_twoway_stats, reciprocal)
 from exactvc import covariates, oneway, profilefit, roots, twoway
 from exactvc.enclosure import Approx, log_enclosure
 from exactvc.errors import NongenericDataError
@@ -47,17 +48,18 @@ def reference_objective(prof, method):
                                                     prec)
         if lk is None:
             return None
-        total = lk.scale(w) - Approx.exact(w)
+        total = interval_difference(interval_scale(lk, w), Approx.exact(w))
         for m, ns in sorted(classes.items()):
             at = [prod(1 + n * t for n in ns) for t in (lo, hi)]
-            total = total - log_enclosure(*at, prec).scale(m)
+            total = interval_difference(
+                total, interval_scale(log_enclosure(*at, prec), m))
         if method == "REML":
             r = divide(poly_range_reference(G, lo, hi),
                        poly_range_reference(dp, lo, hi))
             lr = None if r is None else log_enclosure(r.lo, r.hi, prec)
             if lr is None:
                 return None
-            total = total - lr
+            total = interval_difference(total, lr)
         return total
 
     def values(lo, hi):
@@ -92,13 +94,14 @@ def reference_loglik_box(system, lo, hi, t1, t2, prec):
         lg = log_enclosure(box[0], box[1], prec)
         if lg is None:
             return None
-        total = total - lg.scale(wt)
+        total = interval_difference(total, interval_scale(lg, wt))
         if ss is not None:
-            total = total - divide((ss, ss), box)
+            total = interval_difference(total, divide((ss, ss), box))
     if system.model == "interaction":
         oh = system.omega_hat
-        total = total - log_enclosure(oh, oh, prec).scale(
-            r * q * (n - 1)) - Approx.exact(stats.SSE / oh)
+        logs = interval_scale(log_enclosure(oh, oh, prec), r * q * (n - 1))
+        total = interval_difference(
+            interval_difference(total, logs), Approx.exact(stats.SSE / oh))
     return total
 
 

@@ -9,7 +9,8 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 
-from conftest import closed_forms, load_stats_fixture, random_oneway_stats
+from conftest import (closed_forms, interval_scale, interval_sum,
+                      load_stats_fixture, random_oneway_stats)
 from exactvc import covariates, oneway, profilefit
 from exactvc.enclosure import Approx
 from exactvc.errors import ContractViolationError, DegenerateDesignError
@@ -363,8 +364,9 @@ def test_log_det_enclosure_contains_the_sum_of_logs(monkeypatch):
                     encl = [Approx(F(a, unit), F(b, unit))
                             for _, (a, b) in calls[1:1 + len(classes)]]
                     assert len(encl) == len(classes)
-                    total = sum((e.scale(m) for m, e in zip(classes, encl)),
-                                Approx.exact(0))
+                    total = Approx.exact(0)
+                    for m, e in zip(classes, encl):
+                        total = interval_sum(total, interval_scale(e, m))
                     want_lo = log_det(sizes, mults, lo, 2 * prec)
                     want_hi = log_det(sizes, mults, hi, 2 * prec)
                     assert total.lo <= want_lo <= want_hi <= total.hi

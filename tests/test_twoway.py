@@ -39,6 +39,8 @@ from conftest import (
     contains,
     divides,
     fixture_path,
+    interval_difference,
+    interval_scale,
     multi_range,
     poly_divmod,
     random_twoway_stats,
@@ -519,7 +521,8 @@ def test_solution_enclosures_follow_the_refined_interval(model, stats):
         else:
             oh = Approx.exact(rep.omega_hat)
             assert sol.omega == oh
-            assert sol.tau12 == (var - oh).scale(F(1, n))
+            assert sol.tau12 == interval_scale(
+                interval_difference(var, oh), F(1, n))
 
 
 def test_coarse_width_feasibility_is_decided_by_refinement(monkeypatch):
