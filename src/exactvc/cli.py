@@ -99,10 +99,16 @@ def _methods(method: str) -> List[str]:
     return ["ML", "REML"] if method == "both" else [method]
 
 
-def _run_fit_oneway(args) -> int:
+def _refine_width(args) -> Fraction:
+    """The --refine-width of a fit command, refused unless positive."""
     width = xio.parse_rational(args.refine_width)
     if width <= 0:
         raise InputError("refine width must be positive")
+    return width
+
+
+def _run_fit_oneway(args) -> int:
+    width = _refine_width(args)
     if args.emit_poly and args.method == "both":
         raise InputError("--emit-poly requires a single method, not both")
     rows = xio.read_csv_rows(args.csv) if args.csv else None
@@ -140,9 +146,7 @@ def _run_fit_oneway(args) -> int:
 # ----------------------------------------------------------------------
 
 def _run_fit_twoway(args) -> int:
-    width = xio.parse_rational(args.refine_width)
-    if width <= 0:
-        raise InputError("refine width must be positive")
+    width = _refine_width(args)
     if not args.csv:
         stats = xio.load_twoway_stats_json(args.stats)
     else:

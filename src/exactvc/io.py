@@ -384,7 +384,7 @@ def oneway_report(rep: FitReport, method: str) -> dict:
     out = {
         "method": method,
         "equation": {
-            "coeffs": eq.numerator.primitive().integer_coeffs(),
+            "coeffs": eq.numerator.integer_coeffs(),
             "degree": eq.observed_degree,
             "expected_degree": eq.expected_degree,
             "sign_changes": descartes_sign_changes(eq.numerator),
@@ -421,17 +421,16 @@ def _ser_solution(sol) -> dict:
 
 
 def twoway_report(rep: TwoWayFitReport) -> dict:
-    quartic = rep.quartic.primitive()
     out = {
         "model": rep.model,
         "mu": None if rep.mu is None else _text(rep.mu),
         "omega_hat": None if rep.omega_hat is None else _text(rep.omega_hat),
         "equation": {
-            "coeffs": quartic.integer_coeffs(),
-            "variable": quartic.var,
+            "coeffs": rep.quartic.integer_coeffs(),
+            "variable": rep.quartic.var,
             "degree": rep.observed_degree,
             "expected_degree": 4,
-            "sign_changes": descartes_sign_changes(quartic),
+            "sign_changes": descartes_sign_changes(rep.quartic),
         },
         # tau = t(omega) as t.den * tau - t.ints(omega) = 0
         "relations": {
@@ -466,5 +465,6 @@ def dumps(obj) -> str:
 
 
 def emit_poly_text(p: UniPoly) -> str:
-    """Primitive integer coefficients, lowest degree first, one per line."""
-    return "".join(_text(c) + "\n" for c in p.primitive().integer_coeffs())
+    """The integer coefficients of p, lowest degree first, one per line;
+    the fits' polynomials are already primitive."""
+    return "".join(_text(c) + "\n" for c in p.integer_coeffs())

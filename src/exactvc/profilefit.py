@@ -363,24 +363,22 @@ def certified_argmax(thetas: Sequence, loglik: LoglikFn):
     return thetas, encl, best, tied
 
 
-def _sign(a: Approx) -> Optional[int]:
-    """+1 or -1 when a excludes 0, 0 when a is exactly 0, else None."""
-    if a.lo > 0:
-        return 1
-    if a.hi < 0:
-        return -1
-    return 0 if a.lo == a.hi == 0 else None
+def _sign(lo: int, hi: int, _den: int) -> Optional[int]:
+    """The sign of the integer range (L, H, E): +1 or -1 when it excludes
+    0, 0 when L = H = 0, else None."""
+    return 1 if lo > 0 else -1 if hi < 0 else 0 if lo == hi == 0 else None
 
 
 def certified_signs(theta: RootInterval,
-                    enclose: Callable[[RootInterval], Sequence[Approx]]
+                    ranges: Callable[[RootInterval], Sequence[tuple]]
                     ) -> Tuple[RootInterval, List[Optional[int]]]:
     """(theta, signs): theta refined 32x, under the ranking caps, while an
-    enclosure in enclose(theta) straddles 0, and each sign (+1, -1, 0 when
-    exactly 0, None past the caps). Refined intervals are nested, so a
-    decided sign stays decided: one pass serves every quantity."""
+    integer range (L, H, E) in ranges(theta) straddles 0, and each range's
+    sign (+1, -1, 0 when L = H = 0, None past the caps). Refined intervals
+    are nested, so a decided sign stays decided: one pass serves every
+    quantity, and no rational enclosure is built to read a sign."""
     for _ in range(_MAX_RANK_ROUNDS):
-        signs = [_sign(a) for a in enclose(theta)]
+        signs = [_sign(*r) for r in ranges(theta)]
         if None not in signs or theta.width() <= _TIE_WIDTH_CAP:
             break
         theta = refine_interval(theta, theta.width() / 32)

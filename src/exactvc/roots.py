@@ -32,8 +32,9 @@ number of roots. Vincent's theorem guarantees that the expansion of a
 squarefree polynomial reaches such nodes everywhere, so the count
 terminates. The count is never refined and no interval is built for it.
 
-`sturm_chain` and `count_roots_between` are an independent root counter
-kept for cross-checks; isolation and refinement do not use them.
+`sturm_chain` is not used by isolation or refinement. It stays here
+because the benchmark traces it by name; the tests count roots on its
+chains with their own Fraction arithmetic, an independent cross-check.
 """
 
 from __future__ import annotations
@@ -56,14 +57,6 @@ def _sign_at(int_coeffs: Sequence[int], x: Fraction) -> int:
     the sign of int_eval's d^deg p(n/d)."""
     v = int_eval(int_coeffs, x)[0]
     return (v > 0) - (v < 0)
-
-
-def cauchy_bound(p: UniPoly) -> Fraction:
-    """Strict bound B with every real root of p inside (-B, B)."""
-    if p.is_zero():
-        raise UndefinedInputError("root bound of the zero polynomial")
-    biggest = max((abs(c) for c in p.ints[:-1]), default=0)
-    return 1 + Fraction(biggest, abs(p.ints[-1]))
 
 
 # ----------------------------------------------------------------------
@@ -90,20 +83,6 @@ def sturm_chain(p: UniPoly) -> List[List[int]]:
                 break
             chain.append(_int_primitive([-v for v in r]))
     return chain
-
-
-def sign_variations(chain: List[List[int]], x: Fraction) -> int:
-    signs = []
-    for cs in chain:
-        s = _sign_at(cs, x)
-        if s != 0:
-            signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots_between(chain: List[List[int]], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots in (a, b); requires a, b to be non-roots."""
-    return sign_variations(chain, a) - sign_variations(chain, b)
 
 
 # ----------------------------------------------------------------------

@@ -23,8 +23,11 @@ in the inflated variance w = omega_hat + n tau12, with its own residual
 weight and sum of squares. The same elimination runs in w and the
 quartic is presented in tau12 by composition.
 
-Each root's TwoWaySolution is built by _solution over its current
-interval; feasibility is one pass of profilefit.certified_signs.
+fit_twoway makes one pass over the isolated roots: each root's
+feasibility is decided by profilefit.certified_signs on the integer
+ranges of the eliminated variable and the taus, the feasible roots are
+ranked in one certified_argmax call, and each root's TwoWaySolution is
+built once, by _solution over its final interval.
 """
 
 from __future__ import annotations
@@ -457,35 +460,17 @@ def _loglik_box(system: TwoWaySystem, lo: Fraction, hi: Fraction,
     return Approx(Fraction(bot, unit) - high, Fraction(top, unit) - low)
 
 
-def _build_solution(system: TwoWaySystem, iv: RootInterval, t1: UniPoly,
-                    t2: UniPoly) -> TwoWaySolution:
-    """The solution at iv, refined until it is feasible (the eliminated
-    variable > 0, which covers omega > 0, and every tau >= 0) or not."""
-
-    def enclosures(j: RootInterval) -> List[Approx]:
-        sol = _solution(system, j, t1, t2, None)
-        return [a for a in (j, sol.tau1, sol.tau2, sol.tau12)
-                if a is not None]
-
-    iv, signs = certified_signs(iv, enclosures)
-    feasible = (False if signs[0] == 0 or -1 in signs
-                else None if None in signs else True)
-    return _solution(system, iv, t1, t2, feasible)
-
-
-def _rank_feasible(system: TwoWaySystem, sols: List[TwoWaySolution],
-                   t1: UniPoly, t2: UniPoly
-                   ) -> Tuple[List[TwoWaySolution], Optional[int], bool]:
-    """Attach objective enclosures and pick the certified best index."""
-    idxs = [i for i, s in enumerate(sols) if s.feasible]
-    if not idxs:
-        return sols, None, False
-    ivs, encl, best, tied = certified_argmax(
-        [sols[i].var_value for i in idxs],
-        lambda lo, hi, prec: _loglik_box(system, lo, hi, t1, t2, prec))
-    for i, iv, e in zip(idxs, ivs, encl):
-        sols[i] = _solution(system, iv, t1, t2, sols[i].feasible, e)
-    return sols, idxs[best], bool(tied)
+def _feasibility_ranges(system: TwoWaySystem, t1: UniPoly, t2: UniPoly,
+                        j: RootInterval) -> List[Tuple[int, int, int]]:
+    """Integer ranges (L, H, E) over j of the eliminated variable, tau1, tau2
+    and, for the interaction model, w - omega_hat: a root is feasible when
+    the first is positive (so omega > 0) and the rest are nonnegative."""
+    out = [_common_denominator(j.lo, j.hi), int_range(t1, j.lo, j.hi),
+           int_range(t2, j.lo, j.hi)]
+    if system.model == "interaction":
+        oh = system.omega_hat
+        out.append(_common_denominator(j.lo - oh, j.hi - oh))
+    return out
 
 
 def fit_twoway(stats: TwoWayStats, model: str = "additive",
@@ -513,18 +498,30 @@ def fit_twoway(stats: TwoWayStats, model: str = "additive",
     if poly.degree < 1:
         return replace(skeleton, boundary=True)
     t1, t2 = skeleton.tau1_relation, skeleton.tau2_relation
-    ivs = isolate_real_roots(poly, domain="all", max_width=refine_width)
-    sols = [_build_solution(system, iv, t1, t2) for iv in ivs]
-    sols, best, tie = _rank_feasible(system, sols, t1, t2)
+    ivs, feasible = [], []
+    for iv in isolate_real_roots(poly, domain="all", max_width=refine_width):
+        iv, signs = certified_signs(
+            iv, lambda j: _feasibility_ranges(system, t1, t2, j))
+        ivs.append(iv)
+        feasible.append(False if signs[0] == 0 or -1 in signs
+                        else None if None in signs else True)
+    # the feasible roots are ranked in one call, which also encloses the
+    # objective of a lone one
+    idxs = [i for i, f in enumerate(feasible) if f]
+    logliks, best, tied = [None] * len(ivs), None, []
+    if idxs:
+        ranked, encl, top, tied = certified_argmax(
+            [ivs[i] for i in idxs],
+            lambda lo, hi, prec: _loglik_box(system, lo, hi, t1, t2, prec))
+        for i, iv, e in zip(idxs, ranked, encl):
+            ivs[i], logliks[i] = iv, e
+        best = idxs[top]
+    sols = tuple(_solution(system, iv, t1, t2, f, e)
+                 for iv, f, e in zip(ivs, feasible, logliks))
     # boundary is only asserted when every stationary point is certifiably
     # infeasible; an undecided feasibility flag leaves it unset and marks
     # the fit tied instead
-    boundary = best is None and all(s.feasible is False for s in sols)
-    if best is None and any(s.feasible is None for s in sols):
-        tie = True
-    return replace(
-        skeleton,
-        solutions=tuple(sols),
-        global_solution=None if best is None else sols[best],
-        boundary=boundary,
-        tie=tie)
+    return replace(skeleton, solutions=sols,
+                   global_solution=None if best is None else sols[best],
+                   boundary=all(f is False for f in feasible),
+                   tie=bool(tied) or (best is None and None in feasible))

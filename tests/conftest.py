@@ -10,12 +10,14 @@ from types import SimpleNamespace
 from typing import Iterable, Optional, Tuple
 
 from exactvc import io as xio
+from exactvc import profilefit, twoway
 from exactvc.covariates import DesignProblem
 from exactvc.enclosure import Approx
 from exactvc.errors import InputError
 from exactvc.multipoly import MultiPoly, bareiss_determinant
 from exactvc.polynomials import UniPoly, rat
-from exactvc.profilefit import ProfilePolys
+from exactvc.profilefit import ProfilePolys, certified_argmax
+from exactvc.roots import isolate_real_roots, refine_interval
 from exactvc.stats import GroupedData, OneWayStats, summarize_ints
 from exactvc.twoway import TwoWayStats, twoway_stats_ints
 
@@ -156,6 +158,30 @@ def divides(divisor: UniPoly, poly: UniPoly) -> bool:
     if divisor.is_zero():
         return poly.is_zero()
     return poly_divmod(poly, divisor)[1].is_zero()
+
+
+# -- an independent root counter ----------------------------------------------
+#
+# Sturm's theorem on the chains of roots.sturm_chain, evaluated with
+# frac_eval: the root-count oracle of the isolation tests, which shares no
+# evaluation code with exactvc.
+
+def cauchy_bound(p: UniPoly) -> Fraction:
+    """Strict bound B with every real root of the nonzero p inside (-B, B)."""
+    biggest = max((abs(c) for c in p.ints[:-1]), default=0)
+    return 1 + Fraction(biggest, abs(p.ints[-1]))
+
+
+def sign_variations(chain, x: Fraction) -> int:
+    """Sign changes along the chain's values at x, zeros skipped."""
+    signs = [v > 0 for v in (frac_eval(cs, x) for cs in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def count_roots_between(chain, a: Fraction, b: Fraction) -> int:
+    """Distinct real roots in (a, b) of the chain's head; a and b must not
+    be roots."""
+    return sign_variations(chain, a) - sign_variations(chain, b)
 
 
 def naive_determinant(rows, zero, one):
@@ -632,6 +658,60 @@ def poly_range_reference(p: UniPoly, lo: Fraction,
         cands = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
         acc_lo, acc_hi = min(cands) + c, max(cands) + c
     return acc_lo, acc_hi
+
+
+# ----------------------------------------------------------------------
+# The two-way feasibility pass on rational enclosures
+#
+# fit_twoway's driver as it was before feasibility was read off integer
+# ranges: each root's signs come from Fraction enclosures of the eliminated
+# variable, tau1, tau2 and (interaction) tau12, and the feasible roots are
+# then ranked. fit_twoway must report the same intervals and flags.
+
+def _enclosure_sign(a: Approx):
+    """+1 or -1 when a excludes 0, 0 when a is exactly 0, else None."""
+    if a.lo > 0:
+        return 1
+    if a.hi < 0:
+        return -1
+    return 0 if a.lo == a.hi == 0 else None
+
+
+def twoway_feasibility_reference(stats, model, width):
+    """[(interval, feasible)] for each root of fit_twoway(stats, model,
+    width). A root's interval is refined 32x, under the ranking caps, while
+    one of its enclosures straddles 0; the feasible roots' intervals are
+    then refined by one certified_argmax on twoway._loglik_box."""
+    system = twoway.ml_system(stats, model)
+    rep = twoway.eliminate_to_quartic(system)
+    if rep.eliminated.degree < 1:
+        return []
+    t1, t2 = rep.tau1_relation, rep.tau2_relation
+    out = []
+    for iv in isolate_real_roots(rep.eliminated, domain="all",
+                                 max_width=width):
+        for _ in range(profilefit._MAX_RANK_ROUNDS):
+            encl = [Approx(iv.lo, iv.hi),
+                    Approx(*poly_range_reference(t1, iv.lo, iv.hi)),
+                    Approx(*poly_range_reference(t2, iv.lo, iv.hi))]
+            if model == "interaction":
+                oh, n = system.omega_hat, stats.n
+                encl.append(Approx((iv.lo - oh) / n, (iv.hi - oh) / n))
+            signs = [_enclosure_sign(a) for a in encl]
+            if None not in signs or iv.width() <= profilefit._TIE_WIDTH_CAP:
+                break
+            iv = refine_interval(iv, iv.width() / 32)
+        out.append([iv, False if signs[0] == 0 or -1 in signs
+                    else None if None in signs else True])
+    idxs = [i for i, (_, f) in enumerate(out) if f]
+    if idxs:
+        ranked = certified_argmax(
+            [out[i][0] for i in idxs],
+            lambda lo, hi, prec: twoway._loglik_box(system, lo, hi, t1, t2,
+                                                    prec))[0]
+        for i, iv in zip(idxs, ranked):
+            out[i][0] = iv
+    return [tuple(pair) for pair in out]
 
 
 # ----------------------------------------------------------------------

@@ -219,5 +219,7 @@ def test_ser_values():
 def test_dumps_deterministic_and_emit_poly():
     obj = {"b": [1, 2], "a": {"y": 1, "x": "3/7"}}
     assert dumps(obj) == dumps(json.loads(json.dumps(obj)))
-    p = UniPoly([F(2), F(-4), F(6)], "theta")
+    p = UniPoly([F(1), F(-2), F(3)], "theta")
     assert emit_poly_text(p) == "1\n-2\n3\n"
+    with pytest.raises(ValueError):
+        emit_poly_text(UniPoly([F(1, 2), F(1)], "theta"))

@@ -5,8 +5,10 @@ intervals: 0 or 1 sign variation proves 0 or 1 root in the interval; the
 continued-fraction count of negative roots rests on the same counts. They
 work on the squarefree part, whose squarefreeness is proven when gcd(p, p')
 mod a prime dividing neither leading coefficient has degree 0. These tests
-check the results against two independent oracles: the Sturm counter kept
-in `roots` and, when sympy is installed, sympy's `Poly.intervals`.
+check the results against two independent oracles: Sturm counts on
+`roots.sturm_chain`, evaluated by the tests' own Fraction Horner
+(`conftest.count_roots_between`), and, when sympy is installed, sympy's
+`Poly.intervals`.
 """
 
 import random
@@ -16,8 +18,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from conftest import (bisect_to_width_reference, ladder_stats,
-                      poly_range_reference, product)
+from conftest import (bisect_to_width_reference, cauchy_bound,
+                      count_roots_between, ladder_stats, poly_range_reference,
+                      product)
 from exactvc.enclosure import Approx
 from exactvc.errors import ContractViolationError, UndefinedInputError
 from exactvc.oneway import ml_equation, reml_equation
@@ -32,8 +35,6 @@ from exactvc.roots import (
     _bisect_to_width,
     _count_positive_roots,
     _descartes_01,
-    cauchy_bound,
-    count_roots_between,
     isolate_real_roots,
     poly_range,
     refine_interval,

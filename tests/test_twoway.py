@@ -13,7 +13,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from exactvc import profilefit
+from exactvc import io as xio
+from exactvc import profilefit, twoway
 from exactvc.cli import main
 from exactvc.enclosure import Approx
 from exactvc.errors import (
@@ -46,6 +47,7 @@ from conftest import (
     random_twoway_stats,
     solution_residuals,
     twoway_cleared_system,
+    twoway_feasibility_reference,
     twoway_residual,
 )
 
@@ -625,3 +627,71 @@ def test_penicillin_unique_feasible_solution():
     assert round(float(g.omega.midpoint()), 6) == pytest.approx(0.302425)
     assert round(float(g.tau1.midpoint()), 6) == pytest.approx(0.714992)
     assert round(float(g.tau2.midpoint()), 6) == pytest.approx(3.135188)
+
+
+# ----------------------------------------------------------------------
+# the one-pass driver
+# ----------------------------------------------------------------------
+
+def one_pass_layouts():
+    """(stats, model) of the one-pass driver tests: penicillin, the
+    replicated 2 x 3 x 2 fixture (two feasible points), and the fourth
+    draw of acceptance gate 7's generator under both models, whose roots
+    include infeasible ones and, for the interaction model, a negative
+    root of the quartic in tau12."""
+    rng = random.Random(515151)
+    draw = [random_twoway_stats(rng) for _ in range(4)][-1]
+    return [(load_penicillin(), "additive"),
+            (xio.load_twoway_csv(fixture_path("replicated_2x3x2.csv")),
+             "interaction"),
+            (draw, "additive"), (draw, "interaction")]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_each_solution_is_built_once(monkeypatch, case):
+    # fit_twoway builds each reported TwoWaySolution once, at its final
+    # interval
+    stats, model = one_pass_layouts()[case]
+    built = []
+    build = twoway._solution
+
+    def spy(*args):
+        built.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(twoway, "_solution", spy)
+    rep = fit_twoway(stats, model)
+    assert len(built) == len(rep.solutions) > 0
+    assert built == [s.var_value for s in rep.solutions]
+
+
+def test_one_pass_layouts_cover_infeasible_and_negative_roots():
+    (pen, _), (fixture, _), (draw, _), _ = one_pass_layouts()
+    assert [s.feasible for s in fit_twoway(pen).solutions].count(True) == 1
+    assert [s.feasible for s in fit_twoway(fixture, "interaction").solutions
+            ] == [True, True]
+    sols = fit_twoway(draw, "interaction").solutions
+    assert any(s.tau12.hi < 0 for s in sols)
+    assert all(s.feasible is False for s in sols)
+    assert False in [s.feasible for s in fit_twoway(draw).solutions]
+
+
+def test_feasibility_matches_the_enclosure_reference():
+    # the integer-range pass decides every sign as the Fraction enclosures
+    # did, so the refined intervals and flags agree, coarse widths included
+    rng = random.Random(3131)
+    fits = 0
+    for _ in range(25):
+        st = random_twoway_stats(rng)
+        for model, width in itertools.product(
+                ("additive", "interaction"), (profilefit.REFINE_WIDTH,
+                                              F(1, 4), F(10))):
+            try:
+                rep = fit_twoway(st, model=model, refine_width=width)
+            except (NongenericDataError, ModelAssumptionError,
+                    DegenerateDataError):
+                continue
+            fits += 1
+            assert [(s.var_value, s.feasible) for s in rep.solutions] == \
+                twoway_feasibility_reference(st, model, width), (st, model)
+    assert fits > 0
