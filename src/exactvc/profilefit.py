@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import prod
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -370,15 +371,16 @@ def _sign(lo: int, hi: int, _den: int) -> Optional[int]:
 
 
 def certified_signs(theta: RootInterval,
-                    ranges: Callable[[RootInterval], Sequence[tuple]]
+                    ranges: Callable[[Fraction, Fraction], Sequence[tuple]]
                     ) -> Tuple[RootInterval, List[Optional[int]]]:
     """(theta, signs): theta refined 32x, under the ranking caps, while an
-    integer range (L, H, E) in ranges(theta) straddles 0, and each range's
-    sign (+1, -1, 0 when L = H = 0, None past the caps). Refined intervals
-    are nested, so a decided sign stays decided: one pass serves every
-    quantity, and no rational enclosure is built to read a sign."""
+    integer range (L, H, E) in ranges(theta.lo, theta.hi) straddles 0, and
+    each range's sign (+1, -1, 0 when L = H = 0, None past the caps).
+    Refined intervals are nested, so a decided sign stays decided: one pass
+    serves every quantity, and no rational enclosure is built to read a
+    sign."""
     for _ in range(_MAX_RANK_ROUNDS):
-        signs = [_sign(*r) for r in ranges(theta)]
+        signs = [_sign(*r) for r in ranges(theta.lo, theta.hi)]
         if None not in signs or theta.width() <= _TIE_WIDTH_CAP:
             break
         theta = refine_interval(theta, theta.width() / 32)
@@ -472,28 +474,23 @@ def profile_objective(prof: ProfilePolys, method: str):
     and the objective needs 1 + (distinct multiplicities) logs, plus 1 for
     REML. values(lo, hi) encloses (mu, omega, beta). Either returns None when
     its interval step degenerates, or when P or G is not positive. Both read
-    the polynomials' integer ranges through one store kept for the last
-    interval asked, so values right after loglik at the same theta (as in
-    certified_estimates) evaluates each of D, P and G once.
+    the polynomials' integer ranges through one store per objective, so
+    values after loglik at the same theta (as in certified_estimates)
+    evaluates each of D, P and G once.
     """
     weight = _weight(prof, method)
     P, G = prof.p_poly, prof.gram_det
     D = prof.d * G
-    dp = prof.d ** prof.p
+    # d^p is read only by REML's log det(X'KX) term
+    dp = prof.d ** prof.p if method == "REML" else None
     by_mult = {}
     for n, m in zip(prof.sizes, prof.mults):
         by_mult.setdefault(m, []).append(n)
     classes = sorted(by_mult.items())
-    last = {}
 
+    @cache
     def range_at(f: UniPoly, lo: Fraction, hi: Fraction):
-        # int_range(f, lo, hi), kept until another interval is asked for
-        if last.get("at") != (lo, hi):
-            last.clear()
-            last["at"] = (lo, hi)
-        if id(f) not in last:
-            last[id(f)] = int_range(f, lo, hi)
-        return last[id(f)]
+        return int_range(f, lo, hi)
 
     def log_det_args(t: Fraction) -> List[Tuple[int, int]]:
         # prod (1 + n t) over b^k per class of k sizes, for t = a/b: each

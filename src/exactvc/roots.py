@@ -479,14 +479,14 @@ def int_range(p: UniPoly, lo: Fraction, hi: Fraction) -> Tuple[int, int, int]:
     ints / den, the accumulator after j steps is den D^j times the rational
     one (step j adds ints_k D^j), a positive scale, so the same candidate
     wins each min/max. Nothing is reduced: callers that only compare or
-    take logs need no gcd.
+    take logs need no gcd. The ends go through rat, so a float or bool is
+    refused, and are ordered as A <= B.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
+    a, b, d = _common_denominator(rat(lo), rat(hi))
+    if a > b:
         raise ValueError("interval endpoints out of order")
     if p.is_zero():
         return 0, 0, 1
-    a, b, d = _common_denominator(lo, hi)
     acc_lo = acc_hi = 0
     dp = 1
     for c in reversed(p.ints):

@@ -5,17 +5,18 @@ n replicates per cell has a covariance matrix whose eigenvalues are
 affine in the variance components, so the likelihood splits over four
 sums of squares. The stationarity conditions are three rational
 equations in omega and a = omega + qn tau1, b = omega + rn tau2,
-c = a + b - omega. The first fixes c = omega^2/(e omega - E); then a and
-b each satisfy a quadratic over Q[omega], and a + b = c + omega turns
-the b-quadratic into a second quadratic in a. Their resultant in a is a
-polynomial in omega alone; division removes every power of the known
-extraneous factors omega and e omega - E, and the squarefree part is a
-quartic for generic data. The two quadratics have proportional leading
-coefficients, so one combination of them is linear in a: tau1 is its
-solution modulo the quartic and tau2 follows from c. Every solution is a
+c = a + b - omega. The first fixes c = omega^2/(e omega - E); then a
+satisfies a quadratic A over Q[omega], and a + b = c + omega turns the
+b-equation into a quadratic B in a whose leading coefficient is
+proportional to A's. So one combination of them is a relation linear in
+a, and its resultant with A in a, Res(A, B) over A's leading
+coefficient, is a polynomial in omega alone. Division removes every
+power of the known extraneous factors omega and e omega - E, and the
+squarefree part is a quartic for generic data. tau1 solves the relation
+modulo the quartic and tau2 follows from c. Every solution is a
 polynomial image of a quartic root and can be enclosed exactly. All of
 this runs on integer lists: with s the lcm of the denominators of SSA,
-SSB and E, the quadratics times s and s^2 lie in Z[omega].
+SSB and E, s A and s^2 times the relation lie in Z[omega][a].
 
 The interaction model separates: the error variance is estimated in
 closed form and the remaining three equations are the additive system
@@ -23,21 +24,23 @@ in the inflated variance w = omega_hat + n tau12, with its own residual
 weight and sum of squares. The same elimination runs in w and the
 quartic is presented in tau12 by composition.
 
-fit_twoway makes one pass over the isolated roots: each root's
-feasibility is decided by profilefit.certified_signs on the integer
-ranges of the eliminated variable and the taus, the feasible roots are
-ranked in one certified_argmax call, and each root's TwoWaySolution is
-built once, by _solution over its final interval.
+fit_twoway makes one pass over the isolated roots, and each step reads
+the integer ranges of _ranges over an interval, kept per interval so
+each is evaluated once: profilefit.certified_signs decides each root's
+feasibility, one certified_argmax call on _loglik_box ranks the feasible
+roots, and _solution builds each root's TwoWaySolution once, over its
+final interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache, partial
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .enclosure import Approx, log_bounds
+from .enclosure import Approx, log_bounds, range_quotient
 from .errors import (
     DegenerateDataError,
     InputError,
@@ -48,7 +51,7 @@ from .polynomials import (UniPoly, _common_denominator, _int_primitive,
                           _int_pseudo_rem, int_mul, int_on_interval, int_strip,
                           int_sum, rat, squarefree_part)
 from .profilefit import REFINE_WIDTH, certified_argmax, certified_signs
-from .roots import RootInterval, int_range, isolate_real_roots, poly_range
+from .roots import RootInterval, int_range, isolate_real_roots
 from .stats import as_fraction, exact_count
 
 VAR = "omega"
@@ -266,50 +269,49 @@ class TwoWayFitReport:
 Quadratic = Tuple[List[int], List[int], List[int]]
 
 
-def _quadratics(system: TwoWaySystem) -> Tuple[int, Quadratic, Quadratic]:
-    """The a- and b-equations as quadratics in a over Z[omega].
+def _quadratics(system: TwoWaySystem
+                ) -> Tuple[int, Quadratic, Tuple[List[int], List[int]]]:
+    """The a-equation as a quadratic in a over Z[omega], and the relation
+    linear in a that the b-equation gives with it.
 
     With L = e omega - E the first equation gives c = omega^2/L, and
     L times the second is A = L a^2 + (r-1) omega^2 a - SSA omega^2.
     Since a + b = c + omega, L b = S - L a with S = omega^2 + omega L,
     and L^2 times the third is B = (S - L a)^2 + (q-1) omega^2 (S - L a)
-    - SSB omega^2 L. Returns s, the lcm of the denominators of SSA, SSB
-    and E, and the integer coefficients of s A and s^2 B in a, low degree
-    first, each an ascending list in omega: A and B with s(r-1), s(q-1),
-    s SSA, s SSB, s E, s L, s S in place of r-1, q-1, SSA, SSB, E, L, S.
+    - SSB omega^2 L, of leading coefficient L^2 in a. So L A - B = slope a
+    + offset, slope = L omega ((r+q) omega + 2L) and offset = (SSB - SSA)
+    omega^2 L - S (S + (q-1) omega^2). Returns s, the lcm of the
+    denominators of SSA, SSB and E, s A's coefficients in a, low degree
+    first, and s^2 (slope, offset), each an ascending integer list in omega.
     """
     stats = system.stats
     ss = (stats.SSA, stats.SSB, system.resid_ss)
     s = lcm(*(v.denominator for v in ss))
     alpha, beta, eps = (v.numerator * (s // v.denominator) for v in ss)
-    ell = [-eps, s * system.weight]                      # s L
-    big_s = [0, -eps, s * (system.weight + 1)]           # s S
-    om2_ell = [0, 0] + ell
-    q1 = s * (stats.q - 1)
+    w = system.weight
+    ell = [-eps, s * w]                                  # s L
+    big_s = [0, -eps, s * (w + 1)]                       # s S
     quad_a = ([0, 0, -alpha], [0, 0, s * (stats.r - 1)], ell)
-    quad_b = (int_sum([(1, int_mul(big_s, big_s)), (q1, [0, 0] + big_s),
-                       (-beta, om2_ell)]),
-              int_sum([(-2, int_mul(big_s, ell)), (-q1, om2_ell)]),
-              int_mul(ell, ell))
-    return s, quad_a, quad_b
+    slope = int_mul(ell, [0, -2 * eps, s * (stats.r + stats.q + 2 * w)])
+    offset = int_sum([(beta - alpha, [0, 0] + ell),
+                      (-1, int_mul(big_s, [0, -eps, s * (w + stats.q)]))])
+    return s, quad_a, (slope, offset)
 
 
-def _eliminated_poly(quad_a: Quadratic, quad_b: Quadratic
+def _eliminated_poly(quad_a: Quadratic, slope: List[int], offset: List[int]
                      ) -> Tuple[UniPoly, Optional[str]]:
-    """Resultant in a of the two quadratics, cleaned.
+    """Resultant in a of A and slope a + offset, cleaned.
 
     Returns (squarefree primitive polynomial in the omega slot, note)
-    where the note reports a nongeneric degree. The resultant of two
-    quadratics is (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1), a
-    positive multiple of the unscaled one; every power of omega and of
-    the primitive part of a2 = s L is divided out before the squarefree
-    part is taken.
+    where the note reports a nongeneric degree. Res(A, slope a + offset)
+    = a2 offset^2 - a1 offset slope + a0 slope^2 is Res(A, B) / a2, and
+    every power of omega and of the primitive part of a2 = s L is divided
+    out before the squarefree part is taken.
     """
-    (a0, a1, a2), (b0, b1, b2) = quad_a, quad_b
-    x = int_sum([(1, int_mul(a2, b0)), (-1, int_mul(a0, b2))])
-    y = int_sum([(1, int_mul(a2, b1)), (-1, int_mul(a1, b2))])
-    z = int_sum([(1, int_mul(a1, b0)), (-1, int_mul(a0, b1))])
-    res = int_sum([(1, int_mul(x, x)), (-1, int_mul(y, z))])
+    a0, a1, a2 = quad_a
+    res = int_sum([(1, int_mul(a2, int_mul(offset, offset))),
+                   (-1, int_mul(a1, int_mul(offset, slope))),
+                   (1, int_mul(a0, int_mul(slope, slope)))])
     if not res:
         raise NongenericDataError(
             "resultant vanished identically; the equations share a "
@@ -366,18 +368,14 @@ def eliminate_to_quartic(system: TwoWaySystem) -> TwoWayFitReport:
     - E is a unit modulo the cleaned polynomial because it was divided
     out.
     """
-    s, quad_a, quad_b = _quadratics(system)
-    poly, note = _eliminated_poly(quad_a, quad_b)
+    s, quad_a, (slope, offset) = _quadratics(system)
+    poly, note = _eliminated_poly(quad_a, slope, offset)
     stats = system.stats
     t1 = t2 = None
     if poly.degree >= 1:
-        (a0, a1, a2), (b0, b1, _) = quad_a, quad_b
-        # b2 = a2^2, so a2 A - B = slope a + offset; a slope that is not
-        # a unit means A and B agree up to scale over some root, as on
-        # the tau-swap symmetric strata (r = q, SSA = SSB)
-        slope = int_sum([(1, int_mul(a2, a1)), (-1, b1)])
-        offset = int_sum([(1, int_mul(a2, a0)), (-1, b0)])
-        f = poly.ints
+        # a slope that is not a unit means A and B agree up to scale over
+        # some root, as on the tau-swap symmetric strata (r = q, SSA = SSB)
+        a2, f = quad_a[2], poly.ints
         # tau1 = (a - omega)/(qn) with a = -offset/slope, and
         # tau2 = (c - a)/(rn) with c = omega^2/L = s omega^2/a2
         t1 = _quotient_mod(int_sum([(-1, offset), (-1, [0] + slope)]),
@@ -408,24 +406,39 @@ def eliminate_to_quartic(system: TwoWaySystem) -> TwoWayFitReport:
 # Fitting
 # ----------------------------------------------------------------------
 
-def _solution(system: TwoWaySystem, iv: RootInterval, t1: UniPoly,
-              t2: UniPoly, feasible: Optional[bool],
+def _ranges(system: TwoWaySystem, t1: UniPoly, t2: UniPoly, lo: Fraction,
+            hi: Fraction) -> Tuple[tuple, ...]:
+    """Integer ranges (L, H, E) over [lo, hi] of the eliminated variable,
+    tau1, tau2 and, for the interaction model, w - omega_hat: a root is
+    feasible when the first is positive and the rest are nonnegative."""
+    out = (_common_denominator(lo, hi), int_range(t1, lo, hi),
+           int_range(t2, lo, hi))
+    if system.model == "interaction":
+        oh = system.omega_hat
+        out += (_common_denominator(lo - oh, hi - oh),)
+    return out
+
+
+def _solution(system: TwoWaySystem, iv: RootInterval,
+              ranges: Sequence[tuple], feasible: Optional[bool],
               loglik: Optional[Approx] = None) -> TwoWaySolution:
-    """The solution at iv: every enclosure is taken over iv itself."""
+    """The solution at iv from the _ranges over iv: tau1 and tau2 are
+    those ranges over 1, tau12 the range of w - omega_hat over n."""
     omega, tau12 = Approx(iv.lo, iv.hi), None
     if system.model == "interaction":
-        oh, n = system.omega_hat, system.stats.n
-        omega, tau12 = Approx.exact(oh), Approx((iv.lo - oh) / n,
-                                                (iv.hi - oh) / n)
+        n = system.stats.n
+        omega = Approx.exact(system.omega_hat)
+        tau12 = range_quotient(ranges[3], (n, n, 1))
     return TwoWaySolution(
-        var_value=iv, omega=omega, tau1=Approx(*poly_range(t1, iv.lo, iv.hi)),
-        tau2=Approx(*poly_range(t2, iv.lo, iv.hi)), tau12=tau12,
+        var_value=iv, omega=omega, tau1=range_quotient(ranges[1], (1, 1, 1)),
+        tau2=range_quotient(ranges[2], (1, 1, 1)), tau12=tau12,
         feasible=feasible, loglik=loglik)
 
 
-def _loglik_box(system: TwoWaySystem, lo: Fraction, hi: Fraction,
-                t1: UniPoly, t2: UniPoly, prec: int) -> Optional[Approx]:
-    """Twice the profile log-likelihood (up to an additive constant).
+def _loglik_box(system: TwoWaySystem, ranges: Sequence[tuple],
+                prec: int) -> Optional[Approx]:
+    """Twice the profile log-likelihood (up to an additive constant), over
+    the interval whose _ranges are given.
 
     -[(r-1)log a + (q-1)log b + weight*log v + log c]
     - [SSA/a + SSB/b + resid_ss/v] with v the eliminated variable;
@@ -434,8 +447,8 @@ def _loglik_box(system: TwoWaySystem, lo: Fraction, hi: Fraction,
     """
     stats = system.stats
     r, q, n = stats.r, stats.q, stats.n
-    (l1, h1, e1), (l2, h2, e2) = int_range(t1, lo, hi), int_range(t2, lo, hi)
-    vl, vh, d = v = _common_denominator(lo, hi)
+    v, (l1, h1, e1), (l2, h2, e2) = ranges[:3]
+    vl, vh, d = v
     # integer ranges of a = v + qn tau1, b = v + rn tau2, c = a + rn tau2
     f, s1, s2 = e1 * e2, q * n * d * e2, r * n * d * e1
     a = (vl * f + s1 * l1, vh * f + s1 * h1, d * f)
@@ -458,19 +471,6 @@ def _loglik_box(system: TwoWaySystem, lo: Fraction, hi: Fraction,
         high += Fraction(ss.numerator * e, ss.denominator * xl)
     unit = 1 << 2 * prec
     return Approx(Fraction(bot, unit) - high, Fraction(top, unit) - low)
-
-
-def _feasibility_ranges(system: TwoWaySystem, t1: UniPoly, t2: UniPoly,
-                        j: RootInterval) -> List[Tuple[int, int, int]]:
-    """Integer ranges (L, H, E) over j of the eliminated variable, tau1, tau2
-    and, for the interaction model, w - omega_hat: a root is feasible when
-    the first is positive (so omega > 0) and the rest are nonnegative."""
-    out = [_common_denominator(j.lo, j.hi), int_range(t1, j.lo, j.hi),
-           int_range(t2, j.lo, j.hi)]
-    if system.model == "interaction":
-        oh = system.omega_hat
-        out.append(_common_denominator(j.lo - oh, j.hi - oh))
-    return out
 
 
 def fit_twoway(stats: TwoWayStats, model: str = "additive",
@@ -498,10 +498,11 @@ def fit_twoway(stats: TwoWayStats, model: str = "additive",
     if poly.degree < 1:
         return replace(skeleton, boundary=True)
     t1, t2 = skeleton.tau1_relation, skeleton.tau2_relation
+    # each interval's ranges are built once, whichever step reads them first
+    ranges = cache(partial(_ranges, system, t1, t2))
     ivs, feasible = [], []
     for iv in isolate_real_roots(poly, domain="all", max_width=refine_width):
-        iv, signs = certified_signs(
-            iv, lambda j: _feasibility_ranges(system, t1, t2, j))
+        iv, signs = certified_signs(iv, ranges)
         ivs.append(iv)
         feasible.append(False if signs[0] == 0 or -1 in signs
                         else None if None in signs else True)
@@ -512,11 +513,11 @@ def fit_twoway(stats: TwoWayStats, model: str = "additive",
     if idxs:
         ranked, encl, top, tied = certified_argmax(
             [ivs[i] for i in idxs],
-            lambda lo, hi, prec: _loglik_box(system, lo, hi, t1, t2, prec))
+            lambda lo, hi, prec: _loglik_box(system, ranges(lo, hi), prec))
         for i, iv, e in zip(idxs, ranked, encl):
             ivs[i], logliks[i] = iv, e
         best = idxs[top]
-    sols = tuple(_solution(system, iv, t1, t2, f, e)
+    sols = tuple(_solution(system, iv, ranges(iv.lo, iv.hi), f, e)
                  for iv, f, e in zip(ivs, feasible, logliks))
     # boundary is only asserted when every stationary point is certifiably
     # infeasible; an undecided feasibility flag leaves it unset and marks

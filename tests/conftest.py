@@ -13,9 +13,11 @@ from exactvc import io as xio
 from exactvc import profilefit, twoway
 from exactvc.covariates import DesignProblem
 from exactvc.enclosure import Approx
-from exactvc.errors import InputError
+from exactvc.errors import InputError, NongenericDataError
 from exactvc.multipoly import MultiPoly, bareiss_determinant
-from exactvc.polynomials import UniPoly, rat
+from exactvc.polynomials import (UniPoly, _int_primitive, int_mul,
+                                 int_on_interval, int_strip, int_sum, rat,
+                                 squarefree_part)
 from exactvc.profilefit import ProfilePolys, certified_argmax
 from exactvc.roots import isolate_real_roots, refine_interval
 from exactvc.stats import GroupedData, OneWayStats, summarize_ints
@@ -435,6 +437,75 @@ def twoway_cleared_system(stats, model="additive"):
     return p0, p1, p2
 
 
+# -- the two-quadratic elimination -------------------------------------------
+#
+# twoway.eliminate_to_quartic as it was when the eliminant was the
+# closed-form resultant of two full quadratics in a: A, and B with all three
+# of its coefficient lists. eliminate_to_quartic must give the same
+# eliminated polynomial, quartic, tau relations and NongenericDataError.
+
+def twoway_elimination_reference(system):
+    """(eliminated, quartic, tau1_relation, tau2_relation, note) of a
+    TwoWaySystem, or the NongenericDataError the elimination raises.
+
+    s A = a2 a^2 + a1 a + a0 and s^2 B = b2 a^2 + b1 a + b0 with L = e omega
+    - E, S = omega^2 + omega L and s the lcm of the denominators of SSA,
+    SSB and E, as in twoway._quadratics' docstring. Res_a(A, B) = (a2 b0 -
+    a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1); b2 = a2^2, so a2 A - B is
+    linear in a and gives the tau relations.
+    """
+    stats = system.stats
+    ss = (stats.SSA, stats.SSB, system.resid_ss)
+    s = lcm(*(v.denominator for v in ss))
+    alpha, beta, eps = (v.numerator * (s // v.denominator) for v in ss)
+    ell = [-eps, s * system.weight]
+    big_s = [0, -eps, s * (system.weight + 1)]
+    om2_ell = [0, 0] + ell
+    q1 = s * (stats.q - 1)
+    a0, a1, a2 = [0, 0, -alpha], [0, 0, s * (stats.r - 1)], ell
+    b0 = int_sum([(1, int_mul(big_s, big_s)), (q1, [0, 0] + big_s),
+                  (-beta, om2_ell)])
+    b1 = int_sum([(-2, int_mul(big_s, ell)), (-q1, om2_ell)])
+    b2 = int_mul(ell, ell)
+    x = int_sum([(1, int_mul(a2, b0)), (-1, int_mul(a0, b2))])
+    y = int_sum([(1, int_mul(a2, b1)), (-1, int_mul(a1, b2))])
+    z = int_sum([(1, int_mul(a1, b0)), (-1, int_mul(a0, b1))])
+    res = int_sum([(1, int_mul(x, x)), (-1, int_mul(y, z))])
+    if not res:
+        raise NongenericDataError(
+            "resultant vanished identically; the equations share a "
+            "positive-dimensional component")
+    low = next(i for i, c in enumerate(res) if c)
+    res, _ = int_strip(_int_primitive(res[low:]), _int_primitive(a2))
+    poly = squarefree_part(UniPoly(res, twoway.VAR))
+    note = None
+    if poly.degree != 4:
+        note = (f"eliminated polynomial has degree {poly.degree}, not 4; "
+                "data lies outside the generic stratum")
+    t1 = t2 = None
+    if poly.degree >= 1:
+        slope = int_sum([(1, int_mul(a2, a1)), (-1, b1)])
+        offset = int_sum([(1, int_mul(a2, a0)), (-1, b0)])
+        f = poly.ints
+        t1 = twoway._quotient_mod(
+            int_sum([(-1, offset), (-1, [0] + slope)]),
+            [stats.q * stats.n * v for v in slope], f)
+        if t1 is None:
+            raise NongenericDataError(
+                "no linear back-substitution relation exists: tau1 is not "
+                "a rational function of the eliminated variable on this "
+                "data")
+        t2 = twoway._quotient_mod(
+            int_sum([(s, [0, 0] + slope), (1, int_mul(offset, a2))]),
+            [stats.r * stats.n * v for v in int_mul(a2, slope)], f)
+    presented = poly
+    if system.model == "interaction" and poly.degree >= 1:
+        oh = system.omega_hat
+        presented = UniPoly(int_on_interval(poly.ints, oh, oh + stats.n),
+                            "tau12").primitive()
+    return poly, presented, t1, t2, note
+
+
 def reciprocal(a: Approx) -> Approx:
     """The enclosure 1 / a of an enclosure a that excludes 0."""
     if a.lo <= 0 <= a.hi:
@@ -707,8 +778,8 @@ def twoway_feasibility_reference(stats, model, width):
     if idxs:
         ranked = certified_argmax(
             [out[i][0] for i in idxs],
-            lambda lo, hi, prec: twoway._loglik_box(system, lo, hi, t1, t2,
-                                                    prec))[0]
+            lambda lo, hi, prec: twoway._loglik_box(
+                system, twoway._ranges(system, t1, t2, lo, hi), prec))[0]
         for i, iv in zip(idxs, ranked):
             out[i][0] = iv
     return [tuple(pair) for pair in out]

@@ -198,7 +198,8 @@ def test_twoway_loglik_box_matches_the_fraction_formulas():
         boxes += [(v, v) for v, _ in boxes[:2]] + thetas(rng)[:4]
         for lo, hi in boxes:
             for prec in PRECISIONS:
-                got = twoway._loglik_box(system, lo, hi, t1, t2, prec)
+                got = twoway._loglik_box(
+                    system, twoway._ranges(system, t1, t2, lo, hi), prec)
                 assert got == reference_loglik_box(system, lo, hi, t1, t2,
                                                    prec), (lo, hi, prec)
                 nones += got is None

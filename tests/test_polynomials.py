@@ -12,7 +12,7 @@ from conftest import (divides, frac_add, frac_compose, frac_derivative,
                       frac_divmod, frac_eval, frac_mul, frac_trim,
                       gcd_degree_mod_reference, ladder_stats, poly_divmod,
                       product, schoolbook_mul, strip_factor)
-from exactvc import oneway
+from exactvc import oneway, polynomials
 from exactvc.errors import DivisibilityError, UndefinedInputError
 from exactvc.polynomials import (
     _PRIME,
@@ -90,6 +90,22 @@ def test_pow_matches_repeated_multiplication():
     for k in range(7):
         assert p ** k == q
         q = q * p
+
+
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    # square-and-multiply forms no square past the exponent's top bit
+    products = []
+
+    def counted(a, b):
+        products.append((a, b))
+        return int_mul(a, b)
+
+    monkeypatch.setattr(polynomials, "int_mul", counted)
+    p = UniPoly([1, 2, 3], "x")
+    for k, count in ((0, 0), (1, 1), (2, 2), (3, 3), (4, 3)):
+        products.clear()
+        p ** k
+        assert len(products) == count, k
 
 
 def test_derivative_product_rule():

@@ -441,6 +441,26 @@ def test_estimates_evaluate_each_range_once(monkeypatch):
         assert len(ranges) == count
         assert len({(id(args[0]),) + args[1:] for args, _ in ranges}) == count
 
+
+def test_only_reml_builds_the_power_of_d(monkeypatch):
+    # d^p is read only by REML's log det(X'KX) term
+    powers = []
+    real = UniPoly.__pow__
+
+    def counted(p, k):
+        powers.append(k)
+        return real(p, k)
+
+    monkeypatch.setattr(UniPoly, "__pow__", counted)
+    prof = oneway.gls_profile(ladder_stats(6, random.Random(6)))
+    for method, count in (("ML", 0), ("REML", 1)):
+        powers.clear()
+        loglik, values = profile_objective(prof, method)
+        assert loglik(F(0), F(1), 192) is not None
+        assert values(F(0), F(1)) is not None
+        assert powers == [prof.p] * count
+
+
 def test_trimodal_ml_still_ranks_its_two_maxima(monkeypatch):
     # the trimodal fixture has three local maxima: two under ML, which
     # need the ranking pass, and one under REML, which does not

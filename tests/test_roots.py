@@ -35,6 +35,7 @@ from exactvc.roots import (
     _bisect_to_width,
     _count_positive_roots,
     _descartes_01,
+    int_range,
     isolate_real_roots,
     poly_range,
     refine_interval,
@@ -251,6 +252,26 @@ def test_poly_range_matches_fraction_horner():
         got = poly_range(p, lo, hi)
         assert got == poly_range_reference(p, lo, hi), (p, lo, hi)
         assert all(type(v) is Fraction for v in got)
+
+
+def test_range_ends_refuse_floats_and_bools():
+    # the ends go through rat, as at every exact entry point; ints and
+    # decimal strings are exact, and a point interval gives p there
+    p = UniPoly([1, -3, 2], "x")
+    for fn in (int_range, poly_range):
+        for lo, hi in ((0.1, Fraction(1)), (Fraction(0), 0.2), (True, 2),
+                       (0, False)):
+            with pytest.raises(TypeError):
+                fn(p, lo, hi)
+        with pytest.raises(ValueError, match="out of order"):
+            fn(p, Fraction(1, 3), Fraction(1, 4))
+        with pytest.raises(ValueError, match="out of order"):
+            fn(UniPoly.zero("x"), 1, 0)
+    assert poly_range(p, 1, "1.5") == poly_range(p, Fraction(1),
+                                                 Fraction(3, 2))
+    lo, hi, e = int_range(p, Fraction(7, 3), Fraction(7, 3))
+    assert lo == hi and Fraction(lo, e) == p(Fraction(7, 3))
+    assert int_range(p, 2, 2) == (3, 3, 1)
 
 
 # ----------------------------------------------------------------------

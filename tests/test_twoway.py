@@ -6,6 +6,7 @@ stationarity system exactly, and every stage of the pipeline must
 reproduce it. The penicillin-yield pins were computed independently.
 """
 
+import collections
 import itertools
 import json
 import random
@@ -14,7 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 from exactvc import io as xio
-from exactvc import profilefit, twoway
+from exactvc import profilefit, roots, twoway
 from exactvc.cli import main
 from exactvc.enclosure import Approx
 from exactvc.errors import (
@@ -47,6 +48,7 @@ from conftest import (
     random_twoway_stats,
     solution_residuals,
     twoway_cleared_system,
+    twoway_elimination_reference,
     twoway_feasibility_reference,
     twoway_residual,
 )
@@ -296,6 +298,52 @@ def test_symmetric_stratum_has_no_tau_relation():
     st = planted_stats(2, 2, 1, F(7, 3), F(1, 2), F(1, 2))
     with pytest.raises(NongenericDataError):
         eliminate_to_quartic(ml_system(st))
+
+
+def elimination_outcome(eliminate, system):
+    """The eliminated polynomial, quartic and tau relations, each with its
+    variable, and the nongeneric note; or a NongenericDataError's message."""
+    try:
+        out = eliminate(system)
+    except NongenericDataError as exc:
+        return str(exc)
+    if not isinstance(out, tuple):
+        out = (out.eliminated, out.quartic, out.tau1_relation,
+               out.tau2_relation, out.nongeneric)
+    return [getattr(p, "var", None) for p in out] + list(out)
+
+
+def test_elimination_matches_the_two_quadratic_resultant():
+    # the eliminant from the linear relation alone is the two-quadratic
+    # resultant up to a power of a2, which cleaning strips: 2,000 random
+    # draws under both models, the r = q, SSA = SSB strata (no tau
+    # relation), strata with SSAB = 0 (a nongeneric degree when n = 1) and
+    # constant data
+    rng = random.Random(3232)
+    layouts = [random_twoway_stats(rng) for _ in range(2000)]
+    for r, n in itertools.product(range(2, 6), range(1, 4)):
+        layouts.append(TwoWayStats(r, r, n, 0, 0, 0, 0))
+        for _ in range(8):
+            ss = [random_ss(rng) for _ in range(3)]
+            sse = F(0) if n == 1 else random_ss(rng)
+            layouts += [TwoWayStats(r, r, n, ss[0], ss[0], ss[1], sse),
+                        TwoWayStats(r, r + 1, n, ss[1], ss[2], 0, sse)]
+    seen = collections.Counter()
+    for st in layouts:
+        for model in ("additive", "interaction"):
+            try:
+                system = ml_system(st, model)
+            except (ModelAssumptionError, DegenerateDataError):
+                continue
+            got = elimination_outcome(eliminate_to_quartic, system)
+            assert got == elimination_outcome(twoway_elimination_reference,
+                                              system), (st, model)
+            seen[model, "error" if isinstance(got, str)
+                 else "generic" if got[-1] is None else "note"] += 1
+    assert seen["additive", "generic"] >= 2000
+    assert seen["interaction", "generic"] >= 500
+    assert seen["additive", "error"] and seen["interaction", "error"]
+    assert seen["additive", "note"] and seen["interaction", "note"]
 
 
 def test_constant_data_reports_nongeneric_boundary():
@@ -663,6 +711,26 @@ def test_each_solution_is_built_once(monkeypatch, case):
     rep = fit_twoway(stats, model)
     assert len(built) == len(rep.solutions) > 0
     assert built == [s.var_value for s in rep.solutions]
+
+
+@pytest.mark.parametrize("width", [profilefit.REFINE_WIDTH, F(1, 4)])
+@pytest.mark.parametrize("case", range(4))
+def test_each_range_is_evaluated_once(monkeypatch, case, width):
+    # feasibility, ranking and the report read one store of ranges: within
+    # a fit, int_range runs at most once per relation and interval, also
+    # when ranking refines the intervals (the coarse width)
+    stats, model = one_pass_layouts()[case]
+    calls = []
+    real = roots.int_range
+
+    def spy(p, lo, hi):
+        calls.append((id(p), lo, hi))
+        return real(p, lo, hi)
+
+    for module in (roots, twoway):
+        monkeypatch.setattr(module, "int_range", spy)
+    rep = fit_twoway(stats, model, refine_width=width)
+    assert len(calls) == len(set(calls)) >= 2 * len(rep.solutions) > 0
 
 
 def test_one_pass_layouts_cover_infeasible_and_negative_roots():
