@@ -7,15 +7,17 @@ the normal equations into a linear system with polynomial entries. Two
 determinants then carry the whole profile: G = det(d X' K X) and the
 bordered determinant P with the response attached, giving the profiled
 residual sum of squares as P / (d G). They form the profilefit record,
-which profile_from_sums builds by evaluation at integer theta and exact
-interpolation from the integer cross-product sums gls_profile reduces a
-design to; the plain layout X = 1 has closed forms instead
-(oneway.gls_profile). So one profile objective, one stationarity
-equation and one set of profilefit drivers serve both fits, each taking
-the record and a method; ml_equation, reml_equation, ml_fit and reml_fit
-remain as one-line entry points. No closed-form degree law is known for
-a general design, so the expected degree is left open and observed
-degrees are reported as data.
+which profile_from_sums builds from the integer cross-product sums
+gls_profile reduces a design to (X = 1 has closed forms instead,
+oneway.gls_profile). The m_n groups of size n add -theta/(1 + n theta)
+V_n, V_n of rank at most m_n, to the bordered matrix, and a determinant
+has degree at most rank V_n in that coefficient: so (1 + n theta)
+divides P at least p + 1 - m_n times and G and each Cramer numerator
+p - m_n times, and only the cofactors are interpolated. One profile
+objective, one stationarity equation and one set of profilefit drivers
+serve both fits; ml_equation, reml_equation, ml_fit and reml_fit are
+one-line entry points. The stationarity equation of a general design has
+no known closed-form degree law; observed degrees are reported as data.
 """
 
 from __future__ import annotations
@@ -162,35 +164,48 @@ def profile_from_sums(N: int, sizes: Tuple[int, ...], mults: Tuple[int, ...],
 
         L B(theta) = d(theta) Z - theta sum_n d(theta)/(1 + n theta) V_n,
 
-    an integer matrix at every integer theta. One Bareiss elimination per
-    theta = 0..(p+1)M gives L^p G, L^(p+1) P and the L^p cramer_j there.
-    Every entry of B has degree at most M, so G and each cramer_j have
-    degree at most pM and P at most (p+1)M: the (p+1)M + 1 nodes determine
-    all of them exactly.
+    an integer matrix at every integer theta, where one Bareiss elimination
+    gives L^p G, L^(p+1) P and the L^p cramer_j. B/d is bounded as theta
+    grows and is C + s V_n/L near -1/n, C regular, s = -theta/(1 + n
+    theta); det(C + s V) has degree at most rank V in s (in the column
+    expansion, more than rank V columns from V are dependent). With
+    rank V_n <= r_n = min(m_n, p + 1), or g_n = min(m_n, p) in a p x p
+    minor, P is prod (1 + n theta)^(p + 1 - r_n) times a cofactor of
+    degree <= R = sum r_n, and G and each cramer_j prod (1 + n
+    theta)^(p - g_n) times one of degree <= sum g_n. These factors have
+    constant term 1, so the values at theta = 0..R divide exactly by them
+    (unless Vs do not match mults) and the cofactors are interpolated.
     """
     p = len(Z) - 1
-    order = range(p + 1)
+    # n once per known factor (1 + n theta): of G and the cramer_j, of P
+    known = [[n for n, m in zip(sizes, mults) for _ in range(p + e - m)]
+             for e in (0, 1)]
     values = []
-    for t in range((p + 1) * len(sizes) + 1):
+    for t in range(sum(min(m, p + 1) for m in mults) + 1):
         lin = [1 + n * t for n in sizes]
         dt = prod(lin)
         w = [t * (dt // f) for f in lin]
         m = [[dt * Z[i][j] - sum(wn * Vn[i][j] for wn, Vn in zip(w, Vs))
-              if j >= i else 0 for j in order] for i in order]
+              if j >= i else 0 for j in range(p + 1)] for i in range(p + 1)]
         out = _bordered_values(m, p)
         if out is None:
             raise ContractViolationError(
                 "X'KX is not positive definite at a nonnegative theta")
-        values.append(out)
-    gram, bordered, cramer = zip(*values)
-
+        fg, fp = (prod(1 + n * t for n in ns) for ns in known)
+        gram, bordered, cramer = out
+        qr = [divmod(v, fg) for v in (gram, *cramer)] + [divmod(bordered, fp)]
+        if any(r for _, r in qr):
+            raise ContractViolationError("Vs[k] has more rank than mults[k]")
+        values.append([v for v, _ in qr])
+    gram, *cramer, bordered = zip(*values)
+    fg, fp = (UniPoly(int_linear_product(ns)) for ns in known)
     Lp = L ** p
     return ProfilePolys(
         N=N, p=p, sizes=sizes, mults=mults,
         d=UniPoly(int_linear_product(sizes)),
-        gram_det=interpolate(gram, Lp),
-        p_poly=interpolate(bordered, Lp * L),
-        cramer=tuple(interpolate(col, Lp) for col in zip(*cramer)))
+        gram_det=fg * interpolate(gram, Lp),
+        p_poly=fp * interpolate(bordered, Lp * L),
+        cramer=tuple(fg * interpolate(col, Lp) for col in cramer))
 
 
 def gls_profile(design: DesignProblem) -> ProfilePolys:

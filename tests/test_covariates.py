@@ -11,24 +11,26 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from exactvc import oneway
+from exactvc import covariates, oneway
 from exactvc.covariates import (
     DesignProblem,
     conjecture_bound,
     gls_profile,
     ml_equation,
     ml_fit,
+    profile_from_sums,
     reml_equation,
     reml_fit,
 )
 from exactvc.enclosure import Approx
 from exactvc.errors import (
+    ContractViolationError,
     DegenerateDesignError,
     InputError,
     ModelAssumptionError,
     RankDeficiencyError,
 )
-from exactvc.polynomials import poly_gcd
+from exactvc.polynomials import UniPoly, int_linear_product, poly_gcd
 from exactvc.profilefit import profile_estimates, profile_value
 from exactvc.stats import GroupedData, summarize
 
@@ -328,6 +330,85 @@ def test_gls_profile_matches_reference_on_edge_designs():
     cases.append(d)
     for d in cases:
         assert gls_profile(d) == gls_profile_reference(d)
+
+
+def pole_order_designs():
+    """Designs where the (1 + n theta) powers of the pole-order bound
+    matter: a size class past the cap m_n = p + 1, covariates constant
+    within groups (rank V_n below m_n), singleton classes and a single
+    distinct size."""
+    rng = random.Random(33)
+
+    def design(sizes, row, const=False):
+        while True:
+            x = []
+            for ng in sizes:
+                shared = row()
+                x += [shared if const else row() for _ in range(ng)]
+            y = [Fraction(rng.randint(-99, 99), rng.randint(1, 6)) for _ in x]
+            try:
+                return make_design(sizes, x, y)
+            except RankDeficiencyError:
+                continue
+
+    def cov(k):
+        return lambda: (1,) + tuple(Fraction(rng.randint(-6, 6),
+                                             rng.randint(1, 3))
+                                    for _ in range(k))
+
+    return [design((2, 2, 3, 2, 2, 2), cov(1)),
+            design((2, 2, 2, 2, 2, 3, 3), cov(2)),
+            design((2, 3, 2, 4, 3, 2), cov(2), const=True),
+            design((3, 1, 2, 3, 4, 3), cov(1), const=True),
+            design((1, 3, 1, 2, 1, 4), cov(2)),
+            design((1, 1, 2, 5), cov(3)),
+            design((3, 3, 3, 3), cov(1)),
+            design((2, 2, 2, 2, 2), cov(3))]
+
+
+def test_reference_determinants_keep_the_pole_order_powers():
+    # G and each Cramer numerator are prod (1 + n theta)^(p - g_n) times
+    # a cofactor of degree <= sum g_n, g_n = min(m_n, p); P likewise with
+    # p + 1 in place of p. The reference builds them from polynomial
+    # matrices, with no use of the bound.
+    for d in pole_order_designs():
+        ref = gls_profile_reference(d)
+        assert gls_profile(d) == ref
+        sizes, mults = d.size_classes()
+        for polys, cap in (((ref.gram_det, *ref.cramer), d.p),
+                           ((ref.p_poly,), d.p + 1)):
+            known = UniPoly(int_linear_product(
+                n for n, m in zip(sizes, mults) for _ in range(cap - m)))
+            bound = sum(min(m, cap) for m in mults)
+            for f in polys:
+                assert f.exact_divide(known).degree <= bound
+
+
+def test_sums_with_more_rank_than_their_groups_are_refused():
+    # one group of size 2 with column sum u = (2, 2): V = u u' has rank 1,
+    # and P = (10 + 16 t)^2 - 16 t^2 = 20 (5 + 6 t)(1 + 2 t) keeps the
+    # factor (1 + 2 theta) that a single group promises
+    Z = [[10, 0], [0, 10]]
+    rec = profile_from_sums(3, (2,), (1,), Z, [[[4, 4], [4, 4]]], 1)
+    assert (rec.gram_det, rec.cramer, rec.p_poly) == (
+        UniPoly([10, 16]), (UniPoly([0, -4]),), UniPoly([100, 320, 240]))
+    # a rank-2 V declared as one group: P(1) = 26^2 is not a multiple of 3
+    with pytest.raises(ContractViolationError, match="more rank than mults"):
+        profile_from_sums(3, (2,), (1,), Z, [[[4, 0], [0, 4]]], 1)
+
+
+@pytest.mark.parametrize("q, p, nodes",
+                         [(6, 4, 7), (8, 3, 9), (10, 2, 11), (14, 1, 13)])
+def test_one_elimination_per_node_of_the_bound(monkeypatch, q, p, nodes):
+    # sum min(m_n, p + 1) + 1 nodes on the benchmark's covariate shapes
+    d = shaped_design(random.Random(q * 100 + p), q, p)
+    calls = []
+    eliminate = covariates._bordered_values
+    monkeypatch.setattr(covariates, "_bordered_values",
+                        lambda m, k: calls.append(k) or eliminate(m, k))
+    gls_profile(d)
+    mults = d.size_classes()[1]
+    assert len(calls) == sum(min(m, d.p + 1) for m in mults) + 1 == nodes
 
 
 @hst.composite
