@@ -7,8 +7,9 @@ Arithmetic, 2010, sec. 4.4), whose error the code counts, and then widened
 by a generous margin, so every Approx produced here is a true enclosure and
 comparisons between disjoint enclosures are certified. Approx is a record,
 with no arithmetic: the objective stays in integers up to its reported ends.
-log_bounds returns integers over 4^prec, which callers sum as they are, and
-range_quotient reduces each end of a quotient of integer ranges once.
+criterion alone sums a fit's c0 + sum c log x - sum S / x, its logs as the
+integers over 4^prec of log_bounds; quotient_ends gives x / y of integer
+ranges as unreduced end pairs, which range_quotient reduces once.
 """
 
 from __future__ import annotations
@@ -117,22 +118,47 @@ def log_bounds(lo, hi, prec: int = 128) -> Optional[Tuple[int, int]]:
             (b << prec) + ((abs(b) + unit) << 8))
 
 
+def criterion(const: int, terms, prec: int) -> Optional[Approx]:
+    """const + sum c log x - sum S / x over terms (c, ends, S), S >= 0 and
+    ends x's (lo, hi) as log_bounds takes them, or None when any ends are
+    None or start at or below 0. The logs sum as integers over 4^prec, a
+    negative c taking the other end; x > 0 then puts S / x in [S/hi, S/lo]."""
+    unit = 1 << 2 * prec
+    bot = top = const * unit
+    low = high = 0
+    for c, ends, s in terms:
+        bounds = None if ends is None else log_bounds(*ends, prec)
+        if bounds is None:
+            return None
+        bot += c * bounds[c < 0]
+        top += c * bounds[c > 0]
+        if s:
+            (p, q), (P, Q) = _ratio(ends[0]), _ratio(ends[1])
+            low += Fraction(s.numerator * Q, s.denominator * P)
+            high += Fraction(s.numerator * q, s.denominator * p)
+    return Approx(Fraction(bot, unit) - high, Fraction(top, unit) - low)
+
+
 def log_enclosure(lo, hi, prec: int = 128) -> Optional[Approx]:
-    """log_bounds as an Approx, or None."""
-    ends = log_bounds(lo, hi, prec)
-    return None if ends is None else Approx(
-        Fraction(ends[0], 1 << 2 * prec), Fraction(ends[1], 1 << 2 * prec))
+    """log x over [lo, hi]: the criterion of one term, or None."""
+    return criterion(0, [(1, (lo, hi), 0)], prec)
+
+
+def quotient_ends(num: Tuple[int, int, int], den: Tuple[int, int, int]):
+    """x / y as unreduced integer pairs (lo, hi), for integer ranges (L, H,
+    E > 0) of x and y, or None unless y's L > 0: no gcd is taken."""
+    (nl, nh, ne), (dl, dh, de) = num, den
+    if dl <= 0:
+        return None
+    return ((nl * de, ne * (dl if nl < 0 else dh)),
+            (nh * de, ne * (dh if nh < 0 else dl)))
 
 
 def range_quotient(num: Tuple[int, int, int],
                    den: Tuple[int, int, int]) -> Optional[Approx]:
-    """x / y for integer ranges (L, H, E > 0) of x and y, as int_range gives
-    them, or None unless y's L > 0. The two E share a power of the interval's
-    denominator: cancelled first, it halves what each Fraction reduces."""
-    (nl, nh, ne), (dl, dh, de) = num, den
-    if dl <= 0:
-        return None
-    g = gcd(ne, de)
-    ne, de = ne // g, de // g
-    return Approx(Fraction(nl * de, ne * (dl if nl < 0 else dh)),
-                  Fraction(nh * de, ne * (dh if nh < 0 else dl)))
+    """quotient_ends as an Approx, or None. The E share a power of the
+    interval's denominator; cancelled first, it halves each reduction."""
+    g = gcd(num[2], den[2])
+    ends = quotient_ends((*num[:2], num[2] // g), (*den[:2], den[2] // g))
+    return None if ends is None else Approx(Fraction(*ends[0]),
+                                            Fraction(*ends[1]))

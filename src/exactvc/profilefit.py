@@ -32,7 +32,7 @@ from functools import cache
 from math import prod
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .enclosure import Approx, log_bounds, range_quotient
+from .enclosure import Approx, criterion, quotient_ends, range_quotient
 from .errors import ContractViolationError, DegenerateDesignError
 from .polynomials import (
     UniPoly,
@@ -466,21 +466,21 @@ def fit_profile(eq: ProfileEquation, loglik: LoglikFn, values: ValuesFn,
 def profile_objective(prof: ProfilePolys, method: str):
     """(loglik, values) of one method's objective over theta intervals.
 
-    With weight w = N (ML) or N - p (REML) and omega_hat = P / (w d G),
-    loglik(lo, hi, prec) encloses -w log omega_hat - sum m_i log(1 + n_i
-    theta) - w, less log(G / d^p) = log det(X'KX) for REML. The sum takes
-    one log per distinct multiplicity m, of the product of (1 + n_i theta)
-    over that class, scaled by m; so a log's argument does not grow with m,
-    and the objective needs 1 + (distinct multiplicities) logs, plus 1 for
-    REML. values(lo, hi) encloses (mu, omega, beta). Either returns None when
-    its interval step degenerates, or when P or G is not positive. Both read
-    the polynomials' integer ranges through one store per objective, so
-    values after loglik at the same theta (as in certified_estimates)
-    evaluates each of D, P and G once.
+    With w = N (ML) or N - p (REML), D = w d G and omega_hat = P / D,
+    loglik(lo, hi, prec) is the enclosure.criterion of -w log omega_hat - sum
+    m_i log(1 + n_i theta) - w, less log(G / d^p) = log det(X'KX) for REML.
+    The sum takes one log per distinct multiplicity m, of the product of
+    (1 + n_i theta) over that class, scaled by m; so a log's argument does
+    not grow with m, and the objective needs 1 + (distinct multiplicities)
+    logs, plus 1 for REML. values(lo, hi) encloses (mu, omega, beta). Either
+    returns None when its interval step degenerates, or when P or G is not
+    positive. Both read the polynomials' integer ranges through one store
+    per objective, so values after loglik at the same theta (as in
+    certified_estimates) evaluates each of D, P and G once.
     """
     weight = _weight(prof, method)
     P, G = prof.p_poly, prof.gram_det
-    D = prof.d * G
+    D = prof.d * G * weight
     # d^p is read only by REML's log det(X'KX) term
     dp = prof.d ** prof.p if method == "REML" else None
     by_mult = {}
@@ -499,38 +499,23 @@ def profile_objective(prof: ProfilePolys, method: str):
         return [(prod(b + n * a for n in ns), b ** len(ns))
                 for _, ns in classes]
 
-    def ratio_args(num: UniPoly, den: UniPoly, lo, hi, scale: int = 1):
-        # unreduced (lo, hi) pairs of scale * num / den, or None unless the
-        # integer range of den starts above 0 (log_bounds checks num's)
-        (nl, nh, ne), (dl, dh, de) = (range_at(f, lo, hi) for f in (num, den))
-        if dl > 0:
-            return (scale * nl * de, dh * ne), (scale * nh * de, dl * ne)
-
     def loglik(lo: Fraction, hi: Fraction, prec: int) -> Optional[Approx]:
-        # every log term is summed as an integer over 4^prec
         if lo < 0:
             raise ValueError("theta must be nonnegative")
-        terms = [(weight, ratio_args(D, P, lo, hi, weight))]
-        terms += [(-m, args) for (m, _), args in zip(
+        terms = [(weight, quotient_ends(range_at(D, lo, hi),
+                                        range_at(P, lo, hi)), 0)]
+        terms += [(-m, ends, 0) for (m, _), ends in zip(
             classes, zip(log_det_args(lo), log_det_args(hi)))]
         if method == "REML":
-            terms.append((-1, ratio_args(G, dp, lo, hi)))
-        unit = 1 << 2 * prec
-        bot = top = -weight * unit
-        for c, args in terms:
-            ends = None if args is None else log_bounds(*args, prec)
-            if ends is None:
-                return None
-            bot += c * ends[c < 0]  # a negative c takes the other end
-            top += c * ends[c > 0]
-        return Approx(Fraction(bot, unit), Fraction(top, unit))
+            terms.append((-1, quotient_ends(range_at(G, lo, hi),
+                                            range_at(dp, lo, hi)), 0))
+        return criterion(-weight, terms, prec)
 
     def values(lo: Fraction, hi: Fraction):
         prange, grange = range_at(P, lo, hi), range_at(G, lo, hi)
-        dl, dh, de = range_at(D, lo, hi)
-        if prange[0] <= 0 or grange[0] <= 0 or dl <= 0:
+        omega = range_quotient(prange, range_at(D, lo, hi))
+        if prange[0] <= 0 or grange[0] <= 0 or omega is None:
             return None
-        omega = range_quotient(prange, (weight * dl, weight * dh, de))
         coef = tuple(range_quotient(range_at(c, lo, hi), grange)
                      for c in prof.cramer)
         return (coef[0], omega, None) if prof.mean else (None, omega, coef)

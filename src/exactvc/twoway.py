@@ -40,7 +40,7 @@ from functools import cache, partial
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .enclosure import Approx, log_bounds, range_quotient
+from .enclosure import Approx, criterion, range_quotient
 from .errors import (
     DegenerateDataError,
     InputError,
@@ -438,7 +438,7 @@ def _solution(system: TwoWaySystem, iv: RootInterval,
 def _loglik_box(system: TwoWaySystem, ranges: Sequence[tuple],
                 prec: int) -> Optional[Approx]:
     """Twice the profile log-likelihood (up to an additive constant), over
-    the interval whose _ranges are given.
+    the interval whose _ranges are given: the enclosure.criterion of
 
     -[(r-1)log a + (q-1)log b + weight*log v + log c]
     - [SSA/a + SSB/b + resid_ss/v] with v the eliminated variable;
@@ -447,30 +447,19 @@ def _loglik_box(system: TwoWaySystem, ranges: Sequence[tuple],
     """
     stats = system.stats
     r, q, n = stats.r, stats.q, stats.n
-    v, (l1, h1, e1), (l2, h2, e2) = ranges[:3]
-    vl, vh, d = v
+    (vl, vh, d), (l1, h1, e1), (l2, h2, e2) = ranges[:3]
     # integer ranges of a = v + qn tau1, b = v + rn tau2, c = a + rn tau2
     f, s1, s2 = e1 * e2, q * n * d * e2, r * n * d * e1
     a = (vl * f + s1 * l1, vh * f + s1 * h1, d * f)
     b = (vl * f + s2 * l2, vh * f + s2 * h2, d * f)
     c = (a[0] + s2 * l2, a[1] + s2 * h2, d * f)
-    terms = [(a, r - 1, stats.SSA), (b, q - 1, stats.SSB),
-             (v, system.weight, system.resid_ss), (c, 1, Fraction(0))]
+    terms = [(-wt, ((xl, e), (xh, e)), ss) for (xl, xh, e), wt, ss in (
+        (a, r - 1, stats.SSA), (b, q - 1, stats.SSB),
+        (ranges[0], system.weight, system.resid_ss), (c, 1, 0))]
     if system.model == "interaction":
         oh = system.omega_hat
-        terms.append((_common_denominator(oh, oh), r * q * (n - 1), stats.SSE))
-    # the logs are summed as integers over 4^prec; once its log is bounded
-    # x > 0, so with ss >= 0 each quotient ss/x lies in [ss e/xh, ss e/xl]
-    bot, top, low, high = 0, 0, 0, 0
-    for (xl, xh, e), wt, ss in terms:
-        ends = log_bounds((xl, e), (xh, e), prec)
-        if ends is None:
-            return None
-        bot, top = bot - wt * ends[1], top - wt * ends[0]
-        low += Fraction(ss.numerator * e, ss.denominator * xh)
-        high += Fraction(ss.numerator * e, ss.denominator * xl)
-    unit = 1 << 2 * prec
-    return Approx(Fraction(bot, unit) - high, Fraction(top, unit) - low)
+        terms.append((-r * q * (n - 1), (oh, oh), stats.SSE))
+    return criterion(0, terms, prec)
 
 
 def fit_twoway(stats: TwoWayStats, model: str = "additive",

@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Tuple
 from exactvc import io as xio
 from exactvc import profilefit, twoway
 from exactvc.covariates import DesignProblem
-from exactvc.enclosure import Approx
+from exactvc.enclosure import Approx, log_bounds
 from exactvc.errors import InputError, NongenericDataError
 from exactvc.multipoly import MultiPoly, bareiss_determinant
 from exactvc.polynomials import (UniPoly, _int_primitive, int_mul,
@@ -504,6 +504,16 @@ def twoway_elimination_reference(system):
         presented = UniPoly(int_on_interval(poly.ints, oh, oh + stats.n),
                             "tau12").primitive()
     return poly, presented, t1, t2, note
+
+
+def log_interval(lo, hi, prec: int) -> Optional[Approx]:
+    """The enclosure of log x over [lo, hi] that log_bounds' integers over
+    4^prec give, or None with them: a log for the oracles that shares no
+    code with enclosure.criterion."""
+    ends = log_bounds(lo, hi, prec)
+    if ends is None:
+        return None
+    return Approx(Fraction(ends[0], 4 ** prec), Fraction(ends[1], 4 ** prec))
 
 
 def reciprocal(a: Approx) -> Approx:

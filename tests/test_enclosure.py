@@ -6,9 +6,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import interval_product, reciprocal
-from exactvc.enclosure import (Approx, _log_bracket, log_enclosure,
-                               range_quotient)
+from conftest import (interval_difference, interval_product,
+                      interval_scale, interval_sum, log_interval, reciprocal)
+from exactvc.enclosure import (Approx, _log_bracket, criterion, log_enclosure,
+                               quotient_ends, range_quotient)
 from exactvc.polynomials import _common_denominator
 
 # the ranking rounds' log precisions, and the defaults of the estimates
@@ -154,6 +155,112 @@ def test_sign_aware_divide_matches_the_general_formula():
         checked += num[0] >= 0 and den[0] > 0
     assert checked > 200
     assert range_quotient((0, 0, 1), (2, 3, 1)) == Approx.exact(0)
+
+
+def random_ends(rng):
+    """(lo, hi) of a positive x, each end a Fraction or an unreduced integer
+    pair, one draw in four of zero width; and the two ends as Fractions."""
+    p = rng.randrange(1, 2 ** rng.randrange(1, 400))
+    q = rng.randrange(1, 2 ** rng.randrange(1, 400))
+    lo = Fraction(p, q)
+    hi = lo if rng.random() < 0.25 else \
+        lo + Fraction(rng.randrange(1, 2 ** 40), rng.randrange(1, 2 ** 300))
+
+    def form(v):
+        if rng.random() < 0.5:
+            return v
+        g = rng.randrange(1, 2 ** rng.randrange(1, 100))
+        return (v.numerator * g, v.denominator * g)
+
+    return (form(lo), form(hi)), (lo, hi)
+
+
+def criterion_reference(const, terms, prec):
+    """const + sum c log x - sum S / x by interval arithmetic on Fractions,
+    each log conftest.log_interval."""
+    total = Approx.exact(const)
+    for c, ends, s in terms:
+        lg = None if ends is None else log_interval(*ends, prec)
+        if lg is None:
+            return None
+        total = (interval_sum(total, interval_scale(lg, c)) if c >= 0 else
+                 interval_difference(total, interval_scale(lg, -c)))
+        x = Approx(*(Fraction(*e) if isinstance(e, tuple) else e
+                     for e in ends))
+        total = interval_difference(
+            total, interval_product(Approx.exact(s), reciprocal(x)))
+    return total
+
+
+def test_criterion_sums_its_terms_like_interval_arithmetic():
+    # c of either sign, S = 0 and S > 0, Fraction and pair ends, zero width
+    rng = random.Random(34)
+    signs, zero_s, widths = set(), set(), set()
+    for _ in range(300):
+        prec = rng.choice(PRECISIONS)
+        terms = []
+        for _ in range(rng.randrange(1, 6)):
+            ends, (lo, hi) = random_ends(rng)
+            c = rng.randrange(-10 ** 5, 10 ** 5)
+            s = 0 if rng.random() < 0.4 else Fraction(
+                rng.randrange(1, 2 ** 200), rng.randrange(1, 2 ** 90))
+            terms.append((c, ends, s))
+            signs.add(c > 0)
+            zero_s.add(s == 0)
+            widths.add(lo == hi)
+        const = rng.randrange(-10 ** 6, 10 ** 6)
+        got = criterion(const, terms, prec)
+        assert got == criterion_reference(const, terms, prec)
+    assert signs == zero_s == widths == {True, False}
+
+
+def test_criterion_refuses_ends_at_or_below_zero():
+    rng = random.Random(35)
+    for bad in (None, ((0, 5), (1, 5)), ((-1, 5), (1, 5)),
+                (Fraction(0), Fraction(1)), (Fraction(-1, 3), Fraction(2))):
+        for _ in range(20):
+            terms = [(rng.randrange(-5, 6), random_ends(rng)[0],
+                      rng.choice([0, Fraction(1, 3)]))
+                     for _ in range(rng.randrange(0, 4))]
+            terms.insert(rng.randrange(len(terms) + 1),
+                         (rng.choice([-2, 1]), bad, Fraction(7)))
+            assert criterion(rng.randrange(9), terms, 192) is None
+    assert log_enclosure(Fraction(0), Fraction(1)) is None
+
+
+def test_log_enclosure_is_criterion_of_one_term():
+    rng = random.Random(36)
+    for _ in range(100):
+        ends, _ = random_ends(rng)
+        prec = rng.choice(PRECISIONS)
+        assert log_enclosure(*ends, prec) == log_interval(*ends, prec) == \
+            criterion(0, [(1, ends, 0)], prec)
+
+
+def test_quotient_ends_are_range_quotient_unreduced():
+    # the same two values as range_quotient, for numerator ranges of any
+    # sign, and no gcd taken: each pair is the plain product of ends
+    rng = random.Random(37)
+
+    def int_range(low):
+        a = rng.randrange(low, 2 ** rng.randrange(1, 200))
+        b = a if rng.random() < 0.25 else a + rng.randrange(2 ** 100)
+        return a, b, rng.randrange(1, 2 ** rng.randrange(1, 100))
+
+    negative = 0
+    for _ in range(2000):
+        num = int_range(-2 ** rng.randrange(1, 200))
+        den = int_range(1)
+        ends, want = quotient_ends(num, den), range_quotient(num, den)
+        assert Approx(Fraction(*ends[0]), Fraction(*ends[1])) == want
+        assert ends[0][1] > 0 and ends[1][1] > 0
+        negative += num[0] < 0
+    assert negative > 200
+    assert quotient_ends((2, 4, 6), (3, 9, 12)) == ((24, 54), (48, 18))
+    assert quotient_ends((-2, -1, 6), (3, 9, 12)) == ((-24, 18), (-12, 54))
+    for den in ((0, 5, 1), (-3, 5, 2), (-3, -1, 7)):
+        assert quotient_ends((1, 2, 3), den) is None
+        assert range_quotient((1, 2, 3), den) is None
 
 
 def test_exact_goes_through_rat():

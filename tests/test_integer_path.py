@@ -1,7 +1,7 @@
 """The objective path runs on unreduced integer ranges. It must return
 exactly the Approx of the Fraction formulas it replaced: interval Horner
-on Fractions, the general interval product and log_enclosure on
-Fractions, which the references below spell out."""
+on Fractions, the general interval product and sums of Fraction logs, each
+log conftest.log_interval, which the references below spell out."""
 
 import random
 from dataclasses import replace
@@ -9,10 +9,10 @@ from fractions import Fraction as F
 from math import prod
 
 from conftest import (interval_difference, interval_product, interval_scale,
-                      poly_range_reference, random_oneway_stats,
+                      log_interval, poly_range_reference, random_oneway_stats,
                       random_twoway_stats, reciprocal)
 from exactvc import covariates, oneway, profilefit, roots, twoway
-from exactvc.enclosure import Approx, log_enclosure
+from exactvc.enclosure import Approx
 from exactvc.errors import NongenericDataError
 from exactvc.polynomials import UniPoly
 from exactvc.profilefit import certified_estimates, profile_objective
@@ -44,19 +44,19 @@ def reference_objective(prof, method):
     def loglik(lo, hi, prec):
         kap = divide(poly_range_reference(D, lo, hi),
                      poly_range_reference(P, lo, hi))
-        lk = None if kap is None else log_enclosure(kap.lo * w, kap.hi * w,
-                                                    prec)
+        lk = None if kap is None else log_interval(kap.lo * w, kap.hi * w,
+                                                   prec)
         if lk is None:
             return None
         total = interval_difference(interval_scale(lk, w), Approx.exact(w))
         for m, ns in sorted(classes.items()):
             at = [prod(1 + n * t for n in ns) for t in (lo, hi)]
             total = interval_difference(
-                total, interval_scale(log_enclosure(*at, prec), m))
+                total, interval_scale(log_interval(*at, prec), m))
         if method == "REML":
             r = divide(poly_range_reference(G, lo, hi),
                        poly_range_reference(dp, lo, hi))
-            lr = None if r is None else log_enclosure(r.lo, r.hi, prec)
+            lr = None if r is None else log_interval(r.lo, r.hi, prec)
             if lr is None:
                 return None
             total = interval_difference(total, lr)
@@ -91,7 +91,7 @@ def reference_loglik_box(system, lo, hi, t1, t2, prec):
     for box, wt, ss in ((a, r - 1, stats.SSA), (b, q - 1, stats.SSB),
                         ((lo, hi), system.weight, system.resid_ss),
                         (c, 1, None)):
-        lg = log_enclosure(box[0], box[1], prec)
+        lg = log_interval(box[0], box[1], prec)
         if lg is None:
             return None
         total = interval_difference(total, interval_scale(lg, wt))
@@ -99,7 +99,7 @@ def reference_loglik_box(system, lo, hi, t1, t2, prec):
             total = interval_difference(total, divide((ss, ss), box))
     if system.model == "interaction":
         oh = system.omega_hat
-        logs = interval_scale(log_enclosure(oh, oh, prec), r * q * (n - 1))
+        logs = interval_scale(log_interval(oh, oh, prec), r * q * (n - 1))
         total = interval_difference(
             interval_difference(total, logs), Approx.exact(stats.SSE / oh))
     return total

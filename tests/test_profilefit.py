@@ -11,7 +11,7 @@ from hypothesis import given, settings
 
 from conftest import (closed_forms, interval_scale, interval_sum,
                       load_stats_fixture, random_oneway_stats)
-from exactvc import covariates, oneway, profilefit
+from exactvc import covariates, enclosure, oneway, profilefit
 from exactvc.enclosure import Approx
 from exactvc.errors import ContractViolationError, DegenerateDesignError
 from exactvc.polynomials import UniPoly
@@ -300,17 +300,17 @@ def test_enclose_at_refuses_an_approx_it_cannot_narrow():
 # The objective's logarithms and the ranking pass
 
 
-def spy(monkeypatch, name):
-    """Record the arguments and result of every call of profilefit.name."""
+def spy(monkeypatch, name, module=profilefit):
+    """Record the arguments and result of every call of module.name."""
     calls = []
-    real = getattr(profilefit, name)
+    real = getattr(module, name)
 
     def wrapper(*args):
         out = real(*args)
         calls.append((args, out))
         return out
 
-    monkeypatch.setattr(profilefit, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -352,7 +352,7 @@ def test_log_det_enclosure_contains_the_sum_of_logs(monkeypatch):
             loglik, _ = profile_objective(prof, method)
             for lo, hi in intervals:
                 for prec in (192, 672):
-                    calls = spy(monkeypatch, "log_bounds")
+                    calls = spy(monkeypatch, "log_bounds", enclosure)
                     assert loglik(lo, hi, prec) is not None
                     monkeypatch.undo()
                     classes = sorted(set(mults))
@@ -380,7 +380,7 @@ def test_lone_maximum_needs_no_ranking_and_two_or_three_logs(monkeypatch):
         distinct = len(set(prof.mults))
         for method, logs in (("ML", 1 + distinct), ("REML", 2 + distinct)):
             ranks = spy(monkeypatch, "certified_argmax")
-            calls = spy(monkeypatch, "log_bounds")
+            calls = spy(monkeypatch, "log_bounds", enclosure)
             rep = profile_fit(prof, method, F(1, 10 ** 12))
             monkeypatch.undo()
             maxima = [iv for iv, label in rep.stationary_points
@@ -399,7 +399,7 @@ def test_log_arguments_do_not_grow_with_the_multiplicity(monkeypatch):
     for method in ("ML", "REML"):
         loglik, _ = profile_objective(prof, method)
         for lo, hi in ((F(0), F(0)), (F(1, 3), F(1, 2)), (F(9, 7), F(9, 7))):
-            calls = spy(monkeypatch, "log_bounds")
+            calls = spy(monkeypatch, "log_bounds", enclosure)
             assert loglik(lo, hi, 192) is not None
             monkeypatch.undo()
             assert calls
